@@ -11,7 +11,16 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .network import CLIP, NONE, RELU, Network, NodeRef, apply_activation, node_local_map
+from .network import (
+    CLIP,
+    NONE,
+    RELU,
+    Network,
+    NodeRef,
+    apply_activation,
+    input_interval,
+    node_local_map,
+)
 from .numerics import Infeasible, Interval, cube_constraints, lp_extremum, lp_feasible
 
 _F0 = Fraction(0)
@@ -26,8 +35,7 @@ AffineForm = tuple[tuple[Fraction, ...], Fraction]  # coeffs over inputs, consta
 
 
 def _combine(row: Sequence[Fraction], bias: Fraction, forms: Sequence[AffineForm]) -> AffineForm:
-    d = len(forms[0][0]) if forms else 0
-    coeffs = [_F0] * d
+    coeffs = [_F0] * len(forms[0][0])
     const = bias
     for w, (fc, fk) in zip(row, forms):
         if w == 0:
@@ -39,11 +47,46 @@ def _combine(row: Sequence[Fraction], bias: Fraction, forms: Sequence[AffineForm
     return tuple(coeffs), const
 
 
-def _box_interval(form: AffineForm) -> Interval:
-    coeffs, const = form
-    lo = const + sum((c for c in coeffs if c < 0), _F0)
-    hi = const + sum((c for c in coeffs if c > 0), _F0)
+def _affine_interval(row: Sequence[Fraction], bias: Fraction, ivs: Sequence[Interval]) -> Interval:
+    lo = hi = bias
+    for w, iv in zip(row, ivs):
+        if w > 0:
+            lo += w * iv.lo
+            hi += w * iv.hi
+        elif w < 0:
+            lo += w * iv.hi
+            hi += w * iv.lo
     return Interval(lo, hi)
+
+
+def _interval_pass(
+    net: Network, ref: NodeRef, fixed: dict[NodeRef, AffineForm]
+) -> tuple[list[list[Interval | None]], Interval]:
+    """One layer-wise interval pass from the cube up to the node ``ref``.
+
+    Returns the pre-activation interval of every node in the layers below
+    ref's, grouped by layer, and that of ref itself.  A node whose regime is
+    fixed to an affine form in ``fixed`` takes its post-activation interval
+    from that form's box bound; its own pre-activation entry is None.
+    """
+    post = [Interval(_F0, _F1)] * net.input_dim
+    below: list[list[Interval | None]] = []
+    for j, layer in enumerate(net.layers[: ref.layer - 1], start=1):
+        pre: list[Interval | None] = []
+        nxt: list[Interval] = []
+        for i, (row, b, act) in enumerate(zip(layer.weights, layer.biases, layer.activations)):
+            form = fixed.get(NodeRef(j, i + 1))
+            if form is not None:
+                pre.append(None)
+                nxt.append(input_interval(*form))
+                continue
+            iv = _affine_interval(row, b, post)
+            pre.append(iv)
+            nxt.append(Interval(apply_activation(act, iv.lo), apply_activation(act, iv.hi)))
+        below.append(pre)
+        post = nxt
+    row, bias, _ = node_local_map(net, ref)
+    return below, _affine_interval(row, bias, post)
 
 
 def interval_propagation(net: Network, ref: NodeRef) -> Interval:
@@ -51,29 +94,7 @@ def interval_propagation(net: Network, ref: NodeRef) -> Interval:
 
     Always encloses the exact extrema; used for pruning and as a sanity check.
     """
-    prev = [Interval(_F0, _F1) for _ in range(net.input_dim)]
-    for j in range(1, ref.layer + 1):
-        layer = net.layers[j - 1]
-        cur: list[Interval] = []
-        for i in range(layer.width):
-            lo = layer.biases[i]
-            hi = layer.biases[i]
-            for w, iv in zip(layer.weights[i], prev):
-                if w > 0:
-                    lo += w * iv.lo
-                    hi += w * iv.hi
-                elif w < 0:
-                    lo += w * iv.hi
-                    hi += w * iv.lo
-            pre = Interval(lo, hi)
-            if j == ref.layer and i == ref.index - 1:
-                return pre
-            act = layer.activations[i]
-            cur.append(
-                Interval(apply_activation(act, pre.lo), apply_activation(act, pre.hi))
-            )
-        prev = cur
-    raise AssertionError("unreachable")
+    return _interval_pass(net, ref, {})[1]
 
 
 def _regimes(act: str, iv: Interval):
@@ -113,21 +134,15 @@ def exact_extrema(
     more than ``node_budget`` branches.
     """
     ref = NodeRef(net.depth, 1) if node == "output" else node
-    row, bias, act = node_local_map(net, ref)  # validates the reference
+    _, _, act = node_local_map(net, ref)  # validates the reference
 
     d0 = net.input_dim
-    input_forms: list[AffineForm] = []
-    for i in range(d0):
-        unit = [_F0] * d0
-        unit[i] = _F1
-        input_forms.append((tuple(unit), _F0))
-
     # Upstream nodes, layer by layer; inside a layer widest IA slack first.
+    below, _ = _interval_pass(net, ref, {})
     upstream: list[NodeRef] = []
-    for j in range(1, ref.layer):
-        layer_refs = [NodeRef(j, i + 1) for i in range(net.width(j))]
-        layer_refs.sort(key=lambda r: interval_propagation(net, r).width, reverse=True)
-        upstream.extend(layer_refs)
+    for j, pre in enumerate(below, start=1):
+        order = sorted(range(len(pre)), key=lambda i: pre[i].width, reverse=True)
+        upstream.extend(NodeRef(j, i + 1) for i in order)
 
     base_constraints = cube_constraints(d0)
     visited = 0
@@ -138,61 +153,12 @@ def exact_extrema(
         if node_budget is not None and visited > node_budget:
             raise BudgetExceeded(f"branch-and-bound budget of {node_budget} exceeded")
 
-    def target_form(forms: dict[NodeRef, AffineForm]) -> AffineForm:
-        if ref.layer == 1:
-            prev = input_forms
-        else:
-            prev = [forms[NodeRef(ref.layer - 1, i + 1)] for i in range(net.width(ref.layer - 1))]
-        return _combine(row, bias, prev)
-
     def node_form(r: NodeRef, forms: dict[NodeRef, AffineForm]) -> AffineForm:
         nrow, nbias, _ = node_local_map(net, r)
         if r.layer == 1:
-            prev = input_forms
-        else:
-            prev = [forms[NodeRef(r.layer - 1, i + 1)] for i in range(net.width(r.layer - 1))]
+            return tuple(nrow), nbias
+        prev = [forms[NodeRef(r.layer - 1, i + 1)] for i in range(net.width(r.layer - 1))]
         return _combine(nrow, nbias, prev)
-
-    def ia_target(forms: dict[NodeRef, AffineForm]) -> Interval:
-        """Interval bound on the target given the regimes fixed so far."""
-        post: dict[NodeRef, Interval] = {}
-        for j in range(1, ref.layer):
-            layer = net.layers[j - 1]
-            for i in range(layer.width):
-                r = NodeRef(j, i + 1)
-                if r in forms:
-                    post[r] = _box_interval(forms[r])
-                    continue
-                lo = layer.biases[i]
-                hi = layer.biases[i]
-                for t in range(net.width(j - 1)):
-                    w = layer.weights[i][t]
-                    if w == 0:
-                        continue
-                    src = Interval(_F0, _F1) if j == 1 else post[NodeRef(j - 1, t + 1)]
-                    if w > 0:
-                        lo += w * src.lo
-                        hi += w * src.hi
-                    else:
-                        lo += w * src.hi
-                        hi += w * src.lo
-                a = layer.activations[i]
-                post[r] = Interval(apply_activation(a, lo), apply_activation(a, hi))
-        pre_prev = (
-            [Interval(_F0, _F1) for _ in range(d0)]
-            if ref.layer == 1
-            else [post[NodeRef(ref.layer - 1, i + 1)] for i in range(net.width(ref.layer - 1))]
-        )
-        lo = bias
-        hi = bias
-        for w, iv in zip(row, pre_prev):
-            if w > 0:
-                lo += w * iv.lo
-                hi += w * iv.hi
-            elif w < 0:
-                lo += w * iv.hi
-                hi += w * iv.lo
-        return Interval(lo, hi)
 
     feasible_cache: dict[tuple, bool] = {}
 
@@ -210,16 +176,16 @@ def exact_extrema(
             nonlocal incumbent
             bump()
             if incumbent is not None:
-                box = ia_target(forms)
+                _, box = _interval_pass(net, ref, forms)
                 if sense == "max" and box.hi <= incumbent:
                     return
                 if sense == "min" and box.lo >= incumbent:
                     return
             if idx == len(upstream):
-                coeffs, const = target_form(forms)
+                coeffs, const = node_form(ref, forms)
                 if not extra:
                     # No regime constraints were added: the box optimum is closed form.
-                    box = _box_interval((coeffs, const))
+                    box = input_interval(coeffs, const)
                     val = box.hi if sense == "max" else box.lo
                 else:
                     try:
@@ -239,7 +205,7 @@ def exact_extrema(
             r = upstream[idx]
             _, _, ract = node_local_map(net, r)
             form = node_form(r, forms)
-            iv = _box_interval(form)
+            iv = input_interval(*form)
             coeffs, const = form
             last = idx == len(upstream) - 1
             for kind, output in _regimes(ract, iv):

@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import formula as fm
 from . import rewrite as rw
@@ -75,7 +74,7 @@ def _node_budget(args) -> int | None:
 def _cmd_extract(args) -> int:
     net = network_from_json(_read(args.network))
     try:
-        g = extract_graph(net, flavor=args.flavor)
+        g = extract_graph(net, flavor=args.flavor, node_budget=_node_budget(args))
     except Degenerate as e:
         print(f"degenerate network: {e}", file=sys.stderr)
         return 1

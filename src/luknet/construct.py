@@ -8,19 +8,12 @@ extraction's node splitting by telescoping pairs and aggregation.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil
 
 from . import formula as fm
 from .bounds import exact_extrema
-from .extract import extract_graph, formula_for_certificate
-from .graph import (
-    CertificateMismatch,
-    GraphError,
-    MissingCertificate,
-    SubstitutionGraph,
-    normality_violation,
-)
-from .network import CLIP, NONE, RELU, Layer, Network, NodeRef, input_interval
+from .extract import extract_graph
+from .graph import GraphError, SubstitutionGraph, certificate_violation, normality_violation
+from .network import CLIP, NONE, RELU, Layer, Network, input_interval
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -40,10 +33,14 @@ def kappa(node) -> str | tuple[tuple[Fraction, ...], Fraction]:
     The certificate must reproduce the stored formula; the constants 0 and 1
     have no neuron and are signalled by tag.
     """
-    if node.certificate is None:
-        raise MissingCertificate()
-    if formula_for_certificate(node.certificate) is not node.formula:
-        raise CertificateMismatch()
+    violation = certificate_violation(node)
+    if violation is not None:
+        raise violation
+    return _neuron(node)
+
+
+def _neuron(node) -> str | tuple[tuple[Fraction, ...], Fraction]:
+    """kappa of a node whose certificate is already known to be sound."""
     if node.formula is fm.ZERO:
         return CONST0
     if node.formula is fm.ONE:
@@ -55,7 +52,9 @@ def graph_to_sigma(g: SubstitutionGraph) -> Network:
     """Construction step I: a clip network realizing the represented formula.
 
     Constant-0 nodes disappear with their edges; constant-1 nodes disappear
-    with their outgoing weight folded into each successor's bias.
+    with their outgoing weight folded into each successor's bias.  The
+    normality check re-extracts each certificate once; nodes are then read
+    off their certificates without a second extraction.
     """
     violation = normality_violation(g)
     if violation is not None:
@@ -65,21 +64,14 @@ def graph_to_sigma(g: SubstitutionGraph) -> Network:
     # Per previous-level position: "kept" column index or a constant tag.
     prev_map: list[int | str] = list(range(g.widths[0]))
     prev_kept = g.widths[0]
-    for level_index, level in enumerate(g.nodes, start=1):
-        is_output = level_index == g.depth
+    for level in g.nodes:
         rows: list[tuple[Fraction, ...]] = []
         biases: list[Fraction] = []
         cur_map: list[int | str] = []
         for node in level:
-            k = kappa(node)
-            if k in (CONST0, CONST1) and not is_output:
-                cur_map.append(k)  # dropped from the network
-                continue
+            k = _neuron(node)
             if k in (CONST0, CONST1):
-                # A constant output node keeps the layer alive with a bare bias.
-                rows.append((_F0,) * prev_kept)
-                biases.append(_F0 if k == CONST0 else _F1)
-                cur_map.append(len(rows) - 1)
+                cur_map.append(k)  # dropped from the network
                 continue
             m, b = k
             row = [_F0] * prev_kept
@@ -92,9 +84,10 @@ def graph_to_sigma(g: SubstitutionGraph) -> Network:
             rows.append(tuple(row))
             biases.append(bias)
             cur_map.append(len(rows) - 1)
-        if not rows and not is_output:
-            # Whole level folded to constants: fall back to constant carriers so
-            # the layered shape stays well-formed.
+        if not rows:
+            # Whole level folded to constants (a constant output node among
+            # them): fall back to constant carriers so the layered shape stays
+            # well-formed.
             for pos, tag in enumerate(cur_map):
                 rows.append((_F0,) * prev_kept)
                 biases.append(_F0 if tag == CONST0 else _F1)
@@ -176,5 +169,5 @@ def sigma_to_rho(net: Network, node_budget: int | None = None) -> Network:
 
 def roundtrip(net: Network, flavor: str = "integer", node_budget: int | None = None) -> Network:
     """extract -> construct; structurally the identity on well-behaved networks."""
-    g = extract_graph(net, flavor=flavor)
+    g = extract_graph(net, flavor=flavor, node_budget=node_budget)
     return sigma_to_rho(graph_to_sigma(g), node_budget=node_budget)

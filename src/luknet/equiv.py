@@ -1,9 +1,10 @@
 """Functional-equivalence checking over finite grids and random rational points.
 
 Grid points are exactly {0, 1/k, ..., 1}^n in lexicographic order; comparison
-is exact rational equality and the first counterexample is reported.  For the
-common case of scalar-free formulas (and integer networks) a scaled-integer
-grid evaluator avoids Fraction overhead without giving up exactness.
+is exact rational equality and the first counterexample is reported.
+``grid_values`` is a scaled-integer truth table of delta/scale-free formulas
+on the grid, exact without Fraction boxing; ``check-equiv`` does not use it
+and compares through the Fraction evaluators.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from . import formula as fm
-from .formula import Delta, Formula, Not, Odot, Oplus, Scale, Var
+from .formula import Formula, Not, Odot, Oplus, Var
 from .graph import SubstitutionGraph, graph_eval
 from .network import Network, eval_network
 
@@ -147,8 +148,3 @@ def grid_values(f: Formula, k: int, n: int) -> list[int]:
         return r
 
     return go(f)
-
-
-def network_grid_values(net: Network, k: int) -> list[Fraction]:
-    """Network outputs over I_k^{d0}, lexicographic (general rational weights)."""
-    return [eval_network(net, x) for x in FiniteGrid(k, net.input_dim).points()]

@@ -13,10 +13,7 @@ from math import ceil, floor, lcm
 from . import formula as fm
 from .formula import Formula
 from .graph import GraphNode, SubstitutionGraph
-from .network import CLIP, RELU, Degenerate, Layer, Network, input_interval, is_non_degenerate
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+from .network import CLIP, Degenerate, Layer, Network, input_interval, is_non_degenerate
 
 FLAVOR_INTEGER = "integer"
 FLAVOR_RATIONAL = "rational"
@@ -46,17 +43,18 @@ class MintermCertificate:
 # ---------------------------------------------------------------------------
 
 
-def rho_to_sigma(net: Network, check: bool = True) -> Network:
+def rho_to_sigma(net: Network, check: bool = True, node_budget: int | None = None) -> Network:
     """Convert a relu network into a clip network realizing the same function.
 
     A hidden node whose input interval has upper bound L <= 1 keeps its row and
     just swaps the activation tag.  With L > 1 it becomes ceil(L) clip nodes
     with biases b, b-1, ..., b-ceil(L)+1, duplicated incoming and outgoing
     weights; the new nodes sit immediately after the originating node.  The
-    output node gains the clip activation.
+    output node gains the clip activation.  ``node_budget`` bounds each exact
+    extrema search of the non-degeneracy check.
     """
     if check:
-        ok, why = is_non_degenerate(net)
+        ok, why = is_non_degenerate(net, node_budget=node_budget)
         if not ok:
             raise Degenerate(why)
     layers = list(net.layers)
@@ -90,69 +88,38 @@ def rho_to_sigma(net: Network, check: bool = True) -> Network:
 # ---------------------------------------------------------------------------
 
 
-def _bounds(m: tuple[Fraction, ...], b: Fraction) -> tuple[Fraction, Fraction]:
-    lo = b + sum((c for c in m if c < 0), _F0)
-    hi = b + sum((c for c in m if c > 0), _F0)
-    return lo, hi
-
-
 def extr(m, b) -> Formula:
     """Formula whose truth function is clip(m.x + b) for integer m, b.
 
-    Scans for the first nonzero coefficient; a positive one is peeled off a
-    unit at a time via (EXTR(f0) + x_k) * EXTR(f0+1), a negative one flips the
-    whole row via not EXTR(1 - f).  When the row is exactly one variable the
-    variable itself is emitted.
+    The integer flavor of :func:`extr_real`: on integer rows its fractional
+    and constant-bias steps never fire, so only unit peeling, sign flips and
+    the bare variable remain.
     """
     mi = tuple(Fraction(c) for c in m)
     bi = Fraction(b)
     if any(c.denominator != 1 for c in mi) or bi.denominator != 1:
         raise ValueError("extr needs integer coefficients; use extr_rational")
-    memo: dict[tuple, Formula] = {}
-
-    def go(m: tuple[Fraction, ...], b: Fraction) -> Formula:
-        key = (m, b)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        lo, hi = _bounds(m, b)
-        if lo >= 1:
-            res: Formula = fm.ONE
-        elif hi <= 0:
-            res = fm.ZERO
-        else:
-            k = next(i for i, c in enumerate(m) if c != 0)
-            if m[k] > 0:
-                f0 = m[:k] + (m[k] - 1,) + m[k + 1 :]
-                if b == 0 and all(c == 0 for c in f0):
-                    res = fm.var(k + 1)  # the row is exactly x_k
-                else:
-                    res = fm.odot(fm.oplus(go(f0, b), fm.var(k + 1)), go(f0, b + 1))
-            else:
-                res = fm.lnot(go(tuple(-c for c in m), 1 - b))
-        memo[key] = res
-        return res
-
-    return go(mi, bi)
+    return extr_real(mi, bi)
 
 
 def extr_rational(m, b) -> Formula:
     """DMV formula for clip(m.x + b) with rational m, b.
 
     Clears denominators by s = lcm: the neuron splits into s integer neurons
-    h_i = clip(s(m.x+b) - i) and the result is the left-associated chain
-    delta_s t_0 + ... + delta_s t_{s-1}.  Integer input (s = 1) reduces to
-    :func:`extr` exactly.
+    h_i = clip(s(m.x+b) - i), each peeled by :func:`extr_real` on its integer
+    row, and the result is the left-associated chain
+    delta_s t_0 + ... + delta_s t_{s-1}.  Integer input (s = 1) is peeled
+    directly, which is :func:`extr` exactly.
     """
     mq = tuple(Fraction(c) for c in m)
     bq = Fraction(b)
     s = lcm(*(c.denominator for c in mq + (bq,)))
     if s == 1:
-        return extr(mq, bq)
+        return extr_real(mq, bq)
     scaled = tuple(s * c for c in mq)
     chain: Formula | None = None
     for i in range(s):
-        term = fm.delta(s, extr(scaled, s * bq - i))
+        term = fm.delta(s, extr_real(scaled, s * bq - i))
         chain = term if chain is None else fm.oplus(chain, term)
     assert chain is not None
     return chain
@@ -161,9 +128,13 @@ def extr_rational(m, b) -> Formula:
 def extr_real(m, b) -> Formula:
     """Scalar-operator formula for clip(m.x + b), coefficients rational.
 
-    The fractional part of a coefficient is stripped in one step, contributing
-    a scaled-variable factor; remaining integer units peel off exactly as in
-    :func:`extr`.  A leftover constant bias in (0,1) becomes scale(b, 1).
+    The one peeling core behind every flavor.  A row whose box bound over the
+    cube has lo >= 1 or hi <= 0 is the constant 1 or 0.  Otherwise the first
+    nonzero coefficient decides the step: a negative one flips the whole row
+    via not EXTR(-m, 1 - b); a fractional part is stripped in one step as
+    (EXTR(f0) + scale(frac, x_k)) * EXTR(f0 + 1); an integer unit peels off
+    as (EXTR(f0) + x_k) * EXTR(f0 + 1), and a row that is exactly x_k is the
+    variable itself.  A leftover constant bias in (0,1) becomes scale(b, 1).
     """
     mq = tuple(Fraction(c) for c in m)
     bq = Fraction(b)
@@ -174,10 +145,10 @@ def extr_real(m, b) -> Formula:
         got = memo.get(key)
         if got is not None:
             return got
-        lo, hi = _bounds(m, b)
-        if lo >= 1:
+        box = input_interval(m, b)
+        if box.lo >= 1:
             res: Formula = fm.ONE
-        elif hi <= 0:
+        elif box.hi <= 0:
             res = fm.ZERO
         elif all(c == 0 for c in m):
             res = fm.scale(b, fm.ONE)  # constant strictly inside (0,1)
@@ -187,17 +158,12 @@ def extr_real(m, b) -> Formula:
                 res = fm.lnot(go(tuple(-c for c in m), 1 - b))
             else:
                 frac = m[k] - floor(m[k])
-                if frac > 0:
-                    f0 = m[:k] + (m[k] - frac,) + m[k + 1 :]
-                    res = fm.odot(
-                        fm.oplus(go(f0, b), fm.scale(frac, fm.var(k + 1))), go(f0, b + 1)
-                    )
+                f0 = m[:k] + (m[k] - (frac or 1),) + m[k + 1 :]
+                if not frac and b == 0 and all(c == 0 for c in f0):
+                    res = fm.var(k + 1)  # the row is exactly x_k
                 else:
-                    f0 = m[:k] + (m[k] - 1,) + m[k + 1 :]
-                    if b == 0 and all(c == 0 for c in f0):
-                        res = fm.var(k + 1)
-                    else:
-                        res = fm.odot(fm.oplus(go(f0, b), fm.var(k + 1)), go(f0, b + 1))
+                    step = fm.scale(frac, fm.var(k + 1)) if frac else fm.var(k + 1)
+                    res = fm.odot(fm.oplus(go(f0, b), step), go(f0, b + 1))
         memo[key] = res
         return res
 
@@ -221,7 +187,9 @@ def formula_for_certificate(cert: MintermCertificate) -> Formula:
 # ---------------------------------------------------------------------------
 
 
-def extract_graph(net: Network, flavor: str = FLAVOR_INTEGER, check: bool = True) -> SubstitutionGraph:
+def extract_graph(
+    net: Network, flavor: str = FLAVOR_INTEGER, check: bool = True, node_budget: int | None = None
+) -> SubstitutionGraph:
     """Extract the substitution graph of a non-degenerate network.
 
     The graph shares the clip network's layered shape; every non-input node
@@ -234,7 +202,7 @@ def extract_graph(net: Network, flavor: str = FLAVOR_INTEGER, check: bool = True
             entries = [w for row in layer.weights for w in row] + list(layer.biases)
             if any(q.denominator != 1 for q in entries):
                 raise ValueError("integer flavor requires integer weights and biases")
-    sigma = rho_to_sigma(net, check=check)
+    sigma = rho_to_sigma(net, check=check, node_budget=node_budget)
     extractor = _EXTRACTORS[flavor]
     node_layers = []
     for layer in sigma.layers:

@@ -444,7 +444,7 @@ def parse(text: str) -> Formula:
         if head == "scale":
             num, noff = take()
             try:
-                factor = parse_rational(num) if num is not None else None
+                factor = parse_rational(num)
             except ValueError:
                 factor = None
             if factor is None or not 0 <= factor <= 1:

@@ -96,19 +96,6 @@ def represented_formula(g: SubstitutionGraph) -> Formula:
     return f
 
 
-def represented_formula_forward(g: SubstitutionGraph) -> Formula:
-    """Input-first order: push each node's global formula up the layers.
-
-    Produces the identical tree as :func:`represented_formula`; both orders are
-    kept so the agreement is testable.
-    """
-    global_formulas = [node.formula for node in g.nodes[0]]
-    for level in range(2, g.depth + 1):
-        zeta = {i + 1: f for i, f in enumerate(global_formulas)}
-        global_formulas = [substitute(node.formula, zeta) for node in g.nodes[level - 1]]
-    return global_formulas[0]
-
-
 def graph_eval(g: SubstitutionGraph, x) -> "fm.Fraction":
     """Layer-wise numeric propagation of the node truth functions."""
     values = list(x)
@@ -117,20 +104,30 @@ def graph_eval(g: SubstitutionGraph, x) -> "fm.Fraction":
     return values[0]
 
 
+def certificate_violation(
+    node: GraphNode, level: int | None = None, index: int | None = None
+) -> GraphError | None:
+    """Why the node's certificate does not re-extract to its formula, or None."""
+    from .extract import formula_for_certificate
+
+    if node.certificate is None:
+        return MissingCertificate(level, index)
+    if formula_for_certificate(node.certificate) is not node.formula:
+        return CertificateMismatch(level, index)
+    return None
+
+
 def normality_violation(g: SubstitutionGraph) -> GraphError | None:
     """First reason the graph is not normal, or None.
 
     A graph is normal when every node holds a certificate whose re-extraction
     reproduces the stored formula tree exactly.
     """
-    from .extract import formula_for_certificate
-
     for j, level in enumerate(g.nodes, start=1):
         for i, node in enumerate(level, start=1):
-            if node.certificate is None:
-                return MissingCertificate(j, i)
-            if formula_for_certificate(node.certificate) is not node.formula:
-                return CertificateMismatch(j, i)
+            violation = certificate_violation(node, j, i)
+            if violation is not None:
+                return violation
     return None
 
 

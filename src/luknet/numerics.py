@@ -1,7 +1,7 @@
 """Exact rational scalars, closed intervals, and an exact linear-program solver.
 
 Everything in this package computes over arbitrary-precision rationals; no
-floating point is used anywhere.  ``Rational`` is the standard-library
+floating point is used anywhere.  Rationals are the standard-library
 ``fractions.Fraction``, which already guarantees lowest terms and a positive
 denominator.
 """
@@ -11,8 +11,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -26,7 +24,7 @@ class Infeasible(Exception):
 
 def parse_rational(text: str) -> Fraction:
     """Parse the decimal-free wire format ``p/q`` or ``p`` (sign on numerator)."""
-    if not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise ValueError(f"not a canonical rational: {text!r}")
     return Fraction(text)
 
@@ -46,9 +44,6 @@ class Interval:
     def __post_init__(self) -> None:
         if self.lo > self.hi:
             raise ValueError(f"empty interval: [{self.lo}, {self.hi}]")
-
-    def contains(self, q: Fraction) -> bool:
-        return self.lo <= q <= self.hi
 
     def encloses(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi

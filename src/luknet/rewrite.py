@@ -540,18 +540,6 @@ class RhoSum(RhoExpr):
 
 
 @dataclass(frozen=True)
-class RhoScale(RhoExpr):
-    factor: Fraction
-    child: RhoExpr
-
-    def evaluate(self, env):
-        return self.factor * self.child.evaluate(env)
-
-    def __str__(self):
-        return f"{format_rational(self.factor)}*({self.child})"
-
-
-@dataclass(frozen=True)
 class Rho(RhoExpr):
     child: RhoExpr
 

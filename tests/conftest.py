@@ -2,18 +2,7 @@ import pathlib
 
 import pytest
 
-from helpers import build_corpus
-
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
-
-CORPUS_SIZE = 208
-CORPUS_SEED = 20240915
-
-
-@pytest.fixture(scope="session")
-def corpus():
-    """Non-degenerate integer relu networks with verified range in [0,1]."""
-    return build_corpus(CORPUS_SIZE, CORPUS_SEED)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
-"""Shared test machinery: random generators, the round-trip corpus builder,
-and brute-force oracles kept independent of the library's solver paths."""
+"""Shared test machinery: random generators, the round-trip corpus network
+generator, and brute-force oracles kept independent of the library's solver
+paths."""
 from __future__ import annotations
 
 import itertools
@@ -9,6 +10,7 @@ from math import ceil, floor
 
 from luknet import formula as fm
 from luknet.bounds import exact_extrema
+from luknet.formula import Formula, substitute
 from luknet.graph import GraphNode, SubstitutionGraph
 from luknet.network import (
     CLIP,
@@ -157,16 +159,6 @@ def corpus_network(rng: random.Random, max_attempts: int = 60) -> Network | None
     return None
 
 
-def build_corpus(count: int, seed: int) -> list[Network]:
-    rng = random.Random(seed)
-    out: list[Network] = []
-    while len(out) < count:
-        cand = corpus_network(rng)
-        if cand is not None:
-            out.append(cand)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Independent extremum oracles (vertex enumeration, no simplex, no pruning)
 # ---------------------------------------------------------------------------
@@ -276,3 +268,16 @@ def brute_extrema(network: Network, ref: NodeRef):
             best_hi = value if best_hi is None else max(best_hi, value)
     assert best_lo is not None and best_hi is not None
     return best_lo, best_hi
+
+
+def represented_formula_forward(g: SubstitutionGraph) -> Formula:
+    """Input-first order: push each node's global formula up the layers.
+
+    Produces the identical tree as ``graph.represented_formula``, which
+    substitutes output-first; the tests check that the two orders agree.
+    """
+    global_formulas = [node.formula for node in g.nodes[0]]
+    for level in range(2, g.depth + 1):
+        zeta = {i + 1: f for i, f in enumerate(global_formulas)}
+        global_formulas = [substitute(node.formula, zeta) for node in g.nodes[level - 1]]
+    return global_formulas[0]

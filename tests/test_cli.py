@@ -48,6 +48,37 @@ def test_extract_degenerate_exits_one(tmp_path, capsys):
     assert "degenerate" in err
 
 
+def test_budget_reaches_degeneracy_check(tmp_path, capsys):
+    # The hidden node has no witness point, so only an exact extrema search
+    # can settle it; a budget of one branch cannot.
+    dead = {
+        "input_dim": 1,
+        "layers": [
+            {"weights": [["1"]], "biases": ["-5"], "activation": ["relu"]},
+            {"weights": [["1"]], "biases": ["0"], "activation": ["none"]},
+        ],
+    }
+    path = tmp_path / "dead.json"
+    path.write_text(json.dumps(dead))
+    for argv in (("extract", str(path), "-o", str(tmp_path / "g.json")), ("roundtrip", str(path))):
+        code, _, err = run(capsys, *argv, "--budget", "1")
+        assert code == 1
+        assert "budget exceeded" in err
+
+
+def test_json_number_weight_exits_two(tmp_path, capsys):
+    spec = {
+        "input_dim": 1,
+        "layers": [{"weights": [[1]], "biases": ["0"], "activation": ["none"]}],
+    }
+    path = tmp_path / "numeric.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run(capsys, "extract", str(path), "-o", str(tmp_path / "g.json"))
+    assert code == 2
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_check_equiv_networks(fixtures_dir, capsys):
     code, out, _ = run(
         capsys,

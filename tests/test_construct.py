@@ -1,9 +1,11 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from helpers import corpus_network, layer, net
+from luknet import extract
 from luknet import formula as fm
 from luknet import rewrite as rw
 from luknet.construct import (
@@ -20,6 +22,7 @@ from luknet.extract import MintermCertificate, extr, extract_graph, rho_to_sigma
 from luknet.graph import (
     CertificateMismatch,
     GraphNode,
+    MissingCertificate,
     SubstitutionGraph,
     graph_eval,
     represented_formula,
@@ -70,6 +73,11 @@ def test_kappa_rejects_forged_certificate():
         kappa(node)
 
 
+def test_kappa_rejects_missing_certificate():
+    with pytest.raises(MissingCertificate):
+        kappa(GraphNode(fm.var(1)))
+
+
 # ---------------------------------------------------------------------------
 # Step I
 # ---------------------------------------------------------------------------
@@ -86,6 +94,35 @@ def test_graph_to_sigma_requires_normal():
     g = SubstitutionGraph((1, 1), ((GraphNode(fm.var(1)),),))
     with pytest.raises(NotNormal):
         graph_to_sigma(g)
+
+
+def test_graph_to_sigma_names_first_bad_node():
+    good = _normal_node((1,), 0)
+    forged = GraphNode(fm.oplus(fm.var(1), fm.var(1)), MintermCertificate((F(2),), F(0), "integer"))
+    g = SubstitutionGraph(
+        (1, 3, 1),
+        ((good, forged, GraphNode(fm.var(1))), (_normal_node((1, 0, 0), 0),)),
+    )
+    with pytest.raises(NotNormal, match=r"certificate of node \(1,2\) does not reproduce"):
+        graph_to_sigma(g)
+
+
+def test_graph_to_sigma_reextracts_each_certificate_once(monkeypatch):
+    # The normality check and the node readout share one re-extraction.
+    calls = []
+    original = extract.formula_for_certificate
+
+    def counting(cert):
+        calls.append(cert)
+        return original(cert)
+
+    for name, module in list(sys.modules.items()):
+        bound = vars(module).get("formula_for_certificate")
+        if name.split(".")[0] == "luknet" and bound is original:
+            monkeypatch.setattr(module, "formula_for_certificate", counting)
+    g = extract_graph(nprime())
+    graph_to_sigma(g)
+    assert len(calls) == sum(g.widths[1:])
 
 
 def _normal_node(m, b):

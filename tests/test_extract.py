@@ -227,6 +227,49 @@ def test_extr_real_truth_function_on_grid():
             assert evaluate(f, x) == min(max(lin, F(0)), F(1))
 
 
+@pytest.mark.parametrize(
+    "extractor, m, b, text",
+    [
+        (
+            extr_real,
+            ("3/2", "-1"),
+            "1/2",
+            "(odot (oplus (odot (oplus (not (odot (oplus (scale 1/2 1) x2) 1)) x1) "
+            "(not (odot (oplus 0 x2) (scale 1/2 1)))) (scale 1/2 x1)) "
+            "(odot (oplus (not (odot (oplus 0 x2) (scale 1/2 1))) x1) 1))",
+        ),
+        (
+            extr_real,
+            ("1", "-1/2"),
+            "0",
+            "(odot (oplus 0 x1) (not (odot (oplus 0 (scale 1/2 x2)) 1)))",
+        ),
+        (extr_real, ("0", "1"), "0", "x2"),
+        (extr_real, ("0", "0"), "2/3", "(scale 2/3 1)"),
+        (
+            extr_rational,
+            ("3/2",),
+            "-1/2",
+            "(oplus (delta 2 (odot (oplus (odot (oplus 0 x1) x1) x1) (odot (oplus x1 x1) 1))) "
+            "(delta 2 (odot (oplus 0 x1) (odot (oplus 0 x1) x1))))",
+        ),
+        (
+            extr_rational,
+            ("1", "-1/2"),
+            "0",
+            "(oplus (delta 2 (odot (oplus (odot (oplus 0 x1) (not x2)) x1) "
+            "(odot (oplus (not x2) x1) 1))) "
+            "(delta 2 (odot (oplus 0 x1) (odot (oplus 0 x1) (not x2)))))",
+        ),
+        (extr_rational, ("0", "1"), "0", "x2"),
+    ],
+)
+def test_extr_mixed_rows_golden(extractor, m, b, text):
+    # Fixed trees for rows mixing fractional and integer parts: all flavors
+    # share one peeling core, so agreement between them cannot catch drift.
+    assert to_text(extractor(tuple(F(c) for c in m), F(b))) == text
+
+
 def test_extr_real_constant_bias():
     f = extr_real((F(0),), F(1, 3))
     assert f is fm.scale(F(1, 3), fm.ONE)

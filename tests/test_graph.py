@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import layer, net, random_formula, random_graph
+from helpers import layer, net, random_formula, random_graph, represented_formula_forward
 from luknet import formula as fm
 from luknet.equiv import FiniteGrid
 from luknet.extract import MintermCertificate, extract_graph
@@ -25,7 +25,6 @@ from luknet.graph import (
     is_normal,
     normality_violation,
     represented_formula,
-    represented_formula_forward,
 )
 
 x1, x2 = fm.var(1), fm.var(2)
