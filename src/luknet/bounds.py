@@ -21,7 +21,7 @@ from .network import (
     input_interval,
     node_local_map,
 )
-from .numerics import Infeasible, Interval, cube_constraints, lp_extremum, lp_feasible
+from .numerics import Infeasible, Interval, lp_extremum, lp_feasible
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -97,25 +97,37 @@ def interval_propagation(net: Network, ref: NodeRef) -> Interval:
     return _interval_pass(net, ref, {})[1]
 
 
-def _regimes(act: str, iv: Interval):
-    """Feasible (constraint-kind, output-kind) regime tags for one activation."""
+def _branches(act: str, form: AffineForm) -> list[tuple[tuple, AffineForm]]:
+    """(cut rows, output form) of each regime of a node with pre-activation
+    ``form`` that the form's box bound leaves feasible.
+
+    Regimes: relu t<=0 -> 0, t>=0 -> t; clip t<=0 -> 0, 0<=t<=1 -> t, t>=1 -> 1.
+    A regime the box bound forces needs no cut row.
+    """
+    coeffs, const = form
+    iv = input_interval(coeffs, const)
+    neg = tuple(-c for c in coeffs)
+    zero: AffineForm = (tuple([_F0] * len(coeffs)), _F0)
+    le0 = ((coeffs, -const),)
+    ge0 = ((neg, const),)
     if act == RELU:
         if iv.hi <= 0:
-            return [("none", "zero")]
+            return [((), zero)]
         if iv.lo >= 0:
-            return [("none", "linear")]
-        return [("le0", "zero"), ("ge0", "linear")]
+            return [((), form)]
+        return [(le0, zero), (ge0, form)]
     if act == CLIP:
-        out = []
-        if iv.lo > 1 or iv.hi < 0:
-            return [("none", "one" if iv.lo > 1 else "zero")]
+        one: AffineForm = (zero[0], _F1)
+        if iv.hi < 0:
+            return [((), zero)]
+        if iv.lo > 1:
+            return [((), one)]
         if iv.lo >= 0 and iv.hi <= 1:
-            return [("none", "linear")]
-        if iv.lo <= 0:
-            out.append(("le0", "zero"))
-        out.append(("mid", "linear"))
+            return [((), form)]
+        out = [(le0, zero)] if iv.lo <= 0 else []
+        out.append((ge0 + ((coeffs, _F1 - const),), form))
         if iv.hi >= 1:
-            out.append(("ge1", "one"))
+            out.append((((neg, const - _F1),), one))
         return out
     raise AssertionError(f"activation {act!r} has no regimes")
 
@@ -136,7 +148,6 @@ def exact_extrema(
     ref = NodeRef(net.depth, 1) if node == "output" else node
     _, _, act = node_local_map(net, ref)  # validates the reference
 
-    d0 = net.input_dim
     # Upstream nodes, layer by layer; inside a layer widest IA slack first.
     below, _ = _interval_pass(net, ref, {})
     upstream: list[NodeRef] = []
@@ -144,7 +155,6 @@ def exact_extrema(
         order = sorted(range(len(pre)), key=lambda i: pre[i].width, reverse=True)
         upstream.extend(NodeRef(j, i + 1) for i in order)
 
-    base_constraints = cube_constraints(d0)
     visited = 0
 
     def bump() -> None:
@@ -165,7 +175,7 @@ def exact_extrema(
     def cached_feasible(extra: tuple) -> bool:
         got = feasible_cache.get(extra)
         if got is None:
-            got = lp_feasible(base_constraints + list(extra), d0)
+            got = lp_feasible(list(extra), net.input_dim)
             feasible_cache[extra] = got
         return got
 
@@ -183,18 +193,10 @@ def exact_extrema(
                     return
             if idx == len(upstream):
                 coeffs, const = node_form(ref, forms)
-                if not extra:
-                    # No regime constraints were added: the box optimum is closed form.
-                    box = input_interval(coeffs, const)
-                    val = box.hi if sense == "max" else box.lo
-                else:
-                    try:
-                        val = lp_extremum(
-                            coeffs, base_constraints + list(extra), sense, constant=const
-                        )
-                    except Infeasible:
-                        feasible_cache[extra] = False
-                        return
+                try:
+                    val = lp_extremum(coeffs, list(extra), sense, constant=const)
+                except Infeasible:
+                    return
                 if incumbent is None:
                     incumbent = val
                 elif sense == "max":
@@ -204,36 +206,14 @@ def exact_extrema(
                 return
             r = upstream[idx]
             _, _, ract = node_local_map(net, r)
-            form = node_form(r, forms)
-            iv = input_interval(*form)
-            coeffs, const = form
             last = idx == len(upstream) - 1
-            for kind, output in _regimes(ract, iv):
-                if kind == "le0":
-                    new_extra = extra + ((coeffs, -const),)
-                elif kind == "ge0":
-                    new_extra = extra + ((tuple(-c for c in coeffs), const),)
-                elif kind == "mid":
-                    new_extra = extra + (
-                        (tuple(-c for c in coeffs), const),
-                        (coeffs, _F1 - const),
-                    )
-                elif kind == "ge1":
-                    new_extra = extra + ((tuple(-c for c in coeffs), const - _F1),)
-                else:
-                    new_extra = extra
+            for rows, out_form in _branches(ract, node_form(r, forms)):
                 # Feasibility probes pay off only above leaves; leaf LPs catch
                 # their own infeasibility.
-                if new_extra is not extra and not last and not cached_feasible(new_extra):
+                if rows and not last and not cached_feasible(extra + rows):
                     continue
-                if output == "zero":
-                    out_form: AffineForm = (tuple([_F0] * d0), _F0)
-                elif output == "one":
-                    out_form = (tuple([_F0] * d0), _F1)
-                else:
-                    out_form = form
                 forms[r] = out_form
-                search(idx + 1, forms, new_extra)
+                search(idx + 1, forms, extra + rows)
                 del forms[r]
 
         search(0, {}, ())

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import formula as fm
 from .formula import Formula, substitute
-from .numerics import format_rational, parse_rational
+from .numerics import format_rational, json_int, parse_rational
 
 if TYPE_CHECKING:
     from .extract import MintermCertificate
@@ -260,7 +260,7 @@ def graph_from_dict(data: dict) -> SubstitutionGraph:
                 )
             )
         levels.append(tuple(nodes))
-    return SubstitutionGraph(tuple(int(w) for w in data["widths"]), tuple(levels))
+    return SubstitutionGraph(tuple(json_int(w, "width") for w in data["widths"]), tuple(levels))
 
 
 def graph_to_json(g: SubstitutionGraph) -> str:

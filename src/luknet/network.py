@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .numerics import Interval, format_rational, parse_rational
+from .numerics import Interval, format_rational, json_int, parse_rational
 
 RELU = "relu"
 CLIP = "clip"
@@ -96,15 +96,7 @@ def apply_activation(act: str, t: Fraction) -> Fraction:
 
 def eval_network(net: Network, x: Sequence[Fraction]) -> Fraction:
     """Exact input-output map of the network at x in [0,1]^d0."""
-    if len(x) != net.input_dim:
-        raise DimensionMismatch(f"expected {net.input_dim} inputs, got {len(x)}")
-    values = [Fraction(v) for v in x]
-    for layer in net.layers:
-        values = [
-            apply_activation(act, sum((w * v for w, v in zip(row, values)), b))
-            for row, b, act in zip(layer.weights, layer.biases, layer.activations)
-        ]
-    return values[0]
+    return apply_activation(net.layers[-1].activations[0], node_preactivations(net, x)[-1][0])
 
 
 def node_preactivations(net: Network, x: Sequence[Fraction]) -> list[list[Fraction]]:
@@ -161,15 +153,13 @@ def _activity_witnesses(net: Network) -> dict[NodeRef, tuple[bool, bool]]:
     return seen
 
 
-def is_non_degenerate(
-    net: Network, fast: bool = True, node_budget: int | None = None
-) -> tuple[bool, str | None]:
+def is_non_degenerate(net: Network, node_budget: int | None = None) -> tuple[bool, str | None]:
     """Check the three non-degeneracy clauses; returns (ok, first violation).
 
     (a) every hidden node's global pre-activation map attains a value > 0 and
         a value <= 0 over the cube: proven by exact extrema via the bounds
         module, with sample-point witnesses as a shortcut for the existential
-        direction when ``fast`` (the boolean is unaffected);
+        direction (the boolean is unaffected);
     (b) the output node has a nonzero incoming weight;
     (c) no two same-layer nodes share an identical local map.
     """
@@ -189,7 +179,7 @@ def is_non_degenerate(
                     f"({ref.layer},{ref.index}) have identical local maps"
                 )
             seen[key] = ref
-    witnesses = _activity_witnesses(net) if fast else {}
+    witnesses = _activity_witnesses(net)
     for j in range(1, net.depth):  # hidden layers only
         for i in range(1, net.width(j) + 1):
             if witnesses.get(NodeRef(j, i)) == (True, True):
@@ -230,7 +220,7 @@ def network_from_dict(data: dict) -> Network:
         )
         for spec in data["layers"]
     )
-    return Network(input_dim=int(data["input_dim"]), layers=layers)
+    return Network(input_dim=json_int(data["input_dim"], "input_dim"), layers=layers)
 
 
 def network_to_json(net: Network) -> str:

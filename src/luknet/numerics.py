@@ -29,6 +29,13 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+def json_int(value, what: str) -> int:
+    """A JSON integer as is; a float, a bool or a string is bad input."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def format_rational(q: Fraction) -> str:
     """Inverse of :func:`parse_rational`; ``str`` of Fraction is already canonical."""
     return str(q)
@@ -54,10 +61,12 @@ class Interval:
 
 
 # ---------------------------------------------------------------------------
-# Exact two-phase simplex with Bland's rule.
+# Exact two-phase simplex with Bland's rule over the unit cube.
 #
-# Variables are free (internally split into positive/negative parts); every
-# caller in this package bounds them through explicit cube constraints.
+# Every LP in this package lives in [0,1]^d, so the solver owns the cube:
+# the columns are x itself (x >= 0 comes free), and the upper faces x_i <= 1
+# are d slack rows that start basic and feasible.  Callers pass only the rows
+# that cut the cube; only a row with a negative bound needs phase 1.
 # ---------------------------------------------------------------------------
 
 Constraint = tuple[Sequence[Fraction], Fraction]  # coeffs . x <= bound
@@ -90,93 +99,79 @@ def _run_simplex(rows: list[list[Fraction]], basis: list[int], ncols: int) -> No
                 ratio = rows[i][-1] / a
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     leave, best = i, ratio
-        if leave is None:
-            raise ValueError("linear program is unbounded")
+        assert leave is not None, "the cube bounds every column"
         _pivot(rows, basis, leave, enter)
         obj = rows[m]
 
 
 def _two_phase(
     constraints: Sequence[Constraint], d: int, objective: Sequence[Fraction] | None
-) -> tuple[Fraction, list[Fraction]] | None:
-    """Solve min objective.x over {x : coeffs.x <= bound}; x free via split parts.
+) -> Fraction | None:
+    """Minimum of objective.x over {x in [0,1]^d : coeffs.x <= bound}.
 
-    Returns (optimum, argmin) or None when only feasibility was requested
-    (objective None) and the region is nonempty.  Raises Infeasible otherwise.
+    Returns None when only feasibility was requested (objective None) and the
+    region is nonempty.  Raises Infeasible when it is empty.
     """
     m = len(constraints)
-    nsplit = 2 * d
-    nslack = m
-    # Columns: u_1..u_d, v_1..v_d, slacks, artificials, rhs.
+    ncols = 2 * d + m
+    nart = sum(1 for _, bound in constraints if bound < 0)
+    # Columns: x_1..x_d, upper-face slacks, row slacks, artificials, rhs.
     rows: list[list[Fraction]] = []
-    art_cols: list[int] = []
     basis: list[int] = []
-    for i, (coeffs, bound) in enumerate(constraints):
+    for i in range(d):  # x_i + s_i = 1
+        row = [ZERO] * (ncols + nart + 1)
+        row[i] = row[d + i] = row[-1] = ONE
+        rows.append(row)
+        basis.append(d + i)
+    art = ncols
+    for k, (coeffs, bound) in enumerate(constraints):
         if len(coeffs) != d:
             raise ValueError("constraint arity mismatch")
-        row = [Fraction(c) for c in coeffs] + [-Fraction(c) for c in coeffs]
-        row += [ONE if j == i else ZERO for j in range(nslack)]
-        row.append(Fraction(bound))
+        row = [Fraction(c) for c in coeffs] + [ZERO] * (d + m + nart) + [Fraction(bound)]
+        row[2 * d + k] = ONE
         if row[-1] < 0:
             row = [-v for v in row]
-        rows.append(row)
-    ncols = nsplit + nslack
-    for i in range(m):
-        if rows[i][nsplit + i] == ONE:  # slack survived as +1: usable basic column
-            basis.append(nsplit + i)
+            row[art] = ONE
+            basis.append(art)
+            art += 1
         else:
-            col = ncols + len(art_cols)
-            art_cols.append(col)
-            basis.append(col)
-    total = ncols + len(art_cols)
-    for i, row in enumerate(rows):
-        rhs = row.pop()
-        row.extend(ONE if basis[i] == c else ZERO for c in art_cols)
-        row.append(rhs)
+            basis.append(2 * d + k)
+        rows.append(row)
 
-    if art_cols:
-        obj = [ZERO] * (total + 1)
-        for col in art_cols:
-            obj[col] = ONE
-        for i in range(m):
-            if basis[i] in art_cols:
-                obj = [a - b for a, b in zip(obj, rows[i])]
+    if nart:
+        obj = [ZERO] * ncols + [ONE] * nart + [ZERO]
+        for row, b in zip(rows, basis):
+            if b >= ncols:
+                obj = [a - v for a, v in zip(obj, row)]
         rows.append(obj)
-        _run_simplex(rows, basis, total)
-        if rows[-1][-1] != 0:
+        _run_simplex(rows, basis, ncols + nart)
+        if rows.pop()[-1] != 0:
             raise Infeasible("empty feasible region")
-        rows.pop()
-        # Drive any zero-level artificial out of the basis.
-        for i in range(m):
-            if basis[i] in art_cols:
-                piv = next((j for j in range(ncols) if rows[i][j] != 0), None)
-                if piv is not None:
-                    _pivot(rows, basis, i, piv)
+        # Drive any zero-level artificial out of the basis, then drop the
+        # artificial columns.  Every row has its own slack, so the rows are
+        # independent over the first ncols columns and a pivot always exists.
+        for i, b in enumerate(basis):
+            if b >= ncols:
+                _pivot(rows, basis, i, next(j for j in range(ncols) if rows[i][j] != 0))
+        rows = [row[:ncols] + row[-1:] for row in rows]
     if objective is None:
         return None
 
-    obj = [Fraction(c) for c in objective] + [-Fraction(c) for c in objective]
-    obj += [ZERO] * (total - nsplit) + [ZERO]
-    for i in range(m):
-        b = basis[i]
-        if b < total and obj[b] != 0:
+    obj = [Fraction(c) for c in objective] + [ZERO] * (d + m + 1)
+    for row, b in zip(rows, basis):
+        if obj[b] != 0:
             f = obj[b]
-            obj = [a - f * v for a, v in zip(obj, rows[i])]
+            obj = [a - f * v for a, v in zip(obj, row)]
     rows.append(obj)
-    for col in art_cols:  # forbid re-entering artificials
-        rows[-1][col] = ONE
     _run_simplex(rows, basis, ncols)
-
-    values = [ZERO] * total
-    for i in range(m):
-        values[basis[i]] = rows[i][-1]
-    point = [values[j] - values[d + j] for j in range(d)]
-    opt = sum((Fraction(c) * x for c, x in zip(objective, point)), ZERO)
-    return opt, point
+    return -rows[-1][-1]
 
 
 def lp_feasible(constraints: Sequence[Constraint], d: int) -> bool:
-    """True iff {x : coeffs.x <= bound for each constraint} is nonempty."""
+    """True iff {x in [0,1]^d : coeffs.x <= bound for each constraint} is nonempty.
+
+    The cube is implied: pass only the rows that cut it.
+    """
     try:
         _two_phase(constraints, d, None)
     except Infeasible:
@@ -190,32 +185,15 @@ def lp_extremum(
     sense: str = "min",
     constant: Fraction = ZERO,
 ) -> Fraction:
-    """Exact optimum of the affine functional objective.x + constant.
+    """Exact optimum of objective.x + constant over the cube cut by constraints.
 
-    The region must be nonempty and bounded in the objective direction; callers
-    always intersect with the unit cube.  Raises :class:`Infeasible` when empty.
+    The domain is {x in [0,1]^len(objective) : coeffs.x <= bound}; pass only
+    the rows that cut the cube.  Raises :class:`Infeasible` when it is empty.
     """
     cons = list(constraints)
     d = len(objective)
     if sense == "min":
-        coeffs = list(objective)
-        value, _ = _two_phase(cons, d, coeffs)
-        return value + constant
+        return _two_phase(cons, d, objective) + constant
     if sense == "max":
-        coeffs = [-Fraction(c) for c in objective]
-        value, _ = _two_phase(cons, d, coeffs)
-        return -value + constant
+        return -_two_phase(cons, d, [-Fraction(c) for c in objective]) + constant
     raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
-
-
-def cube_constraints(d: int) -> list[Constraint]:
-    """The 2d inequalities pinning x to the unit cube [0,1]^d."""
-    cons: list[Constraint] = []
-    for i in range(d):
-        row = [ZERO] * d
-        row[i] = ONE
-        cons.append((tuple(row), ONE))
-        row2 = [ZERO] * d
-        row2[i] = -ONE
-        cons.append((tuple(row2), ZERO))
-    return cons

@@ -201,6 +201,19 @@ def polytope_vertices(constraints, d: int):
             yield x
 
 
+def cube_constraints(d: int) -> list:
+    """The 2d inequalities pinning x to the unit cube [0,1]^d."""
+    cons = []
+    for i in range(d):
+        unit = [F(0)] * d
+        unit[i] = F(1)
+        cons.append((tuple(unit), F(1)))
+        neg = [F(0)] * d
+        neg[i] = F(-1)
+        cons.append((tuple(neg), F(0)))
+    return cons
+
+
 def brute_extrema(network: Network, ref: NodeRef):
     """Exhaustive activation-pattern + vertex-enumeration extremum oracle.
 
@@ -209,14 +222,7 @@ def brute_extrema(network: Network, ref: NodeRef):
     node's pre-activation value off a plain forward evaluation.
     """
     d = network.input_dim
-    cube = []
-    for i in range(d):
-        unit = [F(0)] * d
-        unit[i] = F(1)
-        cube.append((tuple(unit), F(1)))
-        neg = [F(0)] * d
-        neg[i] = F(-1)
-        cube.append((tuple(neg), F(0)))
+    cube = cube_constraints(d)
 
     upstream = [
         (j, i) for j in range(1, ref.layer) for i in range(1, network.width(j) + 1)
@@ -268,6 +274,27 @@ def brute_extrema(network: Network, ref: NodeRef):
             best_hi = value if best_hi is None else max(best_hi, value)
     assert best_lo is not None and best_hi is not None
     return best_lo, best_hi
+
+
+def brute_non_degenerate(network: Network) -> bool:
+    """The three non-degeneracy clauses straight from their definitions.
+
+    (a) every hidden node's pre-activation attains a value > 0 and a value
+    <= 0 over the cube, by :func:`brute_extrema`; (b) the output node has a
+    nonzero incoming weight; (c) no two same-layer nodes share a local map.
+    """
+    for j in range(1, network.depth):
+        for i in range(1, network.width(j) + 1):
+            lo, hi = brute_extrema(network, NodeRef(j, i))
+            if not (hi > 0 and lo <= 0):
+                return False
+    if all(w == 0 for w in network.layers[-1].weights[0]):
+        return False
+    for layer in network.layers:
+        maps = list(zip(layer.weights, layer.biases, layer.activations))
+        if len(set(maps)) != len(maps):
+            return False
+    return True
 
 
 def represented_formula_forward(g: SubstitutionGraph) -> Formula:

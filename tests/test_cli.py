@@ -79,6 +79,35 @@ def test_json_number_weight_exits_two(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("input_dim", [1.9, True, "1"])
+def test_non_integer_input_dim_exits_two(tmp_path, capsys, input_dim):
+    spec = {
+        "input_dim": input_dim,
+        "layers": [{"weights": [["1"]], "biases": ["0"], "activation": ["none"]}],
+    }
+    path = tmp_path / "dim.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "bounds", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_non_integer_graph_width_exits_two(fixtures_dir, tmp_path, capsys):
+    gpath = tmp_path / "g.json"
+    code, _, _ = run(capsys, "extract", str(fixtures_dir / "intro2.json"), "-o", str(gpath))
+    assert code == 0
+    data = json.loads(gpath.read_text())
+    data["widths"][0] += 0.5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _, err = run(capsys, "check-equiv", str(bad), str(gpath))
+    assert code == 2
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_check_equiv_networks(fixtures_dir, capsys):
     code, out, _ = run(
         capsys,

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import layer, net, random_network
+from helpers import brute_non_degenerate, layer, net, random_network
 from luknet.network import (
     DimensionMismatch,
     Network,
@@ -150,11 +150,11 @@ def test_non_degenerate_examples():
     assert not ok and "zero incoming" in why
 
 
-def test_non_degenerate_fast_and_slow_agree():
+def test_non_degenerate_matches_brute_oracle():
     rng = random.Random(11)
     for _ in range(25):
         network = random_network(rng, rng.randint(1, 2), [rng.randint(1, 3)])
-        assert is_non_degenerate(network, fast=True)[0] == is_non_degenerate(network, fast=False)[0]
+        assert is_non_degenerate(network)[0] == brute_non_degenerate(network)
 
 
 def test_json_roundtrip():

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import polytope_vertices
+from helpers import cube_constraints, polytope_vertices
 from luknet.numerics import (
     Infeasible,
     Interval,
-    cube_constraints,
     format_rational,
     lp_extremum,
     lp_feasible,
@@ -81,6 +80,18 @@ def test_lp_infeasible():
         lp_extremum([F(1)], cons, "min")
 
 
+def test_lp_domain_is_the_cube():
+    # Rows with negative bounds need phase 1; the cube's faces still bind.
+    half = [((F(-1), F(0)), F(-1, 2))]  # x1 >= 1/2
+    assert lp_extremum([F(1), F(1)], half, "max") == 2
+    assert lp_extremum([F(1), F(1)], half, "min") == F(1, 2)
+    assert lp_extremum([F(1), F(1)], half + half, "min") == F(1, 2)  # repeated row
+    assert not lp_feasible([((F(1),), F(-1))], 1)  # x <= -1
+    assert not lp_feasible([((F(-1),), F(-2))], 1)  # x >= 2
+    assert not lp_feasible([((F(0),), F(-1))], 1)  # 0 <= -1
+    assert lp_feasible([((F(1), F(1)), F(1)), ((F(-1), F(-1)), F(-1))], 2)  # x1 + x2 = 1
+
+
 def test_lp_min_not_above_max():
     rng = random.Random(5)
     for _ in range(30):
@@ -107,6 +118,9 @@ def test_lp_cube_closed_form():
         hi = b + sum(max(c, F(0)) for c in w)
         assert lp_extremum(w, cons, "min", constant=b) == lo
         assert lp_extremum(w, cons, "max", constant=b) == hi
+        # The cube is the LP's own domain: no rows at all gives the same optimum.
+        assert lp_extremum(w, [], "min", constant=b) == lo
+        assert lp_extremum(w, [], "max", constant=b) == hi
 
 
 def test_lp_matches_vertex_enumeration():
@@ -116,17 +130,22 @@ def test_lp_matches_vertex_enumeration():
     checked = 0
     for _ in range(60):
         d = 3
-        cons = cube_constraints(d)
+        cuts = []
         for _ in range(rng.randint(1, 4)):
             row = tuple(F(rng.randint(-3, 3)) for _ in range(d))
-            cons.append((row, F(rng.randint(-1, 4), rng.randint(1, 3))))
+            cuts.append((row, F(rng.randint(-1, 4), rng.randint(1, 3))))
+        cons = cube_constraints(d) + cuts
         obj = [F(rng.randint(-4, 4)) for _ in range(d)]
         vertices = list(polytope_vertices(cons, d))
         if not vertices:
             assert not lp_feasible(cons, d)
+            assert not lp_feasible(cuts, d)
             continue
         values = [sum(c * x for c, x in zip(obj, v)) for v in vertices]
         assert lp_extremum(obj, cons, "min") == min(values)
         assert lp_extremum(obj, cons, "max") == max(values)
+        # Given only the cutting rows, the LP still optimises over the cube.
+        assert lp_extremum(obj, cuts, "min") == min(values)
+        assert lp_extremum(obj, cuts, "max") == max(values)
         checked += 1
     assert checked >= 30
