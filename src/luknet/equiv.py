@@ -2,9 +2,8 @@
 
 Grid points are exactly {0, 1/k, ..., 1}^n in lexicographic order; comparison
 is exact rational equality and the first counterexample is reported.
-``grid_values`` is a scaled-integer truth table of delta/scale-free formulas
-on the grid, exact without Fraction boxing; ``check-equiv`` does not use it
-and compares through the Fraction evaluators.
+Formulas, networks and graphs are compared through their exact Fraction
+evaluators.
 """
 from __future__ import annotations
 
@@ -15,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from . import formula as fm
-from .formula import Formula, Not, Odot, Oplus, Var
+from .formula import Formula
 from .graph import SubstitutionGraph, graph_eval
 from .network import Network, eval_network
 
@@ -103,48 +102,3 @@ def as_point_fn(obj) -> tuple[PointFn, int]:
     if isinstance(obj, SubstitutionGraph):
         return graph_fn(obj), obj.widths[0]
     raise TypeError(f"cannot evaluate {type(obj).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Scaled-integer grid evaluation
-#
-# On the grid I_k every connective of the scalar-free fragment maps k-th
-# denominators to k-th denominators, so values can be carried as integers
-# in 0..k.  Exactness is untouched; only the Fraction boxing goes away.
-# ---------------------------------------------------------------------------
-
-
-def grid_values(f: Formula, k: int, n: int) -> list[int]:
-    """Truth table of a delta/scale-free formula over I_k^n, scaled by k.
-
-    Points are lexicographic; each value v stands for the rational v/k.
-    """
-    if f.max_var > n:
-        raise fm.UnboundVariable(f"formula uses x{f.max_var} but n={n}")
-    npoints = (k + 1) ** n
-    axes: list[list[int]] = []
-    for i in range(n):  # value of x_{i+1} at each lexicographic point
-        reps = (k + 1) ** (n - i - 1)
-        axes.append([v for v in range(k + 1) for _ in range(reps)] * ((k + 1) ** i))
-    memo: dict[Formula, list[int]] = {}
-
-    def go(node: Formula) -> list[int]:
-        got = memo.get(node)
-        if got is not None:
-            return got
-        if isinstance(node, Var):
-            r = axes[node.index - 1]
-        elif isinstance(node, fm.Const):
-            r = [k * node.value] * npoints
-        elif isinstance(node, Not):
-            r = [k - v for v in go(node.child)]
-        elif isinstance(node, Oplus):
-            r = [min(k, a + b) for a, b in zip(go(node.left), go(node.right))]
-        elif isinstance(node, Odot):
-            r = [max(0, a + b - k) for a, b in zip(go(node.left), go(node.right))]
-        else:
-            raise TypeError("grid_values handles the delta/scale-free fragment only")
-        memo[node] = r
-        return r
-
-    return go(f)

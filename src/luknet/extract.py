@@ -135,6 +135,10 @@ def extr_real(m, b) -> Formula:
     (EXTR(f0) + scale(frac, x_k)) * EXTR(f0 + 1); an integer unit peels off
     as (EXTR(f0) + x_k) * EXTR(f0 + 1), and a row that is exactly x_k is the
     variable itself.  A leftover constant bias in (0,1) becomes scale(b, 1).
+
+    The peeling recurses: its depth grows with sum |m_i|, so a single weight
+    of about 1200 (``extr((1200,), -600)``) exceeds the default recursion
+    limit and raises RecursionError.
     """
     mq = tuple(Fraction(c) for c in m)
     bq = Fraction(b)

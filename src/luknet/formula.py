@@ -5,11 +5,17 @@ structurally equal formulas are the *same object* and equality is a pointer
 test.  This is what makes substitution composition and evaluation cheap even
 when extraction produces formulas with exponentially many variable
 occurrences: shared subtrees are built and evaluated once.
+
+Walks over a formula in memory are loops over :func:`postorder`, the distinct
+subterms children first, so their cost follows the DAG and no walk recurses.
+The text format (``to_text``, ``parse``) still recurses on the tree.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Mapping
+from itertools import count
+from operator import attrgetter
+from typing import Iterator, Mapping, Sequence
 from weakref import WeakValueDictionary
 
 from .numerics import parse_rational
@@ -37,19 +43,15 @@ _interned: "WeakValueDictionary[tuple, Formula]" = WeakValueDictionary()
 
 
 class Formula:
-    """Base node.  Use the module-level constructors; never instantiate directly."""
+    """Base node.  Use the module-level constructors; never instantiate directly.
 
-    __slots__ = ("max_var", "length", "__weakref__")
+    Interning makes the default identity ``==`` and ``hash`` structural.  A
+    node is fixed by its type, its operator key ``op`` and its children;
+    ``rebuild`` makes the node of the same type and key over other children.
+    """
 
-    # Interning makes identity coincide with structural equality.
-    def __eq__(self, other):
-        return self is other
-
-    def __ne__(self, other):
-        return self is not other
-
-    def __hash__(self):
-        return object.__hash__(self)
+    __slots__ = ("max_var", "length", "serial", "__weakref__")
+    op = None
 
     def __repr__(self):
         return to_text(self)
@@ -57,136 +59,139 @@ class Formula:
     def children(self) -> tuple["Formula", ...]:
         return ()
 
+    def rebuild(self, kids: Sequence["Formula"]) -> "Formula":
+        return self
+
 
 class Const(Formula):
     __slots__ = ("value",)
+    op = property(lambda self: self.value)
+
+    def __init__(self, value: int):
+        self.value, self.max_var, self.length = value, 0, 0
 
 
 class Var(Formula):
     __slots__ = ("index",)
+    op = property(lambda self: self.index)
+
+    def __init__(self, index: int):
+        self.index, self.max_var, self.length = index, index, 1
 
 
-class Not(Formula):
+class _Unary(Formula):
     __slots__ = ("child",)
 
+    def __init__(self, child: Formula):
+        self.child, self.max_var, self.length = child, child.max_var, child.length
+
     def children(self):
         return (self.child,)
 
 
-class Oplus(Formula):
+class _Binary(Formula):
     __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        self.left, self.right = left, right
+        self.max_var = max(left.max_var, right.max_var)
+        self.length = left.length + right.length
 
     def children(self):
         return (self.left, self.right)
 
 
-class Odot(Formula):
-    __slots__ = ("left", "right")
+class Not(_Unary):
+    __slots__ = ()
 
-    def children(self):
-        return (self.left, self.right)
+    def rebuild(self, kids):
+        return lnot(*kids)
 
 
-class Delta(Formula):
+class Oplus(_Binary):
+    __slots__ = ()
+
+    def rebuild(self, kids):
+        return oplus(*kids)
+
+
+class Odot(_Binary):
+    __slots__ = ()
+
+    def rebuild(self, kids):
+        return odot(*kids)
+
+
+class Delta(_Unary):
     """Division operator of rational Lukasiewicz logic: value x / divisor."""
 
-    __slots__ = ("divisor", "child")
+    __slots__ = ("divisor",)
+    op = property(lambda self: self.divisor)
 
-    def children(self):
-        return (self.child,)
+    def __init__(self, divisor: int, child: Formula):
+        _Unary.__init__(self, child)
+        self.divisor = divisor
+
+    def rebuild(self, kids):
+        return delta(self.divisor, *kids)
 
 
-class Scale(Formula):
+class Scale(_Unary):
     """Scalar operator of the real-valued extension: value factor * x."""
 
-    __slots__ = ("factor", "child")
+    __slots__ = ("factor",)
+    op = property(lambda self: self.factor)
 
-    def children(self):
-        return (self.child,)
+    def __init__(self, factor: Fraction, child: Formula):
+        _Unary.__init__(self, child)
+        self.factor = factor
+
+    def rebuild(self, kids):
+        return scale(self.factor, *kids)
 
 
-def _intern(key: tuple, node: Formula) -> Formula:
-    found = _interned.get(key)
-    if found is not None:
-        return found
+_serials = count()
+
+
+def _make(key: tuple, cls: type, *args) -> Formula:
+    """Miss path of every constructor: build the node and intern it."""
+    node = cls(*args)
+    node.serial = next(_serials)
     _interned[key] = node
     return node
 
 
-def _mk_const(value: int) -> Const:
-    node = Const()
-    node.value = value
-    node.max_var = 0
-    node.length = 0
-    return node
-
-
-ZERO: Const = _mk_const(0)
-ONE: Const = _mk_const(1)
-_interned[("c", 0)] = ZERO
-_interned[("c", 1)] = ONE
+ZERO: Const = _make(("c", 0), Const, 0)
+ONE: Const = _make(("c", 1), Const, 1)
 
 
 def var(index: int) -> Var:
     if index < 1:
         raise ValueError(f"variable index must be >= 1, got {index}")
     key = ("v", index)
-    found = _interned.get(key)
-    if found is not None:
-        return found  # type: ignore[return-value]
-    node = Var()
-    node.index = index
-    node.max_var = index
-    node.length = 1
-    return _intern(key, node)  # type: ignore[return-value]
+    return _interned.get(key) or _make(key, Var, index)  # type: ignore[return-value]
 
 
 def lnot(child: Formula) -> Formula:
     key = ("n", id(child))
-    found = _interned.get(key)
-    if found is not None:
-        return found
-    node = Not()
-    node.child = child
-    node.max_var = child.max_var
-    node.length = child.length
-    return _intern(key, node)
-
-
-def _mk_binary(cls, tag: str, left: Formula, right: Formula) -> Formula:
-    key = (tag, id(left), id(right))
-    found = _interned.get(key)
-    if found is not None:
-        return found
-    node = cls()
-    node.left = left
-    node.right = right
-    node.max_var = max(left.max_var, right.max_var)
-    node.length = left.length + right.length
-    return _intern(key, node)
+    return _interned.get(key) or _make(key, Not, child)
 
 
 def oplus(left: Formula, right: Formula) -> Formula:
-    return _mk_binary(Oplus, "+", left, right)
+    key = ("+", id(left), id(right))
+    return _interned.get(key) or _make(key, Oplus, left, right)
 
 
 def odot(left: Formula, right: Formula) -> Formula:
-    return _mk_binary(Odot, "*", left, right)
+    key = ("*", id(left), id(right))
+    return _interned.get(key) or _make(key, Odot, left, right)
 
 
 def delta(divisor: int, child: Formula) -> Formula:
     if divisor < 1:
         raise ValueError(f"delta divisor must be >= 1, got {divisor}")
     key = ("d", divisor, id(child))
-    found = _interned.get(key)
-    if found is not None:
-        return found
-    node = Delta()
-    node.divisor = divisor
-    node.child = child
-    node.max_var = child.max_var
-    node.length = child.length
-    return _intern(key, node)
+    return _interned.get(key) or _make(key, Delta, divisor, child)
 
 
 def scale(factor: Fraction, child: Formula) -> Formula:
@@ -194,15 +199,19 @@ def scale(factor: Fraction, child: Formula) -> Formula:
     if not 0 <= factor <= 1:
         raise ValueError(f"scale factor must lie in [0,1], got {factor}")
     key = ("s", factor, id(child))
-    found = _interned.get(key)
-    if found is not None:
-        return found
-    node = Scale()
-    node.factor = factor
-    node.child = child
-    node.max_var = child.max_var
-    node.length = child.length
-    return _intern(key, node)
+    return _interned.get(key) or _make(key, Scale, factor, child)
+
+
+def postorder(f: Formula) -> list[Formula]:
+    """The distinct subterms of f in creation order: children first, f last."""
+    seen = {f}
+    stack = [f]
+    while stack:
+        for kid in stack.pop().children():
+            if kid not in seen:
+                seen.add(kid)
+                stack.append(kid)
+    return sorted(seen, key=attrgetter("serial"))
 
 
 # ---------------------------------------------------------------------------
@@ -228,32 +237,26 @@ def evaluate(f: Formula, assignment) -> Fraction:
             f"formula uses x{f.max_var} but only {len(values)} values were given"
         )
     memo: dict[Formula, Fraction] = {}
-
-    def go(node: Formula) -> Fraction:
-        got = memo.get(node)
-        if got is not None:
-            return got
-        if isinstance(node, Var):
+    for node in postorder(f):
+        t = type(node)
+        if t is Var:
             r = values[node.index - 1]
-        elif isinstance(node, Const):
+        elif t is Const:
             r = _F1 if node.value else _F0
-        elif isinstance(node, Not):
-            r = _F1 - go(node.child)
-        elif isinstance(node, Oplus):
-            s = go(node.left) + go(node.right)
+        elif t is Not:
+            r = _F1 - memo[node.child]
+        elif t is Oplus:
+            s = memo[node.left] + memo[node.right]
             r = s if s < _F1 else _F1
-        elif isinstance(node, Odot):
-            s = go(node.left) + go(node.right) - _F1
+        elif t is Odot:
+            s = memo[node.left] + memo[node.right] - _F1
             r = s if s > _F0 else _F0
-        elif isinstance(node, Delta):
-            r = go(node.child) / node.divisor
+        elif t is Delta:
+            r = memo[node.child] / node.divisor
         else:
-            assert isinstance(node, Scale)
-            r = node.factor * go(node.child)
+            r = node.factor * memo[node.child]
         memo[node] = r
-        return r
-
-    return go(f)
+    return memo[f]
 
 
 # ---------------------------------------------------------------------------
@@ -270,30 +273,12 @@ def substitute(f: Formula, subst: Substitution) -> Formula:
     input is preserved in the output.
     """
     memo: dict[Formula, Formula] = {}
-
-    def go(node: Formula) -> Formula:
-        if node.max_var == 0:
-            return node  # constants and variable-free subtrees are untouched
-        got = memo.get(node)
-        if got is not None:
-            return got
-        if isinstance(node, Var):
-            r = subst.get(node.index, node)
-        elif isinstance(node, Not):
-            r = lnot(go(node.child))
-        elif isinstance(node, Oplus):
-            r = oplus(go(node.left), go(node.right))
-        elif isinstance(node, Odot):
-            r = odot(go(node.left), go(node.right))
-        elif isinstance(node, Delta):
-            r = delta(node.divisor, go(node.child))
+    for node in postorder(f):
+        if type(node) is Var:
+            memo[node] = subst.get(node.index, node)
         else:
-            assert isinstance(node, Scale)
-            r = scale(node.factor, go(node.child))
-        memo[node] = r
-        return r
-
-    return go(f)
+            memo[node] = node.rebuild([memo[kid] for kid in node.children()])
+    return memo[f]
 
 
 def compose(z1: Substitution, z2: Substitution) -> dict[int, Formula]:
@@ -303,32 +288,12 @@ def compose(z1: Substitution, z2: Substitution) -> dict[int, Formula]:
 
 def variables(f: Formula) -> set[int]:
     """Set of variable indices occurring in f."""
-    seen: set[Formula] = set()
-    out: set[int] = set()
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if node in seen or node.max_var == 0:
-            continue
-        seen.add(node)
-        if isinstance(node, Var):
-            out.add(node.index)
-        else:
-            stack.extend(node.children())
-    return out
+    return {node.index for node in postorder(f) if type(node) is Var}
 
 
 def dag_size(f: Formula) -> int:
     """Number of distinct subterm objects (the cost unit for shared formulas)."""
-    seen: set[Formula] = set()
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.extend(node.children())
-    return len(seen)
+    return len(postorder(f))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import formula as fm
-from .formula import Delta, Formula, Not, Odot, Oplus, Scale, Var, substitute
+from .formula import Formula, Not, Odot, Oplus, Var, substitute
 from .graph import GraphNode, SubstitutionGraph
 from .numerics import format_rational, parse_rational
 
@@ -75,31 +75,21 @@ def match_instantiation(pattern: Formula, target: Formula) -> dict[int, Formula]
     """Bind pattern variables to whole subformulas of the target, or None.
 
     Constants in the pattern match only the literal constants; operator
-    parameters (delta divisor, scale factor) must agree exactly.
+    parameters (delta divisor, scale factor) must agree exactly.  Variables
+    are bound left to right, in pre-order.
     """
     binding: dict[int, Formula] = {}
-
-    def go(p: Formula, t: Formula) -> bool:
-        if isinstance(p, Var):
-            bound = binding.get(p.index)
-            if bound is None:
-                binding[p.index] = t
-                return True
-            return bound is t
-        if type(p) is not type(t):
-            return False
-        if isinstance(p, fm.Const):
-            return p is t
-        if isinstance(p, Not):
-            return go(p.child, t.child)
-        if isinstance(p, (Oplus, Odot)):
-            return go(p.left, t.left) and go(p.right, t.right)
-        if isinstance(p, Delta):
-            return p.divisor == t.divisor and go(p.child, t.child)
-        assert isinstance(p, Scale)
-        return p.factor == t.factor and go(p.child, t.child)
-
-    return binding if go(pattern, target) else None
+    stack = [(pattern, target)]
+    while stack:
+        p, t = stack.pop()
+        if type(p) is Var:
+            if binding.setdefault(p.index, t) is not t:
+                return None
+        elif type(p) is not type(t) or p.op != t.op:
+            return None
+        else:
+            stack.extend(reversed(tuple(zip(p.children(), t.children()))))
+    return binding
 
 
 # ---------------------------------------------------------------------------
@@ -109,46 +99,43 @@ def match_instantiation(pattern: Formula, target: Formula) -> dict[int, Formula]
 Position = Sequence[int]
 
 
-def subformula_at(f: Formula, pos: Position) -> Formula:
-    node = f
+def _descend(f: Formula, pos: Position) -> list[Formula]:
+    """The nodes on the path from f along pos, f first."""
+    nodes = [f]
     for step, branch in enumerate(pos):
-        kids = node.children()
+        kids = nodes[-1].children()
         if not 0 <= branch < len(kids):
-            raise InvalidPosition(f"no child {branch} at depth {step} of {fm.to_text(node)}")
-        node = kids[branch]
-    return node
+            raise InvalidPosition(f"no child {branch} at depth {step} of {fm.to_text(nodes[-1])}")
+        nodes.append(kids[branch])
+    return nodes
+
+
+def subformula_at(f: Formula, pos: Position) -> Formula:
+    return _descend(f, pos)[-1]
 
 
 def replace_at(f: Formula, pos: Position, new: Formula) -> Formula:
-    if not pos:
-        return new
-    branch, rest = pos[0], pos[1:]
-    kids = f.children()
-    if not 0 <= branch < len(kids):
-        raise InvalidPosition(f"no child {branch} of {fm.to_text(f)}")
-    child = replace_at(kids[branch], rest, new)
-    if isinstance(f, Not):
-        return fm.lnot(child)
-    if isinstance(f, Oplus):
-        return fm.oplus(child, f.right) if branch == 0 else fm.oplus(f.left, child)
-    if isinstance(f, Odot):
-        return fm.odot(child, f.right) if branch == 0 else fm.odot(f.left, child)
-    if isinstance(f, Delta):
-        return fm.delta(f.divisor, child)
-    assert isinstance(f, Scale)
-    return fm.scale(f.factor, child)
+    for node, branch in reversed(list(zip(_descend(f, pos), pos))):
+        kids = list(node.children())
+        kids[branch] = new
+        new = node.rebuild(kids)
+    return new
 
 
 def all_positions(f: Formula) -> list[tuple[int, ...]]:
-    """Pre-order list of all positions in the tree (prefix paths)."""
+    """Pre-order list of all positions in the tree (prefix paths).
+
+    Positions address the expanded tree, not the shared DAG: there are at
+    least ``f.length`` of them, exponentially many in the weights of an
+    extracted formula.
+    """
     out: list[tuple[int, ...]] = []
-
-    def walk(node: Formula, path: tuple[int, ...]) -> None:
+    stack: list[tuple[tuple[int, ...], Formula]] = [((), f)]
+    while stack:
+        path, node = stack.pop()
         out.append(path)
-        for i, child in enumerate(node.children()):
-            walk(child, path + (i,))
-
-    walk(f, ())
+        kids = node.children()
+        stack.extend((path + (i,), kids[i]) for i in reversed(range(len(kids))))
     return out
 
 
@@ -187,7 +174,11 @@ def apply_axiom(
 
 
 def applicable_rewrites(f: Formula, axioms: Iterable[Axiom]):
-    """All (axiom, direction, position, binding) quadruples applicable to f."""
+    """All (axiom, direction, position, binding) quadruples applicable to f.
+
+    Every tree position is tried (see :func:`all_positions`), so the cost
+    grows with the expanded tree, at least ``f.length``, not with the DAG.
+    """
     out = []
     for pos in all_positions(f):
         sub = subformula_at(f, pos)
@@ -552,21 +543,26 @@ class Rho(RhoExpr):
 
 
 def _to_rho(f: Formula) -> RhoExpr:
-    if isinstance(f, fm.Const):
-        return RhoConst(Fraction(f.value))
-    if isinstance(f, Var):
-        return RhoVar(f.index)
-    if isinstance(f, Not):
-        return RhoSum(RhoConst(Fraction(1)), _to_rho(f.child), -1)
-    if isinstance(f, Odot):
-        # x*y = rho(x + y - 1)
-        inner = RhoSum(RhoSum(_to_rho(f.left), _to_rho(f.right), +1), RhoConst(Fraction(1)), -1)
-        return Rho(inner)
-    if isinstance(f, Oplus):
-        # x+y = 1 - rho(-x - y + 1) = 1 - rho(1 - x - y)
-        inner = RhoSum(RhoSum(RhoConst(Fraction(1)), _to_rho(f.left), -1), _to_rho(f.right), -1)
-        return RhoSum(RhoConst(Fraction(1)), Rho(inner), -1)
-    raise ValueError("symmetry rendering is defined for the MV connectives only")
+    one = RhoConst(Fraction(1))
+    rho: dict[Formula, RhoExpr] = {}
+    for node in fm.postorder(f):
+        t = type(node)
+        if t is fm.Const:
+            rho[node] = RhoConst(Fraction(node.value))
+        elif t is Var:
+            rho[node] = RhoVar(node.index)
+        elif t is Not:
+            rho[node] = RhoSum(one, rho[node.child], -1)
+        elif t is Odot:
+            # x*y = rho(x + y - 1)
+            rho[node] = Rho(RhoSum(RhoSum(rho[node.left], rho[node.right], +1), one, -1))
+        elif t is Oplus:
+            # x+y = 1 - rho(-x - y + 1) = 1 - rho(1 - x - y)
+            inner = RhoSum(RhoSum(one, rho[node.left], -1), rho[node.right], -1)
+            rho[node] = RhoSum(one, Rho(inner), -1)
+        else:
+            raise ValueError("symmetry rendering is defined for the MV connectives only")
+    return rho[f]
 
 
 def render_symmetry(axiom: Axiom) -> tuple[RhoExpr, RhoExpr]:

@@ -1,0 +1,89 @@
+"""Walks over formulas in memory are iterative: a 10 000-deep `not` chain and
+a left-leaning `oplus` spine of the same depth go through every walk under
+the default recursion limit."""
+import sys
+from fractions import Fraction as F
+
+import pytest
+
+from luknet import formula as fm
+from luknet import rewrite as rw
+from luknet.formula import dag_size, evaluate, substitute, variables
+from luknet.graph import (
+    GraphNode,
+    SubstitutionGraph,
+    formula_graph,
+    graph_eval,
+    represented_formula,
+)
+
+DEPTH = 10_000
+x1, x2, x3 = fm.var(1), fm.var(2), fm.var(3)
+
+
+@pytest.fixture(autouse=True)
+def default_recursion_limit():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)
+
+
+def chain(leaf, depth=DEPTH):
+    f = leaf
+    for _ in range(depth):
+        f = fm.lnot(f)
+    return f
+
+
+def spine(leaf, right, depth=DEPTH):
+    f = leaf
+    for _ in range(depth):
+        f = fm.oplus(f, right)
+    return f
+
+
+def test_evaluate_deep():
+    assert evaluate(chain(x1), [F(1, 3)]) == F(1, 3)
+    assert evaluate(chain(x1, DEPTH - 1), [F(1, 3)]) == F(2, 3)
+    assert evaluate(spine(x1, fm.ZERO), [F(1, 3)]) == F(1, 3)
+    assert evaluate(spine(x1, x2), [F(0), F(1, DEPTH)]) == 1
+
+
+def test_substitute_deep():
+    assert substitute(chain(x1), {1: x2}) is chain(x2)
+    assert substitute(spine(x1, x2), {1: x3, 2: x1}) is spine(x3, x1)
+
+
+def test_variables_and_dag_size_deep():
+    assert variables(chain(x1)) == {1}
+    assert variables(spine(x1, x2)) == {1, 2}
+    assert dag_size(chain(x1)) == DEPTH + 1
+    assert dag_size(spine(x1, x2)) == DEPTH + 2
+
+
+def test_graph_walks_deep():
+    assert graph_eval(formula_graph(chain(x1), 1), [F(1, 4)]) == F(1, 4)
+    levels = ((GraphNode(spine(x1, x1)),), (GraphNode(chain(x1)),))
+    two_levels = SubstitutionGraph((1, 1, 1), levels)
+    assert represented_formula(two_levels) is chain(spine(x1, x1))
+
+
+def test_match_instantiation_deep():
+    assert rw.match_instantiation(chain(x1), chain(fm.odot(x2, x3))) == {1: fm.odot(x2, x3)}
+    assert rw.match_instantiation(spine(x1, x2), spine(x3, x1)) == {1: x3, 2: x1}
+    assert rw.match_instantiation(chain(x1), chain(x2, DEPTH - 1)) is None
+
+
+def test_replace_at_deep():
+    pos = (0,) * (DEPTH - 1)
+    assert rw.replace_at(chain(x1), pos, x2) is chain(x2, DEPTH - 1)
+    assert rw.subformula_at(chain(x1), pos) is fm.lnot(x1)
+
+
+def test_all_positions_deep():
+    # The output is quadratic in the depth (position i has length i), so a
+    # chain three times deeper than the recursion limit stands in for 10^4.
+    depth = 3_000
+    positions = rw.all_positions(chain(x1, depth))
+    assert positions == [(0,) * i for i in range(depth + 1)]

@@ -10,7 +10,6 @@ from luknet.equiv import (
     as_point_fn,
     formula_fn,
     grid_equal,
-    grid_values,
     network_fn,
     sample_equal,
 )
@@ -93,15 +92,6 @@ def test_as_point_fn_arities():
     assert n == 2
     _, n = as_point_fn(net(3, layer([[1, 0, 0]], [0], ["none"])))
     assert n == 3
-
-
-def test_grid_values_matches_evaluate():
-    rng = random.Random(73)
-    for _ in range(30):
-        f = random_formula(rng, 2, 4)
-        table = grid_values(f, 6, 2)
-        for idx, x in enumerate(FiniteGrid(6, 2).points()):
-            assert F(table[idx], 6) == evaluate(f, x)
 
 
 def test_finite_grid_distinguishing_power():

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import layer, net, random_network
 from luknet import formula as fm
-from luknet.equiv import FiniteGrid, grid_values
+from luknet.equiv import FiniteGrid
 from luknet.extract import (
     MintermCertificate,
     extr,
@@ -154,7 +154,7 @@ def test_extr_truth_function_exhaustive():
 def test_extr_agrees_with_fraction_evaluator():
     # The scaled-integer table and the rational evaluator are the same function.
     f = extr((2, -1), -1)
-    table = grid_values(f, 12, 2)
+    table = _np_truth_table(f, 12, 2).ravel().tolist()
     pts = list(FiniteGrid(12, 2).points())
     for idx in (0, 7, 60, 168):
         assert evaluate(f, pts[idx]) == F(table[idx], 12)
@@ -294,7 +294,7 @@ def test_extract_graph_chain_example():
     chain = fm.var(1)
     for _ in range(5):
         chain = fm.odot(chain, fm.var(1))
-    assert grid_values(rep, 12, 1) == grid_values(chain, 12, 1)
+    assert _np_truth_table(rep, 12, 1).tolist() == _np_truth_table(chain, 12, 1).tolist()
 
 
 def test_extract_graph_depth_one():

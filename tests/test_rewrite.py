@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -329,6 +330,17 @@ def test_trace_jsonl_roundtrip():
     start, steps = rw.steps_from_jsonl(text)
     assert start is t.start
     assert tuple(steps) == t.steps
+
+
+def test_binding_order_is_left_to_right():
+    # Trace files write "bind" in binding insertion order: x before y.
+    target = fm.oplus(x3, fm.odot(x1, x2))
+    binding = rw.match_instantiation(MV_BY_ID["Ax1"].lhs, target)
+    assert list(binding) == [1, 2]
+    step = rw.Step("Ax1", "LR", (), binding=binding)
+    line = rw.trace_to_jsonl(rw.DerivationTrace(target, (step,))).splitlines()[1]
+    expected = {"axiom": "Ax1", "dir": "LR", "pos": [], "bind": {"x": "x3", "y": "(odot x1 x2)"}}
+    assert line == json.dumps(expected)
 
 
 def test_trace_soundness_over_random_traces():
