@@ -6,9 +6,11 @@ substitution graph whose represented formula realizes the network's map.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import ceil, lcm
 
 from . import formula as fm
 from .formula import Formula
@@ -91,35 +93,31 @@ def rho_to_sigma(net: Network, check: bool = True, node_budget: int | None = Non
 def extr(m, b) -> Formula:
     """Formula whose truth function is clip(m.x + b) for integer m, b.
 
-    The integer flavor of :func:`extr_real`: on integer rows its fractional
-    and constant-bias steps never fire, so only unit peeling, sign flips and
-    the bare variable remain.
+    The integer flavor of the peeling core: on integer rows (s = 1) its
+    fractional and constant-bias steps never fire, so only unit peeling, sign
+    flips and the bare variable remain.
     """
-    mi = tuple(Fraction(c) for c in m)
-    bi = Fraction(b)
-    if any(c.denominator != 1 for c in mi) or bi.denominator != 1:
+    (s, row), bs = _scaled(m, b)
+    if s != 1:
         raise ValueError("extr needs integer coefficients; use extr_rational")
-    return extr_real(mi, bi)
+    return _peel(_row((1, row)), bs)
 
 
 def extr_rational(m, b) -> Formula:
     """DMV formula for clip(m.x + b) with rational m, b.
 
     Clears denominators by s = lcm: the neuron splits into s integer neurons
-    h_i = clip(s(m.x+b) - i), each peeled by :func:`extr_real` on its integer
-    row, and the result is the left-associated chain
-    delta_s t_0 + ... + delta_s t_{s-1}.  Integer input (s = 1) is peeled
-    directly, which is :func:`extr` exactly.
+    h_i = clip(s(m.x+b) - i), each peeled on the one integer row s.m, and the
+    result is the left-associated chain delta_s t_0 + ... + delta_s t_{s-1}.
+    Integer input (s = 1) is peeled directly, which is :func:`extr` exactly.
     """
-    mq = tuple(Fraction(c) for c in m)
-    bq = Fraction(b)
-    s = lcm(*(c.denominator for c in mq + (bq,)))
+    (s, row), bs = _scaled(m, b)
+    run = _row((1, row))
     if s == 1:
-        return extr_real(mq, bq)
-    scaled = tuple(s * c for c in mq)
+        return _peel(run, bs)
     chain: Formula | None = None
     for i in range(s):
-        term = fm.delta(s, extr_real(scaled, s * bq - i))
+        term = fm.delta(s, _peel(run, bs - i))
         chain = term if chain is None else fm.oplus(chain, term)
     assert chain is not None
     return chain
@@ -128,50 +126,170 @@ def extr_rational(m, b) -> Formula:
 def extr_real(m, b) -> Formula:
     """Scalar-operator formula for clip(m.x + b), coefficients rational.
 
-    The one peeling core behind every flavor.  A row whose box bound over the
-    cube has lo >= 1 or hi <= 0 is the constant 1 or 0.  Otherwise the first
-    nonzero coefficient decides the step: a negative one flips the whole row
-    via not EXTR(-m, 1 - b); a fractional part is stripped in one step as
+    A row whose box bound over the cube has lo >= 1 or hi <= 0 is the
+    constant 1 or 0.  Otherwise the first nonzero coefficient decides the
+    step: a negative one flips the whole row via not EXTR(-m, 1 - b); a
+    fractional part is stripped in one step as
     (EXTR(f0) + scale(frac, x_k)) * EXTR(f0 + 1); an integer unit peels off
     as (EXTR(f0) + x_k) * EXTR(f0 + 1), and a row that is exactly x_k is the
     variable itself.  A leftover constant bias in (0,1) becomes scale(b, 1).
-
-    The peeling recurses: its depth grows with sum |m_i|, so a single weight
-    of about 1200 (``extr((1200,), -600)``) exceeds the default recursion
-    limit and raises RecursionError.
+    The peel runs on the row scaled once to integers (:func:`_peel`).
     """
-    mq = tuple(Fraction(c) for c in m)
+    key, bs = _scaled(m, b)
+    return _peel(_row(key), bs)
+
+
+def _scaled(m, b) -> tuple[tuple[int, tuple[int, ...]], int]:
+    """((s, s.m), s.b) for s the lcm of the denominators of m and b."""
+    mq = [Fraction(c) for c in m]
     bq = Fraction(b)
-    memo: dict[tuple, Formula] = {}
+    s = lcm(bq.denominator, *(q.denominator for q in mq))
+    row = tuple(q.numerator * (s // q.denominator) for q in mq)
+    return (s, row), bq.numerator * (s // bq.denominator)
 
-    def go(m: tuple[Fraction, ...], b: Fraction) -> Formula:
-        key = (m, b)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        box = input_interval(m, b)
-        if box.lo >= 1:
-            res: Formula = fm.ONE
-        elif box.hi <= 0:
-            res = fm.ZERO
-        elif all(c == 0 for c in m):
-            res = fm.scale(b, fm.ONE)  # constant strictly inside (0,1)
-        else:
-            k = next(i for i, c in enumerate(m) if c != 0)
-            if m[k] < 0:
-                res = fm.lnot(go(tuple(-c for c in m), 1 - b))
+
+class _Row:
+    """An integer row scaled by s, the suffix data its peel reads, and its memo.
+
+    ``pos[j]`` and ``neg[j]`` sum the positive and the negative entries of
+    ``row[j:]``; ``nxt[j]`` is the first index >= j with a nonzero entry, or
+    d.  The memo maps a peel state, packed into one int, to its formula; it
+    is valid for every bias over this row and lives as long as the object.
+    """
+
+    __slots__ = ("key", "row", "s", "pos", "neg", "nxt", "memo", "width", "offset")
+
+    def __init__(self, key: tuple[int, tuple[int, ...]]):
+        self.key = key
+        self.s, self.row = key
+        d = len(self.row)
+        self.pos, self.neg, self.nxt = [0] * (d + 1), [0] * (d + 1), [d] * (d + 1)
+        for j in range(d - 1, -1, -1):
+            w = self.row[j]
+            self.pos[j] = self.pos[j + 1] + max(w, 0)
+            self.neg[j] = self.neg[j + 1] + min(w, 0)
+            self.nxt[j] = j if w else self.nxt[j + 1]
+        # State (k, c, b, sign) packs as (b*width + c + offset)*2(d+1) + 2k + [sign<0];
+        # |c| never exceeds the largest |entry|, so the packing is one-to-one.
+        big = max(map(abs, self.row), default=0)
+        self.width, self.offset = 2 * big + 1, big
+        self.memo: dict[int, Formula] = {}
+
+
+# The current run of the innermost open pass: a one-slot list holding its
+# _Row (or None before the first extraction), None outside any pass.  It is
+# context state rather than a parameter because the normality pass reaches
+# the extractors through formula_for_certificate(cert).
+_pass: ContextVar[list | None] = ContextVar("_pass", default=None)
+
+
+@contextmanager
+def row_runs():
+    """Let consecutive extractions of an equal row share one peeling memo.
+
+    Inside the block the memo of the current row is kept until a different
+    row is extracted; it is dropped then and when the block ends.  This
+    covers the sigma copies ``rho_to_sigma`` places side by side.  Outside
+    any block each call peels with a memo of its own, which the s terms of
+    :func:`extr_rational` share.
+    """
+    if _pass.get() is not None:
+        yield
+        return
+    token = _pass.set([None])
+    try:
+        yield
+    finally:
+        _pass.reset(token)
+
+
+def _row(key: tuple[int, tuple[int, ...]]) -> _Row:
+    slot = _pass.get()
+    if slot is None:
+        return _Row(key)
+    run = slot[0]
+    if run is None or run.key != key:
+        run = slot[0] = _Row(key)
+    return run
+
+
+_EVAL, _NOT, _PLUS, _TIMES = range(4)
+
+
+def _peel(run: _Row, b: int) -> Formula:
+    """The peeling core: formula of clip((row.x + b) / s) over the run's row.
+
+    A state (k, c, b, sign) stands for the row whose entries before k are 0,
+    whose entry k is c and whose rest is sign.row[k+1:], with bias b (all
+    scaled by s); c is nonzero unless k = d.  Its box bound is read off the
+    suffix sums, so a step costs O(1).  The walk keeps an explicit stack of
+    tasks and builds nodes in the order of the recursive definition.
+    """
+    row, s, pos, neg, nxt, memo = run.row, run.s, run.pos, run.neg, run.nxt, run.memo
+    width, offset = run.width, run.offset
+    d = len(row)
+    span = 2 * (d + 1)
+    k = nxt[0]
+    todo: list[tuple] = [(_EVAL, k, row[k] if k < d else 0, b, 1)]
+    done: list[Formula] = []
+    while todo:
+        task = todo.pop()
+        kind = task[0]
+        if kind == _EVAL:
+            _, k, c, b, sign = task
+            key = (b * width + c + offset) * span + 2 * k + (sign < 0)
+            got = memo.get(key)
+            if got is not None:
+                done.append(got)
+                continue
+            if k == d:
+                lo = hi = b
             else:
-                frac = m[k] - floor(m[k])
-                f0 = m[:k] + (m[k] - (frac or 1),) + m[k + 1 :]
-                if not frac and b == 0 and all(c == 0 for c in f0):
-                    res = fm.var(k + 1)  # the row is exactly x_k
+                if sign > 0:
+                    lo, hi = b + neg[k + 1], b + pos[k + 1]
                 else:
-                    step = fm.scale(frac, fm.var(k + 1)) if frac else fm.var(k + 1)
-                    res = fm.odot(fm.oplus(go(f0, b), step), go(f0, b + 1))
-        memo[key] = res
-        return res
-
-    return go(mq, bq)
+                    lo, hi = b - pos[k + 1], b - neg[k + 1]
+                if c > 0:
+                    hi += c
+                else:
+                    lo += c
+            if lo >= s:
+                res: Formula = fm.ONE
+            elif hi <= 0:
+                res = fm.ZERO
+            elif k == d:
+                res = fm.scale(Fraction(b, s), fm.ONE)  # constant strictly inside (0,1)
+            elif c < 0:
+                todo.append((_NOT, key))
+                todo.append((_EVAL, k, -c, s - b, -sign))
+                continue
+            else:
+                frac = c % s
+                c0 = c - (frac or s)
+                k0, sign0 = k, sign
+                if not c0:
+                    k0 = nxt[k + 1]
+                    c0, sign0 = (sign * row[k0], sign) if k0 < d else (0, 1)
+                x = fm.var(k + 1)
+                if not frac and b == 0 and k0 == d:
+                    res = x  # the row is exactly x_k
+                else:
+                    step = fm.scale(Fraction(frac, s), x) if frac else x
+                    todo.append((_TIMES, key))
+                    todo.append((_EVAL, k0, c0, b + s, sign0))
+                    todo.append((_PLUS, step))
+                    todo.append((_EVAL, k0, c0, b, sign0))
+                    continue
+            memo[key] = res
+            done.append(res)
+        elif kind == _PLUS:
+            done[-1] = fm.oplus(done[-1], task[1])
+        elif kind == _NOT:
+            done[-1] = memo[task[1]] = fm.lnot(done[-1])
+        else:
+            right = done.pop()
+            done[-1] = memo[task[1]] = fm.odot(done[-1], right)
+    return done[0]
 
 
 _EXTRACTORS = {
@@ -209,16 +327,17 @@ def extract_graph(
     sigma = rho_to_sigma(net, check=check, node_budget=node_budget)
     extractor = _EXTRACTORS[flavor]
     node_layers = []
-    for layer in sigma.layers:
-        nodes = []
-        for i in range(layer.width):
-            m, b = layer.weights[i], layer.biases[i]
-            nodes.append(
-                GraphNode(
-                    formula=extractor(m, b),
-                    certificate=MintermCertificate(tuple(m), b, flavor),
+    with row_runs():
+        for layer in sigma.layers:
+            nodes = []
+            for i in range(layer.width):
+                m, b = layer.weights[i], layer.biases[i]
+                nodes.append(
+                    GraphNode(
+                        formula=extractor(m, b),
+                        certificate=MintermCertificate(tuple(m), b, flavor),
+                    )
                 )
-            )
-        node_layers.append(tuple(nodes))
+            node_layers.append(tuple(nodes))
     widths = (sigma.input_dim,) + tuple(layer.width for layer in sigma.layers)
     return SubstitutionGraph(widths=widths, nodes=tuple(node_layers))

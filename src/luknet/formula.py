@@ -9,6 +9,12 @@ occurrences: shared subtrees are built and evaluated once.
 Walks over a formula in memory are loops over :func:`postorder`, the distinct
 subterms children first, so their cost follows the DAG and no walk recurses.
 The text format (``to_text``, ``parse``) still recurses on the tree.
+
+A node stores only its fields, its children, ``max_var`` and its creation
+serial, and its intern key holds the children themselves rather than boxed
+ids.  The tree ``length`` is not stored: it is counted over the DAG on
+demand, once per read, since it grows exponentially in the weights of an
+extracted formula and nothing on the hot paths reads it.
 """
 from __future__ import annotations
 
@@ -50,8 +56,16 @@ class Formula:
     ``rebuild`` makes the node of the same type and key over other children.
     """
 
-    __slots__ = ("max_var", "length", "serial", "__weakref__")
+    __slots__ = ("max_var", "serial", "__weakref__")
     op = None
+
+    @property
+    def length(self) -> int:
+        """Variable occurrences in the expanded tree, counted over the DAG."""
+        sizes: dict[Formula, int] = {}
+        for node in postorder(self):
+            sizes[node] = 1 if type(node) is Var else sum(sizes[kid] for kid in node.children())
+        return sizes[self]
 
     def __repr__(self):
         return to_text(self)
@@ -68,7 +82,7 @@ class Const(Formula):
     op = property(lambda self: self.value)
 
     def __init__(self, value: int):
-        self.value, self.max_var, self.length = value, 0, 0
+        self.value, self.max_var = value, 0
 
 
 class Var(Formula):
@@ -76,14 +90,14 @@ class Var(Formula):
     op = property(lambda self: self.index)
 
     def __init__(self, index: int):
-        self.index, self.max_var, self.length = index, index, 1
+        self.index, self.max_var = index, index
 
 
 class _Unary(Formula):
     __slots__ = ("child",)
 
     def __init__(self, child: Formula):
-        self.child, self.max_var, self.length = child, child.max_var, child.length
+        self.child, self.max_var = child, child.max_var
 
     def children(self):
         return (self.child,)
@@ -95,7 +109,6 @@ class _Binary(Formula):
     def __init__(self, left: Formula, right: Formula):
         self.left, self.right = left, right
         self.max_var = max(left.max_var, right.max_var)
-        self.length = left.length + right.length
 
     def children(self):
         return (self.left, self.right)
@@ -173,24 +186,24 @@ def var(index: int) -> Var:
 
 
 def lnot(child: Formula) -> Formula:
-    key = ("n", id(child))
+    key = ("n", child)
     return _interned.get(key) or _make(key, Not, child)
 
 
 def oplus(left: Formula, right: Formula) -> Formula:
-    key = ("+", id(left), id(right))
+    key = ("+", left, right)
     return _interned.get(key) or _make(key, Oplus, left, right)
 
 
 def odot(left: Formula, right: Formula) -> Formula:
-    key = ("*", id(left), id(right))
+    key = ("*", left, right)
     return _interned.get(key) or _make(key, Odot, left, right)
 
 
 def delta(divisor: int, child: Formula) -> Formula:
     if divisor < 1:
         raise ValueError(f"delta divisor must be >= 1, got {divisor}")
-    key = ("d", divisor, id(child))
+    key = ("d", divisor, child)
     return _interned.get(key) or _make(key, Delta, divisor, child)
 
 
@@ -198,7 +211,7 @@ def scale(factor: Fraction, child: Formula) -> Formula:
     factor = Fraction(factor)
     if not 0 <= factor <= 1:
         raise ValueError(f"scale factor must lie in [0,1], got {factor}")
-    key = ("s", factor, id(child))
+    key = ("s", factor, child)
     return _interned.get(key) or _make(key, Scale, factor, child)
 
 

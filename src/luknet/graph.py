@@ -121,13 +121,17 @@ def normality_violation(g: SubstitutionGraph) -> GraphError | None:
     """First reason the graph is not normal, or None.
 
     A graph is normal when every node holds a certificate whose re-extraction
-    reproduces the stored formula tree exactly.
+    reproduces the stored formula tree exactly.  Consecutive certificates on
+    an equal row share one peeling memo for the length of the pass.
     """
-    for j, level in enumerate(g.nodes, start=1):
-        for i, node in enumerate(level, start=1):
-            violation = certificate_violation(node, j, i)
-            if violation is not None:
-                return violation
+    from .extract import row_runs
+
+    with row_runs():
+        for j, level in enumerate(g.nodes, start=1):
+            for i, node in enumerate(level, start=1):
+                violation = certificate_violation(node, j, i)
+                if violation is not None:
+                    return violation
     return None
 
 

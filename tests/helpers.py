@@ -19,6 +19,7 @@ from luknet.network import (
     Layer,
     Network,
     NodeRef,
+    input_interval,
     is_non_degenerate,
     node_preactivations,
 )
@@ -308,3 +309,44 @@ def represented_formula_forward(g: SubstitutionGraph) -> Formula:
         zeta = {i + 1: f for i, f in enumerate(global_formulas)}
         global_formulas = [substitute(node.formula, zeta) for node in g.nodes[level - 1]]
     return global_formulas[0]
+
+
+def reference_extr_real(m, b) -> Formula:
+    """The recursive Fraction peel that ``extract`` replaced by its integer core.
+
+    Kept as the oracle for ``extr``, ``extr_rational`` and ``extr_real``: the
+    same steps on Fraction rows, memoized per call on (row, bias) tuples.
+    Its recursion depth grows with sum |m_i|.
+    """
+    mq = tuple(Fraction(c) for c in m)
+    bq = Fraction(b)
+    memo: dict[tuple, Formula] = {}
+
+    def go(m: tuple[Fraction, ...], b: Fraction) -> Formula:
+        key = (m, b)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        box = input_interval(m, b)
+        if box.lo >= 1:
+            res: Formula = fm.ONE
+        elif box.hi <= 0:
+            res = fm.ZERO
+        elif all(c == 0 for c in m):
+            res = fm.scale(b, fm.ONE)  # constant strictly inside (0,1)
+        else:
+            k = next(i for i, c in enumerate(m) if c != 0)
+            if m[k] < 0:
+                res = fm.lnot(go(tuple(-c for c in m), 1 - b))
+            else:
+                frac = m[k] - floor(m[k])
+                f0 = m[:k] + (m[k] - (frac or 1),) + m[k + 1 :]
+                if not frac and b == 0 and all(c == 0 for c in f0):
+                    res = fm.var(k + 1)  # the row is exactly x_k
+                else:
+                    step = fm.scale(frac, fm.var(k + 1)) if frac else fm.var(k + 1)
+                    res = fm.odot(fm.oplus(go(f0, b), step), go(f0, b + 1))
+        memo[key] = res
+        return res
+
+    return go(mq, bq)

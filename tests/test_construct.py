@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 from fractions import Fraction as F
@@ -268,6 +269,28 @@ def test_roundtrip_random_sample():
             continue
         assert roundtrip(network) == network
         done += 1
+
+
+def test_no_memo_outlives_its_pass():
+    # Peeling memos hold formulas; once a pass returns and its result is
+    # dropped, reference counting alone must free them, with no collection.
+    rng = random.Random(3)  # a 3-input network with hidden widths 3 and 2
+    network = None
+    while network is None:
+        network = corpus_network(rng)
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(fm._interned)
+        back = roundtrip(network)
+        assert back == network
+        del back
+        assert len(fm._interned) == before
+        g = extract_graph(network)
+        del g
+        assert len(fm._interned) == before
+    finally:
+        gc.enable()
 
 
 def test_roundtrip_rational_network():

@@ -1,6 +1,7 @@
 """Walks over formulas in memory are iterative: a 10 000-deep `not` chain and
 a left-leaning `oplus` spine of the same depth go through every walk under
-the default recursion limit."""
+the default recursion limit, and so do tree lengths and the extraction of a
+single large weight."""
 import sys
 from fractions import Fraction as F
 
@@ -8,6 +9,7 @@ import pytest
 
 from luknet import formula as fm
 from luknet import rewrite as rw
+from luknet.extract import extr
 from luknet.formula import dag_size, evaluate, substitute, variables
 from luknet.graph import (
     GraphNode,
@@ -87,3 +89,20 @@ def test_all_positions_deep():
     depth = 3_000
     positions = rw.all_positions(chain(x1, depth))
     assert positions == [(0,) * i for i in range(depth + 1)]
+
+
+def test_length_deep():
+    assert chain(x1).length == 1
+    assert spine(x1, x2).length == DEPTH + 1
+    doubling = x1
+    for _ in range(200):
+        doubling = fm.oplus(doubling, doubling)
+    assert doubling.length == 2**200
+
+
+def test_extract_large_weight_iterative():
+    # The peel's depth grows with the weight; it runs on an explicit stack.
+    sys.setrecursionlimit(300)
+    f = extr((400,), -200)
+    for x in (F(401, 800), F(799, 1600)):  # on the ramp, and just below it
+        assert evaluate(f, [x]) == min(max(400 * x - 200, F(0)), F(1))

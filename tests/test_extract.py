@@ -1,11 +1,13 @@
 import itertools
 import random
+from contextlib import nullcontext
 from fractions import Fraction as F
+from math import lcm
 
 import numpy as np
 import pytest
 
-from helpers import layer, net, random_network
+from helpers import layer, net, random_network, reference_extr_real
 from luknet import formula as fm
 from luknet.equiv import FiniteGrid
 from luknet.extract import (
@@ -15,6 +17,7 @@ from luknet.extract import (
     extr_real,
     extract_graph,
     rho_to_sigma,
+    row_runs,
 )
 from luknet.formula import evaluate, to_text
 from luknet.graph import is_normal, represented_formula
@@ -268,6 +271,45 @@ def test_extr_mixed_rows_golden(extractor, m, b, text):
     # Fixed trees for rows mixing fractional and integer parts: all flavors
     # share one peeling core, so agreement between them cannot catch drift.
     assert to_text(extractor(tuple(F(c) for c in m), F(b))) == text
+
+
+def _oracle_rational(m, b):
+    # extr_rational's chain, built from the oracle peel of the scaled row.
+    s = lcm(*(q.denominator for q in m + (b,)))
+    if s == 1:
+        return reference_extr_real(m, b)
+    scaled = tuple(s * q for q in m)
+    chain = None
+    for i in range(s):
+        term = fm.delta(s, reference_extr_real(scaled, s * b - i))
+        chain = term if chain is None else fm.oplus(chain, term)
+    return chain
+
+
+def test_extractors_build_the_oracle_objects():
+    # The integer core builds the very objects the recursive Fraction peel
+    # builds: every integer row d <= 2 (|m| <= 3, |b| <= 4) and d = 3
+    # (|m| <= 2), through all three flavors, then half- and third-integer
+    # rows d <= 2 (|m|, |b| <= 1 + 1/q) through extr_real and extr_rational.
+    # The second pass runs inside row_runs, where each row's memo serves all
+    # its biases.
+    cases = []
+    for d, top in ((1, 3), (2, 3), (3, 2)):
+        for m in itertools.product(range(-top, top + 1), repeat=d):
+            for b in range(-4, 5):
+                want = reference_extr_real(m, b)
+                cases += [(extr, m, b, want), (extr_rational, m, b, want), (extr_real, m, b, want)]
+    for q in (2, 3):
+        values = [F(i, q) for i in range(-q - 1, q + 2)]
+        for d in (1, 2):
+            for m in itertools.product(values, repeat=d):
+                for b in values:
+                    cases.append((extr_real, m, b, reference_extr_real(m, b)))
+                    cases.append((extr_rational, m, b, _oracle_rational(m, b)))
+    for scope in (nullcontext, row_runs):
+        with scope():
+            for extractor, m, b, want in cases:
+                assert extractor(m, b) is want, (extractor.__name__, m, b)
 
 
 def test_extr_real_constant_bias():
