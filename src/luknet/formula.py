@@ -8,7 +8,11 @@ occurrences: shared subtrees are built and evaluated once.
 
 Walks over a formula in memory are loops over :func:`postorder`, the distinct
 subterms children first, so their cost follows the DAG and no walk recurses.
-The text format (``to_text``, ``parse``) still recurses on the tree.
+The two text forms are loops too.  The s-expression (``to_text``, ``parse``)
+spells out the expanded tree, so its size follows the tree, and it serves
+the command line, rewrite traces and display.  The term table (``to_terms``,
+``from_terms``) writes each distinct subterm once, so its size follows the
+DAG, and it is the formula half of the graph file.
 
 A node stores only its fields, its children, ``max_var`` and its creation
 serial, and its intern key holds the children themselves rather than boxed
@@ -21,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import count
 from operator import attrgetter
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 from weakref import WeakValueDictionary
 
 from .numerics import parse_rational
@@ -54,10 +58,12 @@ class Formula:
     Interning makes the default identity ``==`` and ``hash`` structural.  A
     node is fixed by its type, its operator key ``op`` and its children;
     ``rebuild`` makes the node of the same type and key over other children.
+    ``head`` names the operator in the text forms; atoms have none.
     """
 
     __slots__ = ("max_var", "serial", "__weakref__")
     op = None
+    head = None
 
     @property
     def length(self) -> int:
@@ -116,6 +122,7 @@ class _Binary(Formula):
 
 class Not(_Unary):
     __slots__ = ()
+    head = "not"
 
     def rebuild(self, kids):
         return lnot(*kids)
@@ -123,6 +130,7 @@ class Not(_Unary):
 
 class Oplus(_Binary):
     __slots__ = ()
+    head = "oplus"
 
     def rebuild(self, kids):
         return oplus(*kids)
@@ -130,6 +138,7 @@ class Oplus(_Binary):
 
 class Odot(_Binary):
     __slots__ = ()
+    head = "odot"
 
     def rebuild(self, kids):
         return odot(*kids)
@@ -139,6 +148,7 @@ class Delta(_Unary):
     """Division operator of rational Lukasiewicz logic: value x / divisor."""
 
     __slots__ = ("divisor",)
+    head = "delta"
     op = property(lambda self: self.divisor)
 
     def __init__(self, divisor: int, child: Formula):
@@ -153,6 +163,7 @@ class Scale(_Unary):
     """Scalar operator of the real-valued extension: value factor * x."""
 
     __slots__ = ("factor",)
+    head = "scale"
     op = property(lambda self: self.factor)
 
     def __init__(self, factor: Fraction, child: Formula):
@@ -215,10 +226,10 @@ def scale(factor: Fraction, child: Formula) -> Formula:
     return _interned.get(key) or _make(key, Scale, factor, child)
 
 
-def postorder(f: Formula) -> list[Formula]:
-    """The distinct subterms of f in creation order: children first, f last."""
-    seen = {f}
-    stack = [f]
+def postorder(*roots: Formula) -> list[Formula]:
+    """The distinct subterms of the roots in creation order: children first."""
+    seen = set(roots)
+    stack = list(seen)
     while stack:
         for kid in stack.pop().children():
             if kid not in seen:
@@ -241,16 +252,23 @@ def evaluate(f: Formula, assignment) -> Fraction:
     oplus = min(1,x+y), odot = max(0,x+y-1), not = 1-x, delta_i = x/i,
     scale_r = r*x.  Raises UnboundVariable / OutOfDomain on bad input.
     """
+    return evaluate_all((f,), assignment)[0]
+
+
+def evaluate_all(fs: Sequence[Formula], assignment) -> list[Fraction]:
+    """Exact truth values of the formulas under one assignment, in order.
+
+    One memo serves all of them, so a subterm they share is evaluated once.
+    """
     values = [Fraction(v) for v in assignment]
     for v in values:
         if not _F0 <= v <= _F1:
             raise OutOfDomain(f"assignment value {v} outside [0,1]")
-    if f.max_var > len(values):
-        raise UnboundVariable(
-            f"formula uses x{f.max_var} but only {len(values)} values were given"
-        )
+    top = max((f.max_var for f in fs), default=0)
+    if top > len(values):
+        raise UnboundVariable(f"formula uses x{top} but only {len(values)} values were given")
     memo: dict[Formula, Fraction] = {}
-    for node in postorder(f):
+    for node in postorder(*fs):
         t = type(node)
         if t is Var:
             r = values[node.index - 1]
@@ -269,7 +287,7 @@ def evaluate(f: Formula, assignment) -> Fraction:
         else:
             r = node.factor * memo[node.child]
         memo[node] = r
-    return memo[f]
+    return [memo[f] for f in fs]
 
 
 # ---------------------------------------------------------------------------
@@ -310,46 +328,74 @@ def dag_size(f: Formula) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Canonical text format (s-expressions)
+# Text forms: the s-expression of the tree and the term table of the DAG
 # ---------------------------------------------------------------------------
 
 
+def _natural(tok: str | None) -> int | None:
+    """The value of a string of ASCII digits, else None."""
+    return int(tok) if tok and tok.isascii() and tok.isdigit() else None
+
+
+def _divisor(tok: str | None) -> int | None:
+    return _natural(tok) or None
+
+
+def _factor(tok: str | None) -> Fraction | None:
+    try:
+        r = parse_rational(tok)
+    except ValueError:
+        return None
+    return r if 0 <= r <= 1 else None
+
+
+# head: (constructor, arguments after the head, parameter reader or None).
+# A parameter comes first, as in the constructor's signature.
+_OPS = {
+    "not": (lnot, 1, None),
+    "oplus": (oplus, 2, None),
+    "odot": (odot, 2, None),
+    "delta": (delta, 2, _divisor),
+    "scale": (scale, 2, _factor),
+}
+_BAD_PARAMETER = {
+    "delta": "delta expects a positive integer divisor",
+    "scale": "scale expects a rational factor in [0,1]",
+}
+
+
+def _atom(tok: str | None) -> Formula | None:
+    if tok == "0":
+        return ZERO
+    if tok == "1":
+        return ONE
+    index = _natural(tok[1:]) if tok and tok[0] == "x" else None
+    return var(index) if index else None
+
+
+def _atom_text(node: Formula) -> str:
+    return f"x{node.index}" if type(node) is Var else str(node.op)
+
+
+def _head_text(node: Formula) -> str:
+    return node.head if node.op is None else f"{node.head} {node.op}"
+
+
 def to_text(f: Formula) -> str:
-    """Canonical fully-parenthesized s-expression form."""
+    """Canonical fully-parenthesized s-expression form of the expanded tree."""
     parts: list[str] = []
-
-    def go(node: Formula) -> None:
-        if isinstance(node, Const):
-            parts.append("1" if node.value else "0")
-        elif isinstance(node, Var):
-            parts.append(f"x{node.index}")
-        elif isinstance(node, Not):
-            parts.append("(not ")
-            go(node.child)
-            parts.append(")")
-        elif isinstance(node, Oplus):
-            parts.append("(oplus ")
-            go(node.left)
-            parts.append(" ")
-            go(node.right)
-            parts.append(")")
-        elif isinstance(node, Odot):
-            parts.append("(odot ")
-            go(node.left)
-            parts.append(" ")
-            go(node.right)
-            parts.append(")")
-        elif isinstance(node, Delta):
-            parts.append(f"(delta {node.divisor} ")
-            go(node.child)
-            parts.append(")")
+    stack: list[Formula | str] = [f]
+    while stack:
+        node = stack.pop()
+        if type(node) is str:
+            parts.append(node)
+        elif node.head is None:
+            parts.append(_atom_text(node))
         else:
-            assert isinstance(node, Scale)
-            parts.append(f"(scale {node.factor} ")
-            go(node.child)
-            parts.append(")")
-
-    go(f)
+            parts.append("(" + _head_text(node))
+            stack.append(")")
+            for kid in reversed(node.children()):
+                stack += (kid, " ")
     return "".join(parts)
 
 
@@ -372,73 +418,113 @@ def _tokenize(text: str) -> Iterator[tuple[str, int]]:
 
 def parse(text: str) -> Formula:
     """Parse the canonical grammar; raises FormulaSyntaxError with byte offset."""
-    tokens = list(_tokenize(text))
-    pos = 0
-
-    def fail(msg: str, offset: int):
-        raise FormulaSyntaxError(msg, offset)
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, len(text))
-
-    def take():
-        nonlocal pos
-        tok = peek()
-        pos += 1
-        return tok
-
-    def atom(tok: str, off: int) -> Formula:
-        if tok == "0":
-            return ZERO
-        if tok == "1":
-            return ONE
-        if tok.startswith("x") and tok[1:].isdigit() and int(tok[1:]) >= 1:
-            return var(int(tok[1:]))
-        fail(f"expected formula atom, got {tok!r}", off)
-
-    def expr() -> Formula:
-        tok, off = take()
+    end = (None, len(text))
+    tokens = _tokenize(text)
+    # One frame per open "(": constructor, argument count, arguments so far.
+    frames: list[tuple] = []
+    while True:
+        tok, off = next(tokens, end)
         if tok is None:
-            fail("unexpected end of input", off)
-        if tok != "(":
-            return atom(tok, off)
-        head, hoff = take()
-        if head == "not":
-            child = expr()
-            close()
-            return lnot(child)
-        if head in ("oplus", "odot"):
-            left = expr()
-            right = expr()
-            close()
-            return oplus(left, right) if head == "oplus" else odot(left, right)
-        if head == "delta":
-            num, noff = take()
-            if num is None or not num.isdigit() or int(num) < 1:
-                fail("delta expects a positive integer divisor", noff)
-            child = expr()
-            close()
-            return delta(int(num), child)
-        if head == "scale":
-            num, noff = take()
-            try:
-                factor = parse_rational(num)
-            except ValueError:
-                factor = None
-            if factor is None or not 0 <= factor <= 1:
-                fail("scale expects a rational factor in [0,1]", noff)
-            child = expr()
-            close()
-            return scale(factor, child)
-        fail(f"unknown operator {head!r}", hoff)
+            raise FormulaSyntaxError("unexpected end of input", off)
+        if tok == "(":
+            head, hoff = next(tokens, end)
+            if head not in _OPS:
+                raise FormulaSyntaxError(f"unknown operator {head!r}", hoff)
+            build, arity, read = _OPS[head]
+            args = []
+            if read is not None:
+                num, noff = next(tokens, end)
+                args.append(read(num))
+                if args[0] is None:
+                    raise FormulaSyntaxError(_BAD_PARAMETER[head], noff)
+            frames.append((build, arity, args))
+            continue
+        f = _atom(tok)
+        if f is None:
+            raise FormulaSyntaxError(f"expected formula atom, got {tok!r}", off)
+        while frames:
+            build, arity, args = frames[-1]
+            args.append(f)
+            if len(args) < arity:
+                break
+            tok, off = next(tokens, end)
+            if tok != ")":
+                raise FormulaSyntaxError("expected ')'", off)
+            frames.pop()
+            f = build(*args)
+        else:
+            tok, off = next(tokens, end)
+            if tok is not None:
+                raise FormulaSyntaxError(f"trailing input {tok!r}", off)
+            return f
 
-    def close() -> None:
-        tok, off = take()
-        if tok != ")":
-            fail("expected ')'", off)
 
-    result = expr()
-    tok, off = peek()
-    if tok is not None:
-        fail(f"trailing input {tok!r}", off)
-    return result
+def to_terms(roots: Iterable[Formula]) -> tuple[list[str], dict[Formula, int]]:
+    """Term table of the roots, and the index of each subterm in it.
+
+    Each distinct subterm is one string: an atom (``x1``, ``0``, ``1``) or a
+    head, its parameter if any, and the indices of its children, which are
+    always earlier terms (``not 4``, ``oplus 3 7``, ``delta 2 5``,
+    ``scale 1/2 5``).  The order is a depth-first postorder, children left to
+    right, over the roots in turn, so it depends on the formulas alone and
+    not on when they were created.
+    """
+    index: dict[Formula, int] = {}
+    terms: list[str] = []
+    for root in roots:
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if node in index:
+                stack.pop()
+                continue
+            todo = [kid for kid in node.children() if kid not in index]
+            if todo:
+                stack += reversed(todo)
+                continue
+            stack.pop()
+            index[node] = len(terms)
+            if node.head is None:
+                terms.append(_atom_text(node))
+            else:
+                terms.append(" ".join([_head_text(node)] + [str(index[kid]) for kid in node.children()]))
+    return terms, index
+
+
+def from_terms(terms: list[str]) -> list[Formula]:
+    """The formulas of a term table, in table order; inverse of :func:`to_terms`.
+
+    Raises FormulaError on a malformed table: a term that is not a string, an
+    unknown head, a wrong number of arguments, a bad parameter, or a child
+    that is not the index of an earlier term.
+    """
+    if not isinstance(terms, list):
+        raise FormulaError("the term table must be a list of strings")
+    out: list[Formula] = []
+    for k, text in enumerate(terms):
+        if not isinstance(text, str):
+            raise FormulaError(f"term {k} is {text!r}, not a string")
+        head, *words = text.split(" ")
+        if not words:
+            f = _atom(head)
+            if f is None:
+                raise FormulaError(f"term {k} {text!r} is not an atom")
+            out.append(f)
+            continue
+        if head not in _OPS:
+            raise FormulaError(f"term {k} {text!r}: unknown operator {head!r}")
+        build, arity, read = _OPS[head]
+        if len(words) != arity:
+            raise FormulaError(f"term {k} {text!r}: {head} takes {arity} argument{'s' * (arity > 1)}")
+        args: list = []
+        if read is not None:
+            args.append(read(words.pop(0)))
+            if args[0] is None:
+                raise FormulaError(f"term {k} {text!r}: {_BAD_PARAMETER[head]}")
+        for word in words:
+            child = _natural(word)
+            if child is None or child >= k:
+                raise FormulaError(f"term {k} {text!r}: child {word} is not an earlier term")
+            args.append(out[child])
+        out.append(build(*args))
+    return out

@@ -3,6 +3,24 @@
 The represented formula is the output node's formula with each layer's
 substitution applied from the outside in; collapse and expansion change the
 layering without changing that formula.
+
+Wire format.  A graph file is one JSON object::
+
+    {"widths": [d_0, ..., d_L],
+     "terms": ["x1", "x2", "oplus 0 1", "not 2", ...],
+     "nodes": [[{"formula": 3, "certificate": {...} or null}, ...], ...]}
+
+``terms`` is the term table of :func:`luknet.formula.to_terms`: every
+distinct subterm of every node formula, once, as a short string whose
+children are indices of earlier terms.  It is shared by all nodes of the
+graph, and a node's ``formula`` is an index into it.  So the file, its
+decoding and its evaluation are linear in the DAG, where the expanded tree of
+an extracted formula grows exponentially in the weights.  The table is
+written in a depth-first postorder over the nodes in level order, so the
+bytes depend only on the graph.  Decoding runs once through the interning
+constructors: the decoded formulas are the very objects that were encoded,
+and a certificate still re-extracts to its node's formula.  A malformed
+table, or a file without one, is a GraphError or a FormulaError.
 """
 from __future__ import annotations
 
@@ -97,10 +115,13 @@ def represented_formula(g: SubstitutionGraph) -> Formula:
 
 
 def graph_eval(g: SubstitutionGraph, x) -> "fm.Fraction":
-    """Layer-wise numeric propagation of the node truth functions."""
+    """Layer-wise numeric propagation of the node truth functions.
+
+    Each level is one pass with one memo over the union of its formulas.
+    """
     values = list(x)
     for level in g.nodes:
-        values = [fm.evaluate(node.formula, values) for node in level]
+        values = fm.evaluate_all([node.formula for node in level], values)
     return values[0]
 
 
@@ -222,6 +243,7 @@ def formula_graph(f: Formula, input_width: int) -> SubstitutionGraph:
 
 
 def graph_to_dict(g: SubstitutionGraph) -> dict:
+    terms, index = fm.to_terms(node.formula for level in g.nodes for node in level)
     levels = []
     for level in g.nodes:
         entries = []
@@ -229,7 +251,7 @@ def graph_to_dict(g: SubstitutionGraph) -> dict:
             cert = node.certificate
             entries.append(
                 {
-                    "formula": fm.to_text(node.formula),
+                    "formula": index[node.formula],
                     "certificate": None
                     if cert is None
                     else {
@@ -240,20 +262,26 @@ def graph_to_dict(g: SubstitutionGraph) -> dict:
                 }
             )
         levels.append(entries)
-    return {"widths": list(g.widths), "nodes": levels}
+    return {"widths": list(g.widths), "terms": terms, "nodes": levels}
 
 
 def graph_from_dict(data: dict) -> SubstitutionGraph:
     from .extract import MintermCertificate
 
+    if not isinstance(data, dict) or "terms" not in data:
+        raise GraphError('graph has no "terms" table (files without one predate the term-table format)')
+    formulas = fm.from_terms(data["terms"])
     levels = []
-    for level in data["nodes"]:
+    for j, level in enumerate(data["nodes"], start=1):
         nodes = []
-        for entry in level:
+        for i, entry in enumerate(level, start=1):
+            k = json_int(entry["formula"], f"formula index of node ({j},{i})")
+            if not 0 <= k < len(formulas):
+                raise GraphError(f"node ({j},{i}) names term {k}, outside the {len(formulas)} terms")
             cert = entry.get("certificate")
             nodes.append(
                 GraphNode(
-                    formula=fm.parse(entry["formula"]),
+                    formula=formulas[k],
                     certificate=None
                     if cert is None
                     else MintermCertificate(

@@ -105,7 +105,10 @@ def _descend(f: Formula, pos: Position) -> list[Formula]:
     for step, branch in enumerate(pos):
         kids = nodes[-1].children()
         if not 0 <= branch < len(kids):
-            raise InvalidPosition(f"no child {branch} at depth {step} of {fm.to_text(nodes[-1])}")
+            raise InvalidPosition(
+                f"position {list(pos)} has no child {branch} at depth {step}, "
+                f"where the subterm has {len(kids)}"
+            )
         nodes.append(kids[branch])
     return nodes
 
@@ -157,8 +160,9 @@ def apply_axiom(
     if binding is None:
         binding = match_instantiation(src, sub)
         if binding is None:
+            side = "left" if direction == "LR" else "right"
             raise NoMatchAtPosition(
-                f"{fm.to_text(sub)} is not an instance of {fm.to_text(src)}"
+                f"subformula at position {list(pos)} is not an instance of the {side} side of {axiom.id}"
             )
     else:
         if substitute(src, binding) is not sub:

@@ -202,6 +202,84 @@ def test_rewrite_applies_graph_trace(fixtures_dir, tmp_path, capsys):
     assert "not normal" in err
 
 
+# A 3-neuron tent of weight 24 on [0,1]: its graph has 5 004 distinct
+# subterms, but the expanded tree of its largest node has about 8e26 leaves.
+TENT = {
+    "input_dim": 1,
+    "layers": [
+        {"weights": [["24"], ["24"], ["24"]], "biases": ["0", "-1", "-2"], "activation": ["relu"] * 3},
+        {"weights": [["1", "-2", "1"]], "biases": ["0"], "activation": ["none"]},
+    ],
+}
+
+
+def extract_tent(tmp_path, capsys):
+    npath, gpath = tmp_path / "tent.json", tmp_path / "tent.graph.json"
+    npath.write_text(json.dumps(TENT))
+    code, _, _ = run(capsys, "extract", str(npath), "-o", str(gpath))
+    assert code == 0
+    return npath, gpath
+
+
+def test_tent_extract_construct_check_equiv(tmp_path, capsys):
+    npath, gpath = extract_tent(tmp_path, capsys)
+    assert gpath.stat().st_size < 200_000
+    code, _, _ = run(capsys, "construct", str(gpath), "-o", str(tmp_path / "back.json"))
+    assert code == 0
+    assert network_from_json((tmp_path / "back.json").read_text()) == network_from_json(npath.read_text())
+    code, out, _ = run(capsys, "check-equiv", str(npath), str(gpath))
+    assert code == 0
+    assert out.startswith("equal on all 13 points")
+
+
+def test_tent_rewrite_failure_is_one_line(tmp_path, capsys):
+    _, gpath = extract_tent(tmp_path, capsys)
+    trace = tmp_path / "t.jsonl"
+    trace.write_text('{"axiom": "Ax7", "dir": "RL", "pos": [], "node": [2, 1]}\n')
+    code, _, err = run(capsys, "rewrite", str(gpath), "--trace", str(trace), "-o", str(tmp_path / "g2.json"))
+    assert code == 1
+    assert err == "trace failed: step 0: subformula at position [] is not an instance of the right side of Ax7\n"
+
+
+def graph_file(terms, index=1):
+    return {"widths": [1, 1], "terms": terms, "nodes": [[{"formula": index, "certificate": None}]]}
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        (graph_file(["x1", "not 2", "not 0"]), "child 2 is not an earlier term"),
+        (graph_file(["x1", "not 1"]), "child 1 is not an earlier term"),
+        (graph_file(["x1", "not 9"]), "child 9 is not an earlier term"),
+        (graph_file(["x1", "not -1"]), "child -1 is not an earlier term"),
+        (graph_file(["x1", "not 0.0"]), "child 0.0 is not an earlier term"),
+        (graph_file(["x1", "not 0"], -1), "names term -1"),
+        (graph_file(["x1", "not 0"], 2), "names term 2"),
+        (graph_file(["x1", "not 0"], True), "must be an integer"),
+        (graph_file(["x1", "not 0"], 1.0), "must be an integer"),
+        (graph_file(["x1", "nand 0 0"]), "unknown operator 'nand'"),
+        (graph_file(["x1", "oplus 0"]), "oplus takes 2 arguments"),
+        (graph_file(["x1", "not 0 0"]), "not takes 1 argument"),
+        (graph_file(["x1", "delta 0 0"]), "positive integer divisor"),
+        (graph_file(["x1", "scale 3/2 0"]), "factor in [0,1]"),
+        (graph_file(["x1", "scale -1/2 0"]), "factor in [0,1]"),
+        (graph_file(["x0", "not 0"]), "not an atom"),
+        (graph_file(["x1", 1]), "not a string"),
+        (graph_file("x1"), "list of strings"),
+        ({"widths": [1, 1], "nodes": [[{"formula": "(not x1)", "certificate": None}]]}, '"terms"'),
+    ],
+)
+def test_malformed_term_table_exits_two(tmp_path, capsys, data, message):
+    path = tmp_path / "bad.graph.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "construct", str(path), "-o", str(tmp_path / "n.json"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+    assert message in err
+
+
 def test_usage_error_exits_two(fixtures_dir, capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{]")

@@ -1,7 +1,8 @@
-"""Walks over formulas in memory are iterative: a 10 000-deep `not` chain and
-a left-leaning `oplus` spine of the same depth go through every walk under
-the default recursion limit, and so do tree lengths and the extraction of a
-single large weight."""
+"""Walks over formulas are iterative: a 10 000-deep `not` chain and a
+left-leaning `oplus` spine of the same depth go through every walk and the
+s-expression text form under the default recursion limit, and so do tree
+lengths and the extraction of a single large weight.  Rewrite errors on a
+formula whose tree is exponentially long name the position, not the tree."""
 import sys
 from fractions import Fraction as F
 
@@ -9,8 +10,9 @@ import pytest
 
 from luknet import formula as fm
 from luknet import rewrite as rw
+from luknet.cli import main
 from luknet.extract import extr
-from luknet.formula import dag_size, evaluate, substitute, variables
+from luknet.formula import dag_size, evaluate, parse, substitute, to_text, variables
 from luknet.graph import (
     GraphNode,
     SubstitutionGraph,
@@ -91,13 +93,45 @@ def test_all_positions_deep():
     assert positions == [(0,) * i for i in range(depth + 1)]
 
 
+def doubling(times=200):
+    f = x1
+    for _ in range(times):
+        f = fm.oplus(f, f)
+    return f
+
+
 def test_length_deep():
     assert chain(x1).length == 1
     assert spine(x1, x2).length == DEPTH + 1
-    doubling = x1
-    for _ in range(200):
-        doubling = fm.oplus(doubling, doubling)
-    assert doubling.length == 2**200
+    assert doubling().length == 2**200
+
+
+def test_text_roundtrip_deep():
+    for f in (chain(x1), spine(x1, x2)):
+        assert parse(to_text(f)) is f
+
+
+def test_cli_check_equiv_deep_formula_file(tmp_path, capsys):
+    path = tmp_path / "deep.txt"
+    path.write_text(to_text(chain(x1)) + "\n")
+    assert main(["check-equiv", str(path), str(path)]) == 0
+    assert capsys.readouterr().out.startswith("equal on all 13 points")
+
+
+def test_rewrite_errors_name_the_position():
+    # Its tree has 2**200 leaves; printing it never ends.
+    f = doubling()
+    ax1, ax3, ax7 = (rw.catalog_by_id(rw.catalog("MV"))[a] for a in ("Ax1", "Ax3", "Ax7"))
+    failures = [
+        (rw.NoMatchAtPosition, lambda: rw.apply_axiom(f, ax3, "LR", (0, 1))),
+        (rw.NoMatchAtPosition, lambda: rw.apply_axiom(f, ax7, "RL", ())),
+        (rw.InvalidPosition, lambda: rw.apply_axiom(f, ax1, "LR", (0,) * 200 + (0,))),
+        (rw.InvalidPosition, lambda: rw.subformula_at(f, (2,))),
+    ]
+    for error, call in failures:
+        with pytest.raises(error) as err:
+            call()
+        assert len(str(err.value)) < 800
 
 
 def test_extract_large_weight_iterative():

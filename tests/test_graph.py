@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction as F
 
@@ -7,7 +8,7 @@ from helpers import layer, net, random_formula, random_graph, represented_formul
 from luknet import formula as fm
 from luknet.equiv import FiniteGrid
 from luknet.extract import MintermCertificate, extract_graph
-from luknet.formula import evaluate
+from luknet.formula import evaluate, evaluate_all, postorder, to_text
 from luknet.graph import (
     FactorizationMismatch,
     GraphNode,
@@ -61,6 +62,20 @@ def test_graph_eval_matches_formula_eval():
         n = g.widths[0]
         for x in FiniteGrid(3, n).points():
             assert graph_eval(g, x) == evaluate(rep, x)
+
+
+def test_graph_eval_composes_per_node_evaluate():
+    rng = random.Random(43)
+    for _ in range(30):
+        g = random_graph(rng)
+        for x in FiniteGrid(2, g.widths[0]).points():
+            values = list(x)
+            for level in g.nodes:
+                formulas = [node.formula for node in level]
+                each = [evaluate(f, values) for f in formulas]
+                assert evaluate_all(formulas, values) == each
+                values = each
+            assert graph_eval(g, x) == values[0]
 
 
 def test_extraction_output_is_normal():
@@ -174,6 +189,52 @@ def test_graph_json_roundtrip():
         for i in range(1, g.widths[j] + 1):
             assert g2.node(j, i).formula is g.node(j, i).formula
             assert g2.node(j, i).certificate == g.node(j, i).certificate
+
+
+# Clamp pairs clip(m.x + b) on [0,1]^3 of rising weight: the expanded tree
+# of the largest node grows about tenfold per unit of weight.
+CLAMP_PAIRS = [((2, 1, 1), -1), ((3, 2, 1), -2), ((3, 3, 2), -2), ((4, 3, 2), -4),
+               ((5, 4, 3), -5), ((6, 5, 4), -9), ((6, 5, 4), -6), ((7, 6, 5), -7)]
+
+
+def clamp_pair_graph(row, bias) -> SubstitutionGraph:
+    return extract_graph(
+        net(3, layer([list(row), list(row)], [bias, bias - 1], ["relu", "relu"]), layer([[1, -1]], [0], ["none"]))
+    )
+
+
+def node_formulas(g: SubstitutionGraph) -> list:
+    return [node.formula for level in g.nodes for node in level]
+
+
+@pytest.mark.parametrize("row,bias", CLAMP_PAIRS)
+def test_graph_json_is_linear_in_the_dag(row, bias):
+    g = clamp_pair_graph(row, bias)
+    text = graph_to_json(g)
+    back = graph_from_json(text)
+    assert back.widths == g.widths
+    for level, back_level in zip(g.nodes, back.nodes):
+        for node, back_node in zip(level, back_level):
+            assert back_node.formula is node.formula
+            assert back_node.certificate == node.certificate
+    assert graph_to_json(back) == text
+    assert len(text) <= 64 * len(postorder(*node_formulas(g))) + 512
+
+
+def test_graph_json_does_not_depend_on_creation_order():
+    row, bias = (5, 4, 3), -5
+    g = clamp_pair_graph(row, bias)
+    text = graph_to_json(g)
+    subterms = [to_text(f) for f in postorder(*node_formulas(g))]
+    del g
+    gc.collect()
+    # Create the subterms again, last first, so that siblings get their
+    # serials in another order, then extract the same graph.
+    unrelated = [fm.parse(t) for t in reversed(subterms)]
+    g = clamp_pair_graph(row, bias)
+    assert [to_text(f) for f in postorder(*node_formulas(g))] != subterms
+    assert graph_to_json(g) == text
+    del unrelated
 
 
 def test_graph_validation():
