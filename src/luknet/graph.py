@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import formula as fm
 from .formula import Formula, substitute
-from .numerics import format_rational, json_int, parse_rational
+from .numerics import format_rational, json_field, json_int, json_list, parse_rational
 
 if TYPE_CHECKING:
     from .extract import MintermCertificate
@@ -266,33 +266,34 @@ def graph_to_dict(g: SubstitutionGraph) -> dict:
 
 
 def graph_from_dict(data: dict) -> SubstitutionGraph:
+    """The graph of a wire-format dict; a malformed shape is a ValueError that
+    names the field, a malformed term table a GraphError or FormulaError."""
     from .extract import MintermCertificate
 
     if not isinstance(data, dict) or "terms" not in data:
         raise GraphError('graph has no "terms" table (files without one predate the term-table format)')
     formulas = fm.from_terms(data["terms"])
+    widths = json_list(json_field(data, "widths", "graph"), "widths")
     levels = []
-    for j, level in enumerate(data["nodes"], start=1):
+    for j, level in enumerate(json_list(json_field(data, "nodes", "graph"), "nodes"), start=1):
         nodes = []
-        for i, entry in enumerate(level, start=1):
-            k = json_int(entry["formula"], f"formula index of node ({j},{i})")
+        for i, entry in enumerate(json_list(level, f"nodes of level {j}"), start=1):
+            where = f"node ({j},{i})"
+            k = json_int(json_field(entry, "formula", where), f"formula index of {where}")
             if not 0 <= k < len(formulas):
-                raise GraphError(f"node ({j},{i}) names term {k}, outside the {len(formulas)} terms")
+                raise GraphError(f"{where} names term {k}, outside the {len(formulas)} terms")
             cert = entry.get("certificate")
-            nodes.append(
-                GraphNode(
-                    formula=formulas[k],
-                    certificate=None
-                    if cert is None
-                    else MintermCertificate(
-                        m=tuple(parse_rational(c) for c in cert["m"]),
-                        b=parse_rational(cert["b"]),
-                        flavor=cert["flavor"],
-                    ),
+            if cert is not None:
+                what = f"certificate of {where}"
+                m = json_list(json_field(cert, "m", what), f"{what} m")
+                cert = MintermCertificate(
+                    m=tuple(parse_rational(c) for c in m),
+                    b=parse_rational(json_field(cert, "b", what)),
+                    flavor=json_field(cert, "flavor", what),
                 )
-            )
+            nodes.append(GraphNode(formula=formulas[k], certificate=cert))
         levels.append(tuple(nodes))
-    return SubstitutionGraph(tuple(json_int(w, "width") for w in data["widths"]), tuple(levels))
+    return SubstitutionGraph(tuple(json_int(w, "width") for w in widths), tuple(levels))
 
 
 def graph_to_json(g: SubstitutionGraph) -> str:

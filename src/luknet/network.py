@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .numerics import Interval, format_rational, json_int, parse_rational
+from .numerics import Interval, format_rational, json_field, json_int, json_list, parse_rational
 
 RELU = "relu"
 CLIP = "clip"
@@ -212,15 +212,21 @@ def network_to_dict(net: Network) -> dict:
 
 
 def network_from_dict(data: dict) -> Network:
-    layers = tuple(
-        Layer(
-            weights=tuple(tuple(parse_rational(w) for w in row) for row in spec["weights"]),
-            biases=tuple(parse_rational(b) for b in spec["biases"]),
-            activations=tuple(spec["activation"]),
+    """The network of a wire-format dict; a malformed shape is a ValueError
+    that names the field."""
+    layers = []
+    for j, spec in enumerate(json_list(json_field(data, "layers", "network"), "layers"), start=1):
+        where = f"layer {j}"
+        rows = json_list(json_field(spec, "weights", where), f"{where} weights")
+        biases = json_list(json_field(spec, "biases", where), f"{where} biases")
+        acts = json_list(json_field(spec, "activation", where), f"{where} activation")
+        weights = tuple(
+            tuple(parse_rational(w) for w in json_list(row, f"{where} weight row {i}"))
+            for i, row in enumerate(rows, start=1)
         )
-        for spec in data["layers"]
-    )
-    return Network(input_dim=json_int(data["input_dim"], "input_dim"), layers=layers)
+        layers.append(Layer(weights, tuple(parse_rational(b) for b in biases), tuple(acts)))
+    input_dim = json_int(json_field(data, "input_dim", "network"), "input_dim")
+    return Network(input_dim=input_dim, layers=tuple(layers))
 
 
 def network_to_json(net: Network) -> str:

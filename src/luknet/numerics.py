@@ -1,19 +1,21 @@
-"""Exact rational scalars, closed intervals, and an exact linear-program solver.
+"""Exact rational scalars, closed intervals, JSON field readers, and an exact
+linear-program solver.
 
-Everything in this package computes over arbitrary-precision rationals; no
-floating point is used anywhere.  Rationals are the standard-library
-``fractions.Fraction``, which already guarantees lowest terms and a positive
-denominator.
+Everything in this package is exact; no floating point is used anywhere.
+Rationals are the standard-library ``fractions.Fraction``, which already
+guarantees lowest terms and a positive denominator.  The simplex runs on a
+tableau of Python ints (each row a positive multiple of its rational row)
+and returns its optimum as a Fraction.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
@@ -36,6 +38,23 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_list(value, what: str) -> list:
+    """A JSON array as is; anything else is bad input."""
+    if type(value) is not list:
+        raise ValueError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
+def json_field(obj, key: str, what: str):
+    """The member ``key`` of the JSON object ``what``; a non-object or a
+    missing member is bad input."""
+    if type(obj) is not dict:
+        raise ValueError(f"{what} must be an object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f'{what} has no "{key}"')
+    return obj[key]
+
+
 def format_rational(q: Fraction) -> str:
     """Inverse of :func:`parse_rational`; ``str`` of Fraction is already canonical."""
     return str(q)
@@ -55,36 +74,59 @@ class Interval:
     def encloses(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
 
 # ---------------------------------------------------------------------------
-# Exact two-phase simplex with Bland's rule over the unit cube.
+# Exact two-phase simplex with Bland's rule over the unit cube, fraction-free.
 #
 # Every LP in this package lives in [0,1]^d, so the solver owns the cube:
 # the columns are x itself (x >= 0 comes free), and the upper faces x_i <= 1
 # are d slack rows that start basic and feasible.  Callers pass only the rows
 # that cut the cube; only a row with a negative bound needs phase 1.
+#
+# The tableau holds Python ints (Bareiss; Azulay & Pique, ACM TOMS 2001):
+# each row is a positive multiple of the row of the rational tableau, scaled
+# once to integers and divided by its gcd after every pivot.  The objective
+# row carries its own multiple in one extra column.  Signs and ratios do not
+# change under a positive multiple, so the pivots are those of the rational
+# tableau.
 # ---------------------------------------------------------------------------
 
-Constraint = tuple[Sequence[Fraction], Fraction]  # coeffs . x <= bound
+Constraint = tuple[Sequence[Fraction], Fraction]  # coeffs . x <= bound; int or Fraction
 
 
-def _pivot(rows: list[list[Fraction]], basis: list[int], r: int, c: int) -> None:
-    piv = rows[r][c]
-    if piv != 1:
-        rows[r] = [v / piv for v in rows[r]]
+def _scale(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
+    """A row of ints or Fractions times s, the lcm of its denominators, and s."""
+    s = lcm(*(v.denominator for v in values))
+    return [v.numerator * (s // v.denominator) for v in values], s
+
+
+def _reduce(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return row if g <= 1 else [v // g for v in row]
+
+
+def _eliminate(row: list[int], prow: list[int], c: int) -> list[int]:
+    """piv*row - f*prow, which has 0 in column c, divided by its gcd.
+
+    A row longer than prow (the objective's multiple) has its tail scaled by piv.
+    """
+    piv, f = prow[c], row[c]
+    out = [piv * a - f * b if b else piv * a for a, b in zip(row, prow)]
+    out += [piv * a for a in row[len(prow):]]
+    return _reduce(out)
+
+
+def _pivot(rows: list[list[int]], basis: list[int], r: int, c: int) -> None:
+    if rows[r][c] < 0:  # only when driving out a zero-level artificial
+        rows[r] = [-v for v in rows[r]]
     prow = rows[r]
     for i, row in enumerate(rows):
         if i != r and row[c] != 0:
-            f = row[c]
-            rows[i] = [a if b == 0 else a - f * b for a, b in zip(row, prow)]
+            rows[i] = _eliminate(row, prow, c)
     basis[r] = c
 
 
-def _run_simplex(rows: list[list[Fraction]], basis: list[int], ncols: int) -> None:
+def _run_simplex(rows: list[list[int]], basis: list[int], ncols: int) -> None:
     """Minimize the objective in the last row in-place. Bland's rule throughout."""
     m = len(rows) - 1
     obj = rows[m]
@@ -92,16 +134,35 @@ def _run_simplex(rows: list[list[Fraction]], basis: list[int], ncols: int) -> No
         enter = next((j for j in range(ncols) if obj[j] < 0), None)
         if enter is None:
             return
-        leave, best = None, None
+        leave = None
         for i in range(m):
-            a = rows[i][enter]
+            row = rows[i]
+            a = row[enter]
             if a > 0:
-                ratio = rows[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    leave, best = i, ratio
+                if leave is None:
+                    leave, num, den = i, row[-1], a
+                    continue
+                # row[-1]/a against num/den, both denominators positive.
+                lhs, rhs = row[-1] * den, num * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, num, den = i, row[-1], a
         assert leave is not None, "the cube bounds every column"
         _pivot(rows, basis, leave, enter)
         obj = rows[m]
+
+
+def _objective(
+    coeffs: list[int], mult: int, rows: list[list[int]], basis: list[int]
+) -> list[int]:
+    """The objective row coeffs/mult priced out against the basis.
+
+    Its last entry is its multiple: the rational row is obj[:-1] / obj[-1].
+    """
+    obj = coeffs + [mult]
+    for row, b in zip(rows, basis):
+        if obj[b] != 0:
+            obj = _eliminate(obj, row, b)
+    return obj
 
 
 def _two_phase(
@@ -115,37 +176,35 @@ def _two_phase(
     m = len(constraints)
     ncols = 2 * d + m
     nart = sum(1 for _, bound in constraints if bound < 0)
+    width = ncols + nart + 1
     # Columns: x_1..x_d, upper-face slacks, row slacks, artificials, rhs.
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     basis: list[int] = []
     for i in range(d):  # x_i + s_i = 1
-        row = [ZERO] * (ncols + nart + 1)
-        row[i] = row[d + i] = row[-1] = ONE
+        row = [0] * width
+        row[i] = row[d + i] = row[-1] = 1
         rows.append(row)
         basis.append(d + i)
     art = ncols
     for k, (coeffs, bound) in enumerate(constraints):
         if len(coeffs) != d:
             raise ValueError("constraint arity mismatch")
-        row = [Fraction(c) for c in coeffs] + [ZERO] * (d + m + nart) + [Fraction(bound)]
-        row[2 * d + k] = ONE
+        scaled, s = _scale([*coeffs, bound])
+        row = scaled[:-1] + [0] * (d + m + nart) + scaled[-1:]
+        row[2 * d + k] = s
         if row[-1] < 0:
             row = [-v for v in row]
-            row[art] = ONE
+            row[art] = s
             basis.append(art)
             art += 1
         else:
             basis.append(2 * d + k)
-        rows.append(row)
+        rows.append(_reduce(row))
 
     if nart:
-        obj = [ZERO] * ncols + [ONE] * nart + [ZERO]
-        for row, b in zip(rows, basis):
-            if b >= ncols:
-                obj = [a - v for a, v in zip(obj, row)]
-        rows.append(obj)
+        rows.append(_objective([0] * ncols + [1] * nart + [0], 1, rows, basis))
         _run_simplex(rows, basis, ncols + nart)
-        if rows.pop()[-1] != 0:
+        if rows.pop()[-2] != 0:
             raise Infeasible("empty feasible region")
         # Drive any zero-level artificial out of the basis, then drop the
         # artificial columns.  Every row has its own slack, so the rows are
@@ -157,14 +216,11 @@ def _two_phase(
     if objective is None:
         return None
 
-    obj = [Fraction(c) for c in objective] + [ZERO] * (d + m + 1)
-    for row, b in zip(rows, basis):
-        if obj[b] != 0:
-            f = obj[b]
-            obj = [a - f * v for a, v in zip(obj, row)]
-    rows.append(obj)
+    coeffs, s = _scale(objective)
+    rows.append(_objective(coeffs + [0] * (d + m + 1), s, rows, basis))
     _run_simplex(rows, basis, ncols)
-    return -rows[-1][-1]
+    *_, rhs, mult = rows[-1]
+    return Fraction(-rhs, mult)
 
 
 def lp_feasible(constraints: Sequence[Constraint], d: int) -> bool:
@@ -195,5 +251,5 @@ def lp_extremum(
     if sense == "min":
         return _two_phase(cons, d, objective) + constant
     if sense == "max":
-        return -_two_phase(cons, d, [-Fraction(c) for c in objective]) + constant
+        return -_two_phase(cons, d, [-c for c in objective]) + constant
     raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")

@@ -241,6 +241,16 @@ def test_tent_rewrite_failure_is_one_line(tmp_path, capsys):
     assert err == "trace failed: step 0: subformula at position [] is not an instance of the right side of Ax7\n"
 
 
+def graph_nodes(nodes):
+    return {"widths": [1, 1], "terms": ["x1"], "nodes": nodes}
+
+
+def cert(**fields):
+    fields = {"m": ["1"], "b": "0", "flavor": "integer", **fields}
+    certificate = {k: v for k, v in fields.items() if v is not None}
+    return graph_nodes([[{"formula": 0, "certificate": certificate}]])
+
+
 def graph_file(terms, index=1):
     return {"widths": [1, 1], "terms": terms, "nodes": [[{"formula": index, "certificate": None}]]}
 
@@ -267,6 +277,17 @@ def graph_file(terms, index=1):
         (graph_file(["x1", 1]), "not a string"),
         (graph_file("x1"), "list of strings"),
         ({"widths": [1, 1], "nodes": [[{"formula": "(not x1)", "certificate": None}]]}, '"terms"'),
+        (graph_nodes(5), "nodes must be a list"),
+        (graph_nodes([5]), "nodes of level 1 must be a list"),
+        (graph_nodes([[5]]), "node (1,1) must be an object"),
+        (graph_nodes([[{"certificate": None}]]), 'node (1,1) has no "formula"'),
+        (graph_nodes([[{"formula": 0, "certificate": 5}]]), "certificate of node (1,1) must be"),
+        (cert(m=5), "certificate of node (1,1) m must be a list"),
+        (cert(b=None), 'certificate of node (1,1) has no "b"'),
+        (cert(flavor=None), 'certificate of node (1,1) has no "flavor"'),
+        ({"terms": ["x1"], "nodes": [[{"formula": 0}]]}, 'graph has no "widths"'),
+        ({"widths": 2, "terms": ["x1"], "nodes": [[{"formula": 0}]]}, "widths must be a list"),
+        ({"widths": [1, 1], "terms": ["x1"]}, 'graph has no "nodes"'),
     ],
 )
 def test_malformed_term_table_exits_two(tmp_path, capsys, data, message):
@@ -291,3 +312,45 @@ def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_bounds_budget_error_is_one_line(fixtures_dir, capsys):
+    code, out, err = run(capsys, "bounds", str(fixtures_dir / "dag.json"), "--budget", "1")
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("budget exceeded: branch-and-bound budget of 1 exceeded at node (")
+    assert err.rstrip().endswith(("while minimising", "while maximising"))
+
+
+def one_layer(**fields):
+    spec = {"weights": [["1"]], "biases": ["0"], "activation": ["none"], **fields}
+    return {"input_dim": 1, "layers": [{k: v for k, v in spec.items() if v is not None}]}
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        ([], "network must be an object"),
+        ({"input_dim": 1, "layers": 5}, "layers must be a list"),
+        ({"input_dim": 1, "layers": [5]}, "layer 1 must be an object"),
+        ({"layers": one_layer()["layers"]}, 'network has no "input_dim"'),
+        ({"input_dim": 1}, 'network has no "layers"'),
+        (one_layer(weights=3), "layer 1 weights must be a list"),
+        (one_layer(weights=[3]), "layer 1 weight row 1 must be a list"),
+        (one_layer(biases="0"), "layer 1 biases must be a list"),
+        (one_layer(activation="none"), "layer 1 activation must be a list"),
+        (one_layer(activation=None), 'layer 1 has no "activation"'),
+        (one_layer(weights=None), 'layer 1 has no "weights"'),
+        (one_layer(biases=None), 'layer 1 has no "biases"'),
+    ],
+)
+def test_malformed_network_shape_exits_two(tmp_path, capsys, data, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "bounds", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+    assert message in err

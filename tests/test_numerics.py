@@ -149,3 +149,34 @@ def test_lp_matches_vertex_enumeration():
         assert lp_extremum(obj, cuts, "max") == max(values)
         checked += 1
     assert checked >= 30
+
+
+def test_lp_int_fraction_and_scaled_rows_agree():
+    # The tableau is integer: int rows, the same rows as Fractions, and each
+    # row times its own positive rational give the same optimum (the
+    # objective times k scales it by k).
+    rng = random.Random(8)
+    feasible = 0
+    for _ in range(200):
+        d = rng.randint(1, 4)
+        rows = [
+            ([rng.randint(-4, 4) for _ in range(d)], rng.randint(-3, 5))
+            for _ in range(rng.randint(0, 5))
+        ]
+        obj = [rng.randint(-4, 4) for _ in range(d)]
+        k, *ks = (F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(len(rows) + 1))
+        variants = [
+            (obj, rows),
+            ([F(c) for c in obj], [([F(c) for c in r], F(b)) for r, b in rows]),
+            ([k * c for c in obj], [([q * c for c in r], q * b) for q, (r, b) in zip(ks, rows)]),
+        ]
+        ok = {lp_feasible(cons, d) for _, cons in variants}
+        assert len(ok) == 1
+        if not ok.pop():
+            continue
+        feasible += 1
+        for sense in ("min", "max"):
+            got = [lp_extremum(o, cons, sense) for o, cons in variants]
+            assert got[0] == got[1] == got[2] / k
+            assert all(type(v) is F for v in got)
+    assert feasible >= 100
