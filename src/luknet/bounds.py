@@ -13,6 +13,14 @@ then an int numerator over d_j: a pre-activation is R_j.V + c_j*d_{j-1} with
 R_j = s_j*W_j and c_j = s_j*b_j, relu is max(t, 0) and clip clamps to
 [0, d_j].  Affine forms, interval bounds and cut rows are numerators over
 their level's denominator, and a leaf's value is (LP optimum + constant)/d_j.
+
+The search state follows the depth-first walk.  Each branch adds the cut
+rows of its regime to the simplex tableau its parent left feasible
+(``numerics.cut``, a dual simplex under Bland's rule) instead of solving
+from scratch, and a leaf minimises over its tableau (``numerics.minimum``).
+Tableaux are cached by their rows and shared by the min and the max run.
+Each fixed node stores its post-activation box next to its form, so the
+pruning pass starts at the level of the node fixed last.
 """
 from __future__ import annotations
 
@@ -21,7 +29,10 @@ from math import lcm
 from typing import NamedTuple, Sequence
 
 from .network import CLIP, NONE, RELU, Network, NodeRef, apply_activation, node_local_map
-from .numerics import Infeasible, Interval, lp_extremum, lp_feasible
+from .numerics import Interval, Tableau, cube, cut, minimum
+
+# perfbench/freeze.py counts calls to these two by their names in this module.
+from .numerics import lp_extremum, lp_feasible  # noqa: F401
 
 
 class BudgetExceeded(Exception):
@@ -94,25 +105,25 @@ def _activate(act: str, t: int, one: int) -> int:
 
 
 def _interval_pass(
-    levels: Sequence[_Level], i: int, fixed: Sequence[Sequence[AffineForm | None]]
+    levels: Sequence[_Level], i: int, fixed: Sequence[Sequence[Box | None]], start: int = 0
 ) -> tuple[list[list[Box | None]], Box]:
-    """One layer-wise interval pass from the cube up to node i (0-based) of
-    the last level.
+    """One layer-wise interval pass up to node i (0-based) of the last level.
 
-    Returns the pre-activation box of every node in the levels below,
-    grouped by level, and that of the node itself.  A node whose regime is
-    fixed to an affine form in ``fixed`` takes its post-activation box from
-    that form's box bound; its own pre-activation entry is None.
+    A node whose regime is fixed has its post-activation box in ``fixed``;
+    the pass starts at level ``start`` (0-based), and every level below it
+    must be fully fixed.  Returns the pre-activation box of every node in
+    the levels it computed, grouped by level (None for a fixed node), and
+    that of the node itself.
     """
-    post: list[Box] = [(0, 1)] * len(levels[0].rows[0])
+    post: Sequence[Box | None] = fixed[start - 1] if start else [(0, 1)] * len(levels[0].rows[0])
     below: list[list[Box | None]] = []
-    for level, forms in zip(levels[:-1], fixed):
+    for level, boxes in zip(levels[start:-1], fixed[start:]):
         pre: list[Box | None] = []
         nxt: list[Box] = []
-        for row, b, act, form in zip(level.rows, level.biases, level.activations, forms):
-            if form is not None:
+        for row, b, act, box in zip(level.rows, level.biases, level.activations, boxes):
+            if box is not None:
                 pre.append(None)
-                nxt.append(_form_box(form))
+                nxt.append(box)
                 continue
             lo, hi = _box(row, b, post)
             pre.append((lo, hi))
@@ -123,7 +134,7 @@ def _interval_pass(
     return below, _box(top.rows[i], top.biases[i], post)
 
 
-def _no_forms(levels: Sequence[_Level]) -> list[list[AffineForm | None]]:
+def _unfixed(levels: Sequence[_Level]) -> list[list[None]]:
     return [[None] * len(level.rows) for level in levels[:-1]]
 
 
@@ -134,42 +145,43 @@ def interval_propagation(net: Network, ref: NodeRef) -> Interval:
     """
     node_local_map(net, ref)  # validates the reference
     levels = _scaled_levels(net, ref.layer)
-    _, (lo, hi) = _interval_pass(levels, ref.index - 1, _no_forms(levels))
+    _, (lo, hi) = _interval_pass(levels, ref.index - 1, _unfixed(levels))
     den = levels[-1].den
     return Interval(Fraction(lo, den), Fraction(hi, den))
 
 
-def _branches(act: str, form: AffineForm, one: int) -> list[tuple[tuple, AffineForm]]:
-    """(cut rows, output form) of each regime of a node with pre-activation
-    ``form`` over denominator ``one`` that the form's box bound leaves feasible.
+def _branches(act: str, form: AffineForm, one: int) -> list[tuple[tuple, AffineForm, Box]]:
+    """(cut rows, output form, its box bound) of each regime of a node with
+    pre-activation ``form`` over denominator ``one`` that the form's box
+    bound leaves feasible.
 
     Regimes: relu t<=0 -> 0, t>=0 -> t; clip t<=0 -> 0, 0<=t<=1 -> t, t>=1 -> 1.
     A regime the box bound forces needs no cut row.
     """
     coeffs, const = form
-    lo, hi = _form_box(form)
+    lo, hi = box = _form_box(form)
     neg = tuple(-c for c in coeffs)
     zero: AffineForm = ((0,) * len(coeffs), 0)
     le0 = ((coeffs, -const),)
     ge0 = ((neg, const),)
     if act == RELU:
         if hi <= 0:
-            return [((), zero)]
+            return [((), zero, (0, 0))]
         if lo >= 0:
-            return [((), form)]
-        return [(le0, zero), (ge0, form)]
+            return [((), form, box)]
+        return [(le0, zero, (0, 0)), (ge0, form, box)]
     if act == CLIP:
         top: AffineForm = (zero[0], one)
         if hi < 0:
-            return [((), zero)]
+            return [((), zero, (0, 0))]
         if lo > one:
-            return [((), top)]
+            return [((), top, (one, one))]
         if lo >= 0 and hi <= one:
-            return [((), form)]
-        out = [(le0, zero)] if lo <= 0 else []
-        out.append((ge0 + ((coeffs, one - const),), form))
+            return [((), form, box)]
+        out = [(le0, zero, (0, 0))] if lo <= 0 else []
+        out.append((ge0 + ((coeffs, one - const),), form, box))
         if hi >= one:
-            out.append((((neg, const - one),), top))
+            out.append((((neg, const - one),), top, (one, one)))
         return out
     raise AssertionError(f"activation {act!r} has no regimes")
 
@@ -185,17 +197,22 @@ def exact_extrema(
     ``activated`` selects the post-activation value; the default is the
     pre-activation input to the node (for the output node with no activation
     the two coincide).  Raises BudgetExceeded when the regime search visits
-    more than ``node_budget`` branches.
+    more than ``node_budget`` branches, and ValueError for a budget below 1.
     """
+    if node_budget is not None and node_budget < 1:
+        raise ValueError(f"node budget must be a positive integer, got {node_budget}")
     ref = NodeRef(net.depth, 1) if node == "output" else node
     _, _, act = node_local_map(net, ref)  # validates the reference
     levels = _scaled_levels(net, ref.layer)
     top = ref.index - 1
-    forms = _no_forms(levels)  # forms[j-1][i]: the fixed form of node (j, i+1)
+    # forms[j-1][i] and boxes[j-1][i]: the fixed form of node (j, i+1) and
+    # its post-activation box.
+    forms: list[list[AffineForm | None]] = _unfixed(levels)
+    boxes: list[list[Box | None]] = _unfixed(levels)
 
     # Upstream nodes (level, 0-based index), level by level; inside a level
     # widest IA slack first.
-    below, _ = _interval_pass(levels, top, forms)
+    below, _ = _interval_pass(levels, top, boxes)
     upstream: list[tuple[int, int]] = []
     for j, pre in enumerate(below, start=1):
         order = sorted(range(len(pre)), key=lambda i: pre[i][1] - pre[i][0], reverse=True)
@@ -208,21 +225,31 @@ def exact_extrema(
         return _combine(level.rows[i], level.biases[i], forms[j - 2])
 
     visited = 0
-    feasible_cache: dict[tuple, bool] = {}
+    # The tableau of each set of cut rows probed so far, None when they cut
+    # the cube empty.
+    tableaux: dict[tuple, Tableau | None] = {}
 
-    def cached_feasible(extra: tuple) -> bool:
-        got = feasible_cache.get(extra)
-        if got is None:
-            got = lp_feasible(list(extra), net.input_dim)
-            feasible_cache[extra] = got
-        return got
+    def tableau(key: tuple, state: Tableau, rows: tuple) -> Tableau | None:
+        """The tableau of the rows in ``key``: ``state`` cut by the last ``rows``."""
+        if key not in tableaux:
+            tableaux[key] = cut(state, rows)
+        return tableaux[key]
 
     def optimize(sense: str) -> Fraction:
         # The incumbent is a value of the node times its level's denominator.
         incumbent: Fraction | None = None
 
-        def search(idx: int, extra: tuple) -> None:
+        def search(idx: int, key: tuple, state: Tableau, rows: tuple) -> None:
+            """Visit the branch that fixed upstream[:idx].  ``key`` holds the
+            cut rows of its nodes, and ``state`` the tableau of all of them
+            but ``rows``, those of the node fixed last."""
             nonlocal incumbent, visited
+            leaf = idx == len(upstream)
+            # Probes pay off only above leaves; a leaf cuts after its prune check.
+            if rows and not leaf:
+                state = tableau(key, state, rows)
+                if state is None:
+                    return
             visited += 1
             if node_budget is not None and visited > node_budget:
                 j, i = upstream[idx] if idx < len(upstream) else (ref.layer, top)
@@ -231,37 +258,34 @@ def exact_extrema(
                     f"while {'maximising' if sense == 'max' else 'minimising'}"
                 )
             if incumbent is not None:
-                _, (lo, hi) = _interval_pass(levels, top, forms)
+                # Every level below that of the node fixed last is fixed.
+                start = upstream[idx - 1][0] - 1 if idx else 0
+                _, (lo, hi) = _interval_pass(levels, top, boxes, start)
                 if sense == "max" and hi <= incumbent:
                     return
                 if sense == "min" and lo >= incumbent:
                     return
-            if idx == len(upstream):
+            if leaf:
+                if rows:
+                    state = tableau(key, state, rows)
+                    if state is None:
+                        return
                 coeffs, const = node_form(ref.layer, top)
-                try:
-                    val = lp_extremum(coeffs, list(extra), sense, constant=const)
-                except Infeasible:
-                    return
-                if incumbent is None:
-                    incumbent = val
-                elif sense == "max":
-                    incumbent = max(incumbent, val)
+                if sense == "min":
+                    val = const + minimum(state, coeffs)
+                    incumbent = val if incumbent is None else min(incumbent, val)
                 else:
-                    incumbent = min(incumbent, val)
+                    val = const - minimum(state, [-c for c in coeffs])
+                    incumbent = val if incumbent is None else max(incumbent, val)
                 return
             j, i = upstream[idx]
             level = levels[j - 1]
-            last = idx == len(upstream) - 1
-            for rows, out_form in _branches(level.activations[i], node_form(j, i), level.den):
-                # Feasibility probes pay off only above leaves; leaf LPs catch
-                # their own infeasibility.
-                if rows and not last and not cached_feasible(extra + rows):
-                    continue
-                forms[j - 1][i] = out_form
-                search(idx + 1, extra + rows)
-                forms[j - 1][i] = None
+            for rows, form, box in _branches(level.activations[i], node_form(j, i), level.den):
+                forms[j - 1][i], boxes[j - 1][i] = form, box
+                search(idx + 1, key + rows, state, rows)
+            forms[j - 1][i] = boxes[j - 1][i] = None
 
-        search(0, ())
+        search(0, (), cube(net.input_dim), ())
         assert incumbent is not None  # the cube is never empty
         return incumbent / levels[-1].den
 

@@ -65,10 +65,21 @@ def _load_any(path: str):
 
 
 def _node_budget(args) -> int | None:
+    """--budget, else $LUK_NODE_BUDGET, else None; a set budget must be a
+    positive integer."""
     if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get("LUK_NODE_BUDGET")
-    return int(env) if env else None
+        name, text = "--budget", str(args.budget)
+    else:
+        name, text = "LUK_NODE_BUDGET", os.environ.get("LUK_NODE_BUDGET")
+        if not text:
+            return None
+    try:
+        budget = int(text)
+        if budget >= 1:
+            return budget
+    except ValueError:
+        pass
+    raise InputError(f"{name} must be a positive integer, got {text}")
 
 
 def _cmd_extract(args) -> int:
@@ -175,7 +186,10 @@ def _cmd_axioms(args) -> int:
 def _cmd_bounds(args) -> int:
     net = network_from_json(_read(args.network))
     if args.node:
-        j, i = (int(p) for p in args.node.split(","))
+        try:
+            j, i = (int(p) for p in args.node.split(","))
+        except ValueError:
+            raise InputError(f"--node must be LAYER,INDEX, got {args.node}") from None
         ref: NodeRef | str = NodeRef(j, i)
         label = f"node ({j},{i})"
     else:

@@ -133,33 +133,12 @@ def input_interval(weights: Sequence[Fraction], bias: Fraction) -> Interval:
     return Interval(lo, hi)
 
 
-def _activity_witnesses(net: Network) -> dict[NodeRef, tuple[bool, bool]]:
-    """(saw value > 0, saw value <= 0) per hidden node, from sample points.
-
-    Witness points prove the existential activity clause outright; nodes
-    without both witnesses still go through exact extrema.
-    """
-    import itertools
-
-    d = net.input_dim
-    points = list(itertools.product((Fraction(0), Fraction(1, 2), Fraction(1)), repeat=d))
-    seen: dict[NodeRef, tuple[bool, bool]] = {}
-    for x in points:
-        pres = node_preactivations(net, x)
-        for j in range(1, net.depth):
-            for i, t in enumerate(pres[j - 1], start=1):
-                pos, nonpos = seen.get(NodeRef(j, i), (False, False))
-                seen[NodeRef(j, i)] = (pos or t > 0, nonpos or t <= 0)
-    return seen
-
-
 def is_non_degenerate(net: Network, node_budget: int | None = None) -> tuple[bool, str | None]:
     """Check the three non-degeneracy clauses; returns (ok, first violation).
 
     (a) every hidden node's global pre-activation map attains a value > 0 and
-        a value <= 0 over the cube: proven by exact extrema via the bounds
-        module, with sample-point witnesses as a shortcut for the existential
-        direction (the boolean is unaffected);
+        a value <= 0 over the cube: settled by the exact extrema of every
+        hidden node (``bounds.exact_extrema``, under ``node_budget``);
     (b) the output node has a nonzero incoming weight;
     (c) no two same-layer nodes share an identical local map.
     """
@@ -179,11 +158,8 @@ def is_non_degenerate(net: Network, node_budget: int | None = None) -> tuple[boo
                     f"({ref.layer},{ref.index}) have identical local maps"
                 )
             seen[key] = ref
-    witnesses = _activity_witnesses(net)
     for j in range(1, net.depth):  # hidden layers only
         for i in range(1, net.width(j) + 1):
-            if witnesses.get(NodeRef(j, i)) == (True, True):
-                continue
             iv = bounds.exact_extrema(net, NodeRef(j, i), node_budget=node_budget)
             if iv.hi <= 0:
                 return False, f"hidden node ({j},{i}) is never active (max {iv.hi} <= 0)"

@@ -4,8 +4,8 @@ linear-program solver.
 Everything in this package is exact; no floating point is used anywhere.
 Rationals are the standard-library ``fractions.Fraction``, which already
 guarantees lowest terms and a positive denominator.  The simplex runs on a
-tableau of Python ints (each row a positive multiple of its rational row)
-and returns its optimum as a Fraction.
+tableau of Python ints (each row a positive multiple of its rational row),
+is cut one batch of rows at a time, and returns its optimum as a Fraction.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 ZERO = Fraction(0)
 
@@ -76,12 +76,27 @@ class Interval:
 
 
 # ---------------------------------------------------------------------------
-# Exact two-phase simplex with Bland's rule over the unit cube, fraction-free.
+# Incremental exact simplex over the unit cube, fraction-free.
 #
 # Every LP in this package lives in [0,1]^d, so the solver owns the cube:
 # the columns are x itself (x >= 0 comes free), and the upper faces x_i <= 1
-# are d slack rows that start basic and feasible.  Callers pass only the rows
-# that cut the cube; only a row with a negative bound needs phase 1.
+# are its first d rows, whose slacks start basic and feasible.  A Tableau
+# holds a feasible basis of the cube cut by the rows so far; callers pass
+# only the rows that cut it.  There is one simplex core with two entry points:
+#
+# - cut(state, rows) adds each row with its own slack basic, priced out
+#   against the basis, and restores feasibility by a dual simplex with a zero
+#   objective.  Every dual ratio is then 0, so choosing the least index for
+#   both the leaving row (by its basic variable) and the entering column is
+#   Bland's rule on the dual LP, which cannot cycle (Bland, Math. OR 1977).
+#   A leaving row with no negative entry sets a sum of nonnegative terms to
+#   a negative value: the cut region is empty.
+# - minimum(state, objective) prices the objective into a copy of the state
+#   and runs the primal simplex, again with Bland's rule.
+#
+# A returned state is never changed again, so a depth-first search can cut
+# each child from the state its parent left feasible and come back to the
+# parent (incremental simplex as in Katz et al., "Reluplex", CAV 2017).
 #
 # The tableau holds Python ints (Bareiss; Azulay & Pique, ACM TOMS 2001):
 # each row is a positive multiple of the row of the rational tableau, scaled
@@ -92,6 +107,24 @@ class Interval:
 # ---------------------------------------------------------------------------
 
 Constraint = tuple[Sequence[Fraction], Fraction]  # coeffs . x <= bound; int or Fraction
+
+
+class Tableau(NamedTuple):
+    """A feasible basis of {x in [0,1]^d : the rows cut so far}.
+
+    Row r is [rhs, x_1..x_d, one slack column per row]; its own slack is
+    column d + 1 + r, and its basic column holds a positive entry.  The
+    first d rows are the upper faces x_i <= 1 (see :func:`cube`).
+    """
+
+    d: int
+    rows: tuple[list[int], ...]
+    basis: tuple[int, ...]
+
+
+def cube(d: int) -> Tableau:
+    """The bare cube [0,1]^d: its upper faces x_i <= 1 cut from no rows at all."""
+    return cut(Tableau(d, (), ()), [([int(i == k) for i in range(d)], 1) for k in range(d)])
 
 
 def _scale(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
@@ -116,8 +149,16 @@ def _eliminate(row: list[int], prow: list[int], c: int) -> list[int]:
     return _reduce(out)
 
 
+def _price_out(row: list[int], rows: Sequence[list[int]], basis: Sequence[int]) -> list[int]:
+    """The row with every basic column eliminated."""
+    for prow, b in zip(rows, basis):
+        if row[b] != 0:
+            row = _eliminate(row, prow, b)
+    return row
+
+
 def _pivot(rows: list[list[int]], basis: list[int], r: int, c: int) -> None:
-    if rows[r][c] < 0:  # only when driving out a zero-level artificial
+    if rows[r][c] < 0:  # the dual simplex pivots on a negative entry
         rows[r] = [-v for v in rows[r]]
     prow = rows[r]
     for i, row in enumerate(rows):
@@ -126,12 +167,13 @@ def _pivot(rows: list[list[int]], basis: list[int], r: int, c: int) -> None:
     basis[r] = c
 
 
-def _run_simplex(rows: list[list[int]], basis: list[int], ncols: int) -> None:
+def _run_simplex(rows: list[list[int]], basis: list[int]) -> None:
     """Minimize the objective in the last row in-place. Bland's rule throughout."""
     m = len(rows) - 1
     obj = rows[m]
+    width = len(obj) - 1  # the objective's multiple is no column
     while True:
-        enter = next((j for j in range(ncols) if obj[j] < 0), None)
+        enter = next((j for j in range(1, width) if obj[j] < 0), None)
         if enter is None:
             return
         leave = None
@@ -140,99 +182,68 @@ def _run_simplex(rows: list[list[int]], basis: list[int], ncols: int) -> None:
             a = row[enter]
             if a > 0:
                 if leave is None:
-                    leave, num, den = i, row[-1], a
+                    leave, num, den = i, row[0], a
                     continue
-                # row[-1]/a against num/den, both denominators positive.
-                lhs, rhs = row[-1] * den, num * a
+                # row[0]/a against num/den, both denominators positive.
+                lhs, rhs = row[0] * den, num * a
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave, num, den = i, row[-1], a
+                    leave, num, den = i, row[0], a
         assert leave is not None, "the cube bounds every column"
         _pivot(rows, basis, leave, enter)
         obj = rows[m]
 
 
-def _objective(
-    coeffs: list[int], mult: int, rows: list[list[int]], basis: list[int]
-) -> list[int]:
-    """The objective row coeffs/mult priced out against the basis.
-
-    Its last entry is its multiple: the rational row is obj[:-1] / obj[-1].
-    """
-    obj = coeffs + [mult]
-    for row, b in zip(rows, basis):
-        if obj[b] != 0:
-            obj = _eliminate(obj, row, b)
-    return obj
-
-
-def _two_phase(
-    constraints: Sequence[Constraint], d: int, objective: Sequence[Fraction] | None
-) -> Fraction | None:
-    """Minimum of objective.x over {x in [0,1]^d : coeffs.x <= bound}.
-
-    Returns None when only feasibility was requested (objective None) and the
-    region is nonempty.  Raises Infeasible when it is empty.
-    """
-    m = len(constraints)
-    ncols = 2 * d + m
-    nart = sum(1 for _, bound in constraints if bound < 0)
-    width = ncols + nart + 1
-    # Columns: x_1..x_d, upper-face slacks, row slacks, artificials, rhs.
-    rows: list[list[int]] = []
-    basis: list[int] = []
-    for i in range(d):  # x_i + s_i = 1
-        row = [0] * width
-        row[i] = row[d + i] = row[-1] = 1
-        rows.append(row)
-        basis.append(d + i)
-    art = ncols
-    for k, (coeffs, bound) in enumerate(constraints):
+def cut(state: Tableau, constraints: Sequence[Constraint]) -> Tableau | None:
+    """The state cut by coeffs.x <= bound for each constraint, or None when
+    the cut region is empty.  ``state`` itself is left as it is."""
+    d, k = state.d, len(constraints)
+    width = 1 + d + len(state.rows) + k
+    pad = [0] * k
+    rows = [row + pad for row in state.rows]
+    basis = list(state.basis)
+    for coeffs, bound in constraints:
         if len(coeffs) != d:
             raise ValueError("constraint arity mismatch")
-        scaled, s = _scale([*coeffs, bound])
-        row = scaled[:-1] + [0] * (d + m + nart) + scaled[-1:]
-        row[2 * d + k] = s
-        if row[-1] < 0:
-            row = [-v for v in row]
-            row[art] = s
-            basis.append(art)
-            art += 1
-        else:
-            basis.append(2 * d + k)
-        rows.append(_reduce(row))
+        scaled, s = _scale([bound, *coeffs])
+        row = scaled + [0] * (width - 1 - d)
+        slack = d + 1 + len(rows)
+        row[slack] = s
+        rows.append(_price_out(_reduce(row), rows, basis))
+        basis.append(slack)
+    while True:
+        leave = None
+        for i, row in enumerate(rows):
+            if row[0] < 0 and (leave is None or basis[i] < basis[leave]):
+                leave = i
+        if leave is None:
+            return Tableau(d, tuple(rows), tuple(basis))
+        row = rows[leave]
+        enter = next((j for j in range(1, width) if row[j] < 0), None)
+        if enter is None:
+            return None
+        _pivot(rows, basis, leave, enter)
 
-    if nart:
-        rows.append(_objective([0] * ncols + [1] * nart + [0], 1, rows, basis))
-        _run_simplex(rows, basis, ncols + nart)
-        if rows.pop()[-2] != 0:
-            raise Infeasible("empty feasible region")
-        # Drive any zero-level artificial out of the basis, then drop the
-        # artificial columns.  Every row has its own slack, so the rows are
-        # independent over the first ncols columns and a pivot always exists.
-        for i, b in enumerate(basis):
-            if b >= ncols:
-                _pivot(rows, basis, i, next(j for j in range(ncols) if rows[i][j] != 0))
-        rows = [row[:ncols] + row[-1:] for row in rows]
-    if objective is None:
-        return None
 
+def minimum(state: Tableau, objective: Sequence[int | Fraction]) -> Fraction:
+    """Minimum of objective.x over the state's region, which is never empty."""
+    if len(objective) != state.d:
+        raise ValueError("objective arity mismatch")
     coeffs, s = _scale(objective)
-    rows.append(_objective(coeffs + [0] * (d + m + 1), s, rows, basis))
-    _run_simplex(rows, basis, ncols)
-    *_, rhs, mult = rows[-1]
-    return Fraction(-rhs, mult)
+    rows = list(state.rows)
+    basis = list(state.basis)
+    obj = [0, *coeffs] + [0] * len(rows) + [s]
+    rows.append(_price_out(obj, rows, basis))
+    _run_simplex(rows, basis)
+    obj = rows[-1]
+    return Fraction(-obj[0], obj[-1])
 
 
-def lp_feasible(constraints: Sequence[Constraint], d: int) -> bool:
+def lp_feasible(constraints: Iterable[Constraint], d: int) -> bool:
     """True iff {x in [0,1]^d : coeffs.x <= bound for each constraint} is nonempty.
 
     The cube is implied: pass only the rows that cut it.
     """
-    try:
-        _two_phase(constraints, d, None)
-    except Infeasible:
-        return False
-    return True
+    return cut(cube(d), list(constraints)) is not None
 
 
 def lp_extremum(
@@ -246,10 +257,11 @@ def lp_extremum(
     The domain is {x in [0,1]^len(objective) : coeffs.x <= bound}; pass only
     the rows that cut the cube.  Raises :class:`Infeasible` when it is empty.
     """
-    cons = list(constraints)
-    d = len(objective)
+    if sense not in ("min", "max"):
+        raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
+    state = cut(cube(len(objective)), list(constraints))
+    if state is None:
+        raise Infeasible("empty feasible region")
     if sense == "min":
-        return _two_phase(cons, d, objective) + constant
-    if sense == "max":
-        return -_two_phase(cons, d, [-c for c in objective]) + constant
-    raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
+        return minimum(state, objective) + constant
+    return constant - minimum(state, [-c for c in objective])

@@ -87,6 +87,9 @@ def test_budget_exceeded():
     n = random_network(rng, 3, [4, 4])
     with pytest.raises(BudgetExceeded):
         exact_extrema(n, "output", node_budget=2)
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            exact_extrema(n, "output", node_budget=bad)
 
 
 def test_budget_error_names_node_and_sense():
@@ -155,3 +158,22 @@ def test_frozen_oracle_answers():
     for e in entries:
         iv = exact_extrema(network_from_dict(e["net"]), "output", node_budget=250)
         assert (iv.lo, iv.hi) == tuple(F(v) for v in e["expect"])
+
+
+def test_frozen_budget_classes():
+    # The first 10 networks of every shape in the benchmark's extrema pool
+    # keep their frozen class at the pool's budget: 15 of the 40 exceed it.
+    # A search that visits other branches would move some across the line.
+    pool = json.loads(POOL_EXTREMA.read_text())
+    budget = pool.pop("about")["budget"]
+    exceeded = 0
+    for entries in pool.values():
+        for e in entries[:10]:
+            n = network_from_dict(e["net"])
+            if e["class"] == "budget":
+                with pytest.raises(BudgetExceeded):
+                    exact_extrema(n, "output", node_budget=budget)
+                exceeded += 1
+            else:
+                exact_extrema(n, "output", node_budget=budget)
+    assert exceeded == 15

@@ -49,8 +49,8 @@ def test_extract_degenerate_exits_one(tmp_path, capsys):
 
 
 def test_budget_reaches_degeneracy_check(tmp_path, capsys):
-    # The hidden node has no witness point, so only an exact extrema search
-    # can settle it; a budget of one branch cannot.
+    # Every hidden node is settled by an exact extrema search, and a budget
+    # of one branch cannot settle this one.
     dead = {
         "input_dim": 1,
         "layers": [
@@ -321,6 +321,32 @@ def test_bounds_budget_error_is_one_line(fixtures_dir, capsys):
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("budget exceeded: branch-and-bound budget of 1 exceeded at node (")
     assert err.rstrip().endswith(("while minimising", "while maximising"))
+
+
+@pytest.mark.parametrize(
+    "command,argv,env,message",
+    [
+        ("bounds", ["--budget", "-3"], None, "--budget must be a positive integer, got -3"),
+        ("bounds", ["--budget", "0"], None, "--budget must be a positive integer, got 0"),
+        ("roundtrip", ["--budget", "0"], None, "--budget must be a positive integer, got 0"),
+        ("bounds", [], "0", "LUK_NODE_BUDGET must be a positive integer, got 0"),
+        ("bounds", [], "many", "LUK_NODE_BUDGET must be a positive integer, got many"),
+        ("bounds", ["--node", "2"], None, "--node must be LAYER,INDEX, got 2"),
+        ("bounds", ["--node", "1,x"], None, "--node must be LAYER,INDEX, got 1,x"),
+        ("bounds", ["--node", "1,2,3"], None, "--node must be LAYER,INDEX, got 1,2,3"),
+    ],
+)
+def test_bad_budget_or_node_exits_two(fixtures_dir, capsys, monkeypatch, command, argv, env,
+                                      message):
+    # A budget or node that makes no sense is bad input, not a negative result.
+    if env is None:
+        monkeypatch.delenv("LUK_NODE_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("LUK_NODE_BUDGET", env)
+    code, out, err = run(capsys, command, str(fixtures_dir / "dag.json"), *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def one_layer(**fields):

@@ -9,9 +9,12 @@ from helpers import cube_constraints, polytope_vertices
 from luknet.numerics import (
     Infeasible,
     Interval,
+    cube,
+    cut,
     format_rational,
     lp_extremum,
     lp_feasible,
+    minimum,
     parse_rational,
 )
 
@@ -180,3 +183,70 @@ def test_lp_int_fraction_and_scaled_rows_agree():
             assert got[0] == got[1] == got[2] / k
             assert all(type(v) is F for v in got)
     assert feasible >= 100
+
+
+def test_incremental_cuts_match_vertex_enumeration():
+    # Rows through one common point p of the cube make degenerate vertices;
+    # some rows are shifted past p, so a cut can empty the region midway.
+    # Cutting the rows one at a time, in two batches or all at once must
+    # agree with vertex enumeration after every batch.
+    rng = random.Random(9)
+    empty = feasible = 0
+    for _ in range(100):
+        d = rng.randint(1, 3)
+        p = [F(rng.randint(0, 4), 4) for _ in range(d)]
+        rows = []
+        for _ in range(rng.randint(1, 7)):
+            row = tuple(F(rng.randint(-3, 3)) for _ in range(d))
+            shift = F(rng.randint(1, 2), 2) if rng.random() < 0.25 else 0
+            rows.append((row, sum(c * x for c, x in zip(row, p)) - shift))
+        obj = [F(rng.randint(-4, 4)) for _ in range(d)]
+        values = {}  # objective at each vertex of the cube cut by rows[:n]
+        for n in range(1, len(rows) + 1):
+            vertices = polytope_vertices(cube_constraints(d) + rows[:n], d)
+            values[n] = [sum(c * x for c, x in zip(obj, v)) for v in vertices]
+        half = rng.randint(0, len(rows))
+        for sizes in ([1] * len(rows), [half, len(rows) - half], [len(rows)]):
+            state, done = cube(d), 0
+            for size in sizes:
+                state = cut(state, rows[done:done + size])
+                done += size
+                if state is None:
+                    assert not values[done]
+                    break
+                if done:
+                    assert minimum(state, obj) == min(values[done])
+                    assert -minimum(state, [-c for c in obj]) == max(values[done])
+        if values[len(rows)]:
+            feasible += 1
+        else:
+            empty += 1
+    assert empty >= 30 and feasible >= 30
+
+
+def test_cut_leaves_parent_unchanged():
+    # The search comes back to a parent after cutting its children, so a cut
+    # must not change the tableau it starts from.
+    rng = random.Random(10)
+    children = 0
+    for _ in range(100):
+        d = rng.randint(1, 4)
+        rows = [
+            (tuple(rng.randint(-3, 3) for _ in range(d)), rng.randint(-2, 4))
+            for _ in range(rng.randint(0, 4))
+        ]
+        parent = cut(cube(d), rows)
+        if parent is None:
+            continue
+        obj = [rng.randint(-4, 4) for _ in range(d)]
+        before = minimum(parent, obj)
+        snapshot = [list(row) for row in parent.rows], list(parent.basis)
+        for _ in range(3):
+            extra = [(tuple(rng.randint(-3, 3) for _ in range(d)), rng.randint(-2, 2))]
+            child = cut(parent, extra)
+            if child is not None:
+                assert minimum(child, obj) >= before
+                children += 1
+        assert minimum(parent, obj) == before
+        assert ([list(row) for row in parent.rows], list(parent.basis)) == snapshot
+    assert children >= 50
