@@ -14,13 +14,14 @@ R_j = s_j*W_j and c_j = s_j*b_j, relu is max(t, 0) and clip clamps to
 [0, d_j].  Affine forms, interval bounds and cut rows are numerators over
 their level's denominator, and a leaf's value is (LP optimum + constant)/d_j.
 
-The search state follows the depth-first walk.  Each branch adds the cut
-rows of its regime to the simplex tableau its parent left feasible
-(``numerics.cut``, a dual simplex under Bland's rule) instead of solving
-from scratch, and a leaf minimises over its tableau (``numerics.minimum``).
-Tableaux are cached by their rows and shared by the min and the max run.
-Each fixed node stores its post-activation box next to its form, so the
-pruning pass starts at the level of the node fixed last.
+One depth-first walk over an explicit stack minimises sign * value: it
+runs with sign 1 for the minimum and with sign -1 for the maximum.  Each
+branch adds the cut rows of its regime to the simplex tableau its parent
+left feasible (``numerics.cut``, a dual simplex under Bland's rule) instead
+of solving from scratch, and a leaf minimises over its tableau
+(``numerics.minimum``).  Tableaux are cached by the branch's path and
+shared by the two runs.  Each fixed node stores its post-activation box next
+to its form, so the pruning pass starts at the level of the node fixed last.
 """
 from __future__ import annotations
 
@@ -225,72 +226,77 @@ def exact_extrema(
         return _combine(level.rows[i], level.biases[i], forms[j - 2])
 
     visited = 0
-    # The tableau of each set of cut rows probed so far, None when they cut
-    # the cube empty.
-    tableaux: dict[tuple, Tableau | None] = {}
+    # The tableau of every branch probed so far, None when its rows cut the
+    # cube empty.  Both runs walk the same tree, so the key is the branch's
+    # path: a leading 1, then one base-4 digit per choice (at most 3 regimes).
+    tableaux: dict[int, Tableau | None] = {}
 
-    def tableau(key: tuple, state: Tableau, rows: tuple) -> Tableau | None:
-        """The tableau of the rows in ``key``: ``state`` cut by the last ``rows``."""
-        if key not in tableaux:
-            tableaux[key] = cut(state, rows)
-        return tableaux[key]
+    def tableau(path: int, state: Tableau, rows: tuple) -> Tableau | None:
+        """The tableau of the branch at ``path``: ``state`` cut by ``rows``."""
+        if path not in tableaux:
+            tableaux[path] = cut(state, rows)
+        return tableaux[path]
 
-    def optimize(sense: str) -> Fraction:
-        # The incumbent is a value of the node times its level's denominator.
+    def optimize(sign: int) -> Fraction:
+        """The minimum of sign times the node's value."""
+        nonlocal visited
+        # The incumbent is sign times a value of the node, times its level's denominator.
         incumbent: Fraction | None = None
-
-        def search(idx: int, key: tuple, state: Tableau, rows: tuple) -> None:
-            """Visit the branch that fixed upstream[:idx].  ``key`` holds the
-            cut rows of its nodes, and ``state`` the tableau of all of them
-            but ``rows``, those of the node fixed last."""
-            nonlocal incumbent, visited
+        # upstream[:fixed] may hold a form and a box; a pop clears what a
+        # deeper branch left behind.
+        fixed = len(upstream)
+        # Each entry: its index into upstream, its path, the tableau its parent
+        # left feasible, and the cut rows, form and box of upstream[index - 1].
+        stack: list[tuple] = [(0, 1, cube(net.input_dim), (), None, None)]
+        while stack:
+            idx, path, state, rows, form, box = stack.pop()
+            while fixed > idx:
+                fixed -= 1
+                j, i = upstream[fixed]
+                forms[j - 1][i] = boxes[j - 1][i] = None
+            if idx:
+                j, i = upstream[idx - 1]
+                forms[j - 1][i], boxes[j - 1][i] = form, box
+                fixed = idx
             leaf = idx == len(upstream)
             # Probes pay off only above leaves; a leaf cuts after its prune check.
             if rows and not leaf:
-                state = tableau(key, state, rows)
+                state = tableau(path, state, rows)
                 if state is None:
-                    return
+                    continue
             visited += 1
             if node_budget is not None and visited > node_budget:
-                j, i = upstream[idx] if idx < len(upstream) else (ref.layer, top)
+                j, i = (ref.layer, top) if leaf else upstream[idx]
                 raise BudgetExceeded(
                     f"branch-and-bound budget of {node_budget} exceeded at node ({j},{i + 1}) "
-                    f"while {'maximising' if sense == 'max' else 'minimising'}"
+                    f"while {'minimising' if sign > 0 else 'maximising'}"
                 )
             if incumbent is not None:
                 # Every level below that of the node fixed last is fixed.
                 start = upstream[idx - 1][0] - 1 if idx else 0
                 _, (lo, hi) = _interval_pass(levels, top, boxes, start)
-                if sense == "max" and hi <= incumbent:
-                    return
-                if sense == "min" and lo >= incumbent:
-                    return
+                if (lo if sign > 0 else -hi) >= incumbent:
+                    continue
             if leaf:
                 if rows:
-                    state = tableau(key, state, rows)
+                    state = tableau(path, state, rows)
                     if state is None:
-                        return
+                        continue
                 coeffs, const = node_form(ref.layer, top)
-                if sense == "min":
-                    val = const + minimum(state, coeffs)
-                    incumbent = val if incumbent is None else min(incumbent, val)
-                else:
-                    val = const - minimum(state, [-c for c in coeffs])
-                    incumbent = val if incumbent is None else max(incumbent, val)
-                return
+                val = sign * const + minimum(state, [sign * c for c in coeffs])
+                incumbent = val if incumbent is None else min(incumbent, val)
+                continue
             j, i = upstream[idx]
             level = levels[j - 1]
-            for rows, form, box in _branches(level.activations[i], node_form(j, i), level.den):
-                forms[j - 1][i], boxes[j - 1][i] = form, box
-                search(idx + 1, key + rows, state, rows)
-            forms[j - 1][i] = boxes[j - 1][i] = None
-
-        search(0, (), cube(net.input_dim), ())
+            branches = _branches(level.activations[i], node_form(j, i), level.den)
+            for k in reversed(range(len(branches))):  # visited in the order of _branches
+                rows, form, box = branches[k]
+                stack.append((idx + 1, path * 4 + k, state, rows, form, box))
         assert incumbent is not None  # the cube is never empty
-        return incumbent / levels[-1].den
+        return sign * incumbent / levels[-1].den
 
-    lo = optimize("min")
-    hi = optimize("max")
+    lo = optimize(1)
+    hi = optimize(-1)
     if activated and act != NONE:
         return Interval(apply_activation(act, lo), apply_activation(act, hi))
     return Interval(lo, hi)

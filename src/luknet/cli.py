@@ -27,7 +27,7 @@ from .network import (
     network_to_json,
     networks_equal_up_to_permutation,
 )
-from .numerics import format_rational
+from .numerics import format_rational, json_decode
 
 
 class InputError(Exception):
@@ -51,7 +51,7 @@ def _load_any(path: str):
     """Auto-detect network / graph / formula by schema."""
     text = _read(path)
     try:
-        data = json.loads(text)
+        data = json_decode(text, path)
     except json.JSONDecodeError:
         data = None
     if isinstance(data, dict) and "input_dim" in data:

@@ -30,7 +30,9 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import formula as fm
 from .formula import Formula, substitute
-from .numerics import format_rational, json_field, json_int, json_list, parse_rational
+from .numerics import (
+    format_rational, json_decode, json_field, json_int, json_list, parse_rational
+)
 
 if TYPE_CHECKING:
     from .extract import MintermCertificate
@@ -301,4 +303,4 @@ def graph_to_json(g: SubstitutionGraph) -> str:
 
 
 def graph_from_json(text: str) -> SubstitutionGraph:
-    return graph_from_dict(json.loads(text))
+    return graph_from_dict(json_decode(text, "graph file"))

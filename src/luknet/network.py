@@ -10,7 +10,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .numerics import Interval, format_rational, json_field, json_int, json_list, parse_rational
+from .numerics import (
+    Interval, format_rational, json_decode, json_field, json_int, json_list, parse_rational
+)
 
 RELU = "relu"
 CLIP = "clip"
@@ -210,7 +212,7 @@ def network_to_json(net: Network) -> str:
 
 
 def network_from_json(text: str) -> Network:
-    return network_from_dict(json.loads(text))
+    return network_from_dict(json_decode(text, "network file"))
 
 
 def network_diff(a: Network, b: Network) -> list[str]:
@@ -241,44 +243,30 @@ def network_diff(a: Network, b: Network) -> list[str]:
     return out
 
 
-def _layer_permutations(la: Layer, lb: Layer, prev_perm: list[int]):
-    """Yield permutations p with lb's nodes = la's nodes reordered by p, given
-    the previous layer's permutation already applied to la's weight columns."""
-    if la.width != lb.width:
-        return
-    remapped = [
-        (tuple(la.weights[i][q] for q in prev_perm), la.biases[i], la.activations[i])
-        for i in range(la.width)
-    ]
-    targets = [(lb.weights[i], lb.biases[i], lb.activations[i]) for i in range(lb.width)]
-    used = [False] * la.width
-
-    def backtrack(i: int, perm: list[int]):
-        if i == lb.width:
-            yield list(perm)
-            return
-        for p in range(la.width):
-            if not used[p] and remapped[p] == targets[i]:
-                used[p] = True
-                perm.append(p)
-                yield from backtrack(i + 1, perm)
-                perm.pop()
-                used[p] = False
-
-    yield from backtrack(0, [])
-
-
 def networks_equal_up_to_permutation(a: Network, b: Network) -> bool:
-    """Structural equality modulo within-layer node relabeling."""
+    """Structural equality modulo within-layer node relabeling.
+
+    Layer by layer, each node of ``b`` is looked up in one dict of the nodes
+    of ``a``, keyed by row (columns reordered by the previous layer's
+    matching), bias and activation; no two nodes of ``b`` may match the same
+    node.  Raises ValueError when a layer of ``a`` holds two nodes with
+    identical local maps, which clause (c) of ``is_non_degenerate`` rules out.
+    """
     if a.input_dim != b.input_dim or a.depth != b.depth:
         return False
-
-    def search(j: int, prev_perm: list[int]) -> bool:
-        if j == a.depth:
-            return True
-        for perm in _layer_permutations(a.layers[j], b.layers[j], prev_perm):
-            if search(j + 1, perm):
-                return True
-        return False
-
-    return search(0, list(range(a.input_dim)))
+    perm = list(range(a.input_dim))  # perm[q]: the node of a matched by node q of b
+    for j, (la, lb) in enumerate(zip(a.layers, b.layers), start=1):
+        if la.width != lb.width:
+            return False
+        nodes: dict[tuple, int] = {}
+        for p, (row, bias, act) in enumerate(zip(la.weights, la.biases, la.activations)):
+            key = (tuple(row[q] for q in perm), bias, act)
+            if nodes.setdefault(key, p) != p:
+                raise ValueError(f"layer {j} holds twin nodes {nodes[key] + 1} and {p + 1}")
+        perm = []
+        for key in zip(lb.weights, lb.biases, lb.activations):
+            p = nodes.pop(key, None)  # a second node of b cannot hit the same node of a
+            if p is None:
+                return False
+            perm.append(p)
+    return True

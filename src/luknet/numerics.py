@@ -9,6 +9,7 @@ is cut one batch of rows at a time, and returns its optimum as a Fraction.
 """
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,10 +32,25 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+def json_decode(text: str, what: str):
+    """The JSON value of ``text``; nesting too deep for the decoder is bad input."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply to decode") from None
+
+
 def json_int(value, what: str) -> int:
     """A JSON integer as is; a float, a bool or a string is bad input."""
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_str(value, what: str) -> str:
+    """A JSON string as is; anything else is bad input."""
+    if type(value) is not str:
+        raise ValueError(f"{what} must be a string, got {type(value).__name__}")
     return value
 
 

@@ -15,7 +15,9 @@ from typing import Iterable, Mapping, Sequence
 from . import formula as fm
 from .formula import Formula, Not, Odot, Oplus, Var, substitute
 from .graph import GraphNode, SubstitutionGraph
-from .numerics import format_rational, parse_rational
+from .numerics import (
+    format_rational, json_decode, json_field, json_int, json_list, json_str, parse_rational
+)
 
 
 class RewriteError(Exception):
@@ -54,7 +56,6 @@ class Axiom:
     id: str
     lhs: Formula
     rhs: Formula
-    catalog: str
 
     def __post_init__(self) -> None:
         # Metavariables are shared between the sides; nothing may dangle
@@ -259,18 +260,18 @@ def mv_catalog() -> list[Axiom]:
         ("Ax9", o(a(x, n(y)), y), o(a(y, n(x)), x)),
         ("Ax9p", a(o(x, n(y)), y), a(o(y, n(x)), x)),
     ]
-    return [Axiom(i, l, r, "MV") for i, l, r in spec]
+    return [Axiom(i, l, r) for i, l, r in spec]
 
 
 def mvk_catalog(k: int) -> list[Axiom]:
     """Axioms of (k+1)-valued algebra: MV plus the finite-case families."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    axioms = [Axiom(a.id, a.lhs, a.rhs, f"MVk:{k}") for a in mv_catalog()]
+    axioms = mv_catalog()
     x = _X
     if k == 1:
-        axioms.append(Axiom("AxF1", fm.oplus(x, x), x, "MVk:1"))
-        axioms.append(Axiom("AxF1p", fm.odot(x, x), x, "MVk:1"))
+        axioms.append(Axiom("AxF1", fm.oplus(x, x), x))
+        axioms.append(Axiom("AxF1p", fm.odot(x, x), x))
         return axioms
     for j in range(2, k):
         if k % j == 0:
@@ -287,8 +288,8 @@ def mvk_catalog(k: int) -> list[Axiom]:
             k,
             fm.oplus(_iterate(fm.odot, j, x), fm.odot(fm.lnot(x), fm.lnot(_iterate(fm.odot, j - 1, x)))),
         )
-        axioms.append(Axiom(f"AxFk{k}j{j}", zero_lhs, fm.ZERO, f"MVk:{k}"))
-        axioms.append(Axiom(f"AxFk{k}j{j}p", one_lhs, fm.ONE, f"MVk:{k}"))
+        axioms.append(Axiom(f"AxFk{k}j{j}", zero_lhs, fm.ZERO))
+        axioms.append(Axiom(f"AxFk{k}j{j}p", one_lhs, fm.ONE))
     return axioms
 
 
@@ -300,14 +301,12 @@ def dmv_catalog(max_n: int) -> list[Axiom]:
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    axioms = [Axiom(a.id, a.lhs, a.rhs, f"DMV:{max_n}") for a in mv_catalog()]
+    axioms = mv_catalog()
     x = _X
     for n in range(1, max_n + 1):
         dn = fm.delta(n, x)
-        axioms.append(Axiom(f"AxD{n}", _iterate(fm.oplus, n, dn), x, f"DMV:{max_n}"))
-        axioms.append(
-            Axiom(f"AxD{n}p", fm.odot(dn, _iterate(fm.oplus, n - 1, dn)), fm.ZERO, f"DMV:{max_n}")
-        )
+        axioms.append(Axiom(f"AxD{n}", _iterate(fm.oplus, n, dn), x))
+        axioms.append(Axiom(f"AxD{n}p", fm.odot(dn, _iterate(fm.oplus, n - 1, dn)), fm.ZERO))
     return axioms
 
 
@@ -317,8 +316,7 @@ def rmv_catalog(scalars: Sequence[Fraction]) -> list[Axiom]:
     for r in rs:
         if not 0 <= r <= 1:
             raise ValueError(f"scalar {r} outside [0,1]")
-    tag = "RMV:" + ",".join(format_rational(r) for r in rs)
-    axioms = [Axiom(a.id, a.lhs, a.rhs, tag) for a in mv_catalog()]
+    axioms = mv_catalog()
     x, y = _X, _Y
     for r in rs:
         axioms.append(
@@ -326,7 +324,6 @@ def rmv_catalog(scalars: Sequence[Fraction]) -> list[Axiom]:
                 f"AxR1_{r}",
                 fm.scale(r, fm.odot(x, fm.lnot(y))),
                 fm.odot(fm.scale(r, x), fm.lnot(fm.scale(r, y))),
-                tag,
             )
         )
     for r in rs:
@@ -334,21 +331,11 @@ def rmv_catalog(scalars: Sequence[Fraction]) -> list[Axiom]:
             rq = max(Fraction(0), r - q)
             axioms.append(
                 Axiom(
-                    f"AxR2_{r}_{q}",
-                    fm.scale(rq, x),
-                    fm.odot(fm.scale(r, x), fm.lnot(fm.scale(q, x))),
-                    tag,
+                    f"AxR2_{r}_{q}", fm.scale(rq, x), fm.odot(fm.scale(r, x), fm.lnot(fm.scale(q, x)))
                 )
             )
-            axioms.append(
-                Axiom(
-                    f"AxR3_{r}_{q}",
-                    fm.scale(r, fm.scale(q, x)),
-                    fm.scale(r * q, x),
-                    tag,
-                )
-            )
-    axioms.append(Axiom("AxR4", fm.scale(Fraction(1), x), x, tag))
+            axioms.append(Axiom(f"AxR3_{r}_{q}", fm.scale(r, fm.scale(q, x)), fm.scale(r * q, x)))
+    axioms.append(Axiom("AxR4", fm.scale(Fraction(1), x), x))
     return axioms
 
 
@@ -423,10 +410,17 @@ def _binding_to_json(binding: Mapping[int, Formula] | None) -> dict | None:
     return {_METAVAR_NAMES.get(i, f"#{i}"): fm.to_text(f) for i, f in binding.items()}
 
 
-def _binding_from_json(data: dict | None) -> dict[int, Formula] | None:
+def _binding_from_json(data, where: str) -> dict[int, Formula] | None:
     if data is None:
         return None
-    return {_METAVAR_INDICES[name]: fm.parse(text) for name, text in data.items()}
+    if type(data) is not dict:
+        raise ValueError(f"{where} bind must be an object, got {type(data).__name__}")
+    binding: dict[int, Formula] = {}
+    for name, text in data.items():
+        if name not in _METAVAR_INDICES:
+            raise ValueError(f"{where} bind names {name!r}, not one of x, y, z")
+        binding[_METAVAR_INDICES[name]] = fm.parse(json_str(text, f"{where} bind {name}"))
+    return binding
 
 
 def trace_to_jsonl(trace: DerivationTrace) -> str:
@@ -447,23 +441,37 @@ def trace_to_jsonl(trace: DerivationTrace) -> str:
 
 
 def steps_from_jsonl(text: str) -> tuple[Formula | None, list[Step]]:
+    """The start formula (None when absent) and the steps of a trace file; a
+    line of the wrong shape is a ValueError that names the line and the field."""
     start: Formula | None = None
     steps: list[Step] = []
-    for line in text.splitlines():
+    for n, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
-        data = json.loads(line)
-        if "start" in data and "axiom" not in data:
-            start = fm.parse(data["start"])
+        where = f"trace line {n}"
+        data = json_decode(line, where)
+        if type(data) is dict and "start" in data and "axiom" not in data:
+            start = fm.parse(json_str(data["start"], f"{where} start"))
             continue
+        axiom = json_str(json_field(data, "axiom", where), f"{where} axiom")
+        direction = data.get("dir", "LR")
+        if direction not in ("LR", "RL"):
+            raise ValueError(f"{where} dir must be LR or RL, got {direction!r}")
+        pos = json_list(data.get("pos", []), f"{where} pos")
+        node = None
+        if "node" in data:
+            entries = json_list(data["node"], f"{where} node")
+            node = tuple(json_int(k, f"{where} node entry") for k in entries)
+            if len(node) != 2:
+                raise ValueError(f"{where} node must be [level, index], got {list(node)}")
         steps.append(
             Step(
-                axiom_id=data["axiom"],
-                direction=data.get("dir", "LR"),
-                pos=tuple(data.get("pos", ())),
-                binding=_binding_from_json(data.get("bind")),
-                node=tuple(data["node"]) if "node" in data else None,
+                axiom_id=axiom,
+                direction=direction,
+                pos=tuple(json_int(p, f"{where} pos entry") for p in pos),
+                binding=_binding_from_json(data.get("bind"), where),
+                node=node,
             )
         )
     return start, steps

@@ -39,6 +39,12 @@ def net(input_dim, *layers) -> Network:
     return Network(input_dim, tuple(layers))
 
 
+def box_forced_network(width: int) -> Network:
+    """One hidden layer of ``width`` relu nodes x + 1, each forced active by
+    its box bound, summed at the output: the range is [width, 2 * width]."""
+    return net(1, layer([[1]] * width, [1] * width, ["relu"] * width), layer([[1] * width], [0], ["none"]))
+
+
 # ---------------------------------------------------------------------------
 # Random formulas / substitutions / graphs
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import brute_extrema, layer, net, random_network
+from helpers import box_forced_network, brute_extrema, layer, net, random_network
 from luknet.bounds import BudgetExceeded, exact_extrema, interval_propagation
 from luknet.network import NONE, Layer, Network, NodeRef, apply_activation, network_from_dict
 
@@ -101,6 +101,12 @@ def test_budget_error_names_node_and_sense():
     with pytest.raises(BudgetExceeded) as exc:
         exact_extrema(n, "output", node_budget=7)
     assert str(exc.value) == "branch-and-bound budget of 7 exceeded at node (1,1) while maximising"
+
+
+def test_search_deeper_than_the_recursion_limit():
+    # One branch per hidden node: the walk is 1 100 branches deep.
+    iv = exact_extrema(box_forced_network(1100), "output")
+    assert (iv.lo, iv.hi) == (1100, 2200)
 
 
 def test_budget_generous_is_fine():

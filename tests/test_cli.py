@@ -2,9 +2,10 @@ import json
 
 import pytest
 
+from helpers import box_forced_network
 from luknet.cli import main
 from luknet.graph import graph_from_json
-from luknet.network import network_from_json
+from luknet.network import network_from_json, network_to_json
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -380,3 +381,58 @@ def test_malformed_network_shape_exits_two(tmp_path, capsys, data, message):
     assert err.startswith("error:")
     assert len(err.strip().splitlines()) == 1
     assert message in err
+
+
+def test_bounds_deeper_than_the_recursion_limit(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text(network_to_json(box_forced_network(1100)))
+    code, out, err = run(capsys, "bounds", str(path))
+    assert (code, out, err) == (0, "output: [1100, 2200]\n", "")
+
+
+STEP = {"axiom": "Ax7", "dir": "LR", "pos": [], "node": [1, 1]}
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ({**STEP, "pos": 5}, "trace line 2 pos must be a list, got int"),
+        ({**STEP, "pos": ["a"]}, "trace line 2 pos entry must be an integer, got 'a'"),
+        ({**STEP, "node": 5}, "trace line 2 node must be a list, got int"),
+        ({**STEP, "node": ["1", "1"]}, "trace line 2 node entry must be an integer, got '1'"),
+        ({**STEP, "node": [1]}, "trace line 2 node must be [level, index], got [1]"),
+        ({**STEP, "bind": {"x": 5}}, "trace line 2 bind x must be a string, got int"),
+        ({**STEP, "bind": {"w": "x1"}}, "trace line 2 bind names 'w', not one of x, y, z"),
+        ({**STEP, "bind": 5}, "trace line 2 bind must be an object, got int"),
+        ({**STEP, "axiom": 7}, "trace line 2 axiom must be a string, got int"),
+        ({**STEP, "dir": "up"}, "trace line 2 dir must be LR or RL, got 'up'"),
+        ({"pos": []}, 'trace line 2 has no "axiom"'),
+        ([STEP], "trace line 2 must be an object, got list"),
+        ({"start": 5}, "trace line 2 start must be a string, got int"),
+    ],
+)
+def test_malformed_trace_exits_two(tmp_path, capsys, line, message):
+    gpath, trace = tmp_path / "g.json", tmp_path / "t.jsonl"
+    gpath.write_text(json.dumps(graph_file(["x1", "not 0"])))
+    trace.write_text(json.dumps(STEP) + "\n" + json.dumps(line) + "\n")
+    out_path = tmp_path / "g2.json"
+    code, out, err = run(capsys, "rewrite", str(gpath), "--trace", str(trace), "-o", str(out_path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("opener", ["[", '{"a": '])
+@pytest.mark.parametrize(
+    "argv,what",
+    [
+        (["bounds", "DEEP"], "network file"),
+        (["construct", "DEEP", "-o", "OUT"], "graph file"),
+        (["check-equiv", "DEEP", "DEEP"], "DEEP"),
+        (["rewrite", "GRAPH", "--trace", "DEEP", "-o", "OUT"], "trace line 1"),
+    ],
+)
+def test_deeply_nested_json_exits_two(tmp_path, capsys, opener, argv, what):
+    paths = {name: str(tmp_path / name) for name in ("DEEP", "GRAPH", "OUT")}
+    (tmp_path / "DEEP").write_text(opener * 100_000)
+    (tmp_path / "GRAPH").write_text(json.dumps(graph_file(["x1", "not 0"])))
+    code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
+    assert (code, out, err) == (2, "", f"error: {paths.get(what, what)} is nested too deeply to decode\n")
