@@ -10,12 +10,13 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, lcm
+from math import ceil
 
 from . import formula as fm
 from .formula import Formula
 from .graph import GraphNode, SubstitutionGraph
 from .network import CLIP, Degenerate, Layer, Network, input_interval, is_non_degenerate
+from .numerics import _scale
 
 FLAVOR_INTEGER = "integer"
 FLAVOR_RATIONAL = "rational"
@@ -141,11 +142,8 @@ def extr_real(m, b) -> Formula:
 
 def _scaled(m, b) -> tuple[tuple[int, tuple[int, ...]], int]:
     """((s, s.m), s.b) for s the lcm of the denominators of m and b."""
-    mq = [Fraction(c) for c in m]
-    bq = Fraction(b)
-    s = lcm(bq.denominator, *(q.denominator for q in mq))
-    row = tuple(q.numerator * (s // q.denominator) for q in mq)
-    return (s, row), bq.numerator * (s // bq.denominator)
+    (bs, *row), s = _scale([b, *m])
+    return (s, tuple(row)), bs
 
 
 class _Row:

@@ -14,17 +14,15 @@ the command line, rewrite traces and display.  The term table (``to_terms``,
 ``from_terms``) writes each distinct subterm once, so its size follows the
 DAG, and it is the formula half of the graph file.
 
-A node stores only its fields, its children, ``max_var`` and its creation
-serial, and its intern key holds the children themselves rather than boxed
-ids.  The tree ``length`` is not stored: it is counted over the DAG on
-demand, once per read, since it grows exponentially in the weights of an
-extracted formula and nothing on the hot paths reads it.
+A node stores only its fields, its children and ``max_var``, and its intern
+key holds the children themselves rather than boxed ids.  The tree
+``length`` is not stored: it is counted over the DAG on demand, once per
+read, since it grows exponentially in the weights of an extracted formula
+and nothing on the hot paths reads it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
-from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 from weakref import WeakValueDictionary
 
@@ -56,12 +54,12 @@ class Formula:
     """Base node.  Use the module-level constructors; never instantiate directly.
 
     Interning makes the default identity ``==`` and ``hash`` structural.  A
-    node is fixed by its type, its operator key ``op`` and its children;
-    ``rebuild`` makes the node of the same type and key over other children.
-    ``head`` names the operator in the text forms; atoms have none.
+    node is fixed by its type, its parameter ``op`` and its children.
+    ``head`` names the operator in the text forms and keys its row of
+    ``_OPS``; atoms have none.
     """
 
-    __slots__ = ("max_var", "serial", "__weakref__")
+    __slots__ = ("max_var", "__weakref__")
     op = None
     head = None
 
@@ -80,7 +78,11 @@ class Formula:
         return ()
 
     def rebuild(self, kids: Sequence["Formula"]) -> "Formula":
-        return self
+        """The node of the same operator and parameter over other children."""
+        if self.head is None:
+            return self
+        build = _OPS[self.head][0]
+        return build(*kids) if self.op is None else build(self.op, *kids)
 
 
 class Const(Formula):
@@ -124,24 +126,15 @@ class Not(_Unary):
     __slots__ = ()
     head = "not"
 
-    def rebuild(self, kids):
-        return lnot(*kids)
-
 
 class Oplus(_Binary):
     __slots__ = ()
     head = "oplus"
 
-    def rebuild(self, kids):
-        return oplus(*kids)
-
 
 class Odot(_Binary):
     __slots__ = ()
     head = "odot"
-
-    def rebuild(self, kids):
-        return odot(*kids)
 
 
 class Delta(_Unary):
@@ -155,9 +148,6 @@ class Delta(_Unary):
         _Unary.__init__(self, child)
         self.divisor = divisor
 
-    def rebuild(self, kids):
-        return delta(self.divisor, *kids)
-
 
 class Scale(_Unary):
     """Scalar operator of the real-valued extension: value factor * x."""
@@ -170,18 +160,10 @@ class Scale(_Unary):
         _Unary.__init__(self, child)
         self.factor = factor
 
-    def rebuild(self, kids):
-        return scale(self.factor, *kids)
-
-
-_serials = count()
-
 
 def _make(key: tuple, cls: type, *args) -> Formula:
     """Miss path of every constructor: build the node and intern it."""
-    node = cls(*args)
-    node.serial = next(_serials)
-    _interned[key] = node
+    node = _interned[key] = cls(*args)
     return node
 
 
@@ -227,15 +209,24 @@ def scale(factor: Fraction, child: Formula) -> Formula:
 
 
 def postorder(*roots: Formula) -> list[Formula]:
-    """The distinct subterms of the roots in creation order: children first."""
-    seen = set(roots)
-    stack = list(seen)
-    while stack:
-        for kid in stack.pop().children():
-            if kid not in seen:
-                seen.add(kid)
-                stack.append(kid)
-    return sorted(seen, key=attrgetter("serial"))
+    """The distinct subterms of the roots, each once, children before parents.
+
+    A depth-first postorder, children left to right, over the roots in turn:
+    it depends on the formulas alone, not on when their nodes were created.
+    """
+    order: dict[Formula, None] = {}
+    for root in roots:
+        stack = [(root, iter(root.children()))]
+        while stack:
+            node, kids = stack[-1]
+            for kid in kids:
+                if kid not in order:
+                    stack.append((kid, iter(kid.children())))
+                    break
+            else:
+                stack.pop()
+                order[node] = None
+    return list(order)
 
 
 # ---------------------------------------------------------------------------
@@ -465,29 +456,16 @@ def to_terms(roots: Iterable[Formula]) -> tuple[list[str], dict[Formula, int]]:
     Each distinct subterm is one string: an atom (``x1``, ``0``, ``1``) or a
     head, its parameter if any, and the indices of its children, which are
     always earlier terms (``not 4``, ``oplus 3 7``, ``delta 2 5``,
-    ``scale 1/2 5``).  The order is a depth-first postorder, children left to
-    right, over the roots in turn, so it depends on the formulas alone and
-    not on when they were created.
+    ``scale 1/2 5``).  The terms come in :func:`postorder` of the roots.
     """
     index: dict[Formula, int] = {}
     terms: list[str] = []
-    for root in roots:
-        stack = [root]
-        while stack:
-            node = stack[-1]
-            if node in index:
-                stack.pop()
-                continue
-            todo = [kid for kid in node.children() if kid not in index]
-            if todo:
-                stack += reversed(todo)
-                continue
-            stack.pop()
-            index[node] = len(terms)
-            if node.head is None:
-                terms.append(_atom_text(node))
-            else:
-                terms.append(" ".join([_head_text(node)] + [str(index[kid]) for kid in node.children()]))
+    for node in postorder(*roots):
+        index[node] = len(terms)
+        if node.head is None:
+            terms.append(_atom_text(node))
+        else:
+            terms.append(" ".join([_head_text(node)] + [str(index[kid]) for kid in node.children()]))
     return terms, index
 
 

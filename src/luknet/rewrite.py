@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 from . import formula as fm
@@ -40,11 +41,21 @@ class VariableEscape(RewriteError):
     pass
 
 
-class StepFailure(RewriteError):
+class StepError(RewriteError):
+    """Step ``index`` of a derivation trace cannot be applied."""
+
     def __init__(self, index: int, reason: str):
         super().__init__(f"step {index}: {reason}")
         self.index = index
         self.reason = reason
+
+
+class StepFailure(StepError):
+    """The step's subterm does not instantiate its axiom side: a negative result."""
+
+
+class BadStep(StepError):
+    """The step names no axiom, node or position of its target: bad input."""
 
 
 _METAVAR_NAMES = {1: "x", 2: "y", 3: "z"}
@@ -380,17 +391,24 @@ class DerivationTrace:
 def replay(trace: DerivationTrace, axioms: Mapping[str, Axiom]) -> list[Formula]:
     """All intermediate formulas, starting formula included."""
     out = [trace.start]
-    current = trace.start
     for idx, step in enumerate(trace.steps):
-        ax = axioms.get(step.axiom_id)
-        if ax is None:
-            raise StepFailure(idx, f"unknown axiom {step.axiom_id!r}")
-        try:
-            current = apply_axiom(current, ax, step.direction, step.pos, step.binding)
-        except RewriteError as e:
-            raise StepFailure(idx, str(e)) from e
-        out.append(current)
+        out.append(_applied(idx, step, axioms, partial(apply_axiom, out[-1])))
     return out
+
+
+def _applied(idx: int, step: Step, axioms: Mapping[str, Axiom], apply):
+    """apply(axiom, direction, pos, binding) for step idx: a step that names no
+    axiom, node or child of its target is a BadStep, one that does not match a
+    StepFailure."""
+    ax = axioms.get(step.axiom_id)
+    if ax is None:
+        raise BadStep(idx, f"unknown axiom {step.axiom_id!r}")
+    try:
+        return apply(ax, step.direction, step.pos, step.binding)
+    except (InvalidPosition, InputNodeTarget, ValueError) as e:
+        raise BadStep(idx, str(e)) from e
+    except RewriteError as e:
+        raise StepFailure(idx, str(e)) from e
 
 
 def check_derivation(
@@ -419,8 +437,16 @@ def _binding_from_json(data, where: str) -> dict[int, Formula] | None:
     for name, text in data.items():
         if name not in _METAVAR_INDICES:
             raise ValueError(f"{where} bind names {name!r}, not one of x, y, z")
-        binding[_METAVAR_INDICES[name]] = fm.parse(json_str(text, f"{where} bind {name}"))
+        binding[_METAVAR_INDICES[name]] = _parsed(text, f"{where} bind {name}")
     return binding
+
+
+def _parsed(text, where: str) -> Formula:
+    """The formula of a trace field; a field that does not parse names itself."""
+    try:
+        return fm.parse(json_str(text, where))
+    except fm.FormulaSyntaxError as e:
+        raise ValueError(f"{where}: {e}") from None
 
 
 def trace_to_jsonl(trace: DerivationTrace) -> str:
@@ -446,13 +472,15 @@ def steps_from_jsonl(text: str) -> tuple[Formula | None, list[Step]]:
     start: Formula | None = None
     steps: list[Step] = []
     for n, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
+        if not line.strip():
             continue
         where = f"trace line {n}"
-        data = json_decode(line, where)
+        try:
+            data = json_decode(line, where)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{where} is not JSON: {e.msg} at column {e.colno}") from None
         if type(data) is dict and "start" in data and "axiom" not in data:
-            start = fm.parse(json_str(data["start"], f"{where} start"))
+            start = _parsed(data["start"], f"{where} start")
             continue
         axiom = json_str(json_field(data, "axiom", where), f"{where} axiom")
         direction = data.get("dir", "LR")
@@ -481,16 +509,9 @@ def apply_trace_to_graph(
     g: SubstitutionGraph, steps: Sequence[Step], axioms: Mapping[str, Axiom]
 ) -> SubstitutionGraph:
     for idx, step in enumerate(steps):
-        ax = axioms.get(step.axiom_id)
-        if ax is None:
-            raise StepFailure(idx, f"unknown axiom {step.axiom_id!r}")
         if step.node is None:
-            raise StepFailure(idx, "graph trace step lacks a node reference")
-        level, index = step.node
-        try:
-            g = apply_axiom_on_graph(g, level, index, ax, step.direction, step.pos, step.binding)
-        except RewriteError as e:
-            raise StepFailure(idx, str(e)) from e
+            raise BadStep(idx, "graph trace step lacks a node reference")
+        g = _applied(idx, step, axioms, partial(apply_axiom_on_graph, g, *step.node))
     return g
 
 

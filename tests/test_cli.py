@@ -49,6 +49,28 @@ def test_extract_degenerate_exits_one(tmp_path, capsys):
     assert "degenerate" in err
 
 
+def relu_net(weight):
+    return {
+        "input_dim": 1,
+        "layers": [
+            {"weights": [[weight]], "biases": ["0"], "activation": ["relu"]},
+            {"weights": [["1"]], "biases": ["0"], "activation": ["none"]},
+        ],
+    }
+
+
+def test_extract_check_range(tmp_path, capsys):
+    npath, gpath = tmp_path / "n.json", tmp_path / "g.json"
+    npath.write_text(json.dumps(relu_net("2")))
+    code, _, err = run(capsys, "extract", str(npath), "--check-range", "-o", str(gpath))
+    assert (code, err) == (1, "realized range [0, 2] leaves [0,1]\n")
+    assert not gpath.exists()
+    npath.write_text(json.dumps(relu_net("1")))
+    code, _, err = run(capsys, "extract", str(npath), "--check-range", "-o", str(gpath))
+    assert (code, err) == (0, "")
+    assert graph_from_json(gpath.read_text()).widths == (1, 1, 1)
+
+
 def test_budget_reaches_degeneracy_check(tmp_path, capsys):
     # Every hidden node is settled by an exact extrema search, and a budget
     # of one branch cannot settle this one.
@@ -409,15 +431,40 @@ STEP = {"axiom": "Ax7", "dir": "LR", "pos": [], "node": [1, 1]}
         ({"pos": []}, 'trace line 2 has no "axiom"'),
         ([STEP], "trace line 2 must be an object, got list"),
         ({"start": 5}, "trace line 2 start must be a string, got int"),
+        ("not json", "trace line 2 is not JSON: Expecting value at column 1"),
+        ({**STEP, "bind": {"x": "(oplus"}}, "trace line 2 bind x: unexpected end of input (at byte 6)"),
+        ({"start": "(not x1"}, "trace line 2 start: expected ')' (at byte 7)"),
     ],
 )
 def test_malformed_trace_exits_two(tmp_path, capsys, line, message):
     gpath, trace = tmp_path / "g.json", tmp_path / "t.jsonl"
     gpath.write_text(json.dumps(graph_file(["x1", "not 0"])))
-    trace.write_text(json.dumps(STEP) + "\n" + json.dumps(line) + "\n")
+    text = line if type(line) is str else json.dumps(line)
+    trace.write_text(json.dumps(STEP) + "\n" + text + "\n")
     out_path = tmp_path / "g2.json"
     code, out, err = run(capsys, "rewrite", str(gpath), "--trace", str(trace), "-o", str(out_path))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"axiom": "Ax99"}, "step 0: unknown axiom 'Ax99'"),
+        ({"pos": [-1]}, "step 0: position [-1] has no child -1 at depth 0, where the subterm has 1"),
+        ({"node": [0, 1]}, "step 0: input nodes carry no rewritable formula"),
+        ({"node": [5, 5]}, "step 0: no node (5,5)"),
+        ({"node": None}, "step 0: graph trace step lacks a node reference"),
+    ],
+)
+def test_bad_rewrite_step_exits_two(tmp_path, capsys, fields, message):
+    gpath, trace = tmp_path / "g.json", tmp_path / "t.jsonl"
+    gpath.write_text(json.dumps(graph_file(["x1", "not 0"])))
+    step = {k: v for k, v in {**STEP, **fields}.items() if v is not None}
+    trace.write_text(json.dumps(step) + "\n")
+    out_path = tmp_path / "g2.json"
+    code, out, err = run(capsys, "rewrite", str(gpath), "--trace", str(trace), "-o", str(out_path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("opener", ["[", '{"a": '])

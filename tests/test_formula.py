@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction as F
+from functools import partial
+from itertools import permutations
 
 import pytest
 from hypothesis import given
@@ -163,3 +165,50 @@ def test_var_index_validation():
         fm.delta(0, x1)
     with pytest.raises(ValueError):
         fm.scale(F(3, 2), x1)
+
+
+def test_postorder_does_not_depend_on_creation_order():
+    # Variables no other test uses, so that each pass creates these nodes
+    # anew, in the order of its permutation, before it builds the root.
+    parts = ["x902", "x901", "(not x902)", "(odot (not x902) x901)", "(odot x901 (not x902))"]
+    want = [
+        "x901",
+        "x902",
+        "(not x902)",
+        "(odot x901 (not x902))",
+        "(odot (not x902) x901)",
+        "(oplus (odot x901 (not x902)) (odot (not x902) x901))",
+    ]
+    for order in permutations(parts):
+        made = [parse(text) for text in order]
+        root = parse(want[-1])
+        assert [to_text(f) for f in fm.postorder(root)] == want
+        del made, root
+
+
+def test_postorder_visits_the_roots_in_turn():
+    a, b = parse("(oplus x1 (not x2))"), parse("(odot (not x2) x3)")
+    got = [to_text(f) for f in fm.postorder(b, a, b)]
+    assert got == ["x2", "(not x2)", "x3", "(odot (not x2) x3)", "x1", "(oplus x1 (not x2))"]
+
+
+@pytest.mark.parametrize(
+    "build,arity",
+    [
+        (fm.lnot, 1),
+        (fm.oplus, 2),
+        (fm.odot, 2),
+        (partial(fm.delta, 3), 1),
+        (partial(fm.scale, F(2, 5)), 1),
+    ],
+)
+def test_rebuild_is_the_constructor_node(build, arity):
+    node = build(*[x1, x2][:arity])
+    kids = [fm.lnot(x3), fm.oplus(x1, x2)][:arity]
+    assert node.rebuild(kids) is build(*kids)
+    assert node.rebuild(list(node.children())) is node
+
+
+def test_rebuild_keeps_atoms():
+    for atom in (fm.ZERO, fm.ONE, x2):
+        assert atom.rebuild([]) is atom

@@ -228,11 +228,11 @@ def test_graph_json_does_not_depend_on_creation_order():
     subterms = [to_text(f) for f in postorder(*node_formulas(g))]
     del g
     gc.collect()
-    # Create the subterms again, last first, so that siblings get their
-    # serials in another order, then extract the same graph.
+    # Create the subterms again, last first, so that siblings are created
+    # in another order, then extract the same graph.
     unrelated = [fm.parse(t) for t in reversed(subterms)]
     g = clamp_pair_graph(row, bias)
-    assert [to_text(f) for f in postorder(*node_formulas(g))] != subterms
+    assert [to_text(f) for f in postorder(*node_formulas(g))] == subterms
     assert graph_to_json(g) == text
     del unrelated
 

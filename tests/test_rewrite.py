@@ -315,6 +315,13 @@ def test_forged_step_fails_with_index():
     assert err.value.index == 1
 
 
+def test_unknown_axiom_is_a_bad_step():
+    t = rw.DerivationTrace(fm.oplus(x1, fm.ZERO), (rw.Step("Ax5", "LR", ()), rw.Step("Ax99", "LR", ())))
+    with pytest.raises(rw.BadStep) as err:
+        rw.replay(t, MV_BY_ID)
+    assert str(err.value) == "step 1: unknown axiom 'Ax99'"
+
+
 def test_forged_binding_fails():
     t = rw.DerivationTrace(
         fm.oplus(x1, fm.ZERO),
