@@ -3,6 +3,9 @@ check-equiv / axioms / bounds.
 
 Exit codes: 0 success (or Equal), 1 negative result (counterexample,
 degenerate, not normal, roundtrip mismatch), 2 usage or input errors.
+
+``rewrite`` and ``axioms`` load the rewrite engine (:mod:`luknet.rewrite`)
+on demand, so the other commands start without it.
 """
 from __future__ import annotations
 
@@ -12,7 +15,6 @@ import os
 import sys
 
 from . import formula as fm
-from . import rewrite as rw
 from .bounds import BudgetExceeded, exact_extrema
 from .construct import NotNormal, graph_to_sigma, roundtrip, sigma_to_rho
 from .equiv import Counterexample, FiniteGrid, as_point_fn, grid_equal, sample_equal
@@ -128,7 +130,23 @@ def _cmd_roundtrip(args) -> int:
     return 1
 
 
-def _cmd_rewrite(args) -> int:
+def _rewrite_command(run):
+    """The command run(args, rw) with the rewrite engine rw imported on
+    demand; a RewriteError is bad input, as for every other command."""
+
+    def command(args) -> int:
+        from . import rewrite as rw
+
+        try:
+            return run(args, rw)
+        except rw.RewriteError as e:
+            raise InputError(e) from e
+
+    return command
+
+
+@_rewrite_command
+def _cmd_rewrite(args, rw) -> int:
     g = graph_from_json(_read(args.graph))
     _, steps = rw.steps_from_jsonl(_read(args.trace))
     axioms = rw.catalog_by_id(rw.catalog(args.axioms))
@@ -169,7 +187,8 @@ def _print_counterexample(cx: Counterexample, kind: str) -> None:
     print(f"{kind} counterexample at ({point}): {cx.lhs} != {cx.rhs}")
 
 
-def _cmd_axioms(args) -> int:
+@_rewrite_command
+def _cmd_axioms(args, rw) -> int:
     axioms = rw.catalog(args.set)
     for ax in axioms:
         line = f"{ax.id}: {fm.to_text(ax.lhs)} = {fm.to_text(ax.rhs)}"
@@ -266,7 +285,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 1
-    except (InputError, NetworkError, GraphError, rw.RewriteError, fm.FormulaError) as e:
+    except (InputError, NetworkError, GraphError, fm.FormulaError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, json.JSONDecodeError) as e:

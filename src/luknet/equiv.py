@@ -9,39 +9,40 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import formula as fm
 from .formula import Formula
-from .graph import SubstitutionGraph, graph_eval
+from .graph import SubstitutionGraph, graph_evaluator
 from .network import Network, eval_network
 
 PointFn = Callable[[Sequence[Fraction]], Fraction]
 
 
-@dataclass(frozen=True)
-class FiniteGrid:
+class _FiniteGrid(NamedTuple):
     k: int
     n: int
 
-    def __post_init__(self) -> None:
-        if self.k < 1 or self.n < 0:
+
+class FiniteGrid(_FiniteGrid):
+    __slots__ = ()
+
+    def __new__(cls, k: int, n: int) -> "FiniteGrid":
+        if k < 1 or n < 0:
             raise ValueError("grid needs k >= 1 and n >= 0")
+        return super().__new__(cls, k, n)
 
     def points(self) -> Iterator[tuple[Fraction, ...]]:
         axis = [Fraction(i, self.k) for i in range(self.k + 1)]
         return itertools.product(axis, repeat=self.n)
 
 
-@dataclass(frozen=True)
-class Equal:
+class Equal(NamedTuple):
     points_checked: int = 0
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     point: tuple[Fraction, ...]
     lhs: Fraction
     rhs: Fraction
@@ -82,7 +83,8 @@ def sample_equal(
 
 
 def formula_fn(f: Formula) -> PointFn:
-    return lambda x: fm.evaluate(f, x)
+    at = fm.evaluator((f,))
+    return lambda x: at(x)[0]
 
 
 def network_fn(net: Network) -> PointFn:
@@ -90,7 +92,7 @@ def network_fn(net: Network) -> PointFn:
 
 
 def graph_fn(g: SubstitutionGraph) -> PointFn:
-    return lambda x: graph_eval(g, x)
+    return graph_evaluator(g)
 
 
 def as_point_fn(obj) -> tuple[PointFn, int]:

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
+from typing import NamedTuple
 
 from . import formula as fm
 from .formula import Formula
@@ -24,21 +24,25 @@ FLAVOR_REAL = "real"
 FLAVORS = (FLAVOR_INTEGER, FLAVOR_RATIONAL, FLAVOR_REAL)
 
 
-@dataclass(frozen=True)
-class MintermCertificate:
-    """The affine row a node formula was derived from; fed back by kappa."""
-
+class _MintermCertificate(NamedTuple):
     m: tuple[Fraction, ...]
     b: Fraction
     flavor: str
 
-    def __post_init__(self) -> None:
-        if self.flavor not in FLAVORS:
-            raise ValueError(f"unknown flavor {self.flavor!r}")
-        if self.flavor == FLAVOR_INTEGER and not (
-            all(q.denominator == 1 for q in self.m) and self.b.denominator == 1
+
+class MintermCertificate(_MintermCertificate):
+    """The affine row a node formula was derived from; fed back by kappa."""
+
+    __slots__ = ()
+
+    def __new__(cls, m: tuple[Fraction, ...], b: Fraction, flavor: str) -> "MintermCertificate":
+        if flavor not in FLAVORS:
+            raise ValueError(f"unknown flavor {flavor!r}")
+        if flavor == FLAVOR_INTEGER and not (
+            all(q.denominator == 1 for q in m) and b.denominator == 1
         ):
             raise ValueError("integer certificate with non-integer entries")
+        return super().__new__(cls, m, b, flavor)
 
 
 # ---------------------------------------------------------------------------

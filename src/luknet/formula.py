@@ -23,7 +23,7 @@ and nothing on the hot paths reads it.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from weakref import WeakValueDictionary
 
 from .numerics import parse_rational
@@ -251,34 +251,49 @@ def evaluate_all(fs: Sequence[Formula], assignment) -> list[Fraction]:
 
     One memo serves all of them, so a subterm they share is evaluated once.
     """
-    values = [Fraction(v) for v in assignment]
-    for v in values:
-        if not _F0 <= v <= _F1:
-            raise OutOfDomain(f"assignment value {v} outside [0,1]")
+    return evaluator(fs)(assignment)
+
+
+def evaluator(fs: Sequence[Formula]) -> Callable[..., list[Fraction]]:
+    """``evaluate_all(fs, ·)`` with the DAG of ``fs`` walked once, here.
+
+    The returned function evaluates the formulas at one assignment per call,
+    over the one postorder, so many points cost one walk.
+    """
+    fs = tuple(fs)
+    order = postorder(*fs)
     top = max((f.max_var for f in fs), default=0)
-    if top > len(values):
-        raise UnboundVariable(f"formula uses x{top} but only {len(values)} values were given")
-    memo: dict[Formula, Fraction] = {}
-    for node in postorder(*fs):
-        t = type(node)
-        if t is Var:
-            r = values[node.index - 1]
-        elif t is Const:
-            r = _F1 if node.value else _F0
-        elif t is Not:
-            r = _F1 - memo[node.child]
-        elif t is Oplus:
-            s = memo[node.left] + memo[node.right]
-            r = s if s < _F1 else _F1
-        elif t is Odot:
-            s = memo[node.left] + memo[node.right] - _F1
-            r = s if s > _F0 else _F0
-        elif t is Delta:
-            r = memo[node.child] / node.divisor
-        else:
-            r = node.factor * memo[node.child]
-        memo[node] = r
-    return [memo[f] for f in fs]
+
+    def at(assignment) -> list[Fraction]:
+        values = [Fraction(v) for v in assignment]
+        for v in values:
+            if not _F0 <= v <= _F1:
+                raise OutOfDomain(f"assignment value {v} outside [0,1]")
+        if top > len(values):
+            raise UnboundVariable(f"formula uses x{top} but only {len(values)} values were given")
+        memo: dict[Formula, Fraction] = {}
+        for node in order:
+            t = type(node)
+            if t is Var:
+                r = values[node.index - 1]
+            elif t is Const:
+                r = _F1 if node.value else _F0
+            elif t is Not:
+                r = _F1 - memo[node.child]
+            elif t is Oplus:
+                s = memo[node.left] + memo[node.right]
+                r = s if s < _F1 else _F1
+            elif t is Odot:
+                s = memo[node.left] + memo[node.right] - _F1
+                r = s if s > _F0 else _F0
+            elif t is Delta:
+                r = memo[node.child] / node.divisor
+            else:
+                r = node.factor * memo[node.child]
+            memo[node] = r
+        return [memo[f] for f in fs]
+
+    return at
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,7 @@ table, or a file without one, is a GraphError or a FormulaError.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import formula as fm
 from .formula import Formula, substitute
@@ -68,33 +67,38 @@ class FactorizationMismatch(GraphError):
         self.index = index
 
 
-@dataclass(frozen=True)
-class GraphNode:
+class GraphNode(NamedTuple):
     formula: Formula
     certificate: "MintermCertificate | None" = None
 
 
-@dataclass(frozen=True)
-class SubstitutionGraph:
+class _SubstitutionGraph(NamedTuple):
     widths: tuple[int, ...]  # d_0 .. d_L with d_L == 1
     nodes: tuple[tuple[GraphNode, ...], ...]  # levels 1..L
 
-    def __post_init__(self) -> None:
-        if len(self.widths) < 2 or any(w < 1 for w in self.widths):
+
+class SubstitutionGraph(_SubstitutionGraph):
+    __slots__ = ()
+
+    def __new__(
+        cls, widths: tuple[int, ...], nodes: tuple[tuple[GraphNode, ...], ...]
+    ) -> "SubstitutionGraph":
+        if len(widths) < 2 or any(w < 1 for w in widths):
             raise ValueError("graph needs positive widths d_0..d_L")
-        if self.widths[-1] != 1:
+        if widths[-1] != 1:
             raise ValueError("exactly one output node is required")
-        if len(self.nodes) != len(self.widths) - 1:
+        if len(nodes) != len(widths) - 1:
             raise ValueError("node levels do not match widths")
-        for j, level in enumerate(self.nodes, start=1):
-            if len(level) != self.widths[j]:
-                raise ValueError(f"level {j} has {len(level)} nodes, expected {self.widths[j]}")
+        for j, level in enumerate(nodes, start=1):
+            if len(level) != widths[j]:
+                raise ValueError(f"level {j} has {len(level)} nodes, expected {widths[j]}")
             for i, node in enumerate(level, start=1):
-                if node.formula.max_var > self.widths[j - 1]:
+                if node.formula.max_var > widths[j - 1]:
                     raise ValueError(
                         f"node ({j},{i}) uses x{node.formula.max_var} but level "
-                        f"{j - 1} has width {self.widths[j - 1]}"
+                        f"{j - 1} has width {widths[j - 1]}"
                     )
+        return super().__new__(cls, widths, nodes)
 
     @property
     def depth(self) -> int:
@@ -117,14 +121,24 @@ def represented_formula(g: SubstitutionGraph) -> Formula:
 
 
 def graph_eval(g: SubstitutionGraph, x) -> "fm.Fraction":
-    """Layer-wise numeric propagation of the node truth functions.
+    """Layer-wise numeric propagation of the node truth functions."""
+    return graph_evaluator(g)(x)
+
+
+def graph_evaluator(g: SubstitutionGraph) -> Callable[..., "fm.Fraction"]:
+    """``graph_eval(g, ·)`` with each level's DAG walked once, here.
 
     Each level is one pass with one memo over the union of its formulas.
     """
-    values = list(x)
-    for level in g.nodes:
-        values = fm.evaluate_all([node.formula for node in level], values)
-    return values[0]
+    levels = [fm.evaluator([node.formula for node in level]) for level in g.nodes]
+
+    def at(x) -> "fm.Fraction":
+        values = list(x)
+        for level in levels:
+            values = level(values)
+        return values[0]
+
+    return at
 
 
 def certificate_violation(

@@ -6,9 +6,8 @@ explicitly so that structural equality is plain field equality.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .numerics import (
     Interval, format_rational, json_decode, json_field, json_int, json_list, parse_rational
@@ -32,8 +31,7 @@ class Degenerate(NetworkError):
     """Raised when extraction is attempted on a degenerate network."""
 
 
-@dataclass(frozen=True)
-class Layer:
+class Layer(NamedTuple):
     weights: tuple[tuple[Fraction, ...], ...]  # shape (width, prev_width)
     biases: tuple[Fraction, ...]
     activations: tuple[str, ...]
@@ -43,22 +41,24 @@ class Layer:
         return len(self.biases)
 
 
-@dataclass(frozen=True)
-class NodeRef:
+class NodeRef(NamedTuple):
     layer: int  # 1-based; layer L is the output layer
     index: int  # 1-based position within the layer
 
 
-@dataclass(frozen=True)
-class Network:
+class _Network(NamedTuple):
     input_dim: int
     layers: tuple[Layer, ...]
 
-    def __post_init__(self) -> None:
-        if self.input_dim < 1 or not self.layers:
+
+class Network(_Network):
+    __slots__ = ()
+
+    def __new__(cls, input_dim: int, layers: tuple[Layer, ...]) -> "Network":
+        if input_dim < 1 or not layers:
             raise ValueError("network needs >= 1 input and >= 1 layer")
-        prev = self.input_dim
-        for j, layer in enumerate(self.layers, start=1):
+        prev = input_dim
+        for j, layer in enumerate(layers, start=1):
             if not (len(layer.weights) == len(layer.biases) == len(layer.activations)):
                 raise ValueError(f"layer {j}: ragged weights/biases/activations")
             if layer.width == 0:
@@ -71,11 +71,12 @@ class Network:
             for act in layer.activations:
                 if act not in _ACTIVATIONS:
                     raise ValueError(f"layer {j}: unknown activation {act!r}")
-            if j < len(self.layers) and NONE in layer.activations:
+            if j < len(layers) and NONE in layer.activations:
                 raise ValueError("'none' activation is allowed only on the output node")
             prev = layer.width
-        if self.layers[-1].width != 1:
+        if layers[-1].width != 1:
             raise ValueError("output layer must have width 1")
+        return super().__new__(cls, input_dim, layers)
 
     @property
     def depth(self) -> int:

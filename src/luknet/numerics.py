@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
@@ -76,16 +75,20 @@ def format_rational(q: Fraction) -> str:
     return str(q)
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval [lo, hi] with exact rational endpoints."""
-
+class _Interval(NamedTuple):
     lo: Fraction
     hi: Fraction
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval: [{self.lo}, {self.hi}]")
+
+class Interval(_Interval):
+    """Closed interval [lo, hi] with exact rational endpoints."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo: Fraction, hi: Fraction) -> "Interval":
+        if lo > hi:
+            raise ValueError(f"empty interval: [{lo}, {hi}]")
+        return super().__new__(cls, lo, hi)
 
     def encloses(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi

@@ -467,6 +467,26 @@ def test_bad_rewrite_step_exits_two(tmp_path, capsys, fields, message):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["axioms", "--set", "Bogus"], "unknown axiom set 'Bogus'"),
+        (["axioms", "--set", "MVk:x"], "invalid literal for int() with base 10: 'x'"),
+        (["rewrite", "GRAPH", "--trace", "TRACE", "--axioms", "Bogus", "-o", "OUT"],
+         "unknown axiom set 'Bogus'"),
+    ],
+)
+def test_bad_axiom_set_exits_two(tmp_path, capsys, argv, message):
+    # rewrite and axioms load the rewrite engine on demand; its errors still
+    # end in one error line and exit 2.
+    paths = {"GRAPH": tmp_path / "g.json", "TRACE": tmp_path / "t.jsonl", "OUT": tmp_path / "o.json"}
+    paths["GRAPH"].write_text(json.dumps(graph_file(["x1", "not 0"])))
+    paths["TRACE"].write_text(json.dumps(STEP) + "\n")
+    code, out, err = run(capsys, *(str(paths.get(a, a)) for a in argv))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not paths["OUT"].exists()
+
+
 @pytest.mark.parametrize("opener", ["[", '{"a": '])
 @pytest.mark.parametrize(
     "argv,what",

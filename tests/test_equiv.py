@@ -13,8 +13,9 @@ from luknet.equiv import (
     network_fn,
     sample_equal,
 )
-from luknet.extract import extr
+from luknet.extract import extr, extract_graph
 from luknet.formula import evaluate
+from luknet.graph import graph_eval
 
 x1, x2, x3 = fm.var(1), fm.var(2), fm.var(3)
 
@@ -107,3 +108,31 @@ def test_finite_grid_distinguishing_power():
     assert isinstance(coarse, Equal)
     assert isinstance(fine, Counterexample)
     assert fine.point == (F(1, 4),)
+
+
+def test_graph_fn_walks_each_level_once_per_comparison(monkeypatch):
+    # The clamp pair of the CLI ladder's w6a rung: a two-level graph, 27 points.
+    row = [6, 5, 4]
+    clamp = net(3, layer([row, row], [-9, -10], ["relu", "relu"]), layer([[1, -1]], [0], ["none"]))
+    g = extract_graph(clamp)
+    calls = []
+    walk = fm.postorder
+    monkeypatch.setattr(fm, "postorder", lambda *roots: calls.append(roots) or walk(*roots))
+    lhs, _ = as_point_fn(g)
+    assert len(calls) == g.depth == 2
+    res = grid_equal(lhs, network_fn(clamp), FiniteGrid(2, 3))
+    assert res == Equal(27)
+    assert len(calls) == g.depth
+    assert [lhs(x) for x in FiniteGrid(2, 3).points()] == [
+        graph_eval(g, x) for x in FiniteGrid(2, 3).points()
+    ]
+
+
+def test_formula_fn_walks_once_per_comparison(monkeypatch):
+    f, g = fm.oplus(fm.odot(x1, x2), x3), fm.oplus(x3, fm.odot(x2, x1))
+    calls = []
+    walk = fm.postorder
+    monkeypatch.setattr(fm, "postorder", lambda *roots: calls.append(roots) or walk(*roots))
+    res = grid_equal(formula_fn(f), formula_fn(g), FiniteGrid(2, 3))
+    assert res == Equal(27)
+    assert len(calls) == 2
