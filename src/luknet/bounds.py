@@ -26,10 +26,11 @@ to its form, so the pruning pass starts at the level of the node fixed last.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple, Sequence
 
-from .network import CLIP, NONE, RELU, Network, NodeRef, apply_activation, node_local_map
+from .network import (
+    CLIP, NONE, RELU, Network, NodeRef, apply_activation, cube_box, node_local_map, scaled_layer
+)
 from .numerics import Interval, Tableau, cube, cut, minimum
 
 # perfbench/freeze.py counts calls to these two by their names in this module.
@@ -56,14 +57,9 @@ def _scaled_levels(net: Network, depth: int) -> list[_Level]:
     levels: list[_Level] = []
     den = 1
     for layer in net.layers[:depth]:
-        s = lcm(*(w.denominator for row in layer.weights for w in row),
-                *(b.denominator for b in layer.biases))
-        rows = tuple(
-            tuple(w.numerator * (s // w.denominator) for w in row) for row in layer.weights
-        )
-        biases = tuple(b.numerator * (s // b.denominator) * den for b in layer.biases)
+        s, rows, biases = scaled_layer(layer)
+        levels.append(_Level(rows, tuple(c * den for c in biases), layer.activations, den * s))
         den *= s
-        levels.append(_Level(rows, biases, layer.activations, den))
     return levels
 
 
@@ -91,12 +87,6 @@ def _box(row: Sequence[int], bias: int, boxes: Sequence[Box]) -> Box:
             lo += w * vhi
             hi += w * vlo
     return lo, hi
-
-
-def _form_box(form: AffineForm) -> Box:
-    """Box bound of an affine form over the unit cube of the inputs."""
-    coeffs, const = form
-    return _box(coeffs, const, [(0, 1)] * len(coeffs))
 
 
 def _activate(act: str, t: int, one: int) -> int:
@@ -160,7 +150,7 @@ def _branches(act: str, form: AffineForm, one: int) -> list[tuple[tuple, AffineF
     A regime the box bound forces needs no cut row.
     """
     coeffs, const = form
-    lo, hi = box = _form_box(form)
+    lo, hi = box = cube_box(coeffs, const)
     neg = tuple(-c for c in coeffs)
     zero: AffineForm = ((0,) * len(coeffs), 0)
     le0 = ((coeffs, -const),)

@@ -11,9 +11,9 @@ from fractions import Fraction
 
 from . import formula as fm
 from .bounds import exact_extrema
-from .extract import extract_graph
+from .extract import extract_graph, row_runs
 from .graph import GraphError, SubstitutionGraph, certificate_violation, normality_violation
-from .network import CLIP, NONE, RELU, Layer, Network, input_interval
+from .network import CLIP, NONE, RELU, Layer, Network, cube_box, scaled_layer
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -53,8 +53,9 @@ def graph_to_sigma(g: SubstitutionGraph) -> Network:
 
     Constant-0 nodes disappear with their edges; constant-1 nodes disappear
     with their outgoing weight folded into each successor's bias.  The
-    normality check re-extracts each certificate once; nodes are then read
-    off their certificates without a second extraction.
+    normality check re-extracts each certificate once (none, inside the pass
+    that extracted the graph); nodes are then read off their certificates
+    without a second extraction.
     """
     violation = normality_violation(g)
     if violation is not None:
@@ -109,45 +110,57 @@ def sigma_to_rho(net: Network, node_budget: int | None = None) -> Network:
     synthetic nodes whose outgoing weights all cancel are removed.  The output
     activation is dropped when the exact range lies inside [0,1]; otherwise a
     differencing relu pair is appended.
+
+    Each layer is scaled once to ints (``scaled_layer``): the box bounds, the
+    merge keys and the column arithmetic run on them, and only the columns
+    written back become Fractions again.
     """
     layers = list(net.layers)
+    # The layer after the one being converted, scaled: its s and integer rows.
+    nxt_s, nxt_rows, _ = scaled_layer(layers[-1])
     for j in range(len(layers) - 2, -1, -1):
         layer = layers[j]
         nxt = layers[j + 1]
-        # (row, bias, outgoing column, synthetic-or-merged flag)
+        s, rows, biases = scaled_layer(layer)
+        tops: dict[tuple[int, ...], int] = {}  # the positive entries' sum of each scaled row
+        # (row, bias, scaled row, scaled bias, outgoing column over nxt_s,
+        # synthetic-or-merged flag)
         converted: list[list] = []
-        for i in range(layer.width):
-            row, b = layer.weights[i], layer.biases[i]
-            col = [wrow[i] for wrow in nxt.weights]
-            hi = input_interval(row, b).hi
-            converted.append([row, b, col, False])
-            if hi > 1:
-                converted.append([row, b - 1, [-w for w in col], True])
+        cols = zip(*nxt_rows)
+        for row, b, row_s, b_s, col in zip(layer.weights, layer.biases, rows, biases, cols):
+            top = tops.get(row_s)
+            if top is None:
+                top = tops[row_s] = cube_box(row_s, 0)[1]
+            converted.append([row, b, row_s, b_s, col, False])
+            if b_s + top > s:
+                converted.append([row, b - 1, row_s, b_s - s, [-w for w in col], True])
         merged: list[list] = []
         index_of: dict[tuple, int] = {}
-        for row, b, col, synth in converted:
-            key = (row, b)
+        for entry in converted:
+            key = (entry[2], entry[3])
             if key in index_of:
-                entry = merged[index_of[key]]
-                entry[2] = [a + c for a, c in zip(entry[2], col)]
-                entry[3] = True
+                first = merged[index_of[key]]
+                first[4] = [a + c for a, c in zip(first[4], entry[4])]
+                first[5] = True
             else:
                 index_of[key] = len(merged)
-                merged.append([row, b, col, synth])
-        kept = [e for e in merged if not (e[3] and all(w == 0 for w in e[2]))]
+                merged.append(entry)
+        kept = [e for e in merged if not (e[5] and not any(e[4]))]
         if not kept:  # everything cancelled; keep one inert node for shape
-            merged[0][2] = [_F0] * nxt.width
+            merged[0][4] = [0] * nxt.width
             kept = [merged[0]]
         layers[j] = Layer(
             tuple(e[0] for e in kept),
             tuple(e[1] for e in kept),
             (RELU,) * len(kept),
         )
+        as_q = {w: Fraction(w, nxt_s) for w in {w for e in kept for w in e[4]}}
         layers[j + 1] = Layer(
-            tuple(tuple(e[2][r] for e in kept) for r in range(nxt.width)),
+            tuple(tuple(as_q[e[4][r]] for e in kept) for r in range(nxt.width)),
             nxt.biases,
             nxt.activations,
         )
+        nxt_s, nxt_rows = s, [e[2] for e in kept]
 
     candidate = Network(net.input_dim, tuple(layers))
     out = candidate.layers[-1]
@@ -168,6 +181,13 @@ def sigma_to_rho(net: Network, node_budget: int | None = None) -> Network:
 
 
 def roundtrip(net: Network, flavor: str = "integer", node_budget: int | None = None) -> Network:
-    """extract -> construct; structurally the identity on well-behaved networks."""
-    g = extract_graph(net, flavor=flavor, node_budget=node_budget)
-    return sigma_to_rho(graph_to_sigma(g), node_budget=node_budget)
+    """extract -> construct; structurally the identity on well-behaved networks.
+
+    Extraction and construction step I run in one pass (``row_runs``), so
+    each certificate is peeled once: the normality check finds the formula
+    that extraction built for it.
+    """
+    with row_runs():
+        g = extract_graph(net, flavor=flavor, node_budget=node_budget)
+        sigma = graph_to_sigma(g)
+    return sigma_to_rho(sigma, node_budget=node_budget)

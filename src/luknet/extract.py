@@ -9,13 +9,12 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
-from math import ceil
 from typing import NamedTuple
 
 from . import formula as fm
 from .formula import Formula
 from .graph import GraphNode, SubstitutionGraph
-from .network import CLIP, Degenerate, Layer, Network, input_interval, is_non_degenerate
+from .network import CLIP, Degenerate, Layer, Network, cube_box, is_non_degenerate, scaled_layer
 from .numerics import _scale
 
 FLAVOR_INTEGER = "integer"
@@ -58,7 +57,8 @@ def rho_to_sigma(net: Network, check: bool = True, node_budget: int | None = Non
     with biases b, b-1, ..., b-ceil(L)+1, duplicated incoming and outgoing
     weights; the new nodes sit immediately after the originating node.  The
     output node gains the clip activation.  ``node_budget`` bounds each exact
-    extrema search of the non-degeneracy check.
+    extrema search of the non-degeneracy check.  L is read off each layer
+    scaled once to ints (``scaled_layer``).
     """
     if check:
         ok, why = is_non_degenerate(net, node_budget=node_budget)
@@ -70,10 +70,10 @@ def rho_to_sigma(net: Network, check: bool = True, node_budget: int | None = Non
         rows: list[tuple[Fraction, ...]] = []
         biases: list[Fraction] = []
         copies: list[int] = []  # outgoing column multiplicity per original node
-        for i in range(layer.width):
-            row, b = layer.weights[i], layer.biases[i]
-            hi = input_interval(row, b).hi
-            k = 0 if hi <= 1 else ceil(hi) - 1
+        s, rows_s, biases_s = scaled_layer(layer)
+        for row, b, row_s, b_s in zip(layer.weights, layer.biases, rows_s, biases_s):
+            top = cube_box(row_s, b_s)[1]  # s * L
+            k = 0 if top <= s else -(-top // s) - 1
             copies.append(k + 1)
             for step in range(k + 1):
                 rows.append(row)
@@ -102,10 +102,13 @@ def extr(m, b) -> Formula:
     fractional and constant-bias steps never fire, so only unit peeling, sign
     flips and the bare variable remain.
     """
-    (s, row), bs = _scaled(m, b)
-    if s != 1:
+    return _extract(_extr, m, b)
+
+
+def _extr(key: tuple[int, tuple[int, ...]], bs: int) -> Formula:
+    if key[0] != 1:
         raise ValueError("extr needs integer coefficients; use extr_rational")
-    return _peel(_row((1, row)), bs)
+    return _peel(_row(key), bs)
 
 
 def extr_rational(m, b) -> Formula:
@@ -116,7 +119,11 @@ def extr_rational(m, b) -> Formula:
     result is the left-associated chain delta_s t_0 + ... + delta_s t_{s-1}.
     Integer input (s = 1) is peeled directly, which is :func:`extr` exactly.
     """
-    (s, row), bs = _scaled(m, b)
+    return _extract(_extr_rational, m, b)
+
+
+def _extr_rational(key: tuple[int, tuple[int, ...]], bs: int) -> Formula:
+    s, row = key
     run = _row((1, row))
     if s == 1:
         return _peel(run, bs)
@@ -140,7 +147,10 @@ def extr_real(m, b) -> Formula:
     variable itself.  A leftover constant bias in (0,1) becomes scale(b, 1).
     The peel runs on the row scaled once to integers (:func:`_peel`).
     """
-    key, bs = _scaled(m, b)
+    return _extract(_extr_real, m, b)
+
+
+def _extr_real(key: tuple[int, tuple[int, ...]], bs: int) -> Formula:
     return _peel(_row(key), bs)
 
 
@@ -148,6 +158,47 @@ def _scaled(m, b) -> tuple[tuple[int, tuple[int, ...]], int]:
     """((s, s.m), s.b) for s the lcm of the denominators of m and b."""
     (bs, *row), s = _scale([b, *m])
     return (s, tuple(row)), bs
+
+
+def _extract(core, m, b) -> Formula:
+    """``core`` on the row (m, b) scaled by :func:`_scaled`.
+
+    Inside a pass each source row ``m`` is scaled once, and each of its
+    biases is extracted once per core: a second extraction returns the
+    formula the first one built.
+    """
+    state = _pass.get()
+    if state is None:
+        return core(*_scaled(m, b))
+    source = state.sources.get(id(m))
+    if source is None:
+        source = state.sources[id(m)] = _Source(m)
+    num, den = b.numerator, b.denominator  # a key that hashes faster than b
+    got = source.done.get((core, num, den))
+    if got is None:
+        if source.s % den:
+            key, bs = _scaled(m, b)
+        else:
+            key, bs = source.key, num * (source.s // den)
+        got = source.done[core, num, den] = core(key, bs)
+    return got
+
+
+class _Source:
+    """A row m as a pass met it: scaled to ints once, and the formula of each
+    (core, bias) extracted over it.
+
+    The pass finds it by ``id(m)``; holding ``m`` keeps that id from naming
+    another row while the pass is open.
+    """
+
+    __slots__ = ("m", "s", "key", "done")
+
+    def __init__(self, m):
+        self.m = m
+        row, self.s = _scale(m)
+        self.key = (self.s, tuple(row))
+        self.done: dict[tuple, Formula] = {}
 
 
 class _Row:
@@ -178,27 +229,41 @@ class _Row:
         self.memo: dict[int, Formula] = {}
 
 
-# The current run of the innermost open pass: a one-slot list holding its
-# _Row (or None before the first extraction), None outside any pass.  It is
-# context state rather than a parameter because the normality pass reaches
-# the extractors through formula_for_certificate(cert).
-_pass: ContextVar[list | None] = ContextVar("_pass", default=None)
+class _Pass:
+    """What an open pass keeps: the peeling memo of the row extracted last
+    (``run``, None before the first peel), and every source row it met."""
+
+    __slots__ = ("run", "sources")
+
+    def __init__(self):
+        self.run: _Row | None = None
+        self.sources: dict[int, _Source] = {}
+
+
+# The innermost open pass, None outside any.  It is context state rather
+# than a parameter because the normality pass reaches the extractors through
+# formula_for_certificate(cert).
+_pass: ContextVar[_Pass | None] = ContextVar("_pass", default=None)
 
 
 @contextmanager
 def row_runs():
-    """Let consecutive extractions of an equal row share one peeling memo.
+    """Let the extractions of a block share their work.
 
-    Inside the block the memo of the current row is kept until a different
-    row is extracted; it is dropped then and when the block ends.  This
-    covers the sigma copies ``rho_to_sigma`` places side by side.  Outside
-    any block each call peels with a memo of its own, which the s terms of
-    :func:`extr_rational` share.
+    Inside the block the peeling memo of the current row is kept until a
+    different row is peeled; it is dropped then.  This covers the sigma
+    copies ``rho_to_sigma`` places side by side.  The block also keeps, for
+    each source row (by identity), its scaled ints and the finished formula
+    of each bias extracted over it, one entry per sigma node: extracting a
+    certificate of a graph built in the same block returns the formula that
+    extraction built, without peeling again.  Everything goes when the block
+    ends.  Outside any block each call peels with a memo of its own, which the
+    s terms of :func:`extr_rational` share.
     """
     if _pass.get() is not None:
         yield
         return
-    token = _pass.set([None])
+    token = _pass.set(_Pass())
     try:
         yield
     finally:
@@ -206,12 +271,12 @@ def row_runs():
 
 
 def _row(key: tuple[int, tuple[int, ...]]) -> _Row:
-    slot = _pass.get()
-    if slot is None:
+    state = _pass.get()
+    if state is None:
         return _Row(key)
-    run = slot[0]
+    run = state.run
     if run is None or run.key != key:
-        run = slot[0] = _Row(key)
+        run = state.run = _Row(key)
     return run
 
 

@@ -15,7 +15,11 @@ the command line, rewrite traces and display.  The term table (``to_terms``,
 DAG, and it is the formula half of the graph file.
 
 A node stores only its fields, its children and ``max_var``, and its intern
-key holds the children themselves rather than boxed ids.  The tree
+key holds the children themselves rather than boxed ids.  The intern table
+is a plain dict from key to a weak reference that carries its key, and a
+constructor reads it inline: a hit is one dict lookup and one call.  The
+reference's callback removes the entry when its node dies, so the table
+keeps no node alive and shrinks without a garbage collection.  The tree
 ``length`` is not stored: it is counted over the DAG on demand, once per
 read, since it grows exponentially in the weights of an extracted formula
 and nothing on the hot paths reads it.
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
-from weakref import WeakValueDictionary
+from weakref import ref
 
 from .numerics import parse_rational
 
@@ -47,7 +51,27 @@ class FormulaSyntaxError(FormulaError):
         self.offset = offset
 
 
-_interned: "WeakValueDictionary[tuple, Formula]" = WeakValueDictionary()
+class _Entry(ref):
+    """A value of the intern table: a weak reference to a node, with its key."""
+
+    __slots__ = ("key",)
+
+
+# The intern table: the key of every live node (a tag, its parameter if any,
+# its children) mapped to an _Entry of it.
+_interned: "dict[tuple, _Entry]" = {}
+
+
+def _drop(entry: _Entry, table: "dict[tuple, _Entry]" = _interned) -> None:
+    """Callback of an entry whose node died: remove the entry.
+
+    The key may hold a newer entry by now, for a node rebuilt after this one
+    died; that one stays.  The table is bound here, not read as a global,
+    because a module's globals are cleared at interpreter exit before its
+    last nodes die.
+    """
+    if table.get(entry.key) is entry:
+        del table[entry.key]
 
 
 class Formula:
@@ -163,7 +187,9 @@ class Scale(_Unary):
 
 def _make(key: tuple, cls: type, *args) -> Formula:
     """Miss path of every constructor: build the node and intern it."""
-    node = _interned[key] = cls(*args)
+    node = cls(*args)
+    entry = _interned[key] = _Entry(node, _drop)
+    entry.key = key
     return node
 
 
@@ -171,33 +197,40 @@ ZERO: Const = _make(("c", 0), Const, 0)
 ONE: Const = _make(("c", 1), Const, 1)
 
 
+# Each constructor reads the table inline; a miss, or an entry whose node is
+# already gone, builds the node.
 def var(index: int) -> Var:
     if index < 1:
         raise ValueError(f"variable index must be >= 1, got {index}")
     key = ("v", index)
-    return _interned.get(key) or _make(key, Var, index)  # type: ignore[return-value]
+    entry = _interned.get(key)
+    return (entry and entry()) or _make(key, Var, index)  # type: ignore[return-value]
 
 
 def lnot(child: Formula) -> Formula:
     key = ("n", child)
-    return _interned.get(key) or _make(key, Not, child)
+    entry = _interned.get(key)
+    return (entry and entry()) or _make(key, Not, child)
 
 
 def oplus(left: Formula, right: Formula) -> Formula:
     key = ("+", left, right)
-    return _interned.get(key) or _make(key, Oplus, left, right)
+    entry = _interned.get(key)
+    return (entry and entry()) or _make(key, Oplus, left, right)
 
 
 def odot(left: Formula, right: Formula) -> Formula:
     key = ("*", left, right)
-    return _interned.get(key) or _make(key, Odot, left, right)
+    entry = _interned.get(key)
+    return (entry and entry()) or _make(key, Odot, left, right)
 
 
 def delta(divisor: int, child: Formula) -> Formula:
     if divisor < 1:
         raise ValueError(f"delta divisor must be >= 1, got {divisor}")
     key = ("d", divisor, child)
-    return _interned.get(key) or _make(key, Delta, divisor, child)
+    entry = _interned.get(key)
+    return (entry and entry()) or _make(key, Delta, divisor, child)
 
 
 def scale(factor: Fraction, child: Formula) -> Formula:
@@ -205,7 +238,8 @@ def scale(factor: Fraction, child: Formula) -> Formula:
     if not 0 <= factor <= 1:
         raise ValueError(f"scale factor must lie in [0,1], got {factor}")
     key = ("s", factor, child)
-    return _interned.get(key) or _make(key, Scale, factor, child)
+    entry = _interned.get(key)
+    return (entry and entry()) or _make(key, Scale, factor, child)
 
 
 def postorder(*roots: Formula) -> list[Formula]:

@@ -159,7 +159,9 @@ def normality_violation(g: SubstitutionGraph) -> GraphError | None:
 
     A graph is normal when every node holds a certificate whose re-extraction
     reproduces the stored formula tree exactly.  Consecutive certificates on
-    an equal row share one peeling memo for the length of the pass.
+    an equal row share one peeling memo for the length of the pass; run
+    inside the pass that extracted the graph, a certificate returns the
+    formula extraction built without peeling again (``extract.row_runs``).
     """
     from .extract import row_runs
 

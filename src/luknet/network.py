@@ -7,10 +7,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple, Sequence
 
 from .numerics import (
-    Interval, format_rational, json_decode, json_field, json_int, json_list, parse_rational
+    format_rational, json_decode, json_field, json_int, json_list, parse_rational
 )
 
 RELU = "relu"
@@ -129,11 +130,23 @@ def node_local_map(net: Network, ref: NodeRef) -> tuple[tuple[Fraction, ...], Fr
     return layer.weights[i], layer.biases[i], layer.activations[i]
 
 
-def input_interval(weights: Sequence[Fraction], bias: Fraction) -> Interval:
-    """Interval of the affine map over the unit cube of its inputs (closed form)."""
-    lo = bias + sum((w for w in weights if w < 0), Fraction(0))
-    hi = bias + sum((w for w in weights if w > 0), Fraction(0))
-    return Interval(lo, hi)
+def cube_box(row: Sequence[int], bias: int) -> tuple[int, int]:
+    """Box bound (lo, hi) of bias + row.x over the unit cube, in closed form."""
+    lo = hi = bias
+    for w in row:
+        if w > 0:
+            hi += w
+        elif w < 0:
+            lo += w
+    return lo, hi
+
+
+def scaled_layer(layer: Layer) -> tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """(s, s.W, s.b) of a layer, for s the lcm of its weights' and biases' denominators."""
+    s = lcm(*(w.denominator for row in layer.weights for w in row),
+            *(b.denominator for b in layer.biases))
+    rows = tuple(tuple(w.numerator * (s // w.denominator) for w in row) for row in layer.weights)
+    return s, rows, tuple(b.numerator * (s // b.denominator) for b in layer.biases)
 
 
 def is_non_degenerate(net: Network, node_budget: int | None = None) -> tuple[bool, str | None]:

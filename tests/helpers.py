@@ -19,7 +19,6 @@ from luknet.network import (
     Layer,
     Network,
     NodeRef,
-    input_interval,
     is_non_degenerate,
     node_preactivations,
 )
@@ -106,6 +105,27 @@ def random_network(
         prev = w
     rows = (tuple(F(rng.randint(-wmax, wmax)) for _ in range(prev)),)
     layers.append(Layer(rows, (F(rng.randint(-wmax, wmax)),), (NONE,)))
+    return Network(n, tuple(layers))
+
+
+def rational_network(rng: random.Random, n: int, hidden: list[int], activation: str) -> Network:
+    """Weights and biases with denominator 2 or 3 per layer, |w| <= 3, so the
+    levels' denominators d_j exceed 1; activation "mixed" draws relu or clip
+    per node."""
+
+    def draw(prev: int, acts: tuple[str, ...]) -> Layer:
+        q = rng.choice((2, 3))
+        rows = tuple(tuple(F(rng.randint(-3 * q, 3 * q), q) for _ in range(prev)) for _ in acts)
+        return Layer(rows, tuple(F(rng.randint(-3 * q, 3 * q), q) for _ in acts), acts)
+
+    layers = []
+    prev = n
+    for w in hidden:
+        mixed = activation == "mixed"
+        acts = tuple(rng.choice(("relu", "clip")) if mixed else activation for _ in range(w))
+        layers.append(draw(prev, acts))
+        prev = w
+    layers.append(draw(prev, (NONE,)))
     return Network(n, tuple(layers))
 
 
@@ -333,10 +353,10 @@ def reference_extr_real(m, b) -> Formula:
         got = memo.get(key)
         if got is not None:
             return got
-        box = input_interval(m, b)
-        if box.lo >= 1:
+        lo, hi = fraction_box(m, b)
+        if lo >= 1:
             res: Formula = fm.ONE
-        elif box.hi <= 0:
+        elif hi <= 0:
             res = fm.ZERO
         elif all(c == 0 for c in m):
             res = fm.scale(b, fm.ONE)  # constant strictly inside (0,1)
@@ -356,3 +376,84 @@ def reference_extr_real(m, b) -> Formula:
         return res
 
     return go(mq, bq)
+
+
+def fraction_box(m, b) -> tuple[Fraction, Fraction]:
+    """Box bound (lo, hi) of b + m.x over the unit cube, on Fractions.
+
+    The oracles' own copy, kept apart from the library's integer ``cube_box``.
+    """
+    lo = b + sum((c for c in m if c < 0), Fraction(0))
+    hi = b + sum((c for c in m if c > 0), Fraction(0))
+    return lo, hi
+
+
+def reference_rho_to_sigma(network: Network) -> Network:
+    """The Fraction relu -> clip conversion ``extract.rho_to_sigma`` ran before
+    it scaled each layer to ints; without the degeneracy check."""
+    layers = list(network.layers)
+    for j in range(len(layers) - 1):
+        lay = layers[j]
+        rows, biases, copies = [], [], []
+        for row, b in zip(lay.weights, lay.biases):
+            hi = fraction_box(row, b)[1]
+            k = 0 if hi <= 1 else ceil(hi) - 1
+            copies.append(k + 1)
+            for step in range(k + 1):
+                rows.append(row)
+                biases.append(b - step)
+        layers[j] = Layer(tuple(rows), tuple(biases), (CLIP,) * len(rows))
+        nxt = layers[j + 1]
+        weights = tuple(
+            tuple(w for w, reps in zip(old_row, copies) for _ in range(reps))
+            for old_row in nxt.weights
+        )
+        layers[j + 1] = Layer(weights, nxt.biases, nxt.activations)
+    out = layers[-1]
+    layers[-1] = Layer(out.weights, out.biases, (CLIP,) * out.width)
+    return Network(network.input_dim, tuple(layers))
+
+
+def reference_sigma_to_rho(network: Network) -> Network:
+    """The Fraction clip -> relu conversion ``construct.sigma_to_rho`` ran
+    before it scaled each layer to ints."""
+    layers = list(network.layers)
+    for j in range(len(layers) - 2, -1, -1):
+        lay, nxt = layers[j], layers[j + 1]
+        converted = []  # (row, bias, outgoing column, synthetic-or-merged flag)
+        for i, (row, b) in enumerate(zip(lay.weights, lay.biases)):
+            col = [wrow[i] for wrow in nxt.weights]
+            converted.append([row, b, col, False])
+            if fraction_box(row, b)[1] > 1:
+                converted.append([row, b - 1, [-w for w in col], True])
+        merged, index_of = [], {}
+        for row, b, col, synth in converted:
+            if (row, b) in index_of:
+                entry = merged[index_of[row, b]]
+                entry[2] = [a + c for a, c in zip(entry[2], col)]
+                entry[3] = True
+            else:
+                index_of[row, b] = len(merged)
+                merged.append([row, b, col, synth])
+        kept = [e for e in merged if not (e[3] and all(w == 0 for w in e[2]))]
+        if not kept:
+            merged[0][2] = [F(0)] * nxt.width
+            kept = [merged[0]]
+        layers[j] = Layer(
+            tuple(e[0] for e in kept), tuple(e[1] for e in kept), (RELU,) * len(kept)
+        )
+        layers[j + 1] = Layer(
+            tuple(tuple(e[2][r] for e in kept) for r in range(nxt.width)),
+            nxt.biases,
+            nxt.activations,
+        )
+    out = layers[-1]
+    rng = exact_extrema(Network(network.input_dim, tuple(layers)), "output")
+    if rng.lo >= 0 and rng.hi <= 1:
+        layers[-1] = Layer(out.weights, out.biases, (NONE,))
+    else:
+        layers[-1] = Layer(
+            (out.weights[0], out.weights[0]), (out.biases[0], out.biases[0] - 1), (RELU, RELU)
+        )
+        layers.append(Layer(((F(1), F(-1)),), (F(0),), (NONE,)))
+    return Network(network.input_dim, tuple(layers))

@@ -5,9 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import box_forced_network, brute_extrema, layer, net, random_network
+from helpers import (
+    box_forced_network, brute_extrema, layer, net, random_network, rational_network
+)
 from luknet.bounds import BudgetExceeded, exact_extrema, interval_propagation
-from luknet.network import NONE, Layer, Network, NodeRef, apply_activation, network_from_dict
+from luknet.network import NodeRef, apply_activation, network_from_dict
 
 POOL_EXTREMA = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "pool_extrema.json"
 
@@ -114,27 +116,6 @@ def test_budget_generous_is_fine():
     n = random_network(rng, 2, [2])
     iv = exact_extrema(n, "output", node_budget=10_000)
     assert iv.lo <= iv.hi
-
-
-def rational_network(rng: random.Random, n: int, hidden: list[int], activation: str) -> Network:
-    """Weights and biases with denominator 2 or 3 per layer, |w| <= 3, so the
-    levels' denominators d_j exceed 1; activation "mixed" draws relu or clip
-    per node."""
-
-    def draw(prev: int, acts: tuple[str, ...]) -> Layer:
-        q = rng.choice((2, 3))
-        rows = tuple(tuple(F(rng.randint(-3 * q, 3 * q), q) for _ in range(prev)) for _ in acts)
-        return Layer(rows, tuple(F(rng.randint(-3 * q, 3 * q), q) for _ in acts), acts)
-
-    layers = []
-    prev = n
-    for w in hidden:
-        mixed = activation == "mixed"
-        acts = tuple(rng.choice(("relu", "clip")) if mixed else activation for _ in range(w))
-        layers.append(draw(prev, acts))
-        prev = w
-    layers.append(draw(prev, (NONE,)))
-    return Network(n, tuple(layers))
 
 
 @pytest.mark.parametrize("activation", ["relu", "clip", "mixed"])

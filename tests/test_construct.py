@@ -1,11 +1,21 @@
 import gc
+import json
+import pathlib
 import random
 import sys
 from fractions import Fraction as F
 
 import pytest
 
-from helpers import corpus_network, layer, net
+from helpers import (
+    corpus_network,
+    fraction_box,
+    layer,
+    net,
+    rational_network,
+    reference_rho_to_sigma,
+    reference_sigma_to_rho,
+)
 from luknet import extract
 from luknet import formula as fm
 from luknet import rewrite as rw
@@ -28,7 +38,11 @@ from luknet.graph import (
     graph_eval,
     represented_formula,
 )
-from luknet.network import eval_network
+from luknet.network import (
+    CLIP, Layer, Network, eval_network, network_from_dict, network_to_dict
+)
+
+POOL_ROUNDTRIP = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "pool_roundtrip.json"
 
 
 def nprime():
@@ -271,6 +285,14 @@ def test_roundtrip_random_sample():
         done += 1
 
 
+def half_network():
+    return net(
+        1,
+        layer([[F(3, 2)]], [F(-1, 2)], ["relu"]),
+        layer([[F(1, 2)]], [F(1, 4)], ["none"]),
+    )
+
+
 def test_no_memo_outlives_its_pass():
     # Peeling memos hold formulas; once a pass returns and its result is
     # dropped, reference counting alone must free them, with no collection.
@@ -278,26 +300,111 @@ def test_no_memo_outlives_its_pass():
     network = None
     while network is None:
         network = corpus_network(rng)
+    cases = [(network, "integer"), (half_network(), "rational"), (half_network(), "real")]
     gc.collect()
     gc.disable()
     try:
-        before = len(fm._interned)
-        back = roundtrip(network)
-        assert back == network
-        del back
-        assert len(fm._interned) == before
-        g = extract_graph(network)
-        del g
-        assert len(fm._interned) == before
+        for network, flavor in cases:
+            before = len(fm._interned)
+            back = roundtrip(network, flavor=flavor)
+            assert back == network
+            del back
+            assert len(fm._interned) == before
+            g = extract_graph(network, flavor=flavor)
+            del g
+            assert len(fm._interned) == before
     finally:
         gc.enable()
 
 
+def test_roundtrip_peels_each_certificate_once(monkeypatch):
+    # Extraction and the normality check share one pass: the check finds the
+    # formula extraction built and adds no peel of its own.
+    calls = 0
+    peel = extract._peel
+
+    def counted(run, b):
+        nonlocal calls
+        calls += 1
+        return peel(run, b)
+
+    monkeypatch.setattr(extract, "_peel", counted)
+    cases = [(dag_network(), "integer"), (half_network(), "rational"),
+             (half_network(), "real")]
+    for network, flavor in cases:
+        calls = 0
+        extract_graph(network, flavor=flavor)
+        alone = calls
+        calls = 0
+        assert roundtrip(network, flavor=flavor) == network
+        assert calls == alone > 0
+
+
 def test_roundtrip_rational_network():
-    network = net(
-        1,
-        layer([[F(3, 2)]], [F(-1, 2)], ["relu"]),
-        layer([[F(1, 2)]], [F(1, 4)], ["none"]),
-    )
+    network = half_network()
     assert roundtrip(network, flavor="rational") == network
     assert roundtrip(network, flavor="real") == network
+
+
+def test_roundtrip_frozen_pool():
+    # A fixed sample of the benchmark's round-trip pool comes back field for
+    # field: the first 40 fast and 2 slow integer networks, and 10
+    # half-integer ones in the rational and the real flavour.
+    pool = json.loads(POOL_ROUNDTRIP.read_text())
+    fast = [e for e in pool["integer"] if e["class"] == "fast"][:40]
+    slow = [e for e in pool["integer"] if e["class"] == "slow"][:2]
+    cases = [(e, "integer") for e in fast + slow]
+    cases += [(e, flavor) for e in pool["half"][:10] for flavor in ("rational", "real")]
+    for e, flavor in cases:
+        back = roundtrip(network_from_dict(e["net"]), flavor=flavor)
+        assert network_to_dict(back) == e["net"], (e["sigma"], flavor)
+
+
+def _with_copies(rng, network):
+    """The network with copies of random hidden nodes: the same row, the bias
+    moved by -1, 0 or 1, the outgoing column equal, negated or fresh."""
+    layers = list(network.layers)
+    for j in range(len(layers) - 1):
+        lay, nxt = layers[j], layers[j + 1]
+        rows, biases = list(lay.weights), list(lay.biases)
+        cols = [list(col) for col in zip(*nxt.weights)]
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(rows))
+            rows.append(rows[i])
+            biases.append(biases[i] + rng.choice((-1, 0, 1)))
+            col = cols[i]
+            cols.append(rng.choice((col, [-w for w in col], [F(rng.randint(-2, 2)) for _ in col])))
+        layers[j] = Layer(tuple(rows), tuple(biases), (CLIP,) * len(rows))
+        layers[j + 1] = Layer(tuple(zip(*cols)), nxt.biases, nxt.activations)
+    return Network(network.input_dim, tuple(layers))
+
+
+def test_conversions_match_the_fraction_reference():
+    # rho_to_sigma and sigma_to_rho on ints build the networks the Fraction
+    # conversions build, on half- and third-integer relu and clip networks,
+    # on the sigma networks of the relu ones, and on clip networks with
+    # copies of their nodes.  The counts show the cases reach every branch:
+    # rows with L > 1, twins that merge, merges that cancel.
+    rng = random.Random(14)
+    seen = {"split": 0, "merge": 0, "cancel": 0}
+    for _ in range(60):
+        hidden = [rng.randint(1, 3) for _ in range(rng.randint(1, 2))]
+        relu = rational_network(rng, rng.randint(1, 2), hidden, "relu")
+        sigma = extract.rho_to_sigma(relu, check=False)
+        assert sigma == reference_rho_to_sigma(relu)
+        clip = rational_network(rng, rng.randint(1, 2), hidden, "clip")
+        for network in (sigma, clip, _with_copies(rng, clip)):
+            back = sigma_to_rho(network)
+            assert back == reference_sigma_to_rho(network)
+            for lay, out in zip(network.layers[:-1], back.layers):
+                keys = list(zip(lay.weights, lay.biases))
+                twins = [(row, b - 1) for row, b in keys if fraction_box(row, b)[1] > 1]
+                seen["split"] += bool(twins)
+                seen["merge"] += len(set(keys + twins)) < len(keys + twins)
+                seen["cancel"] += out.width < len(set(keys + twins))
+    assert min(seen.values()) >= 10, seen
+    # Every node of the layer merges and cancels: one inert node stays.
+    inert = net(1, layer([[1], [1]], [0, 0], ["clip", "clip"]), layer([[1, -1]], [0], ["clip"]))
+    back = sigma_to_rho(inert)
+    assert back == reference_sigma_to_rho(inert)
+    assert back.layers[1].weights == ((0,),)

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction as F
 from functools import partial
@@ -61,6 +62,30 @@ def test_unit_divisor_and_factor(a):
 def test_structural_equality_is_interning():
     assert fm.odot(x1, fm.lnot(x2)) is fm.odot(x1, fm.lnot(x2))
     assert fm.odot(x1, x2) is not fm.odot(x2, x1)
+
+
+def test_intern_entry_lives_as_long_as_its_node():
+    # With no collection, an entry leaves the table when its node's last
+    # reference goes; the node built again is interned again, and a late
+    # callback of the old entry leaves the new one alone.
+    a, b = fm.var(41), fm.var(42)
+    key = ("+", a, b)
+    gc.collect()
+    gc.disable()
+    try:
+        node = fm.oplus(a, b)
+        value = evaluate(node, [F(0)] * 40 + [F(1, 3), F(1, 2)])
+        old = fm._interned[key]
+        assert old() is node
+        del node
+        assert key not in fm._interned
+        node = fm.oplus(a, b)
+        assert fm.oplus(a, b) is node
+        assert evaluate(node, [F(0)] * 40 + [F(1, 3), F(1, 2)]) == value
+        fm._drop(old)
+        assert fm._interned[key]() is node
+    finally:
+        gc.enable()
 
 
 def test_substitute_examples():

@@ -9,8 +9,8 @@ from luknet.network import (
     DimensionMismatch,
     Network,
     NodeRef,
+    cube_box,
     eval_network,
-    input_interval,
     is_non_degenerate,
     network_from_json,
     network_to_json,
@@ -75,25 +75,22 @@ def test_node_local_map():
 
 
 def test_input_interval_examples():
-    assert input_interval((F(1), F(2)), F(-1)).lo == -1
-    assert input_interval((F(1), F(2)), F(-1)).hi == 2
-    assert input_interval((F(-2),), F(1)).lo == -1
-    assert input_interval((F(-2),), F(1)).hi == 1
-    iv = input_interval((), F(5))
-    assert (iv.lo, iv.hi) == (5, 5)
+    assert cube_box((1, 2), -1) == (-1, 2)
+    assert cube_box((-2,), 1) == (-1, 1)
+    assert cube_box((), 5) == (5, 5)
 
 
 def test_input_interval_bounds_attained():
     rng = random.Random(8)
     for _ in range(100):
         d = rng.randint(1, 4)
-        w = tuple(F(rng.randint(-4, 4)) for _ in range(d))
-        b = F(rng.randint(-3, 3))
-        iv = input_interval(w, b)
-        at_lo = [F(1) if c < 0 else F(0) for c in w]
-        at_hi = [F(1) if c > 0 else F(0) for c in w]
-        assert sum(c * v for c, v in zip(w, at_lo)) + b == iv.lo
-        assert sum(c * v for c, v in zip(w, at_hi)) + b == iv.hi
+        w = tuple(rng.randint(-4, 4) for _ in range(d))
+        b = rng.randint(-3, 3)
+        lo, hi = cube_box(w, b)
+        at_lo = [1 if c < 0 else 0 for c in w]
+        at_hi = [1 if c > 0 else 0 for c in w]
+        assert sum(c * v for c, v in zip(w, at_lo)) + b == lo
+        assert sum(c * v for c, v in zip(w, at_hi)) + b == hi
 
 
 def test_piecewise_affinity_on_fixed_pattern_segment():
