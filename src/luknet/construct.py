@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from . import formula as fm
 from .bounds import exact_extrema
-from .extract import extract_graph, row_runs
+from .extract import extract_graph
 from .graph import GraphError, SubstitutionGraph, certificate_violation, normality_violation
 from .network import CLIP, NONE, RELU, Layer, Network, cube_box, scaled_layer
 
@@ -53,14 +53,17 @@ def graph_to_sigma(g: SubstitutionGraph) -> Network:
 
     Constant-0 nodes disappear with their edges; constant-1 nodes disappear
     with their outgoing weight folded into each successor's bias.  The
-    normality check re-extracts each certificate once (none, inside the pass
-    that extracted the graph); nodes are then read off their certificates
-    without a second extraction.
+    normality check re-extracts each certificate once; nodes are then read
+    off their certificates without a second extraction.
     """
     violation = normality_violation(g)
     if violation is not None:
         raise NotNormal(str(violation))
+    return _read_sigma(g)
 
+
+def _read_sigma(g: SubstitutionGraph) -> Network:
+    """The clip network of a graph whose nodes are known to be normal."""
     layers: list[Layer] = []
     # Per previous-level position: "kept" column index or a constant tag.
     prev_map: list[int | str] = list(range(g.widths[0]))
@@ -183,11 +186,9 @@ def sigma_to_rho(net: Network, node_budget: int | None = None) -> Network:
 def roundtrip(net: Network, flavor: str = "integer", node_budget: int | None = None) -> Network:
     """extract -> construct; structurally the identity on well-behaved networks.
 
-    Extraction and construction step I run in one pass (``row_runs``), so
-    each certificate is peeled once: the normality check finds the formula
-    that extraction built for it.
+    The graph comes straight from extraction, whose nodes are normal by
+    construction, so it is read off without the normality check: re-peeling
+    a certificate there would only rebuild the formula just stored with it.
     """
-    with row_runs():
-        g = extract_graph(net, flavor=flavor, node_budget=node_budget)
-        sigma = graph_to_sigma(g)
-    return sigma_to_rho(sigma, node_budget=node_budget)
+    g = extract_graph(net, flavor=flavor, node_budget=node_budget)
+    return sigma_to_rho(_read_sigma(g), node_budget=node_budget)

@@ -102,13 +102,7 @@ def extr(m, b) -> Formula:
     fractional and constant-bias steps never fire, so only unit peeling, sign
     flips and the bare variable remain.
     """
-    return _extract(_extr, m, b)
-
-
-def _extr(key: tuple[int, tuple[int, ...]], bs: int) -> Formula:
-    if key[0] != 1:
-        raise ValueError("extr needs integer coefficients; use extr_rational")
-    return _peel(_row(key), bs)
+    return _formula(FLAVOR_INTEGER, m, b)
 
 
 def extr_rational(m, b) -> Formula:
@@ -119,20 +113,7 @@ def extr_rational(m, b) -> Formula:
     result is the left-associated chain delta_s t_0 + ... + delta_s t_{s-1}.
     Integer input (s = 1) is peeled directly, which is :func:`extr` exactly.
     """
-    return _extract(_extr_rational, m, b)
-
-
-def _extr_rational(key: tuple[int, tuple[int, ...]], bs: int) -> Formula:
-    s, row = key
-    run = _row((1, row))
-    if s == 1:
-        return _peel(run, bs)
-    chain: Formula | None = None
-    for i in range(s):
-        term = fm.delta(s, _peel(run, bs - i))
-        chain = term if chain is None else fm.oplus(chain, term)
-    assert chain is not None
-    return chain
+    return _formula(FLAVOR_RATIONAL, m, b)
 
 
 def extr_real(m, b) -> Formula:
@@ -147,58 +128,23 @@ def extr_real(m, b) -> Formula:
     variable itself.  A leftover constant bias in (0,1) becomes scale(b, 1).
     The peel runs on the row scaled once to integers (:func:`_peel`).
     """
-    return _extract(_extr_real, m, b)
+    return _formula(FLAVOR_REAL, m, b)
 
 
-def _extr_real(key: tuple[int, tuple[int, ...]], bs: int) -> Formula:
-    return _peel(_row(key), bs)
-
-
-def _scaled(m, b) -> tuple[tuple[int, tuple[int, ...]], int]:
-    """((s, s.m), s.b) for s the lcm of the denominators of m and b."""
+def _formula(flavor: str, m, b) -> Formula:
+    """The flavor's formula of clip(m.x + b), peeled on [b, *m] scaled once
+    to ints by s, the lcm of its denominators."""
     (bs, *row), s = _scale([b, *m])
-    return (s, tuple(row)), bs
-
-
-def _extract(core, m, b) -> Formula:
-    """``core`` on the row (m, b) scaled by :func:`_scaled`.
-
-    Inside a pass each source row ``m`` is scaled once, and each of its
-    biases is extracted once per core: a second extraction returns the
-    formula the first one built.
-    """
-    state = _pass.get()
-    if state is None:
-        return core(*_scaled(m, b))
-    source = state.sources.get(id(m))
-    if source is None:
-        source = state.sources[id(m)] = _Source(m)
-    num, den = b.numerator, b.denominator  # a key that hashes faster than b
-    got = source.done.get((core, num, den))
-    if got is None:
-        if source.s % den:
-            key, bs = _scaled(m, b)
-        else:
-            key, bs = source.key, num * (source.s // den)
-        got = source.done[core, num, den] = core(key, bs)
-    return got
-
-
-class _Source:
-    """A row m as a pass met it: scaled to ints once, and the formula of each
-    (core, bias) extracted over it.
-
-    The pass finds it by ``id(m)``; holding ``m`` keeps that id from naming
-    another row while the pass is open.
-    """
-
-    __slots__ = ("m", "s", "key", "done")
-
-    def __init__(self, m):
-        self.m = m
-        row, self.s = _scale(m)
-        self.key = (self.s, tuple(row))
-        self.done: dict[tuple, Formula] = {}
+    row = tuple(row)
+    if flavor == FLAVOR_RATIONAL and s > 1:
+        run = _row((1, row))
+        chain = fm.delta(s, _peel(run, bs))
+        for i in range(1, s):
+            chain = fm.oplus(chain, fm.delta(s, _peel(run, bs - i)))
+        return chain
+    if flavor == FLAVOR_INTEGER and s != 1:
+        raise ValueError("extr needs integer coefficients; use extr_rational")
+    return _peel(_row((s, row)), bs)
 
 
 class _Row:
@@ -229,41 +175,27 @@ class _Row:
         self.memo: dict[int, Formula] = {}
 
 
-class _Pass:
-    """What an open pass keeps: the peeling memo of the row extracted last
-    (``run``, None before the first peel), and every source row it met."""
-
-    __slots__ = ("run", "sources")
-
-    def __init__(self):
-        self.run: _Row | None = None
-        self.sources: dict[int, _Source] = {}
-
-
-# The innermost open pass, None outside any.  It is context state rather
-# than a parameter because the normality pass reaches the extractors through
-# formula_for_certificate(cert).
-_pass: ContextVar[_Pass | None] = ContextVar("_pass", default=None)
+# The current run of the innermost open pass: a one-slot list holding its
+# _Row (or None before the first peel), None outside any pass.  It is
+# context state rather than a parameter because the normality pass reaches
+# the extractors through formula_for_certificate(cert).
+_pass: ContextVar[list | None] = ContextVar("_pass", default=None)
 
 
 @contextmanager
 def row_runs():
-    """Let the extractions of a block share their work.
+    """Let consecutive extractions of an equal row share one peeling memo.
 
-    Inside the block the peeling memo of the current row is kept until a
-    different row is peeled; it is dropped then.  This covers the sigma
-    copies ``rho_to_sigma`` places side by side.  The block also keeps, for
-    each source row (by identity), its scaled ints and the finished formula
-    of each bias extracted over it, one entry per sigma node: extracting a
-    certificate of a graph built in the same block returns the formula that
-    extraction built, without peeling again.  Everything goes when the block
-    ends.  Outside any block each call peels with a memo of its own, which the
-    s terms of :func:`extr_rational` share.
+    Inside the block the memo of the current row is kept until a different
+    row is peeled; it is dropped then and when the block ends.  This covers
+    the sigma copies ``rho_to_sigma`` places side by side.  Outside any
+    block each call peels with a memo of its own, which the s terms of
+    :func:`extr_rational` share.
     """
     if _pass.get() is not None:
         yield
         return
-    token = _pass.set(_Pass())
+    token = _pass.set([None])
     try:
         yield
     finally:
@@ -271,12 +203,12 @@ def row_runs():
 
 
 def _row(key: tuple[int, tuple[int, ...]]) -> _Row:
-    state = _pass.get()
-    if state is None:
+    slot = _pass.get()
+    if slot is None:
         return _Row(key)
-    run = state.run
+    run = slot[0]
     if run is None or run.key != key:
-        run = state.run = _Row(key)
+        run = slot[0] = _Row(key)
     return run
 
 
@@ -359,16 +291,9 @@ def _peel(run: _Row, b: int) -> Formula:
     return done[0]
 
 
-_EXTRACTORS = {
-    FLAVOR_INTEGER: extr,
-    FLAVOR_RATIONAL: extr_rational,
-    FLAVOR_REAL: extr_real,
-}
-
-
 def formula_for_certificate(cert: MintermCertificate) -> Formula:
     """Re-run the flavor's extractor on a certificate."""
-    return _EXTRACTORS[cert.flavor](cert.m, cert.b)
+    return _formula(cert.flavor, cert.m, cert.b)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +317,6 @@ def extract_graph(
             if any(q.denominator != 1 for q in entries):
                 raise ValueError("integer flavor requires integer weights and biases")
     sigma = rho_to_sigma(net, check=check, node_budget=node_budget)
-    extractor = _EXTRACTORS[flavor]
     node_layers = []
     with row_runs():
         for layer in sigma.layers:
@@ -401,7 +325,7 @@ def extract_graph(
                 m, b = layer.weights[i], layer.biases[i]
                 nodes.append(
                     GraphNode(
-                        formula=extractor(m, b),
+                        formula=_formula(flavor, m, b),
                         certificate=MintermCertificate(tuple(m), b, flavor),
                     )
                 )

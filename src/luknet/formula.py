@@ -74,6 +74,10 @@ def _drop(entry: _Entry, table: "dict[tuple, _Entry]" = _interned) -> None:
         del table[entry.key]
 
 
+# The most nodes an expanded tree may have for ``repr`` to spell it out.
+_REPR_LIMIT = 10_000
+
+
 class Formula:
     """Base node.  Use the module-level constructors; never instantiate directly.
 
@@ -96,7 +100,15 @@ class Formula:
         return sizes[self]
 
     def __repr__(self):
-        return to_text(self)
+        """``to_text`` of a small formula; past ``_REPR_LIMIT`` tree nodes,
+        whose text could outgrow any memory, a one-line summary instead."""
+        order = postorder(self)
+        nodes: dict[Formula, int] = {}
+        for node in order:
+            nodes[node] = 1 + sum(nodes[kid] for kid in node.children())
+        if nodes[self] <= _REPR_LIMIT:
+            return to_text(self)
+        return f"<{_head_text(self)}: {len(order)} distinct subterms, tree length {self.length}>"
 
     def children(self) -> tuple["Formula", ...]:
         return ()

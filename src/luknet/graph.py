@@ -158,10 +158,10 @@ def normality_violation(g: SubstitutionGraph) -> GraphError | None:
     """First reason the graph is not normal, or None.
 
     A graph is normal when every node holds a certificate whose re-extraction
-    reproduces the stored formula tree exactly.  Consecutive certificates on
-    an equal row share one peeling memo for the length of the pass; run
-    inside the pass that extracted the graph, a certificate returns the
-    formula extraction built without peeling again (``extract.row_runs``).
+    reproduces the stored formula tree exactly.  Each certificate is
+    re-extracted from its row and bias alone; consecutive certificates on an
+    equal row share one peeling memo for the length of the pass
+    (``extract.row_runs``).
     """
     from .extract import row_runs
 

@@ -4,6 +4,7 @@ paths."""
 from __future__ import annotations
 
 import itertools
+import pathlib
 import random
 from fractions import Fraction
 from math import ceil, floor
@@ -24,6 +25,9 @@ from luknet.network import (
 )
 
 F = Fraction
+
+# The benchmark's frozen round-trip pool: integer and half-integer networks.
+POOL_ROUNDTRIP = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "pool_roundtrip.json"
 
 
 def layer(weights, biases, activations) -> Layer:

@@ -487,6 +487,33 @@ def test_bad_axiom_set_exits_two(tmp_path, capsys, argv, message):
     assert not paths["OUT"].exists()
 
 
+@pytest.mark.parametrize("out", ["DIR", "MISSING/o.json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extract", "NET", "-o", "OUT"],
+        ["construct", "GRAPH", "-o", "OUT"],
+        ["rewrite", "GRAPH", "--trace", "TRACE", "-o", "OUT"],
+    ],
+)
+def test_unwritable_output_exits_two(fixtures_dir, tmp_path, capsys, argv, out):
+    # An -o path that is a directory or lies in a missing one is bad input:
+    # one error line and exit 2, where an uncaught OSError would exit 1.
+    paths = {
+        "NET": fixtures_dir / "intro2.json",
+        "GRAPH": tmp_path / "g.json",
+        "TRACE": tmp_path / "t.jsonl",
+        "OUT": tmp_path / out,
+    }
+    (tmp_path / "DIR").mkdir()
+    assert run(capsys, "extract", str(paths["NET"]), "-o", str(paths["GRAPH"]))[0] == 0
+    paths["TRACE"].write_text('{"axiom": "Ax7", "dir": "LR", "pos": [], "node": [3, 1]}\n')
+    code, stdout, err = run(capsys, *(str(paths.get(a, a)) for a in argv))
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: cannot write {paths['OUT']}: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("opener", ["[", '{"a": '])
 @pytest.mark.parametrize(
     "argv,what",

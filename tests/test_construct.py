@@ -1,6 +1,5 @@
 import gc
 import json
-import pathlib
 import random
 import sys
 from fractions import Fraction as F
@@ -8,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import (
+    POOL_ROUNDTRIP,
     corpus_network,
     fraction_box,
     layer,
@@ -41,8 +41,6 @@ from luknet.graph import (
 from luknet.network import (
     CLIP, Layer, Network, eval_network, network_from_dict, network_to_dict
 )
-
-POOL_ROUNDTRIP = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "pool_roundtrip.json"
 
 
 def nprime():
@@ -122,8 +120,9 @@ def test_graph_to_sigma_names_first_bad_node():
         graph_to_sigma(g)
 
 
-def test_graph_to_sigma_reextracts_each_certificate_once(monkeypatch):
-    # The normality check and the node readout share one re-extraction.
+def count_reextractions(monkeypatch) -> list:
+    """The certificates passed to formula_for_certificate from now on, in
+    every luknet module that holds it."""
     calls = []
     original = extract.formula_for_certificate
 
@@ -135,9 +134,29 @@ def test_graph_to_sigma_reextracts_each_certificate_once(monkeypatch):
         bound = vars(module).get("formula_for_certificate")
         if name.split(".")[0] == "luknet" and bound is original:
             monkeypatch.setattr(module, "formula_for_certificate", counting)
+    return calls
+
+
+def test_graph_to_sigma_reextracts_each_certificate_once(monkeypatch):
+    # The normality check and the node readout share one re-extraction.
+    calls = count_reextractions(monkeypatch)
     g = extract_graph(nprime())
     graph_to_sigma(g)
     assert len(calls) == sum(g.widths[1:])
+
+
+def test_open_pass_does_not_vouch_for_a_swapped_formula():
+    # Inside a pass that has just extracted the graph, a node whose formula
+    # was swapped for its neighbour's is still refused: its certificate is
+    # re-extracted from its row and bias, not matched against what
+    # extraction stored.
+    with extract.row_runs():
+        g = extract_graph(dag_network())
+        first, second = g.nodes[0][:2]
+        assert first.formula is not second.formula
+        level = (GraphNode(second.formula, first.certificate),) + g.nodes[0][1:]
+        with pytest.raises(NotNormal, match=r"certificate of node \(1,1\) does not reproduce"):
+            graph_to_sigma(SubstitutionGraph(g.widths, (level,) + g.nodes[1:]))
 
 
 def _normal_node(m, b):
@@ -318,8 +337,9 @@ def test_no_memo_outlives_its_pass():
 
 
 def test_roundtrip_peels_each_certificate_once(monkeypatch):
-    # Extraction and the normality check share one pass: the check finds the
-    # formula extraction built and adds no peel of its own.
+    # The round trip reads its graph straight off extraction: it peels only
+    # what extract_graph peels and re-extracts no certificate.
+    reextractions = count_reextractions(monkeypatch)
     calls = 0
     peel = extract._peel
 
@@ -338,6 +358,7 @@ def test_roundtrip_peels_each_certificate_once(monkeypatch):
         calls = 0
         assert roundtrip(network, flavor=flavor) == network
         assert calls == alone > 0
+    assert reextractions == []
 
 
 def test_roundtrip_rational_network():

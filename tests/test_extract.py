@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from contextlib import nullcontext
 from fractions import Fraction as F
@@ -7,7 +8,7 @@ from math import lcm
 import numpy as np
 import pytest
 
-from helpers import layer, net, random_network, reference_extr_real
+from helpers import POOL_ROUNDTRIP, layer, net, random_network, reference_extr_real
 from luknet import formula as fm
 from luknet.equiv import FiniteGrid
 from luknet.extract import (
@@ -21,7 +22,9 @@ from luknet.extract import (
 )
 from luknet.formula import evaluate, to_text
 from luknet.graph import is_normal, represented_formula
-from luknet.network import Degenerate, apply_activation, eval_network
+from luknet.network import (
+    Degenerate, apply_activation, eval_network, network_from_dict, network_from_json
+)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +294,8 @@ def test_extractors_build_the_oracle_objects():
     # builds: every integer row d <= 2 (|m| <= 3, |b| <= 4) and d = 3
     # (|m| <= 2), through all three flavors, then half- and third-integer
     # rows d <= 2 (|m|, |b| <= 1 + 1/q) through extr_real and extr_rational.
-    # The second pass runs inside row_runs, where each row's memo serves all
-    # its biases.
+    # The second pass runs inside row_runs, where the peel memo of each row
+    # serves its later biases too.
     cases = []
     for d, top in ((1, 3), (2, 3), (3, 2)):
         for m in itertools.product(range(-top, top + 1), repeat=d):
@@ -372,10 +375,17 @@ def test_extract_graph_rejects_non_integer_for_integer_flavor():
     assert g.node(1, 1).formula is extr_rational((F(1, 2),), F(0))
 
 
-def test_extract_graph_certificates_reproduce_formulas():
-    # kappa's normality premise: re-running the extractor on every stored
-    # certificate rebuilds the stored tree byte for byte.
+def test_extract_graph_certificates_reproduce_formulas(fixtures_dir):
+    # kappa's normality premise, in every flavour: re-running the extractor
+    # on every stored certificate rebuilds the stored tree byte for byte.
+    # The check runs outside extraction's pass, so no peel memo of the
+    # extraction serves it.
+    # The networks are a random one, the fixtures, and the first 10
+    # half-integer networks of the round-trip pool (not the integer flavour).
     rng = random.Random(37)
-    network = random_network(rng, 2, [3, 2])
-    g = extract_graph(network, check=False)
-    assert is_normal(g)
+    networks = [random_network(rng, 2, [3, 2])]
+    networks += [network_from_json(p.read_text()) for p in sorted(fixtures_dir.glob("*.json"))]
+    half = [network_from_dict(e["net"]) for e in json.loads(POOL_ROUNDTRIP.read_text())["half"][:10]]
+    for flavor in ("integer", "rational", "real"):
+        for network in networks + (half if flavor != "integer" else []):
+            assert is_normal(extract_graph(network, flavor=flavor, check=False)), flavor

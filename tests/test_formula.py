@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import random_formula, random_substitution
+from helpers import layer, net, random_formula, random_substitution
 from luknet import formula as fm
+from luknet.extract import extract_graph
 from luknet.formula import (
     FormulaSyntaxError,
     OutOfDomain,
@@ -144,6 +145,21 @@ def test_length_is_occurrence_count():
         assert fm.odot(a, b).length == a.length + b.length
         assert fm.lnot(a).length == a.length
         assert fm.delta(3, a).length == a.length
+
+
+def test_repr_of_a_huge_tree_is_a_summary():
+    # The tent rho(24x) - 2 rho(24x-1) + rho(24x-2): its output node has
+    # 4 428 distinct subterms over an expanded tree of about 8e26 leaves,
+    # so its repr must not spell the tree out.
+    tent = net(1, layer([[24]] * 3, [0, -1, -2], ["relu"] * 3), layer([[1, -2, 1]], [0], ["none"]))
+    f = extract_graph(tent).node(2, 1).formula
+    text = repr(f)
+    assert text == f"<odot: {fm.dag_size(f)} distinct subterms, tree length {f.length}>"
+    assert f.length > 10**26
+    rng = random.Random(9)
+    for _ in range(50):
+        g = random_formula(rng, 3, 4, dmv=True)
+        assert repr(g) == to_text(g)
 
 
 def test_parse_examples():
