@@ -200,8 +200,9 @@ class Scale(_Unary):
 def _make(key: tuple, cls: type, *args) -> Formula:
     """Miss path of every constructor: build the node and intern it."""
     node = cls(*args)
-    entry = _interned[key] = _Entry(node, _drop)
+    entry = _Entry(node, _drop)
     entry.key = key
+    _interned[key] = entry
     return node
 
 

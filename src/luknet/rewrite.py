@@ -3,22 +3,23 @@
 Axiom sides are ordinary formulas whose variables act as metavariables, so
 instantiation is plain substitution.  Positions are root-to-node child-index
 paths.  Derivation traces record (axiom, direction, position, binding) steps
-and replay deterministically.
+and replay deterministically.  ``Axiom``, ``Step`` and ``DerivationTrace``
+are named tuples.  The rho glossary writes an MV formula with affine maps and
+rho = relu: one table gives the text and the value of each MV connective's rho
+form over its children's, and one fold over the formula's postorder reads it.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import Counter
 from fractions import Fraction
 from functools import partial
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import formula as fm
 from .formula import Formula, Not, Odot, Oplus, Var, substitute
 from .graph import GraphNode, SubstitutionGraph
-from .numerics import (
-    format_rational, json_decode, json_field, json_int, json_list, json_str, parse_rational
-)
+from .numerics import json_decode, json_field, json_int, json_list, json_str, parse_rational
 
 
 class RewriteError(Exception):
@@ -62,18 +63,22 @@ _METAVAR_NAMES = {1: "x", 2: "y", 3: "z"}
 _METAVAR_INDICES = {v: k for k, v in _METAVAR_NAMES.items()}
 
 
-@dataclass(frozen=True)
-class Axiom:
+class _Axiom(NamedTuple):
     id: str
     lhs: Formula
     rhs: Formula
 
-    def __post_init__(self) -> None:
-        # Metavariables are shared between the sides; nothing may dangle
-        # outside the name table used by trace files.
-        for side in (self.lhs, self.rhs):
-            if side.max_var > len(_METAVAR_NAMES):
-                raise ValueError(f"axiom {self.id} uses more than 3 metavariables")
+
+class Axiom(_Axiom):
+    """The axiom lhs = rhs; its variables are metavariables shared by the sides."""
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, lhs: Formula, rhs: Formula) -> "Axiom":
+        # Nothing may dangle outside the name table used by trace files.
+        if max(lhs.max_var, rhs.max_var) > len(_METAVAR_NAMES):
+            raise ValueError(f"axiom {id} uses more than 3 metavariables")
+        return super().__new__(cls, id, lhs, rhs)
 
     def side(self, direction: str) -> tuple[Formula, Formula]:
         if direction == "LR":
@@ -373,8 +378,7 @@ def catalog_by_id(axioms: Iterable[Axiom]) -> dict[str, Axiom]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     axiom_id: str
     direction: str  # "LR" | "RL"
     pos: tuple[int, ...]
@@ -382,10 +386,9 @@ class Step:
     node: tuple[int, int] | None = None  # (level, index) for graph traces
 
 
-@dataclass(frozen=True)
-class DerivationTrace:
+class DerivationTrace(NamedTuple):
     start: Formula
-    steps: tuple[Step, ...] = field(default_factory=tuple)
+    steps: tuple[Step, ...] = ()
 
 
 def replay(trace: DerivationTrace, axioms: Mapping[str, Axiom]) -> list[Formula]:
@@ -520,87 +523,51 @@ def apply_trace_to_graph(
 # ---------------------------------------------------------------------------
 
 
-class RhoExpr:
-    """Expression over metavariables built from affine arithmetic and rho."""
+_F0, _F1 = Fraction(0), Fraction(1)
 
-    def evaluate(self, env: Mapping[int, Fraction]) -> Fraction:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class RhoConst(RhoExpr):
-    value: Fraction
-
-    def evaluate(self, env):
-        return self.value
-
-    def __str__(self):
-        return format_rational(self.value)
+# The rho form of each MV connective over its children's: its text, then its
+# value.  x*y = rho(x + y - 1) and x+y = 1 - rho(1 - x - y).
+_RHO_FORMS = {
+    Not: ("1 - {}".format, lambda a: _F1 - a),
+    Odot: ("rho({} + {} - 1)".format, lambda a, b: max(a + b - _F1, _F0)),
+    Oplus: ("1 - rho(1 - {} - {})".format, lambda a, b: _F1 - max(_F1 - a - b, _F0)),
+}
 
 
-@dataclass(frozen=True)
-class RhoVar(RhoExpr):
-    index: int
-
-    def evaluate(self, env):
-        return env[self.index]
-
-    def __str__(self):
-        return _METAVAR_NAMES.get(self.index, f"#{self.index}")
-
-
-@dataclass(frozen=True)
-class RhoSum(RhoExpr):
-    left: RhoExpr
-    right: RhoExpr
-    sign: int  # +1 or -1 on the right operand
-
-    def evaluate(self, env):
-        r = self.right.evaluate(env)
-        return self.left.evaluate(env) + (r if self.sign > 0 else -r)
-
-    def __str__(self):
-        return f"{self.left} {'+' if self.sign > 0 else '-'} {self.right}"
-
-
-@dataclass(frozen=True)
-class Rho(RhoExpr):
-    child: RhoExpr
-
-    def evaluate(self, env):
-        v = self.child.evaluate(env)
-        return v if v > 0 else Fraction(0)
-
-    def __str__(self):
-        return f"rho({self.child})"
-
-
-def _to_rho(f: Formula) -> RhoExpr:
-    one = RhoConst(Fraction(1))
-    rho: dict[Formula, RhoExpr] = {}
-    for node in fm.postorder(f):
-        t = type(node)
-        if t is fm.Const:
-            rho[node] = RhoConst(Fraction(node.value))
-        elif t is Var:
-            rho[node] = RhoVar(node.index)
-        elif t is Not:
-            rho[node] = RhoSum(one, rho[node.child], -1)
-        elif t is Odot:
-            # x*y = rho(x + y - 1)
-            rho[node] = Rho(RhoSum(RhoSum(rho[node.left], rho[node.right], +1), one, -1))
-        elif t is Oplus:
-            # x+y = 1 - rho(-x - y + 1) = 1 - rho(1 - x - y)
-            inner = RhoSum(RhoSum(one, rho[node.left], -1), rho[node.right], -1)
-            rho[node] = RhoSum(one, Rho(inner), -1)
+def _rho_fold(f: Formula, column: int, atom: Callable[[Formula], object]):
+    """Column ``column`` of ``_RHO_FORMS`` folded over f's postorder, atom(node) at
+    the leaves.  A result is dropped once its last parent has read it, so a deep
+    chain holds one text at a time, not every prefix of it."""
+    order = fm.postorder(f)
+    readers = Counter(kid for node in order for kid in node.children())
+    memo: dict[Formula, object] = {}
+    for node in order:
+        kids = node.children()
+        if node.head is None:
+            memo[node] = atom(node)
+        elif type(node) in _RHO_FORMS:
+            memo[node] = _RHO_FORMS[type(node)][column](*[memo[kid] for kid in kids])
         else:
             raise ValueError("symmetry rendering is defined for the MV connectives only")
-    return rho[f]
+        for kid in kids:
+            readers[kid] -= 1
+            if not readers[kid]:
+                del memo[kid]
+    return memo[f]
 
 
-def render_symmetry(axiom: Axiom) -> tuple[RhoExpr, RhoExpr]:
+def _atom_text(node: Formula) -> str:
+    return _METAVAR_NAMES.get(node.index, f"#{node.index}") if type(node) is Var else str(node.value)
+
+
+def render_symmetry(axiom: Axiom) -> tuple[str, str]:
     """Both sides as compositions of affine maps and rho; they agree pointwise."""
-    return _to_rho(axiom.lhs), _to_rho(axiom.rhs)
+    return _rho_fold(axiom.lhs, 0, _atom_text), _rho_fold(axiom.rhs, 0, _atom_text)
+
+
+def rho_value(f: Formula, env: Mapping[int, Fraction]) -> Fraction:
+    """The value of f's rho form where metavariable i takes env[i]."""
+    return _rho_fold(f, 1, lambda node: env[node.index] if type(node) is Var else Fraction(node.value))
 
 
 def axiom_arity(axiom: Axiom) -> int:

@@ -180,7 +180,11 @@ def test_axioms_listing(capsys):
     assert len(lines) == 16
     code, out, _ = run(capsys, "axioms", "--set", "MV", "--render-symmetry")
     assert code == 0
-    assert "rho(" in out
+    assert "Ax1p: (odot x1 x2) = (odot x2 x1)  |  rho(x + y - 1) = rho(y + x - 1)" in out.splitlines()
+    code, out, _ = run(capsys, "axioms", "--set", "DMV:2", "--render-symmetry")
+    assert code == 0
+    no_rho = "AxD2: (oplus (delta 2 x1) (delta 2 x1)) = x1  |  (no rho form: non-MV connective)"
+    assert no_rho in out.splitlines()
 
 
 def test_axioms_sets(capsys):

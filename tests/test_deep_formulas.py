@@ -1,8 +1,9 @@
 """Walks over formulas are iterative: a 10 000-deep `not` chain and a
 left-leaning `oplus` spine of the same depth go through every walk and the
 s-expression text form under the default recursion limit, and so do tree
-lengths and the extraction of a single large weight.  Rewrite errors on a
-formula whose tree is exponentially long name the position, not the tree."""
+lengths, the rho glossary and the extraction of a single large weight.
+Rewrite errors on a formula whose tree is exponentially long name the
+position, not the tree."""
 import sys
 from fractions import Fraction as F
 
@@ -77,6 +78,16 @@ def test_match_instantiation_deep():
     assert rw.match_instantiation(chain(x1), chain(fm.odot(x2, x3))) == {1: fm.odot(x2, x3)}
     assert rw.match_instantiation(spine(x1, x2), spine(x3, x1)) == {1: x3, 2: x1}
     assert rw.match_instantiation(chain(x1), chain(x2, DEPTH - 1)) is None
+
+
+def test_render_symmetry_deep():
+    ax = rw.Axiom("deep", chain(x1), spine(x1, x2))
+    lhs, rhs = rw.render_symmetry(ax)
+    assert lhs == "1 - " * DEPTH + "x"
+    assert len(rhs) == len("1 - rho(1 - ") * DEPTH + len("x") + len(" - y)") * DEPTH
+    env = {1: F(1, 3), 2: F(1, 3 * DEPTH)}
+    for side in (ax.lhs, ax.rhs):
+        assert rw.rho_value(side, env) == evaluate(side, [F(1, 3), F(1, 3 * DEPTH)])
 
 
 def test_replace_at_deep():

@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 from fractions import Fraction as F
 from functools import partial
 from itertools import permutations
@@ -87,6 +88,22 @@ def test_intern_entry_lives_as_long_as_its_node():
         assert fm._interned[key]() is node
     finally:
         gc.enable()
+
+
+def test_a_failed_intern_store_leaves_no_keyless_entry(monkeypatch):
+    # The entry has its key before the store, so when the store fails (a
+    # MemoryError in the dict) and the node dies, its callback finds the key.
+    class Full(dict):
+        def __setitem__(self, key, value):
+            raise MemoryError
+
+    unraisable = []
+    monkeypatch.setattr(fm, "_interned", Full())
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with pytest.raises(MemoryError):
+        fm.var(987654)
+    gc.collect()
+    assert unraisable == []
 
 
 def test_substitute_examples():

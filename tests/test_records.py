@@ -12,6 +12,7 @@ from luknet.extract import MintermCertificate
 from luknet.graph import GraphNode, SubstitutionGraph
 from luknet.network import DimensionMismatch, Layer, Network, NodeRef
 from luknet.numerics import Interval
+from luknet.rewrite import Axiom, DerivationTrace, Step
 
 x1, x2 = fm.var(1), fm.var(2)
 CERT = MintermCertificate((F(1), F(-1)), F(0), "integer")
@@ -31,6 +32,11 @@ RECORDS = [
     (FiniteGrid, "k n", (2, 3), (3, 2)),
     (Equal, "points_checked", (27,), (26,)),
     (Counterexample, "point lhs rhs", ((F(1, 2),), F(1), F(1, 2)), ((F(1, 2),), F(1, 2), F(1))),
+    (Axiom, "id lhs rhs", ("Ax1p", fm.odot(x1, x2), fm.odot(x2, x1)),
+     ("Ax1p", fm.odot(x1, x2), fm.odot(x1, x2))),
+    (Step, "axiom_id direction pos binding node", ("Ax5", "RL", (0, 1), None, (1, 1)),
+     ("Ax5", "LR", (0, 1), None, (1, 1))),
+    (DerivationTrace, "start steps", (x1, (Step("Ax5", "RL", ()),)), (x1, ())),
 ]
 IDS = [cls.__name__ for cls, _, _, _ in RECORDS]
 
@@ -67,6 +73,9 @@ def test_defaults_and_keywords():
     assert Equal() == Equal(points_checked=0)
     assert Network(input_dim=2, layers=(LAYER,)) == net(2, LAYER)
     assert Interval(lo=F(0), hi=F(0)).encloses(Interval(F(0), F(0)))
+    assert Step("Ax5", "LR", ()) == Step(axiom_id="Ax5", direction="LR", pos=(), binding=None, node=None)
+    assert DerivationTrace(x1) == DerivationTrace(start=x1, steps=())
+    assert Axiom(id="Ax5", lhs=x1, rhs=x1) == Axiom("Ax5", x1, x1)
 
 
 L = layer  # short, for the table below
@@ -108,6 +117,9 @@ L = layer  # short, for the table below
          "integer certificate with non-integer entries"),
         (lambda: FiniteGrid(0, 2), ValueError, "grid needs k >= 1 and n >= 0"),
         (lambda: FiniteGrid(2, -1), ValueError, "grid needs k >= 1 and n >= 0"),
+        (lambda: Axiom("AxW", fm.oplus(x1, fm.var(4)), x1), ValueError,
+         "axiom AxW uses more than 3 metavariables"),
+        (lambda: Axiom("AxW", x1, fm.var(4)), ValueError, "axiom AxW uses more than 3 metavariables"),
     ],
 )
 def test_validation_at_construction(build, error, message):

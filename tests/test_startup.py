@@ -1,6 +1,7 @@
 """A CLI process loads only the code its commands run: importing luknet.cli
 pulls in neither dataclasses nor the rewrite engine, yet every module the
-benchmark's traced run wraps (perfbench/spans.py TARGETS)."""
+benchmark's traced run wraps (perfbench/spans.py TARGETS).  The rewrite
+engine does not pull in dataclasses either."""
 import importlib.util
 import os
 import pathlib
@@ -45,3 +46,4 @@ def test_rewrite_commands_load_the_engine():
         "    assert luknet.cli.main(['axioms', '--set', 'MV']) == 0"
     )
     assert "luknet.rewrite" in loaded
+    assert "dataclasses" not in loaded
