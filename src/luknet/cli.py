@@ -294,6 +294,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory (MemoryError)", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ linear-program solver.
 Everything in this package is exact; no floating point is used anywhere.
 Rationals are the standard-library ``fractions.Fraction``, which already
 guarantees lowest terms and a positive denominator.  The simplex runs on a
-tableau of Python ints (each row a positive multiple of its rational row),
+dictionary of Python ints (each row a positive multiple of its rational row),
 is cut one batch of rows at a time, and returns its optimum as a Fraction.
 """
 from __future__ import annotations
@@ -98,52 +98,56 @@ class Interval(_Interval):
 # Incremental exact simplex over the unit cube, fraction-free.
 #
 # Every LP in this package lives in [0,1]^d, so the solver owns the cube:
-# the columns are x itself (x >= 0 comes free), and the upper faces x_i <= 1
-# are its first d rows, whose slacks start basic and feasible.  A Tableau
-# holds a feasible basis of the cube cut by the rows so far; callers pass
-# only the rows that cut it.  There is one simplex core with two entry points:
+# x >= 0 comes free, and the upper faces x_i <= 1 are its first d rows,
+# whose slacks start basic and feasible.  Variable v is x_v for v <= d and
+# the slack of row v - d - 1 beyond.  The tableau is in dictionary form
+# (Chvatal, Linear Programming, 1983, ch. 2-3): each row, the objective's
+# too, writes one basic variable over the d nonbasic ones.  A Tableau holds
+# a feasible basis of the cube cut by the rows so far; callers pass only the
+# rows that cut it.  There is one simplex core with two entry points:
 #
-# - cut(state, rows) adds each row with its own slack basic, priced out
-#   against the basis, and restores feasibility by a dual simplex with a zero
-#   objective.  Every dual ratio is then 0, so choosing the least index for
-#   both the leaving row (by its basic variable) and the entering column is
-#   Bland's rule on the dual LP, which cannot cycle (Bland, Math. OR 1977).
-#   A leaving row with no negative entry sets a sum of nonnegative terms to
-#   a negative value: the cut region is empty.
-# - minimum(state, objective) prices the objective into a copy of the state
-#   and runs the primal simplex, again with Bland's rule.
+# - cut(state, rows) writes each row with its own slack basic and restores
+#   feasibility by a dual simplex with a zero objective.  Every dual ratio is
+#   then 0, so choosing the least variable id for both the leaving row (by
+#   its basic variable) and the entering variable is Bland's rule on the
+#   dual LP, which cannot cycle (Bland, Math. OR 1977).  A leaving row with
+#   no negative entry sets a sum of nonnegative terms to a negative value:
+#   the cut region is empty.
+# - minimum(state, objective) adds the objective's row and runs the primal
+#   simplex, again with Bland's rule.
 #
-# A returned state is never changed again, so a depth-first search can cut
-# each child from the state its parent left feasible and come back to the
-# parent (incremental simplex as in Katz et al., "Reluplex", CAV 2017).
+# A pivot writes new row lists, never into one, so a child shares its
+# parent's rows and a depth-first search can come back to the parent
+# (incremental simplex as in Katz et al., "Reluplex", CAV 2017).
 #
-# The tableau holds Python ints (Bareiss; Azulay & Pique, ACM TOMS 2001):
-# each row is a positive multiple of the row of the rational tableau, scaled
-# once to integers and divided by its gcd after every pivot.  The objective
-# row carries its own multiple in one extra column.  Signs and ratios do not
-# change under a positive multiple, so the pivots are those of the rational
-# tableau.
+# The rows are Python ints (Bareiss; Azulay & Pique, ACM TOMS 2001): each is
+# a positive multiple of its rational row, scaled once to integers, divided
+# by its gcd after every pivot, and ends in that multiple.  Signs and ratios
+# do not change under a positive multiple, so the pivots are those of the
+# rational tableau.
 # ---------------------------------------------------------------------------
 
 Constraint = tuple[Sequence[Fraction], Fraction]  # coeffs . x <= bound; int or Fraction
 
 
 class Tableau(NamedTuple):
-    """A feasible basis of {x in [0,1]^d : the rows cut so far}.
+    """A feasible basis of {x in [0,1]^d : the rows cut so far}, in dictionary form.
 
-    Row r is [rhs, x_1..x_d, one slack column per row]; its own slack is
-    column d + 1 + r, and its basic column holds a positive entry.  The
-    first d rows are the upper faces x_i <= 1 (see :func:`cube`).
+    Row r is [rhs, a_1..a_d, m] with m > 0 and gcd 1, and reads
+    m*v_basis[r] + sum_j a_j*v_nonbasic[j-1] = rhs, so rhs >= 0 at a feasible
+    basis.  The first d rows are the upper faces x_i <= 1 (see :func:`cube`).
     """
 
     d: int
     rows: tuple[list[int], ...]
     basis: tuple[int, ...]
+    nonbasic: tuple[int, ...]
 
 
 def cube(d: int) -> Tableau:
     """The bare cube [0,1]^d: its upper faces x_i <= 1 cut from no rows at all."""
-    return cut(Tableau(d, (), ()), [([int(i == k) for i in range(d)], 1) for k in range(d)])
+    bare = Tableau(d, (), (), tuple(range(1, d + 1)))
+    return cut(bare, [([int(i == k) for i in range(d)], 1) for k in range(d)])
 
 
 def _scale(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
@@ -157,44 +161,85 @@ def _reduce(row: list[int]) -> list[int]:
     return row if g <= 1 else [v // g for v in row]
 
 
-def _eliminate(row: list[int], prow: list[int], c: int) -> list[int]:
-    """piv*row - f*prow, which has 0 in column c, divided by its gcd.
+def _row(state: Tableau, values: Sequence[int | Fraction]) -> list[int]:
+    """The row of a new basic variable v with v + c.x = b, where values is
+    [b, *c], written over the state's nonbasic variables.
 
-    A row longer than prow (the objective's multiple) has its tail scaled by piv.
+    Each basic x_k is replaced by its own row, all at once: scaling the row
+    by the lcm k of those rows' multiples makes every replacement integral.
     """
-    piv, f = prow[c], row[c]
-    out = [piv * a - f * b if b else piv * a for a, b in zip(row, prow)]
-    out += [piv * a for a in row[len(prow):]]
-    return _reduce(out)
+    (rhs, *coeffs), s = _scale(values)
+    d = state.d
+    used = [(prow, coeffs[b - 1]) for prow, b in zip(state.rows, state.basis) if b <= d and coeffs[b - 1]]
+    k = lcm(*(prow[-1] for prow, _ in used))
+    row = [rhs * k, *(coeffs[v - 1] * k if v <= d else 0 for v in state.nonbasic)]
+    for prow, c in used:
+        f = c * (k // prow[-1])
+        row = [a - f * p for a, p in zip(row, prow)]  # prow's multiple lies past row's end
+    row.append(s * k)
+    return _reduce(row)
 
 
-def _price_out(row: list[int], rows: Sequence[list[int]], basis: Sequence[int]) -> list[int]:
-    """The row with every basic column eliminated."""
-    for prow, b in zip(rows, basis):
-        if row[b] != 0:
-            row = _eliminate(row, prow, b)
-    return row
-
-
-def _pivot(rows: list[list[int]], basis: list[int], r: int, c: int) -> None:
-    if rows[r][c] < 0:  # the dual simplex pivots on a negative entry
-        rows[r] = [-v for v in rows[r]]
-    prow = rows[r]
+def _pivot(rows: list[list[int]], basis: list[int], nonbasic: list[int], r: int, j: int) -> None:
+    """Make nonbasic variable j basic in row r, and row r's basic variable nonbasic."""
+    prow = rows[r][:]
+    prow[j], prow[-1] = prow[-1], prow[j]
+    if prow[-1] < 0:  # the dual simplex pivots on a negative entry
+        prow = [-v for v in prow]
+    rows[r] = prow
+    piv = prow[-1]
     for i, row in enumerate(rows):
-        if i != r and row[c] != 0:
-            rows[i] = _eliminate(row, prow, c)
-    basis[r] = c
+        f = row[j]
+        if i != r and f:
+            out = [piv * a - f * p for a, p in zip(row, prow)]
+            out[j] = -f * prow[j]  # the leaving variable was not in this row
+            out[-1] = piv * row[-1]  # and the entering one is eliminated from it
+            rows[i] = _reduce(out)
+    basis[r], nonbasic[j - 1] = nonbasic[j - 1], basis[r]
 
 
-def _run_simplex(rows: list[list[int]], basis: list[int]) -> None:
-    """Minimize the objective in the last row in-place. Bland's rule throughout."""
-    m = len(rows) - 1
-    obj = rows[m]
-    width = len(obj) - 1  # the objective's multiple is no column
+def _entering(row: list[int], nonbasic: Sequence[int]) -> int | None:
+    """The position of the least nonbasic variable with a negative entry in row."""
+    negative = (j for j in range(1, len(row) - 1) if row[j] < 0)
+    return min(negative, key=lambda j: nonbasic[j - 1], default=None)
+
+
+def cut(state: Tableau, constraints: Sequence[Constraint]) -> Tableau | None:
+    """The state cut by coeffs.x <= bound for each constraint, or None when
+    the cut region is empty.  ``state`` itself is left as it is."""
+    d = state.d
+    rows, basis = list(state.rows), list(state.basis)
+    for coeffs, bound in constraints:
+        if len(coeffs) != d:
+            raise ValueError("constraint arity mismatch")
+        rows.append(_row(state, [bound, *coeffs]))
+        basis.append(d + len(rows))  # the new row's own slack
+    nonbasic = list(state.nonbasic)
     while True:
-        enter = next((j for j in range(1, width) if obj[j] < 0), None)
+        leave = None
+        for i, row in enumerate(rows):
+            if row[0] < 0 and (leave is None or basis[i] < basis[leave]):
+                leave = i
+        if leave is None:
+            return Tableau(d, tuple(rows), tuple(basis), tuple(nonbasic))
+        enter = _entering(rows[leave], nonbasic)
         if enter is None:
-            return
+            return None
+        _pivot(rows, basis, nonbasic, leave, enter)
+
+
+def minimum(state: Tableau, objective: Sequence[int | Fraction]) -> Fraction:
+    """Minimum of objective.x over the state's region, which is never empty."""
+    if len(objective) != state.d:
+        raise ValueError("objective arity mismatch")
+    m = len(state.rows)
+    rows = [*state.rows, _row(state, [0, *objective])]  # its basic variable is -objective.x
+    basis, nonbasic = list(state.basis), list(state.nonbasic)
+    while True:
+        obj = rows[m]
+        enter = _entering(obj, nonbasic)
+        if enter is None:
+            return Fraction(-obj[0], obj[-1])
         leave = None
         for i in range(m):
             row = rows[i]
@@ -207,54 +252,8 @@ def _run_simplex(rows: list[list[int]], basis: list[int]) -> None:
                 lhs, rhs = row[0] * den, num * a
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave, num, den = i, row[0], a
-        assert leave is not None, "the cube bounds every column"
-        _pivot(rows, basis, leave, enter)
-        obj = rows[m]
-
-
-def cut(state: Tableau, constraints: Sequence[Constraint]) -> Tableau | None:
-    """The state cut by coeffs.x <= bound for each constraint, or None when
-    the cut region is empty.  ``state`` itself is left as it is."""
-    d, k = state.d, len(constraints)
-    width = 1 + d + len(state.rows) + k
-    pad = [0] * k
-    rows = [row + pad for row in state.rows]
-    basis = list(state.basis)
-    for coeffs, bound in constraints:
-        if len(coeffs) != d:
-            raise ValueError("constraint arity mismatch")
-        scaled, s = _scale([bound, *coeffs])
-        row = scaled + [0] * (width - 1 - d)
-        slack = d + 1 + len(rows)
-        row[slack] = s
-        rows.append(_price_out(_reduce(row), rows, basis))
-        basis.append(slack)
-    while True:
-        leave = None
-        for i, row in enumerate(rows):
-            if row[0] < 0 and (leave is None or basis[i] < basis[leave]):
-                leave = i
-        if leave is None:
-            return Tableau(d, tuple(rows), tuple(basis))
-        row = rows[leave]
-        enter = next((j for j in range(1, width) if row[j] < 0), None)
-        if enter is None:
-            return None
-        _pivot(rows, basis, leave, enter)
-
-
-def minimum(state: Tableau, objective: Sequence[int | Fraction]) -> Fraction:
-    """Minimum of objective.x over the state's region, which is never empty."""
-    if len(objective) != state.d:
-        raise ValueError("objective arity mismatch")
-    coeffs, s = _scale(objective)
-    rows = list(state.rows)
-    basis = list(state.basis)
-    obj = [0, *coeffs] + [0] * len(rows) + [s]
-    rows.append(_price_out(obj, rows, basis))
-    _run_simplex(rows, basis)
-    obj = rows[-1]
-    return Fraction(-obj[0], obj[-1])
+        assert leave is not None, "the cube bounds every variable"
+        _pivot(rows, basis, nonbasic, leave, enter)
 
 
 def lp_feasible(constraints: Iterable[Constraint], d: int) -> bool:

@@ -525,12 +525,21 @@ def apply_trace_to_graph(
 
 _F0, _F1 = Fraction(0), Fraction(1)
 
+
+def _minus(text: str) -> str:
+    """A subtracted operand's text: a difference (each starts "1 - ") in parentheses."""
+    return f"({text})" if text.startswith("1 - ") else text
+
+
 # The rho form of each MV connective over its children's: its text, then its
 # value.  x*y = rho(x + y - 1) and x+y = 1 - rho(1 - x - y).
 _RHO_FORMS = {
-    Not: ("1 - {}".format, lambda a: _F1 - a),
+    Not: (lambda a: f"1 - {_minus(a)}", lambda a: _F1 - a),
     Odot: ("rho({} + {} - 1)".format, lambda a, b: max(a + b - _F1, _F0)),
-    Oplus: ("1 - rho(1 - {} - {})".format, lambda a, b: _F1 - max(_F1 - a - b, _F0)),
+    Oplus: (
+        lambda a, b: f"1 - rho(1 - {_minus(a)} - {_minus(b)})",
+        lambda a, b: _F1 - max(_F1 - a - b, _F0),
+    ),
 }
 
 

@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     box_forced_network, brute_extrema, layer, net, random_network, rational_network
 )
+from luknet import numerics
 from luknet.bounds import BudgetExceeded, exact_extrema, interval_propagation
 from luknet.network import NodeRef, apply_activation, network_from_dict
 
@@ -147,10 +148,21 @@ def test_frozen_oracle_answers():
         assert (iv.lo, iv.hi) == tuple(F(v) for v in e["expect"])
 
 
-def test_frozen_budget_classes():
+def test_frozen_budget_classes(monkeypatch):
     # The first 10 networks of every shape in the benchmark's extrema pool
     # keep their frozen class at the pool's budget: 15 of the 40 exceed it.
     # A search that visits other branches would move some across the line.
+    # The simplex pivot count pins Bland's rule: another entering or leaving
+    # choice, or another row cut, would change it.
+    pivots = 0
+    pivot = numerics._pivot
+
+    def counted(*args):
+        nonlocal pivots
+        pivots += 1
+        pivot(*args)
+
+    monkeypatch.setattr(numerics, "_pivot", counted)
     pool = json.loads(POOL_EXTREMA.read_text())
     budget = pool.pop("about")["budget"]
     exceeded = 0
@@ -164,3 +176,4 @@ def test_frozen_budget_classes():
             else:
                 exact_extrema(n, "output", node_budget=budget)
     assert exceeded == 15
+    assert pivots == 4_389

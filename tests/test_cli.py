@@ -1,7 +1,13 @@
 import json
+import os
+import pathlib
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import luknet
 from helpers import box_forced_network
 from luknet.cli import main
 from luknet.graph import graph_from_json
@@ -414,6 +420,27 @@ def test_bounds_deeper_than_the_recursion_limit(tmp_path, capsys):
     path.write_text(network_to_json(box_forced_network(1100)))
     code, out, err = run(capsys, "bounds", str(path))
     assert (code, out, err) == (0, "output: [1100, 2200]\n", "")
+
+
+def test_out_of_memory_exits_two(tmp_path):
+    # The graph of the w = 128 clamp pair clip(128a + 127b + 126c - 192)
+    # does not fit in a 64 MiB address space: one line and exit 2, no file.
+    row = ["128", "127", "126"]
+    path = tmp_path / "w128.json"
+    path.write_text(json.dumps({"input_dim": 3, "layers": [
+        {"weights": [row, row], "biases": ["-192", "-193"], "activation": ["relu", "relu"]},
+        {"weights": [["1", "-1"]], "biases": ["0"], "activation": ["none"]},
+    ]}))
+    out = tmp_path / "w128.graph.json"
+    cap = 64 * 2**20
+    src = str(pathlib.Path(luknet.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "luknet.cli", "extract", str(path), "-o", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory (MemoryError)\n")
+    assert not out.exists()
 
 
 STEP = {"axiom": "Ax7", "dir": "LR", "pos": [], "node": [1, 1]}

@@ -83,8 +83,8 @@ def test_match_instantiation_deep():
 def test_render_symmetry_deep():
     ax = rw.Axiom("deep", chain(x1), spine(x1, x2))
     lhs, rhs = rw.render_symmetry(ax)
-    assert lhs == "1 - " * DEPTH + "x"
-    assert len(rhs) == len("1 - rho(1 - ") * DEPTH + len("x") + len(" - y)") * DEPTH
+    assert lhs == "1 - (" * (DEPTH - 1) + "1 - x" + ")" * (DEPTH - 1)
+    assert len(rhs) == len("1 - rho(1 - (") * DEPTH + len("x") + len(") - y)") * DEPTH - 2
     env = {1: F(1, 3), 2: F(1, 3 * DEPTH)}
     for side in (ax.lhs, ax.rhs):
         assert rw.rho_value(side, env) == evaluate(side, [F(1, 3), F(1, 3 * DEPTH)])

@@ -1,5 +1,7 @@
+import copy
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -240,7 +242,7 @@ def test_cut_leaves_parent_unchanged():
             continue
         obj = [rng.randint(-4, 4) for _ in range(d)]
         before = minimum(parent, obj)
-        snapshot = [list(row) for row in parent.rows], list(parent.basis)
+        snapshot = copy.deepcopy(parent)  # every field, each row list by value
         for _ in range(3):
             extra = [(tuple(rng.randint(-3, 3) for _ in range(d)), rng.randint(-2, 2))]
             child = cut(parent, extra)
@@ -248,5 +250,43 @@ def test_cut_leaves_parent_unchanged():
                 assert minimum(child, obj) >= before
                 children += 1
         assert minimum(parent, obj) == before
-        assert ([list(row) for row in parent.rows], list(parent.basis)) == snapshot
+        assert parent == snapshot
     assert children >= 50
+
+
+def assert_dictionary(state):
+    # Every row is [rhs, one entry per nonbasic variable, m] with m > 0 and
+    # gcd 1, rhs >= 0 at a feasible basis, and the basic and nonbasic ids
+    # are exactly the variables 1..d + len(rows).
+    d = state.d
+    assert len(state.nonbasic) == d and len(state.basis) == len(state.rows)
+    assert sorted(state.basis + state.nonbasic) == list(range(1, d + len(state.rows) + 1))
+    for row in state.rows:
+        assert len(row) == d + 2
+        assert row[-1] > 0 and row[0] >= 0
+        assert gcd(*row) == 1
+
+
+cut_row = st.tuples(
+    st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+    st.fractions(min_value=-2, max_value=4, max_denominator=3),
+)
+
+
+@given(
+    st.integers(1, 4),
+    st.lists(st.lists(cut_row, min_size=1, max_size=3), max_size=5),
+    st.lists(st.integers(-4, 4), min_size=4, max_size=4),
+)
+def test_tableau_stays_a_reduced_dictionary(d, batches, obj):
+    state = cube(d)
+    assert_dictionary(state)
+    for batch in batches:
+        snapshot = copy.deepcopy(state)
+        minimum(state, obj[:d])
+        child = cut(state, [(coeffs[:d], bound) for coeffs, bound in batch])
+        assert state == snapshot
+        if child is None:
+            break
+        assert_dictionary(child)
+        state = child

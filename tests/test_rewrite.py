@@ -394,6 +394,23 @@ def test_all_sixteen_symmetries_agree_on_grid():
             assert rw.rho_value(ax.lhs, env) == rw.rho_value(ax.rhs, env), ax.id
 
 
+@pytest.mark.parametrize("spec", ["MV", "MVk:2", "MVk:5"])
+def test_rendered_text_denotes_its_value(spec):
+    # Read as ordinary arithmetic with rho = relu, each glossary text has the
+    # value of its side: a subtracted difference is in parentheses.
+    def relu(t):
+        return max(t, 0)
+
+    for ax in rw.catalog(spec):
+        texts = rw.render_symmetry(ax)
+        for point in FiniteGrid(4, rw.axiom_arity(ax)).points():
+            names = {"rho": relu, **dict(zip("xyz", point))}
+            env = {i + 1: v for i, v in enumerate(point)}
+            for side, text in zip((ax.lhs, ax.rhs), texts):
+                value = eval(text, {"__builtins__": {}}, names)
+                assert value == rw.rho_value(side, env) == evaluate(side, point), (ax.id, text)
+
+
 def test_rendered_sides_match_formula_semantics():
     for ax in MV:
         arity = rw.axiom_arity(ax)
