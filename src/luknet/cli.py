@@ -1,8 +1,8 @@
 """Command-line surface: extract / construct / roundtrip / rewrite /
 check-equiv / axioms / bounds.
 
-Exit codes: 0 success (or Equal), 1 negative result (counterexample,
-degenerate, not normal, roundtrip mismatch), 2 usage or input errors.
+Exit codes: 0 success (or Equal), 1 negative result (counterexample, not
+normal, roundtrip of a degenerate network or mismatch), 2 usage or input errors.
 
 ``rewrite`` and ``axioms`` load the rewrite engine (:mod:`luknet.rewrite`)
 on demand, so the other commands start without it.
@@ -89,13 +89,10 @@ def _node_budget(args) -> int | None:
 
 def _cmd_extract(args) -> int:
     net = network_from_json(_read(args.network))
-    try:
-        g = extract_graph(net, flavor=args.flavor, node_budget=_node_budget(args))
-    except Degenerate as e:
-        print(f"degenerate network: {e}", file=sys.stderr)
-        return 1
+    budget = _node_budget(args)
+    g = extract_graph(net, flavor=args.flavor)
     if args.check_range:
-        rng = exact_extrema(net, "output", node_budget=_node_budget(args))
+        rng = exact_extrema(net, "output", node_budget=budget)
         if rng.lo < 0 or rng.hi > 1:
             print(f"realized range [{rng.lo}, {rng.hi}] leaves [0,1]", file=sys.stderr)
             return 1

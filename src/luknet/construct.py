@@ -11,9 +11,9 @@ from fractions import Fraction
 
 from . import formula as fm
 from .bounds import exact_extrema
-from .extract import extract_graph
+from .extract import check_flavor, extract_graph
 from .graph import GraphError, SubstitutionGraph, certificate_violation, normality_violation
-from .network import CLIP, NONE, RELU, Layer, Network, cube_box, scaled_layer
+from .network import CLIP, NONE, RELU, Degenerate, Layer, Network, cube_box, is_non_degenerate, scaled_layer
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -186,9 +186,14 @@ def sigma_to_rho(net: Network, node_budget: int | None = None) -> Network:
 def roundtrip(net: Network, flavor: str = "integer", node_budget: int | None = None) -> Network:
     """extract -> construct; structurally the identity on well-behaved networks.
 
-    The graph comes straight from extraction, whose nodes are normal by
-    construction, so it is read off without the normality check: re-peeling
-    a certificate there would only rebuild the formula just stored with it.
+    Its premise is the theorem's: a degenerate network raises Degenerate,
+    after bad input is rejected and before anything is extracted.  The graph
+    is read off without the normality check: extraction's nodes are normal by
+    construction, and re-peeling a certificate would only rebuild its formula.
     """
-    g = extract_graph(net, flavor=flavor, node_budget=node_budget)
+    check_flavor(net, flavor)
+    ok, why = is_non_degenerate(net, node_budget=node_budget)
+    if not ok:
+        raise Degenerate(why)
+    g = extract_graph(net, flavor=flavor)
     return sigma_to_rho(_read_sigma(g), node_budget=node_budget)

@@ -1,8 +1,9 @@
 """Network-to-formula extraction.
 
-Pipeline: convert the relu network to an equivalent clip network, derive a
-formula for every clip neuron from its affine row, and assemble the layered
-substitution graph whose represented formula realizes the network's map.
+Pipeline: convert any relu/clip network to an equivalent clip network, derive
+a formula for every clip neuron from its affine row, and assemble the layered
+substitution graph whose represented formula realizes the network's map.  No
+search runs: non-degeneracy is a premise of the round trip only.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from typing import NamedTuple
 from . import formula as fm
 from .formula import Formula
 from .graph import GraphNode, SubstitutionGraph
-from .network import CLIP, Degenerate, Layer, Network, cube_box, is_non_degenerate, scaled_layer
+from .network import CLIP, Layer, Network, cube_box, scaled_layer
 from .numerics import _scale
 
 FLAVOR_INTEGER = "integer"
@@ -49,21 +50,16 @@ class MintermCertificate(_MintermCertificate):
 # ---------------------------------------------------------------------------
 
 
-def rho_to_sigma(net: Network, check: bool = True, node_budget: int | None = None) -> Network:
-    """Convert a relu network into a clip network realizing the same function.
+def rho_to_sigma(net: Network) -> Network:
+    """Convert a relu/clip network into a clip network realizing the same function.
 
-    A hidden node whose input interval has upper bound L <= 1 keeps its row and
-    just swaps the activation tag.  With L > 1 it becomes ceil(L) clip nodes
-    with biases b, b-1, ..., b-ceil(L)+1, duplicated incoming and outgoing
-    weights; the new nodes sit immediately after the originating node.  The
-    output node gains the clip activation.  ``node_budget`` bounds each exact
-    extrema search of the non-degeneracy check.  L is read off each layer
-    scaled once to ints (``scaled_layer``).
+    A hidden clip node, and a hidden relu node whose input interval has upper
+    bound L <= 1, keep their row and just carry the clip tag.  A relu node
+    with L > 1 becomes ceil(L) clip nodes with biases b, b-1, ..., b-ceil(L)+1,
+    duplicated incoming and outgoing weights; the new nodes sit immediately
+    after the originating node.  The output node gains the clip activation.
+    L is read off each layer scaled once to ints (``scaled_layer``).
     """
-    if check:
-        ok, why = is_non_degenerate(net, node_budget=node_budget)
-        if not ok:
-            raise Degenerate(why)
     layers = list(net.layers)
     for j in range(len(layers) - 1):
         layer = layers[j]
@@ -71,9 +67,9 @@ def rho_to_sigma(net: Network, check: bool = True, node_budget: int | None = Non
         biases: list[Fraction] = []
         copies: list[int] = []  # outgoing column multiplicity per original node
         s, rows_s, biases_s = scaled_layer(layer)
-        for row, b, row_s, b_s in zip(layer.weights, layer.biases, rows_s, biases_s):
+        for row, b, act, row_s, b_s in zip(layer.weights, layer.biases, layer.activations, rows_s, biases_s):
             top = cube_box(row_s, b_s)[1]  # s * L
-            k = 0 if top <= s else -(-top // s) - 1
+            k = 0 if act == CLIP or top <= s else -(-top // s) - 1
             copies.append(k + 1)
             for step in range(k + 1):
                 rows.append(row)
@@ -301,34 +297,30 @@ def formula_for_certificate(cert: MintermCertificate) -> Formula:
 # ---------------------------------------------------------------------------
 
 
-def extract_graph(
-    net: Network, flavor: str = FLAVOR_INTEGER, check: bool = True, node_budget: int | None = None
-) -> SubstitutionGraph:
-    """Extract the substitution graph of a non-degenerate network.
+def check_flavor(net: Network, flavor: str) -> None:
+    """Reject an unknown flavor, or the integer flavor on non-integer weights."""
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    entries = (q for layer in net.layers for row in (*layer.weights, layer.biases) for q in row)
+    if flavor == FLAVOR_INTEGER and any(q.denominator != 1 for q in entries):
+        raise ValueError("integer flavor requires integer weights and biases")
+
+
+def extract_graph(net: Network, flavor: str = FLAVOR_INTEGER) -> SubstitutionGraph:
+    """Extract the substitution graph of any relu/clip network.
 
     The graph shares the clip network's layered shape; every non-input node
     carries its extracted formula together with the certificate it came from.
     """
-    if flavor not in FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    if flavor == FLAVOR_INTEGER:
-        for layer in net.layers:
-            entries = [w for row in layer.weights for w in row] + list(layer.biases)
-            if any(q.denominator != 1 for q in entries):
-                raise ValueError("integer flavor requires integer weights and biases")
-    sigma = rho_to_sigma(net, check=check, node_budget=node_budget)
-    node_layers = []
+    check_flavor(net, flavor)
+    sigma = rho_to_sigma(net)
     with row_runs():
-        for layer in sigma.layers:
-            nodes = []
-            for i in range(layer.width):
-                m, b = layer.weights[i], layer.biases[i]
-                nodes.append(
-                    GraphNode(
-                        formula=_formula(flavor, m, b),
-                        certificate=MintermCertificate(tuple(m), b, flavor),
-                    )
-                )
-            node_layers.append(tuple(nodes))
+        node_layers = tuple(
+            tuple(
+                GraphNode(_formula(flavor, m, b), MintermCertificate(tuple(m), b, flavor))
+                for m, b in zip(layer.weights, layer.biases)
+            )
+            for layer in sigma.layers
+        )
     widths = (sigma.input_dim,) + tuple(layer.width for layer in sigma.layers)
-    return SubstitutionGraph(widths=widths, nodes=tuple(node_layers))
+    return SubstitutionGraph(widths=widths, nodes=node_layers)

@@ -29,7 +29,7 @@ class DimensionMismatch(NetworkError):
 
 
 class Degenerate(NetworkError):
-    """Raised when extraction is attempted on a degenerate network."""
+    """Raised when a round trip is attempted on a degenerate network."""
 
 
 class Layer(NamedTuple):

@@ -9,9 +9,11 @@ import pytest
 
 import luknet
 from helpers import box_forced_network
+from luknet import bounds
 from luknet.cli import main
+from luknet.equiv import FiniteGrid
 from luknet.graph import graph_from_json
-from luknet.network import network_from_json, network_to_json
+from luknet.network import eval_network, network_from_json, network_to_json
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -40,19 +42,44 @@ def test_extract_then_construct_files(fixtures_dir, tmp_path, capsys):
     assert rebuilt == original
 
 
-def test_extract_degenerate_exits_one(tmp_path, capsys):
-    dead = {
-        "input_dim": 1,
-        "layers": [
-            {"weights": [["1"]], "biases": ["-5"], "activation": ["relu"]},
-            {"weights": [["1"]], "biases": ["0"], "activation": ["none"]},
-        ],
-    }
-    path = tmp_path / "dead.json"
-    path.write_text(json.dumps(dead))
-    code, _, err = run(capsys, "extract", str(path), "-o", str(tmp_path / "g.json"))
-    assert code == 1
-    assert "degenerate" in err
+DEAD = {  # relu(x - 5): hidden node (1,1) is never active
+    "input_dim": 1,
+    "layers": [
+        {"weights": [["1"]], "biases": ["-5"], "activation": ["relu"]},
+        {"weights": [["1"]], "biases": ["0"], "activation": ["none"]},
+    ],
+}
+
+
+def test_extract_degenerate_roundtrip_refuses(tmp_path, capsys):
+    # extract takes any network; only roundtrip needs a non-degenerate one.
+    path, gpath, npath = tmp_path / "dead.json", tmp_path / "g.json", tmp_path / "n.json"
+    path.write_text(json.dumps(DEAD))
+    code, _, err = run(capsys, "extract", str(path), "-o", str(gpath))
+    assert (code, err) == (0, "")
+    code, _, err = run(capsys, "construct", str(gpath), "-o", str(npath))
+    assert (code, err) == (0, "")
+    dead, rebuilt = network_from_json(path.read_text()), network_from_json(npath.read_text())
+    for x in FiniteGrid(12, 1).points():
+        assert eval_network(rebuilt, x) == min(max(eval_network(dead, x), 0), 1)
+    code, out, err = run(capsys, "roundtrip", str(path))
+    assert (code, out) == (1, "")
+    assert err == "roundtrip refused: hidden node (1,1) is never active (max -4 <= 0)\n"
+
+
+def test_roundtrip_bad_flavor_exits_two_before_search(tmp_path, capsys, monkeypatch):
+    # Bad input wins over the degeneracy search: the integer flavour on a
+    # degenerate half-integer network is an input error.
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before the input was checked")
+
+    monkeypatch.setattr(bounds, "exact_extrema", no_search)
+    half = dict(DEAD, layers=[dict(DEAD["layers"][0], weights=[["1/2"]]), DEAD["layers"][1]])
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(half))
+    code, out, err = run(capsys, "roundtrip", str(path), "--flavor", "integer")
+    assert (code, out) == (2, "")
+    assert err == "error: integer flavor requires integer weights and biases\n"
 
 
 def relu_net(weight):
@@ -78,18 +105,13 @@ def test_extract_check_range(tmp_path, capsys):
 
 
 def test_budget_reaches_degeneracy_check(tmp_path, capsys):
-    # Every hidden node is settled by an exact extrema search, and a budget
-    # of one branch cannot settle this one.
-    dead = {
-        "input_dim": 1,
-        "layers": [
-            {"weights": [["1"]], "biases": ["-5"], "activation": ["relu"]},
-            {"weights": [["1"]], "biases": ["0"], "activation": ["none"]},
-        ],
-    }
+    # roundtrip settles every hidden node by an exact extrema search, and
+    # extract --check-range the output node; a budget of one branch cannot
+    # settle either.
     path = tmp_path / "dead.json"
-    path.write_text(json.dumps(dead))
-    for argv in (("extract", str(path), "-o", str(tmp_path / "g.json")), ("roundtrip", str(path))):
+    path.write_text(json.dumps(DEAD))
+    extract = ("extract", str(path), "--check-range", "-o", str(tmp_path / "g.json"))
+    for argv in (extract, ("roundtrip", str(path))):
         code, _, err = run(capsys, *argv, "--budget", "1")
         assert code == 1
         assert "budget exceeded" in err
@@ -367,6 +389,8 @@ def test_bounds_budget_error_is_one_line(fixtures_dir, capsys):
         ("bounds", ["--node", "2"], None, "--node must be LAYER,INDEX, got 2"),
         ("bounds", ["--node", "1,x"], None, "--node must be LAYER,INDEX, got 1,x"),
         ("bounds", ["--node", "1,2,3"], None, "--node must be LAYER,INDEX, got 1,2,3"),
+        ("extract", ["--budget", "0", "-o", os.devnull], None,
+         "--budget must be a positive integer, got 0"),
     ],
 )
 def test_bad_budget_or_node_exits_two(fixtures_dir, capsys, monkeypatch, command, argv, env,

@@ -39,7 +39,7 @@ from luknet.graph import (
     represented_formula,
 )
 from luknet.network import (
-    CLIP, Layer, Network, eval_network, network_from_dict, network_to_dict
+    CLIP, Degenerate, Layer, Network, eval_network, network_from_dict, network_to_dict
 )
 
 
@@ -304,6 +304,14 @@ def test_roundtrip_random_sample():
         done += 1
 
 
+def test_roundtrip_rejects_degenerate():
+    # Non-degeneracy is the round trip's premise, checked before extraction.
+    dead = net(1, layer([[1]], [-5], ["relu"]), layer([[1]], [0], ["none"]))
+    with pytest.raises(Degenerate) as raised:
+        roundtrip(dead)
+    assert str(raised.value) == "hidden node (1,1) is never active (max -4 <= 0)"
+
+
 def half_network():
     return net(
         1,
@@ -411,7 +419,7 @@ def test_conversions_match_the_fraction_reference():
     for _ in range(60):
         hidden = [rng.randint(1, 3) for _ in range(rng.randint(1, 2))]
         relu = rational_network(rng, rng.randint(1, 2), hidden, "relu")
-        sigma = extract.rho_to_sigma(relu, check=False)
+        sigma = extract.rho_to_sigma(relu)
         assert sigma == reference_rho_to_sigma(relu)
         clip = rational_network(rng, rng.randint(1, 2), hidden, "clip")
         for network in (sigma, clip, _with_copies(rng, clip)):

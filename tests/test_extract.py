@@ -8,8 +8,13 @@ from math import lcm
 import numpy as np
 import pytest
 
-from helpers import POOL_ROUNDTRIP, layer, net, random_network, reference_extr_real
+from helpers import (
+    POOL_ROUNDTRIP, brute_non_degenerate, layer, net, random_network, rational_network,
+    reference_extr_real,
+)
+from luknet import bounds
 from luknet import formula as fm
+from luknet.construct import graph_to_sigma, sigma_to_rho
 from luknet.equiv import FiniteGrid
 from luknet.extract import (
     MintermCertificate,
@@ -21,10 +26,8 @@ from luknet.extract import (
     row_runs,
 )
 from luknet.formula import evaluate, to_text
-from luknet.graph import is_normal, represented_formula
-from luknet.network import (
-    Degenerate, apply_activation, eval_network, network_from_dict, network_from_json
-)
+from luknet.graph import graph_evaluator, is_normal, represented_formula
+from luknet.network import apply_activation, eval_network, network_from_dict, network_from_json
 
 
 # ---------------------------------------------------------------------------
@@ -73,16 +76,40 @@ def test_rho_to_sigma_preserves_function_on_grid():
     for _ in range(10):
         n = rng.randint(1, 2)
         network = random_network(rng, n, [rng.randint(1, 3)])
-        sigma = rho_to_sigma(network, check=False)
+        sigma = rho_to_sigma(network)
         for x in FiniteGrid(12, n).points():
             v = eval_network(network, x)
             assert eval_network(sigma, x) == min(max(v, F(0)), F(1))
 
 
-def test_rho_to_sigma_rejects_degenerate():
-    dead = net(1, layer([[1]], [-5], ["relu"]), layer([[1]], [0], ["none"]))
-    with pytest.raises(Degenerate):
-        rho_to_sigma(dead)
+def clipped(network, x):
+    return min(max(eval_network(network, x), F(0)), F(1))
+
+
+def flavors_of(network):
+    """The flavours that apply: the integer one only to integer weights."""
+    layers = network.layers
+    integer = all(q.denominator == 1 for lay in layers for row in (*lay.weights, lay.biases) for q in row)
+    return ("integer", "rational", "real") if integer else ("rational", "real")
+
+
+def test_hidden_clip_nodes_are_not_split():
+    # A hidden clip node keeps one copy: splitting it as if it were relu
+    # turns clip(2x) - 1/2 into relu(2x) - 1/2, which is 1, not 1/2, at 3/4.
+    network = net(1, layer([[2]], [0], ["clip"]), layer([[1]], [F(-1, 2)], ["none"]))
+    assert [lay.width for lay in rho_to_sigma(network).layers] == [1, 1]
+    for flavor in ("rational", "real"):
+        assert graph_evaluator(extract_graph(network, flavor=flavor))([F(3, 4)]) == F(1, 2)
+    # Random clip and mixed relu/clip networks, integer and half/third-integer.
+    rng = random.Random(18)
+    for _ in range(20):
+        n, hidden = rng.randint(1, 2), [rng.randint(1, 3) for _ in range(rng.randint(1, 2))]
+        for network in (random_network(rng, n, hidden, activation="clip"),
+                        rational_network(rng, n, hidden, "mixed")):
+            points = list(FiniteGrid(4, n).points())
+            for flavor in flavors_of(network):
+                at = graph_evaluator(extract_graph(network, flavor=flavor))
+                assert [at(x) for x in points] == [clipped(network, x) for x in points], flavor
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +383,7 @@ def test_extract_graph_matches_network_on_grid():
     while done < 8:
         n = rng.randint(1, 2)
         network = random_network(rng, n, [rng.randint(1, 2)])
-        try:
-            g = extract_graph(network)
-        except Degenerate:
-            continue
-        rep = represented_formula(g)
+        rep = represented_formula(extract_graph(network))
         for x in FiniteGrid(12, n).points():
             v = eval_network(network, x)
             assert evaluate(rep, x) == min(max(v, F(0)), F(1))
@@ -371,7 +394,7 @@ def test_extract_graph_rejects_non_integer_for_integer_flavor():
     n = net(1, layer([[F(1, 2)]], [0], ["none"]))
     with pytest.raises(ValueError):
         extract_graph(n, flavor="integer")
-    g = extract_graph(n, flavor="rational", check=False)
+    g = extract_graph(n, flavor="rational")
     assert g.node(1, 1).formula is extr_rational((F(1, 2),), F(0))
 
 
@@ -388,4 +411,44 @@ def test_extract_graph_certificates_reproduce_formulas(fixtures_dir):
     half = [network_from_dict(e["net"]) for e in json.loads(POOL_ROUNDTRIP.read_text())["half"][:10]]
     for flavor in ("integer", "rational", "real"):
         for network in networks + (half if flavor != "integer" else []):
-            assert is_normal(extract_graph(network, flavor=flavor, check=False)), flavor
+            assert is_normal(extract_graph(network, flavor=flavor)), flavor
+
+
+def test_extraction_preserves_function_on_degenerate_networks():
+    # Non-degeneracy is a premise of the round trip, not of extraction: on
+    # random degenerate networks (by the brute-force oracle), every flavour
+    # gives a normal graph whose value, and that of the network constructed
+    # from it, is clip(N(x)) on the grid I_4^n.
+    rng = random.Random(10)
+    seen = 0
+    while seen < 40:
+        n, hidden = rng.randint(1, 3), [rng.randint(1, 3) for _ in range(rng.randint(1, 2))]
+        if rng.random() < 0.5:
+            network = random_network(rng, n, hidden)
+        else:
+            network = rational_network(rng, n, hidden, "relu")
+        if brute_non_degenerate(network):
+            continue
+        seen += 1
+        points = list(FiniteGrid(4, n).points())
+        want = [clipped(network, x) for x in points]
+        for flavor in flavors_of(network):
+            g = extract_graph(network, flavor=flavor)
+            assert is_normal(g), flavor
+            at = graph_evaluator(g)
+            assert [at(x) for x in points] == want, flavor
+            back = sigma_to_rho(graph_to_sigma(g))
+            assert [eval_network(back, x) for x in points] == want, flavor
+
+
+def test_extraction_is_search_free(fixtures_dir, monkeypatch):
+    # Extraction runs no exact search: with the search disabled it still
+    # extracts every fixture in every flavour that applies.
+    def no_search(*args, **kwargs):
+        raise AssertionError("extraction ran an exact search")
+
+    monkeypatch.setattr(bounds, "exact_extrema", no_search)
+    for path in sorted(fixtures_dir.glob("*.json")):
+        network = network_from_json(path.read_text())
+        for flavor in flavors_of(network):
+            extract_graph(network, flavor=flavor)
