@@ -19,7 +19,7 @@ from .bounds import BudgetExceeded, exact_extrema
 from .construct import NotNormal, graph_to_sigma, roundtrip, sigma_to_rho
 from .equiv import Counterexample, FiniteGrid, as_point_fn, grid_equal, sample_equal
 from .extract import extract_graph
-from .graph import GraphError, graph_from_json, graph_to_json
+from .graph import FLAVOR_INTEGER, FLAVORS, GraphError, graph_from_json, graph_to_json
 from .network import (
     Degenerate,
     NetworkError,
@@ -160,6 +160,8 @@ def _cmd_rewrite(args, rw) -> int:
 
 
 def _cmd_check_equiv(args) -> int:
+    if args.samples < 0:
+        raise InputError(f"--samples must be a non-negative integer, got {args.samples}")
     la, lb = _load_any(args.lhs), _load_any(args.rhs)
     fa, na = as_point_fn(la)
     fb, nb = as_point_fn(lb)
@@ -229,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="network -> substitution graph")
     p.add_argument("network")
-    p.add_argument("--flavor", choices=["integer", "rational", "real"], default="integer")
+    p.add_argument("--flavor", choices=FLAVORS, default=FLAVOR_INTEGER)
     p.add_argument("--check-range", action="store_true")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("-o", "--output", required=True)
@@ -243,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roundtrip", help="verify extract+construct is the identity")
     p.add_argument("network")
-    p.add_argument("--flavor", choices=["integer", "rational", "real"], default="integer")
+    p.add_argument("--flavor", choices=FLAVORS, default=FLAVOR_INTEGER)
     p.add_argument("--ignore-permutation", action="store_true")
     p.add_argument("--budget", type=int, default=None)
     p.set_defaults(fn=_cmd_roundtrip)

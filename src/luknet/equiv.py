@@ -91,10 +91,6 @@ def network_fn(net: Network) -> PointFn:
     return lambda x: eval_network(net, x)
 
 
-def graph_fn(g: SubstitutionGraph) -> PointFn:
-    return graph_evaluator(g)
-
-
 def as_point_fn(obj) -> tuple[PointFn, int]:
     """(evaluator, required input arity) for a formula, network, or graph."""
     if isinstance(obj, Formula):
@@ -102,5 +98,5 @@ def as_point_fn(obj) -> tuple[PointFn, int]:
     if isinstance(obj, Network):
         return network_fn(obj), obj.input_dim
     if isinstance(obj, SubstitutionGraph):
-        return graph_fn(obj), obj.widths[0]
+        return graph_evaluator(obj), obj.widths[0]
     raise TypeError(f"cannot evaluate {type(obj).__name__}")

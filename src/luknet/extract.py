@@ -4,45 +4,24 @@ Pipeline: convert any relu/clip network to an equivalent clip network, derive
 a formula for every clip neuron from its affine row, and assemble the layered
 substitution graph whose represented formula realizes the network's map.  No
 search runs: non-degeneracy is a premise of the round trip only.
+
+The formulas of a graph are peeled in one pass over its clip rows, in which
+consecutive equal rows share one peeling memo.  The memo is a local of that
+pass: no state outlives a call, and a certificate re-extracts on its own.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from fractions import Fraction
-from typing import NamedTuple
+from itertools import islice
 
 from . import formula as fm
 from .formula import Formula
-from .graph import GraphNode, SubstitutionGraph
+from .graph import (
+    FLAVOR_INTEGER, FLAVOR_RATIONAL, FLAVOR_REAL, FLAVORS, GraphNode, MintermCertificate,
+    SubstitutionGraph,
+)
 from .network import CLIP, Layer, Network, cube_box, scaled_layer
 from .numerics import _scale
-
-FLAVOR_INTEGER = "integer"
-FLAVOR_RATIONAL = "rational"
-FLAVOR_REAL = "real"
-FLAVORS = (FLAVOR_INTEGER, FLAVOR_RATIONAL, FLAVOR_REAL)
-
-
-class _MintermCertificate(NamedTuple):
-    m: tuple[Fraction, ...]
-    b: Fraction
-    flavor: str
-
-
-class MintermCertificate(_MintermCertificate):
-    """The affine row a node formula was derived from; fed back by kappa."""
-
-    __slots__ = ()
-
-    def __new__(cls, m: tuple[Fraction, ...], b: Fraction, flavor: str) -> "MintermCertificate":
-        if flavor not in FLAVORS:
-            raise ValueError(f"unknown flavor {flavor!r}")
-        if flavor == FLAVOR_INTEGER and not (
-            all(q.denominator == 1 for q in m) and b.denominator == 1
-        ):
-            raise ValueError("integer certificate with non-integer entries")
-        return super().__new__(cls, m, b, flavor)
 
 
 # ---------------------------------------------------------------------------
@@ -128,19 +107,34 @@ def extr_real(m, b) -> Formula:
 
 
 def _formula(flavor: str, m, b) -> Formula:
-    """The flavor's formula of clip(m.x + b), peeled on [b, *m] scaled once
-    to ints by s, the lcm of its denominators."""
-    (bs, *row), s = _scale([b, *m])
-    row = tuple(row)
-    if flavor == FLAVOR_RATIONAL and s > 1:
-        run = _row((1, row))
-        chain = fm.delta(s, _peel(run, bs))
+    """The flavor's formula of clip(m.x + b), peeled with a memo of its own."""
+    return next(_formulas(flavor, ((m, b),)))
+
+
+def _formulas(flavor: str, pairs):
+    """The flavor's formula of clip(m.x + b) for each (m, b) of pairs in turn.
+
+    Each row is peeled on [b, *m] scaled once to ints by s, the lcm of its
+    denominators.  Consecutive pairs on an equal scaled row share one _Row,
+    so the sigma copies ``rho_to_sigma`` places side by side, and the s terms
+    of the rational chain, peel with one memo; a different row replaces it.
+    """
+    run = None
+    for m, b in pairs:
+        (bs, *row), s = _scale([b, *m])
+        if flavor == FLAVOR_INTEGER and s != 1:
+            raise ValueError("extr needs integer coefficients; use extr_rational")
+        chain = flavor == FLAVOR_RATIONAL and s > 1
+        key = (1 if chain else s, tuple(row))
+        if run is None or run.key != key:
+            run = _Row(key)
+        if not chain:
+            yield _peel(run, bs)
+            continue
+        f = fm.delta(s, _peel(run, bs))
         for i in range(1, s):
-            chain = fm.oplus(chain, fm.delta(s, _peel(run, bs - i)))
-        return chain
-    if flavor == FLAVOR_INTEGER and s != 1:
-        raise ValueError("extr needs integer coefficients; use extr_rational")
-    return _peel(_row((s, row)), bs)
+            f = fm.oplus(f, fm.delta(s, _peel(run, bs - i)))
+        yield f
 
 
 class _Row:
@@ -149,7 +143,8 @@ class _Row:
     ``pos[j]`` and ``neg[j]`` sum the positive and the negative entries of
     ``row[j:]``; ``nxt[j]`` is the first index >= j with a nonzero entry, or
     d.  The memo maps a peel state, packed into one int, to its formula; it
-    is valid for every bias over this row and lives as long as the object.
+    is valid for every bias over this row.  :func:`_formulas` holds one _Row
+    at a time, so the memo is freed once the next row is peeled.
     """
 
     __slots__ = ("key", "row", "s", "pos", "neg", "nxt", "memo", "width", "offset")
@@ -169,43 +164,6 @@ class _Row:
         big = max(map(abs, self.row), default=0)
         self.width, self.offset = 2 * big + 1, big
         self.memo: dict[int, Formula] = {}
-
-
-# The current run of the innermost open pass: a one-slot list holding its
-# _Row (or None before the first peel), None outside any pass.  It is
-# context state rather than a parameter because the normality pass reaches
-# the extractors through formula_for_certificate(cert).
-_pass: ContextVar[list | None] = ContextVar("_pass", default=None)
-
-
-@contextmanager
-def row_runs():
-    """Let consecutive extractions of an equal row share one peeling memo.
-
-    Inside the block the memo of the current row is kept until a different
-    row is peeled; it is dropped then and when the block ends.  This covers
-    the sigma copies ``rho_to_sigma`` places side by side.  Outside any
-    block each call peels with a memo of its own, which the s terms of
-    :func:`extr_rational` share.
-    """
-    if _pass.get() is not None:
-        yield
-        return
-    token = _pass.set([None])
-    try:
-        yield
-    finally:
-        _pass.reset(token)
-
-
-def _row(key: tuple[int, tuple[int, ...]]) -> _Row:
-    slot = _pass.get()
-    if slot is None:
-        return _Row(key)
-    run = slot[0]
-    if run is None or run.key != key:
-        run = slot[0] = _Row(key)
-    return run
 
 
 _EVAL, _NOT, _PLUS, _TIMES = range(4)
@@ -314,13 +272,11 @@ def extract_graph(net: Network, flavor: str = FLAVOR_INTEGER) -> SubstitutionGra
     """
     check_flavor(net, flavor)
     sigma = rho_to_sigma(net)
-    with row_runs():
-        node_layers = tuple(
-            tuple(
-                GraphNode(_formula(flavor, m, b), MintermCertificate(tuple(m), b, flavor))
-                for m, b in zip(layer.weights, layer.biases)
-            )
-            for layer in sigma.layers
-        )
+    pairs = [(m, b) for layer in sigma.layers for m, b in zip(layer.weights, layer.biases)]
+    nodes = iter([
+        GraphNode(f, MintermCertificate(tuple(m), b, flavor))
+        for f, (m, b) in zip(_formulas(flavor, pairs), pairs)
+    ])
+    node_layers = tuple(tuple(islice(nodes, layer.width)) for layer in sigma.layers)
     widths = (sigma.input_dim,) + tuple(layer.width for layer in sigma.layers)
     return SubstitutionGraph(widths=widths, nodes=node_layers)

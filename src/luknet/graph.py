@@ -25,16 +25,14 @@ table, or a file without one, is a GraphError or a FormulaError.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from fractions import Fraction
+from typing import Callable, NamedTuple, Sequence
 
 from . import formula as fm
 from .formula import Formula, substitute
 from .numerics import (
     format_rational, json_decode, json_field, json_int, json_list, parse_rational
 )
-
-if TYPE_CHECKING:
-    from .extract import MintermCertificate
 
 
 class GraphError(Exception):
@@ -69,7 +67,7 @@ class FactorizationMismatch(GraphError):
 
 class GraphNode(NamedTuple):
     formula: Formula
-    certificate: "MintermCertificate | None" = None
+    certificate: MintermCertificate | None = None
 
 
 class _SubstitutionGraph(NamedTuple):
@@ -120,19 +118,19 @@ def represented_formula(g: SubstitutionGraph) -> Formula:
     return f
 
 
-def graph_eval(g: SubstitutionGraph, x) -> "fm.Fraction":
+def graph_eval(g: SubstitutionGraph, x) -> Fraction:
     """Layer-wise numeric propagation of the node truth functions."""
     return graph_evaluator(g)(x)
 
 
-def graph_evaluator(g: SubstitutionGraph) -> Callable[..., "fm.Fraction"]:
+def graph_evaluator(g: SubstitutionGraph) -> Callable[..., Fraction]:
     """``graph_eval(g, ·)`` with each level's DAG walked once, here.
 
     Each level is one pass with one memo over the union of its formulas.
     """
     levels = [fm.evaluator([node.formula for node in level]) for level in g.nodes]
 
-    def at(x) -> "fm.Fraction":
+    def at(x) -> Fraction:
         values = list(x)
         for level in levels:
             values = level(values)
@@ -159,18 +157,13 @@ def normality_violation(g: SubstitutionGraph) -> GraphError | None:
 
     A graph is normal when every node holds a certificate whose re-extraction
     reproduces the stored formula tree exactly.  Each certificate is
-    re-extracted from its row and bias alone; consecutive certificates on an
-    equal row share one peeling memo for the length of the pass
-    (``extract.row_runs``).
+    re-extracted from its row and bias alone, with a peeling memo of its own.
     """
-    from .extract import row_runs
-
-    with row_runs():
-        for j, level in enumerate(g.nodes, start=1):
-            for i, node in enumerate(level, start=1):
-                violation = certificate_violation(node, j, i)
-                if violation is not None:
-                    return violation
+    for j, level in enumerate(g.nodes, start=1):
+        for i, node in enumerate(level, start=1):
+            violation = certificate_violation(node, j, i)
+            if violation is not None:
+                return violation
     return None
 
 
@@ -259,6 +252,32 @@ def formula_graph(f: Formula, input_width: int) -> SubstitutionGraph:
 # JSON wire format
 # ---------------------------------------------------------------------------
 
+FLAVOR_INTEGER = "integer"
+FLAVOR_RATIONAL = "rational"
+FLAVOR_REAL = "real"
+FLAVORS = (FLAVOR_INTEGER, FLAVOR_RATIONAL, FLAVOR_REAL)
+
+
+class _MintermCertificate(NamedTuple):
+    m: tuple[Fraction, ...]
+    b: Fraction
+    flavor: str
+
+
+class MintermCertificate(_MintermCertificate):
+    """The affine row a node formula was derived from; fed back by kappa."""
+
+    __slots__ = ()
+
+    def __new__(cls, m: tuple[Fraction, ...], b: Fraction, flavor: str) -> "MintermCertificate":
+        if flavor not in FLAVORS:
+            raise ValueError(f"unknown flavor {flavor!r}")
+        if flavor == FLAVOR_INTEGER and not (
+            all(q.denominator == 1 for q in m) and b.denominator == 1
+        ):
+            raise ValueError("integer certificate with non-integer entries")
+        return super().__new__(cls, m, b, flavor)
+
 
 def graph_to_dict(g: SubstitutionGraph) -> dict:
     terms, index = fm.to_terms(node.formula for level in g.nodes for node in level)
@@ -286,8 +305,6 @@ def graph_to_dict(g: SubstitutionGraph) -> dict:
 def graph_from_dict(data: dict) -> SubstitutionGraph:
     """The graph of a wire-format dict; a malformed shape is a ValueError that
     names the field, a malformed term table a GraphError or FormulaError."""
-    from .extract import MintermCertificate
-
     if not isinstance(data, dict) or "terms" not in data:
         raise GraphError('graph has no "terms" table (files without one predate the term-table format)')
     formulas = fm.from_terms(data["terms"])

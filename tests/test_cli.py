@@ -201,6 +201,20 @@ def test_check_equiv_formula_against_network(fixtures_dir, tmp_path, capsys):
     assert code == 0
 
 
+def test_check_equiv_rejects_negative_samples_before_any_work(fixtures_dir, capsys):
+    code, out, err = run(
+        capsys,
+        "check-equiv",
+        str(fixtures_dir / "chain6_a.json"),
+        str(fixtures_dir / "chain6_b.json"),
+        "--samples",
+        "-2",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --samples must be a non-negative integer, got -2\n"
+
+
 def test_axioms_listing(capsys):
     code, out, _ = run(capsys, "axioms", "--set", "MV")
     assert code == 0

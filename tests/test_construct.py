@@ -29,10 +29,11 @@ from luknet.construct import (
     sigma_to_rho,
 )
 from luknet.equiv import FiniteGrid
-from luknet.extract import MintermCertificate, extr, extract_graph, rho_to_sigma
+from luknet.extract import extr, extract_graph, rho_to_sigma
 from luknet.graph import (
     CertificateMismatch,
     GraphNode,
+    MintermCertificate,
     MissingCertificate,
     SubstitutionGraph,
     graph_eval,
@@ -145,18 +146,16 @@ def test_graph_to_sigma_reextracts_each_certificate_once(monkeypatch):
     assert len(calls) == sum(g.widths[1:])
 
 
-def test_open_pass_does_not_vouch_for_a_swapped_formula():
-    # Inside a pass that has just extracted the graph, a node whose formula
-    # was swapped for its neighbour's is still refused: its certificate is
-    # re-extracted from its row and bias, not matched against what
-    # extraction stored.
-    with extract.row_runs():
-        g = extract_graph(dag_network())
-        first, second = g.nodes[0][:2]
-        assert first.formula is not second.formula
-        level = (GraphNode(second.formula, first.certificate),) + g.nodes[0][1:]
-        with pytest.raises(NotNormal, match=r"certificate of node \(1,1\) does not reproduce"):
-            graph_to_sigma(SubstitutionGraph(g.widths, (level,) + g.nodes[1:]))
+def test_graph_to_sigma_refuses_a_swapped_formula():
+    # A node whose formula was swapped for its neighbour's is refused: its
+    # certificate is re-extracted from its row and bias, not matched against
+    # what extraction stored.
+    g = extract_graph(dag_network())
+    first, second = g.nodes[0][:2]
+    assert first.formula is not second.formula
+    level = (GraphNode(second.formula, first.certificate),) + g.nodes[0][1:]
+    with pytest.raises(NotNormal, match=r"certificate of node \(1,1\) does not reproduce"):
+        graph_to_sigma(SubstitutionGraph(g.widths, (level,) + g.nodes[1:]))
 
 
 def _normal_node(m, b):

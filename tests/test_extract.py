@@ -1,7 +1,6 @@
 import itertools
 import json
 import random
-from contextlib import nullcontext
 from fractions import Fraction as F
 from math import lcm
 
@@ -12,21 +11,13 @@ from helpers import (
     POOL_ROUNDTRIP, brute_non_degenerate, layer, net, random_network, rational_network,
     reference_extr_real,
 )
-from luknet import bounds
+from luknet import bounds, extract
 from luknet import formula as fm
 from luknet.construct import graph_to_sigma, sigma_to_rho
 from luknet.equiv import FiniteGrid
-from luknet.extract import (
-    MintermCertificate,
-    extr,
-    extr_rational,
-    extr_real,
-    extract_graph,
-    rho_to_sigma,
-    row_runs,
-)
+from luknet.extract import extr, extr_rational, extr_real, extract_graph, rho_to_sigma
 from luknet.formula import evaluate, to_text
-from luknet.graph import graph_evaluator, is_normal, represented_formula
+from luknet.graph import MintermCertificate, graph_evaluator, is_normal, represented_formula
 from luknet.network import apply_activation, eval_network, network_from_dict, network_from_json
 
 
@@ -321,8 +312,8 @@ def test_extractors_build_the_oracle_objects():
     # builds: every integer row d <= 2 (|m| <= 3, |b| <= 4) and d = 3
     # (|m| <= 2), through all three flavors, then half- and third-integer
     # rows d <= 2 (|m|, |b| <= 1 + 1/q) through extr_real and extr_rational.
-    # The second pass runs inside row_runs, where the peel memo of each row
-    # serves its later biases too.
+    # The second pass peels each row once over all its biases through the
+    # shared-row generator, where the peel memo of a row serves them all.
     cases = []
     for d, top in ((1, 3), (2, 3), (3, 2)):
         for m in itertools.product(range(-top, top + 1), repeat=d):
@@ -336,10 +327,16 @@ def test_extractors_build_the_oracle_objects():
                 for b in values:
                     cases.append((extr_real, m, b, reference_extr_real(m, b)))
                     cases.append((extr_rational, m, b, _oracle_rational(m, b)))
-    for scope in (nullcontext, row_runs):
-        with scope():
-            for extractor, m, b, want in cases:
-                assert extractor(m, b) is want, (extractor.__name__, m, b)
+    for extractor, m, b, want in cases:
+        assert extractor(m, b) is want, (extractor.__name__, m, b)
+    flavors = {extr: "integer", extr_rational: "rational", extr_real: "real"}
+    runs = {}
+    for extractor, m, b, want in cases:
+        runs.setdefault((flavors[extractor], m), []).append((b, want))
+    for (flavor, m), run in runs.items():
+        got = extract._formulas(flavor, [(m, b) for b, _ in run])
+        for f, (b, want) in zip(got, run, strict=True):
+            assert f is want, (flavor, m, b)
 
 
 def test_extr_real_constant_bias():
@@ -351,6 +348,32 @@ def test_extr_real_constant_bias():
 # ---------------------------------------------------------------------------
 # Step III: graph assembly
 # ---------------------------------------------------------------------------
+
+
+def test_extract_graph_builds_one_row_per_run_of_copies(monkeypatch):
+    # The relu node 2x1 + 2x2 - 1 reaches 3, so it splits into 3 sigma
+    # copies of one row; the copies peel over one _Row and its memo.
+    built = []
+
+    class Counted(extract._Row):
+        __slots__ = ()
+
+        def __init__(self, key):
+            built.append(key)
+            super().__init__(key)
+
+    monkeypatch.setattr(extract, "_Row", Counted)
+    network = net(
+        2,
+        layer([[2, 2], [1, -1]], [-1, 0], ["relu", "relu"]),
+        layer([[1, 1]], [-1], ["none"]),
+    )
+    g = extract_graph(network)
+    assert [node.certificate.m for node in g.nodes[0]] == [(F(2), F(2))] * 3 + [(F(1), F(-1))]
+    assert built == [(1, (2, 2)), (1, (1, -1)), (1, (1, 1, 1, 1))]
+    for level in g.nodes:
+        for node in level:
+            assert node.formula is extr(node.certificate.m, node.certificate.b)
 
 
 def test_extract_graph_chain_example():

@@ -7,12 +7,13 @@ import pytest
 from helpers import layer, net, random_formula, random_graph, represented_formula_forward
 from luknet import formula as fm
 from luknet.equiv import FiniteGrid
-from luknet.extract import MintermCertificate, extract_graph
+from luknet.extract import extract_graph
 from luknet.formula import evaluate, evaluate_all, postorder, to_text
 from luknet.graph import (
     FactorizationMismatch,
     GraphNode,
     LevelOutOfRange,
+    MintermCertificate,
     MissingCertificate,
     SubstitutionGraph,
     collapse,

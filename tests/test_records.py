@@ -8,8 +8,7 @@ import pytest
 from helpers import layer, net
 from luknet import formula as fm
 from luknet.equiv import Counterexample, Equal, FiniteGrid
-from luknet.extract import MintermCertificate
-from luknet.graph import GraphNode, SubstitutionGraph
+from luknet.graph import GraphNode, MintermCertificate, SubstitutionGraph
 from luknet.network import DimensionMismatch, Layer, Network, NodeRef
 from luknet.numerics import Interval
 from luknet.rewrite import Axiom, DerivationTrace, Step
