@@ -11,8 +11,8 @@ from fractions import Fraction
 
 from . import formula as fm
 from .bounds import exact_extrema
-from .extract import check_flavor, extract_graph
-from .graph import GraphError, SubstitutionGraph, certificate_violation, normality_violation
+from .extract import check_flavor, extract_graph, formula_for_certificate
+from .graph import CertificateMismatch, GraphError, MissingCertificate, SubstitutionGraph, normality_violation
 from .network import CLIP, NONE, RELU, Degenerate, Layer, Network, cube_box, is_non_degenerate, scaled_layer
 
 _F0 = Fraction(0)
@@ -30,12 +30,13 @@ CONST1 = "const1"
 def kappa(node) -> str | tuple[tuple[Fraction, ...], Fraction]:
     """Map a normal node back to its affine clip neuron, or to a constant.
 
-    The certificate must reproduce the stored formula; the constants 0 and 1
-    have no neuron and are signalled by tag.
+    The certificate must re-extract to the stored formula; the constants 0
+    and 1 have no neuron and are signalled by tag.
     """
-    violation = certificate_violation(node)
-    if violation is not None:
-        raise violation
+    if node.certificate is None:
+        raise MissingCertificate()
+    if formula_for_certificate(node.certificate) is not node.formula:
+        raise CertificateMismatch()
     return _neuron(node)
 
 
@@ -53,8 +54,8 @@ def graph_to_sigma(g: SubstitutionGraph) -> Network:
 
     Constant-0 nodes disappear with their edges; constant-1 nodes disappear
     with their outgoing weight folded into each successor's bias.  The
-    normality check re-extracts each certificate once; nodes are then read
-    off their certificates without a second extraction.
+    normality check re-extracts the certificates in one pass; nodes are then
+    read off their certificates without a second extraction.
     """
     violation = normality_violation(g)
     if violation is not None:

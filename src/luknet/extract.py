@@ -5,9 +5,9 @@ a formula for every clip neuron from its affine row, and assemble the layered
 substitution graph whose represented formula realizes the network's map.  No
 search runs: non-degeneracy is a premise of the round trip only.
 
-The formulas of a graph are peeled in one pass over its clip rows, in which
-consecutive equal rows share one peeling memo.  The memo is a local of that
-pass: no state outlives a call, and a certificate re-extracts on its own.
+The formulas of a graph are peeled in one pass over its certificates, where
+consecutive equal rows share one peeling memo; the normality check re-runs
+that pass.  The memo is a local of the pass, so no state outlives a call.
 """
 from __future__ import annotations
 
@@ -108,19 +108,19 @@ def extr_real(m, b) -> Formula:
 
 def _formula(flavor: str, m, b) -> Formula:
     """The flavor's formula of clip(m.x + b), peeled with a memo of its own."""
-    return next(_formulas(flavor, ((m, b),)))
+    return next(_formulas(((m, b, flavor),)))
 
 
-def _formulas(flavor: str, pairs):
-    """The flavor's formula of clip(m.x + b) for each (m, b) of pairs in turn.
+def _formulas(certs):
+    """The flavor's formula of clip(m.x + b) for each certificate (m, b, flavor).
 
     Each row is peeled on [b, *m] scaled once to ints by s, the lcm of its
-    denominators.  Consecutive pairs on an equal scaled row share one _Row,
-    so the sigma copies ``rho_to_sigma`` places side by side, and the s terms
-    of the rational chain, peel with one memo; a different row replaces it.
+    denominators.  Consecutive items on an equal scaled row share one _Row
+    whatever their flavors, so the sigma copies ``rho_to_sigma`` places side
+    by side, and the s terms of the rational chain, peel with one memo.
     """
     run = None
-    for m, b in pairs:
+    for m, b, flavor in certs:
         (bs, *row), s = _scale([b, *m])
         if flavor == FLAVOR_INTEGER and s != 1:
             raise ValueError("extr needs integer coefficients; use extr_rational")
@@ -143,8 +143,8 @@ class _Row:
     ``pos[j]`` and ``neg[j]`` sum the positive and the negative entries of
     ``row[j:]``; ``nxt[j]`` is the first index >= j with a nonzero entry, or
     d.  The memo maps a peel state, packed into one int, to its formula; it
-    is valid for every bias over this row.  :func:`_formulas` holds one _Row
-    at a time, so the memo is freed once the next row is peeled.
+    is valid for every bias and flavor over this row and scale.  :func:`_formulas`
+    holds one _Row at a time, so the memo is freed once the next row is peeled.
     """
 
     __slots__ = ("key", "row", "s", "pos", "neg", "nxt", "memo", "width", "offset")
@@ -247,7 +247,7 @@ def _peel(run: _Row, b: int) -> Formula:
 
 def formula_for_certificate(cert: MintermCertificate) -> Formula:
     """Re-run the flavor's extractor on a certificate."""
-    return _formula(cert.flavor, cert.m, cert.b)
+    return next(_formulas((cert,)))
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +272,11 @@ def extract_graph(net: Network, flavor: str = FLAVOR_INTEGER) -> SubstitutionGra
     """
     check_flavor(net, flavor)
     sigma = rho_to_sigma(net)
-    pairs = [(m, b) for layer in sigma.layers for m, b in zip(layer.weights, layer.biases)]
-    nodes = iter([
-        GraphNode(f, MintermCertificate(tuple(m), b, flavor))
-        for f, (m, b) in zip(_formulas(flavor, pairs), pairs)
-    ])
+    certs = [
+        MintermCertificate(tuple(m), b, flavor)
+        for layer in sigma.layers for m, b in zip(layer.weights, layer.biases)
+    ]
+    nodes = iter([GraphNode(f, cert) for f, cert in zip(_formulas(certs), certs)])
     node_layers = tuple(tuple(islice(nodes, layer.width)) for layer in sigma.layers)
     widths = (sigma.input_dim,) + tuple(layer.width for layer in sigma.layers)
     return SubstitutionGraph(widths=widths, nodes=node_layers)

@@ -96,6 +96,12 @@ class SubstitutionGraph(_SubstitutionGraph):
                         f"node ({j},{i}) uses x{node.formula.max_var} but level "
                         f"{j - 1} has width {widths[j - 1]}"
                     )
+                cert = node.certificate
+                if cert is not None and len(cert.m) != widths[j - 1]:
+                    raise ValueError(
+                        f"certificate of node ({j},{i}) has {len(cert.m)} weights but level "
+                        f"{j - 1} has width {widths[j - 1]}"
+                    )
         return super().__new__(cls, widths, nodes)
 
     @property
@@ -139,31 +145,24 @@ def graph_evaluator(g: SubstitutionGraph) -> Callable[..., Fraction]:
     return at
 
 
-def certificate_violation(
-    node: GraphNode, level: int | None = None, index: int | None = None
-) -> GraphError | None:
-    """Why the node's certificate does not re-extract to its formula, or None."""
-    from .extract import formula_for_certificate
-
-    if node.certificate is None:
-        return MissingCertificate(level, index)
-    if formula_for_certificate(node.certificate) is not node.formula:
-        return CertificateMismatch(level, index)
-    return None
-
-
 def normality_violation(g: SubstitutionGraph) -> GraphError | None:
-    """First reason the graph is not normal, or None.
+    """First reason the graph is not normal, in level order, or None.
 
     A graph is normal when every node holds a certificate whose re-extraction
-    reproduces the stored formula tree exactly.  Each certificate is
-    re-extracted from its row and bias alone, with a peeling memo of its own.
+    reproduces the stored formula tree exactly.  The certificates are
+    re-extracted from their rows and biases alone, in one lazy pass of the
+    extraction's generator (consecutive copies of one row share a memo) that
+    reads a certificate only once every node before it has passed.
     """
+    from .extract import _formulas
+
+    formulas = _formulas(node.certificate for level in g.nodes for node in level)
     for j, level in enumerate(g.nodes, start=1):
         for i, node in enumerate(level, start=1):
-            violation = certificate_violation(node, j, i)
-            if violation is not None:
-                return violation
+            if node.certificate is None:
+                return MissingCertificate(j, i)
+            if next(formulas) is not node.formula:
+                return CertificateMismatch(j, i)
     return None
 
 

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import luknet
-from helpers import box_forced_network
+from helpers import box_forced_network, layer, net
 from luknet import bounds
 from luknet.cli import main
 from luknet.equiv import FiniteGrid
@@ -156,6 +156,22 @@ def test_non_integer_graph_width_exits_two(fixtures_dir, tmp_path, capsys):
     code, _, err = run(capsys, "check-equiv", str(bad), str(gpath))
     assert code == 2
     assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("m", [["-1"] * 7, ["-1", "0", "0", "0"]])
+def test_certificate_row_of_the_wrong_length_exits_two(tmp_path, capsys, m):
+    npath, gpath = tmp_path / "n.json", tmp_path / "g.json"
+    npath.write_text(network_to_json(net(1, layer([[-1]], [1], ["none"]))))
+    code, _, _ = run(capsys, "extract", str(npath), "-o", str(gpath))
+    assert code == 0
+    data = json.loads(gpath.read_text())
+    data["nodes"][0][0]["certificate"]["m"] = m
+    gpath.write_text(json.dumps(data))
+    code, out, err = run(capsys, "construct", str(gpath), "-o", str(tmp_path / "back.json"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "node (1,1)" in err
     assert len(err.strip().splitlines()) == 1
 
 

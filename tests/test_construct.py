@@ -1,7 +1,6 @@
 import gc
 import json
 import random
-import sys
 from fractions import Fraction as F
 
 import pytest
@@ -121,29 +120,30 @@ def test_graph_to_sigma_names_first_bad_node():
         graph_to_sigma(g)
 
 
-def count_reextractions(monkeypatch) -> list:
-    """The certificates passed to formula_for_certificate from now on, in
-    every luknet module that holds it."""
-    calls = []
-    original = extract.formula_for_certificate
+def count_formula_runs(monkeypatch) -> list:
+    """How many formulas each run of extract._formulas started from now on
+    yields, one entry per run."""
+    runs = []
+    original = extract._formulas
 
-    def counting(cert):
-        calls.append(cert)
-        return original(cert)
+    def counting(*args):
+        k = len(runs)
+        runs.append(0)
+        for f in original(*args):
+            runs[k] += 1
+            yield f
 
-    for name, module in list(sys.modules.items()):
-        bound = vars(module).get("formula_for_certificate")
-        if name.split(".")[0] == "luknet" and bound is original:
-            monkeypatch.setattr(module, "formula_for_certificate", counting)
-    return calls
+    monkeypatch.setattr(extract, "_formulas", counting)
+    return runs
 
 
 def test_graph_to_sigma_reextracts_each_certificate_once(monkeypatch):
-    # The normality check and the node readout share one re-extraction.
-    calls = count_reextractions(monkeypatch)
+    # The normality check and the node readout share one re-extraction: one
+    # pass of the extraction's generator, one formula per certificate.
     g = extract_graph(nprime())
+    runs = count_formula_runs(monkeypatch)
     graph_to_sigma(g)
-    assert len(calls) == sum(g.widths[1:])
+    assert runs == [sum(g.widths[1:])]
 
 
 def test_graph_to_sigma_refuses_a_swapped_formula():
@@ -345,8 +345,9 @@ def test_no_memo_outlives_its_pass():
 
 def test_roundtrip_peels_each_certificate_once(monkeypatch):
     # The round trip reads its graph straight off extraction: it peels only
-    # what extract_graph peels and re-extracts no certificate.
-    reextractions = count_reextractions(monkeypatch)
+    # what extract_graph peels and re-extracts no certificate: its one pass
+    # of the extraction's generator is extract_graph's.
+    runs = count_formula_runs(monkeypatch)
     calls = 0
     peel = extract._peel
 
@@ -363,9 +364,10 @@ def test_roundtrip_peels_each_certificate_once(monkeypatch):
         extract_graph(network, flavor=flavor)
         alone = calls
         calls = 0
+        runs.clear()
         assert roundtrip(network, flavor=flavor) == network
         assert calls == alone > 0
-    assert reextractions == []
+        assert len(runs) == 1
 
 
 def test_roundtrip_rational_network():

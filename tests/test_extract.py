@@ -17,7 +17,7 @@ from luknet.construct import graph_to_sigma, sigma_to_rho
 from luknet.equiv import FiniteGrid
 from luknet.extract import extr, extr_rational, extr_real, extract_graph, rho_to_sigma
 from luknet.formula import evaluate, to_text
-from luknet.graph import MintermCertificate, graph_evaluator, is_normal, represented_formula
+from luknet.graph import FLAVORS, MintermCertificate, graph_evaluator, is_normal, represented_formula
 from luknet.network import apply_activation, eval_network, network_from_dict, network_from_json
 
 
@@ -307,13 +307,30 @@ def _oracle_rational(m, b):
     return chain
 
 
-def test_extractors_build_the_oracle_objects():
+def count_rows(monkeypatch) -> list:
+    """The keys of the _Row objects built from now on, in order."""
+    built = []
+
+    class Counted(extract._Row):
+        __slots__ = ()
+
+        def __init__(self, key):
+            built.append(key)
+            super().__init__(key)
+
+    monkeypatch.setattr(extract, "_Row", Counted)
+    return built
+
+
+def test_extractors_build_the_oracle_objects(monkeypatch):
     # The integer core builds the very objects the recursive Fraction peel
     # builds: every integer row d <= 2 (|m| <= 3, |b| <= 4) and d = 3
     # (|m| <= 2), through all three flavors, then half- and third-integer
     # rows d <= 2 (|m|, |b| <= 1 + 1/q) through extr_real and extr_rational.
     # The second pass peels each row once over all its biases through the
     # shared-row generator, where the peel memo of a row serves them all.
+    # The third mixes the three flavors in one run over each integer row
+    # d <= 2: the memo key holds no flavor, so one _Row serves the run.
     cases = []
     for d, top in ((1, 3), (2, 3), (3, 2)):
         for m in itertools.product(range(-top, top + 1), repeat=d):
@@ -334,9 +351,17 @@ def test_extractors_build_the_oracle_objects():
     for extractor, m, b, want in cases:
         runs.setdefault((flavors[extractor], m), []).append((b, want))
     for (flavor, m), run in runs.items():
-        got = extract._formulas(flavor, [(m, b) for b, _ in run])
+        got = extract._formulas([(m, b, flavor) for b, _ in run])
         for f, (b, want) in zip(got, run, strict=True):
             assert f is want, (flavor, m, b)
+    built = count_rows(monkeypatch)
+    for d in (1, 2):
+        for m in itertools.product(range(-3, 4), repeat=d):
+            mixed = [(m, b, flavor) for b in range(-4, 5) for flavor in FLAVORS]
+            built.clear()
+            for f, (_, b, flavor) in zip(extract._formulas(mixed), mixed, strict=True):
+                assert f is reference_extr_real(m, b), (flavor, m, b)
+            assert built == [(1, m)]
 
 
 def test_extr_real_constant_bias():
@@ -350,30 +375,44 @@ def test_extr_real_constant_bias():
 # ---------------------------------------------------------------------------
 
 
-def test_extract_graph_builds_one_row_per_run_of_copies(monkeypatch):
+def three_copy_network():
     # The relu node 2x1 + 2x2 - 1 reaches 3, so it splits into 3 sigma
-    # copies of one row; the copies peel over one _Row and its memo.
-    built = []
-
-    class Counted(extract._Row):
-        __slots__ = ()
-
-        def __init__(self, key):
-            built.append(key)
-            super().__init__(key)
-
-    monkeypatch.setattr(extract, "_Row", Counted)
-    network = net(
+    # copies of one row.
+    return net(
         2,
         layer([[2, 2], [1, -1]], [-1, 0], ["relu", "relu"]),
         layer([[1, 1]], [-1], ["none"]),
     )
-    g = extract_graph(network)
+
+
+def test_extract_graph_builds_one_row_per_run_of_copies(monkeypatch):
+    # The copies peel over one _Row and its memo.
+    built = count_rows(monkeypatch)
+    g = extract_graph(three_copy_network())
     assert [node.certificate.m for node in g.nodes[0]] == [(F(2), F(2))] * 3 + [(F(1), F(-1))]
     assert built == [(1, (2, 2)), (1, (1, -1)), (1, (1, 1, 1, 1))]
     for level in g.nodes:
         for node in level:
             assert node.formula is extr(node.certificate.m, node.certificate.b)
+
+
+def test_normality_check_builds_one_row_per_run_of_copies(monkeypatch):
+    # The normality check re-extracts the certificates in one pass, where the
+    # copies share one _Row as in extraction.  The clamp pair of the w7 CLI
+    # ladder rung splits its two relu nodes on one row into 21 copies.
+    clamp = net(
+        3,
+        layer([[7, 6, 5], [7, 6, 5]], [-7, -8], ["relu", "relu"]),
+        layer([[1, -1]], [0], ["none"]),
+    )
+    built = count_rows(monkeypatch)
+    for network, rows in ((three_copy_network(), [(2, 2), (1, -1), (1, 1, 1, 1)]),
+                          (clamp, [(7, 6, 5), (1,) * 11 + (-1,) * 10])):
+        g = extract_graph(network)
+        built.clear()
+        assert is_normal(g)
+        assert built == [(1, row) for row in rows]
+        assert graph_to_sigma(g) == rho_to_sigma(network)
 
 
 def test_extract_graph_chain_example():

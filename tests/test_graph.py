@@ -92,6 +92,16 @@ def test_forged_certificate_is_not_normal():
     assert violation is not None and "reproduce" in str(violation)
 
 
+@pytest.mark.parametrize("m", [(F(-1),) * 7, (F(-1), F(0), F(0), F(0))])
+def test_certificate_row_must_match_the_input_width(m):
+    # not x1 over a 1-wide input, certified by a row of the wrong length: one
+    # too long is refused, and so is one padded with zeros, whose re-extraction
+    # would pass the normality check unnoticed.
+    node = GraphNode(fm.lnot(x1), MintermCertificate(m, F(1), "integer"))
+    with pytest.raises(ValueError, match=rf"certificate of node \(1,1\) has {len(m)} weights"):
+        SubstitutionGraph((1, 1), ((node,),))
+
+
 def test_missing_certificate_reported():
     g = formula_graph(x1, 1)
     assert not is_normal(g)
