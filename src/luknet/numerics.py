@@ -4,20 +4,20 @@ linear-program solver.
 Everything in this package is exact; no floating point is used anywhere.
 Rationals are the standard-library ``fractions.Fraction``, which already
 guarantees lowest terms and a positive denominator.  The simplex runs on a
-dictionary of Python ints (each row a positive multiple of its rational row),
-is cut one batch of rows at a time, and returns its optimum as a Fraction.
+dictionary of Python ints over one determinant (integer pivoting), is cut one
+batch of rows at a time, and returns its optimum as a Fraction.
 """
 from __future__ import annotations
 
 import json
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
 ZERO = Fraction(0)
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
 class Infeasible(Exception):
@@ -25,8 +25,8 @@ class Infeasible(Exception):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the decimal-free wire format ``p/q`` or ``p`` (sign on numerator)."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    """Parse the whole text as ``p/q`` or ``p``, ASCII digits, sign on ``p``."""
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a canonical rational: {text!r}")
     return Fraction(text)
 
@@ -120,11 +120,12 @@ class Interval(_Interval):
 # parent's rows and a depth-first search can come back to the parent
 # (incremental simplex as in Katz et al., "Reluplex", CAV 2017).
 #
-# The rows are Python ints (Bareiss; Azulay & Pique, ACM TOMS 2001): each is
-# a positive multiple of its rational row, scaled once to integers, divided
-# by its gcd after every pivot, and ends in that multiple.  Signs and ratios
-# do not change under a positive multiple, so the pivots are those of the
-# rational tableau.
+# The rows are Python ints over one denominator, the determinant det > 0 of
+# the current basis (integer pivoting: Edmonds, J. Res. NBS 1967, as in
+# Avis, "lrs", 2000).  Every entry is a minor of the integer system, so a
+# pivot divides by the old det exactly and no gcd is ever taken.  Each row is
+# det times its rational row, so signs, ratios and pivots are the rational
+# tableau's.
 # ---------------------------------------------------------------------------
 
 Constraint = tuple[Sequence[Fraction], Fraction]  # coeffs . x <= bound; int or Fraction
@@ -133,20 +134,22 @@ Constraint = tuple[Sequence[Fraction], Fraction]  # coeffs . x <= bound; int or 
 class Tableau(NamedTuple):
     """A feasible basis of {x in [0,1]^d : the rows cut so far}, in dictionary form.
 
-    Row r is [rhs, a_1..a_d, m] with m > 0 and gcd 1, and reads
-    m*v_basis[r] + sum_j a_j*v_nonbasic[j-1] = rhs, so rhs >= 0 at a feasible
-    basis.  The first d rows are the upper faces x_i <= 1 (see :func:`cube`).
+    Row r is [rhs, a_1..a_d] of ints and reads det*v_basis[r] +
+    sum_j a_j*v_nonbasic[j-1] = rhs, det > 0 the determinant of the basis, so
+    rhs >= 0 at a feasible basis.  The first d rows are the upper faces
+    x_i <= 1 (see :func:`cube`).
     """
 
     d: int
     rows: tuple[list[int], ...]
     basis: tuple[int, ...]
     nonbasic: tuple[int, ...]
+    det: int
 
 
 def cube(d: int) -> Tableau:
     """The bare cube [0,1]^d: its upper faces x_i <= 1 cut from no rows at all."""
-    bare = Tableau(d, (), (), tuple(range(1, d + 1)))
+    bare = Tableau(d, (), (), tuple(range(1, d + 1)), 1)
     return cut(bare, [([int(i == k) for i in range(d)], 1) for k in range(d)])
 
 
@@ -156,51 +159,47 @@ def _scale(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (s // v.denominator) for v in values], s
 
 
-def _reduce(row: list[int]) -> list[int]:
-    g = gcd(*row)
-    return row if g <= 1 else [v // g for v in row]
-
-
-def _row(state: Tableau, values: Sequence[int | Fraction]) -> list[int]:
+def _row(state: Tableau, values: Sequence[int | Fraction]) -> tuple[list[int], int]:
     """The row of a new basic variable v with v + c.x = b, where values is
-    [b, *c], written over the state's nonbasic variables.
+    [b, *c], written over the state's nonbasic variables, and its scale s.
 
-    Each basic x_k is replaced by its own row, all at once: scaling the row
-    by the lcm k of those rows' multiples makes every replacement integral.
+    The row's basic variable is s*v, s the lcm of the denominators of values:
+    det*(s*b, s*c) minus s*c_k times the row of each basic x_k.
     """
     (rhs, *coeffs), s = _scale(values)
-    d = state.d
-    used = [(prow, coeffs[b - 1]) for prow, b in zip(state.rows, state.basis) if b <= d and coeffs[b - 1]]
-    k = lcm(*(prow[-1] for prow, _ in used))
-    row = [rhs * k, *(coeffs[v - 1] * k if v <= d else 0 for v in state.nonbasic)]
-    for prow, c in used:
-        f = c * (k // prow[-1])
-        row = [a - f * p for a, p in zip(row, prow)]  # prow's multiple lies past row's end
-    row.append(s * k)
-    return _reduce(row)
+    d, det = state.d, state.det
+    row = [rhs * det, *(coeffs[v - 1] * det if v <= d else 0 for v in state.nonbasic)]
+    for prow, b in zip(state.rows, state.basis):
+        if b <= d and (c := coeffs[b - 1]):
+            row = [a - c * p for a, p in zip(row, prow)]
+    return row, s
 
 
-def _pivot(rows: list[list[int]], basis: list[int], nonbasic: list[int], r: int, j: int) -> None:
-    """Make nonbasic variable j basic in row r, and row r's basic variable nonbasic."""
+def _pivot(rows: list[list[int]], basis: list[int], nonbasic: list[int], det: int, r: int, j: int) -> int:
+    """Make nonbasic variable j basic in row r, and row r's basic variable
+    nonbasic; return the new det, |p| for the pivot entry p = rows[r][j].
+
+    Row r, with det put at j, is multiplied by sign(p).  Every other row a
+    becomes (|p|*a - a[j]*row r) // det, an exact division, with -sign(p)*a[j]
+    at j; a row with a[j] = 0 is rescaled alike.
+    """
     prow = rows[r][:]
-    prow[j], prow[-1] = prow[-1], prow[j]
-    if prow[-1] < 0:  # the dual simplex pivots on a negative entry
-        prow = [-v for v in prow]
+    piv, prow[j] = prow[j], det
+    if piv < 0:  # the dual simplex pivots on a negative entry
+        piv, prow = -piv, [-v for v in prow]
     rows[r] = prow
-    piv = prow[-1]
     for i, row in enumerate(rows):
-        f = row[j]
-        if i != r and f:
-            out = [piv * a - f * p for a, p in zip(row, prow)]
-            out[j] = -f * prow[j]  # the leaving variable was not in this row
-            out[-1] = piv * row[-1]  # and the entering one is eliminated from it
-            rows[i] = _reduce(out)
+        if i != r:
+            f = row[j]
+            rows[i] = out = [(piv * a - f * q) // det for a, q in zip(row, prow)]
+            out[j] = -f if prow[j] > 0 else f  # the leaving variable was not in this row
     basis[r], nonbasic[j - 1] = nonbasic[j - 1], basis[r]
+    return piv
 
 
 def _entering(row: list[int], nonbasic: Sequence[int]) -> int | None:
     """The position of the least nonbasic variable with a negative entry in row."""
-    negative = (j for j in range(1, len(row) - 1) if row[j] < 0)
+    negative = (j for j in range(1, len(row)) if row[j] < 0)
     return min(negative, key=lambda j: nonbasic[j - 1], default=None)
 
 
@@ -212,20 +211,20 @@ def cut(state: Tableau, constraints: Sequence[Constraint]) -> Tableau | None:
     for coeffs, bound in constraints:
         if len(coeffs) != d:
             raise ValueError("constraint arity mismatch")
-        rows.append(_row(state, [bound, *coeffs]))
-        basis.append(d + len(rows))  # the new row's own slack
-    nonbasic = list(state.nonbasic)
+        rows.append(_row(state, [bound, *coeffs])[0])
+        basis.append(d + len(rows))  # the new row's own slack, times its scale
+    nonbasic, det = list(state.nonbasic), state.det
     while True:
         leave = None
         for i, row in enumerate(rows):
             if row[0] < 0 and (leave is None or basis[i] < basis[leave]):
                 leave = i
         if leave is None:
-            return Tableau(d, tuple(rows), tuple(basis), tuple(nonbasic))
+            return Tableau(d, tuple(rows), tuple(basis), tuple(nonbasic), det)
         enter = _entering(rows[leave], nonbasic)
         if enter is None:
             return None
-        _pivot(rows, basis, nonbasic, leave, enter)
+        det = _pivot(rows, basis, nonbasic, det, leave, enter)
 
 
 def minimum(state: Tableau, objective: Sequence[int | Fraction]) -> Fraction:
@@ -233,13 +232,13 @@ def minimum(state: Tableau, objective: Sequence[int | Fraction]) -> Fraction:
     if len(objective) != state.d:
         raise ValueError("objective arity mismatch")
     m = len(state.rows)
-    rows = [*state.rows, _row(state, [0, *objective])]  # its basic variable is -objective.x
-    basis, nonbasic = list(state.basis), list(state.nonbasic)
+    obj, s = _row(state, [0, *objective])  # its basic variable is -s*objective.x
+    rows, basis, nonbasic, det = [*state.rows, obj], list(state.basis), list(state.nonbasic), state.det
     while True:
         obj = rows[m]
         enter = _entering(obj, nonbasic)
         if enter is None:
-            return Fraction(-obj[0], obj[-1])
+            return Fraction(-obj[0], det * s)
         leave = None
         for i in range(m):
             row = rows[i]
@@ -253,7 +252,7 @@ def minimum(state: Tableau, objective: Sequence[int | Fraction]) -> Fraction:
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave, num, den = i, row[0], a
         assert leave is not None, "the cube bounds every variable"
-        _pivot(rows, basis, nonbasic, leave, enter)
+        det = _pivot(rows, basis, nonbasic, det, leave, enter)
 
 
 def lp_feasible(constraints: Iterable[Constraint], d: int) -> bool:

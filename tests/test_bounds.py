@@ -1,3 +1,4 @@
+import itertools
 import json
 import pathlib
 import random
@@ -10,7 +11,7 @@ from helpers import (
 )
 from luknet import numerics
 from luknet.bounds import BudgetExceeded, exact_extrema, interval_propagation
-from luknet.network import NodeRef, apply_activation, network_from_dict
+from luknet.network import NodeRef, apply_activation, eval_network, network_from_dict, network_from_json
 
 POOL_EXTREMA = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "pool_extrema.json"
 
@@ -160,7 +161,7 @@ def test_frozen_budget_classes(monkeypatch):
     def counted(*args):
         nonlocal pivots
         pivots += 1
-        pivot(*args)
+        return pivot(*args)
 
     monkeypatch.setattr(numerics, "_pivot", counted)
     pool = json.loads(POOL_EXTREMA.read_text())
@@ -177,3 +178,26 @@ def test_frozen_budget_classes(monkeypatch):
                 exact_extrema(n, "output", node_budget=budget)
     assert exceeded == 15
     assert pivots == 4_389
+
+
+def test_large_entry_network(fixtures_dir, monkeypatch):
+    # The (6,[12,12]) relu network of perfbench.nets.random_relu_net, seed 2,
+    # weights -3..3: its tableaux reach far larger entries and determinants
+    # than the pool's.  The pivot count pins Bland's rule on it, and the
+    # answer must enclose the network's values on the grid I_2^6.  It lies in
+    # fixtures/search/, out of the fixtures that every extraction test reads.
+    pivots = 0
+    pivot = numerics._pivot
+
+    def counted(*args):
+        nonlocal pivots
+        pivots += 1
+        return pivot(*args)
+
+    monkeypatch.setattr(numerics, "_pivot", counted)
+    n = network_from_json((fixtures_dir / "search" / "relu_6x12x12_seed2.json").read_text())
+    iv = exact_extrema(n, "output")
+    assert (iv.lo, iv.hi) == (F(-215, 2), F(65))
+    assert pivots == 12_140
+    values = [eval_network(n, x) for x in itertools.product((F(0), F(1, 2), F(1)), repeat=6)]
+    assert iv.lo <= min(values) and max(values) <= iv.hi

@@ -28,6 +28,18 @@ def test_roundtrip_fixture(fixtures_dir, capsys):
     assert "identical" in out
 
 
+@pytest.mark.parametrize("weight,bias", [("\u0661", "0"), ("1", "0\n")])
+def test_non_canonical_rational_exits_two(tmp_path, capsys, weight, bias):
+    # An Arabic-Indic one and a trailing newline are not the wire format,
+    # though Fraction() reads both; the identity x would round-trip.
+    path = tmp_path / "n.json"
+    path.write_text(json.dumps(
+        {"input_dim": 1, "layers": [{"weights": [[weight]], "biases": [bias], "activation": ["none"]}]}))
+    code, out, err = run(capsys, "roundtrip", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_extract_then_construct_files(fixtures_dir, tmp_path, capsys):
     gpath = tmp_path / "g.json"
     code, _, _ = run(capsys, "extract", str(fixtures_dir / "dag.json"), "-o", str(gpath))

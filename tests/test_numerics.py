@@ -1,13 +1,14 @@
 import copy
 import random
 from fractions import Fraction as F
-from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import cube_constraints, polytope_vertices
+from luknet import numerics
 from luknet.numerics import (
     Infeasible,
     Interval,
@@ -50,7 +51,7 @@ def test_rational_wire_format(text, num, den):
     assert format_rational(q) == text
 
 
-@pytest.mark.parametrize("bad", ["1.5", "1/-2", "+3", "2/0", "a", "1 / 2", ""])
+@pytest.mark.parametrize("bad", ["1.5", "1/-2", "+3", "2/0", "a", "1 / 2", "", "1\n", "3/4\n", "\u0661"])
 def test_rational_wire_format_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
@@ -255,16 +256,41 @@ def test_cut_leaves_parent_unchanged():
 
 
 def assert_dictionary(state):
-    # Every row is [rhs, one entry per nonbasic variable, m] with m > 0 and
-    # gcd 1, rhs >= 0 at a feasible basis, and the basic and nonbasic ids
-    # are exactly the variables 1..d + len(rows).
+    # Every row is [rhs, one entry per nonbasic variable], all ints (a float
+    # cannot slip in), over one int determinant det > 0; rhs >= 0 at a
+    # feasible basis, and the basic and nonbasic ids are exactly the
+    # variables 1..d + len(rows).
     d = state.d
+    assert type(state.det) is int and state.det > 0
     assert len(state.nonbasic) == d and len(state.basis) == len(state.rows)
     assert sorted(state.basis + state.nonbasic) == list(range(1, d + len(state.rows) + 1))
     for row in state.rows:
-        assert len(row) == d + 2
-        assert row[-1] > 0 and row[0] >= 0
-        assert gcd(*row) == 1
+        assert len(row) == d + 1
+        assert all(type(v) is int for v in row)
+        assert row[0] >= 0
+
+
+pivot = numerics._pivot
+
+
+def checked_pivot(rows, basis, nonbasic, det, r, j):
+    # _pivot, checked entry by entry: each new entry of another row a, times
+    # the old det, is |p|*a - f*q exactly, where p is the pivot entry, f is
+    # a's entry at j and q the new pivot row (sign(p)*det at j), so no
+    # division rounded.
+    before = [row[:] for row in rows]
+    new_det = pivot(rows, basis, nonbasic, det, r, j)
+    p = before[r][j]
+    sign = 1 if p > 0 else -1
+    q = [sign * v for v in before[r]]
+    q[j] = sign * det
+    assert p and new_det == abs(p) and rows[r] == q
+    for i, (a, out) in enumerate(zip(before, rows)):
+        if i != r:
+            f = a[j]
+            assert out[j] == -sign * f
+            assert all(v * det == new_det * x - f * y for k, (v, x, y) in enumerate(zip(out, a, q)) if k != j)
+    return new_det
 
 
 cut_row = st.tuples(
@@ -276,17 +302,18 @@ cut_row = st.tuples(
 @given(
     st.integers(1, 4),
     st.lists(st.lists(cut_row, min_size=1, max_size=3), max_size=5),
-    st.lists(st.integers(-4, 4), min_size=4, max_size=4),
+    st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3), min_size=4, max_size=4),
 )
-def test_tableau_stays_a_reduced_dictionary(d, batches, obj):
-    state = cube(d)
-    assert_dictionary(state)
-    for batch in batches:
-        snapshot = copy.deepcopy(state)
-        minimum(state, obj[:d])
-        child = cut(state, [(coeffs[:d], bound) for coeffs, bound in batch])
-        assert state == snapshot
-        if child is None:
-            break
-        assert_dictionary(child)
-        state = child
+def test_tableau_is_a_dictionary_over_one_determinant(d, batches, obj):
+    with mock.patch.object(numerics, "_pivot", checked_pivot):
+        state = cube(d)
+        assert_dictionary(state)
+        for batch in batches:
+            snapshot = copy.deepcopy(state)
+            minimum(state, obj[:d])
+            child = cut(state, [(coeffs[:d], bound) for coeffs, bound in batch])
+            assert state == snapshot
+            if child is None:
+                break
+            assert_dictionary(child)
+            state = child
