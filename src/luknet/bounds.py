@@ -132,7 +132,8 @@ def _unfixed(levels: Sequence[_Level]) -> list[list[None]]:
 def interval_propagation(net: Network, ref: NodeRef) -> Interval:
     """Closed-form layer-wise interval bound on the node's pre-activation map.
 
-    Always encloses the exact extrema; used for pruning and as a sanity check.
+    Always encloses the exact extrema; a sanity check for them (the search
+    prunes through ``_interval_pass`` directly).
     """
     node_local_map(net, ref)  # validates the reference
     levels = _scaled_levels(net, ref.layer)

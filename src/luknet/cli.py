@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import formula as fm
@@ -70,21 +69,11 @@ def _load_any(path: str):
 
 
 def _node_budget(args) -> int | None:
-    """--budget, else $LUK_NODE_BUDGET, else None; a set budget must be a
-    positive integer."""
-    if getattr(args, "budget", None) is not None:
-        name, text = "--budget", str(args.budget)
-    else:
-        name, text = "LUK_NODE_BUDGET", os.environ.get("LUK_NODE_BUDGET")
-        if not text:
-            return None
-    try:
-        budget = int(text)
-        if budget >= 1:
-            return budget
-    except ValueError:
-        pass
-    raise InputError(f"{name} must be a positive integer, got {text}")
+    """The --budget option, the one way to set the node budget: None when
+    unset, else a positive integer."""
+    if args.budget is not None and args.budget < 1:
+        raise InputError(f"--budget must be a positive integer, got {args.budget}")
+    return args.budget
 
 
 def _cmd_extract(args) -> int:
@@ -287,10 +276,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 1
-    except (InputError, NetworkError, GraphError, fm.FormulaError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, json.JSONDecodeError) as e:
+    except (InputError, NetworkError, GraphError, fm.FormulaError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MemoryError:

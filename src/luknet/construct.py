@@ -106,14 +106,14 @@ def _read_sigma(g: SubstitutionGraph) -> Network:
 def sigma_to_rho(net: Network, node_budget: int | None = None) -> Network:
     """Construction step II: convert a clip network into a relu network.
 
-    Hidden layers are processed from the deepest to the first.  A node whose
-    input interval has upper bound L <= 1 swaps its activation; otherwise it
-    becomes a relu pair (bias b and b-1, the twin's outgoing weights negated).
-    Same-layer relu nodes with identical local maps are then aggregated into
-    the earliest occurrence by summing outgoing weights; aggregated or
-    synthetic nodes whose outgoing weights all cancel are removed.  The output
-    activation is dropped when the exact range lies inside [0,1]; otherwise a
-    differencing relu pair is appended.
+    Hidden layers are processed from the deepest to the first, each in one
+    pass over its nodes.  A node whose input interval has upper bound L <= 1
+    swaps its activation; otherwise it becomes a relu pair (bias b and b-1,
+    the twin's outgoing weights negated).  A relu node whose local map equals
+    an earlier one's is merged into that first occurrence by summing outgoing
+    weights; merged or synthetic nodes whose outgoing weights all cancel are
+    removed.  The output activation is dropped when the exact range lies
+    inside [0,1]; otherwise a differencing relu pair is appended.
 
     Each layer is scaled once to ints (``scaled_layer``): the box bounds, the
     merge keys and the column arithmetic run on them, and only the columns
@@ -126,45 +126,24 @@ def sigma_to_rho(net: Network, node_budget: int | None = None) -> Network:
         layer = layers[j]
         nxt = layers[j + 1]
         s, rows, biases = scaled_layer(layer)
-        tops: dict[tuple[int, ...], int] = {}  # the positive entries' sum of each scaled row
-        # (row, bias, scaled row, scaled bias, outgoing column over nxt_s,
-        # synthetic-or-merged flag)
-        converted: list[list] = []
-        cols = zip(*nxt_rows)
-        for row, b, row_s, b_s, col in zip(layer.weights, layer.biases, rows, biases, cols):
-            top = tops.get(row_s)
-            if top is None:
-                top = tops[row_s] = cube_box(row_s, 0)[1]
-            converted.append([row, b, row_s, b_s, col, False])
-            if b_s + top > s:
-                converted.append([row, b - 1, row_s, b_s - s, [-w for w in col], True])
-        merged: list[list] = []
-        index_of: dict[tuple, int] = {}
-        for entry in converted:
-            key = (entry[2], entry[3])
-            if key in index_of:
-                first = merged[index_of[key]]
-                first[4] = [a + c for a, c in zip(first[4], entry[4])]
-                first[5] = True
-            else:
-                index_of[key] = len(merged)
-                merged.append(entry)
-        kept = [e for e in merged if not (e[5] and not any(e[4]))]
+        # (scaled row, scaled bias) -> (row, bias, outgoing column over nxt_s,
+        # synthetic-or-merged flag), in first-occurrence order.
+        relus: dict[tuple, tuple] = {}
+        for row, b, row_s, b_s, col in zip(layer.weights, layer.biases, rows, biases, zip(*nxt_rows)):
+            _add_relu(relus, (row_s, b_s), row, b, col, False)
+            if cube_box(row_s, b_s)[1] > s:
+                _add_relu(relus, (row_s, b_s - s), row, b - 1, [-w for w in col], True)
+        kept = [(row_s, row, b, col) for (row_s, _), (row, b, col, extra) in relus.items()
+                if any(col) or not extra]
         if not kept:  # everything cancelled; keep one inert node for shape
-            merged[0][4] = [0] * nxt.width
-            kept = [merged[0]]
-        layers[j] = Layer(
-            tuple(e[0] for e in kept),
-            tuple(e[1] for e in kept),
-            (RELU,) * len(kept),
-        )
-        as_q = {w: Fraction(w, nxt_s) for w in {w for e in kept for w in e[4]}}
-        layers[j + 1] = Layer(
-            tuple(tuple(as_q[e[4][r]] for e in kept) for r in range(nxt.width)),
-            nxt.biases,
-            nxt.activations,
-        )
-        nxt_s, nxt_rows = s, [e[2] for e in kept]
+            (row_s, _), (row, b, _, _) = next(iter(relus.items()))
+            kept = [(row_s, row, b, [0] * nxt.width)]
+        kept_s, kept_rows, kept_biases, cols = zip(*kept)
+        layers[j] = Layer(kept_rows, kept_biases, (RELU,) * len(kept))
+        as_q = {w: Fraction(w, nxt_s) for w in {w for col in cols for w in col}}
+        out_rows = tuple(tuple(as_q[w] for w in out_row) for out_row in zip(*cols))
+        layers[j + 1] = Layer(out_rows, nxt.biases, nxt.activations)
+        nxt_s, nxt_rows = s, kept_s
 
     candidate = Network(net.input_dim, tuple(layers))
     out = candidate.layers[-1]
@@ -182,6 +161,15 @@ def sigma_to_rho(net: Network, node_budget: int | None = None) -> Network:
     layers[-1] = pair
     layers.append(differ)
     return Network(net.input_dim, tuple(layers))
+
+
+def _add_relu(relus: dict, key: tuple, row, bias, col, synthetic: bool) -> None:
+    """File a relu node under its scaled local map; a repeat adds its outgoing
+    column to the first occurrence, which keeps its place and is flagged."""
+    if key in relus:
+        row, bias, first, _ = relus[key]
+        col, synthetic = [a + c for a, c in zip(first, col)], True
+    relus[key] = (row, bias, col, synthetic)
 
 
 def roundtrip(net: Network, flavor: str = "integer", node_budget: int | None = None) -> Network:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import formula as fm
 from .formula import Formula
@@ -50,13 +50,7 @@ class Counterexample(NamedTuple):
 
 def grid_equal(f: PointFn, g: PointFn, grid: FiniteGrid) -> Equal | Counterexample:
     """Exact comparison at every grid point; first mismatch in lexicographic order."""
-    count = 0
-    for x in grid.points():
-        a, b = f(x), g(x)
-        if a != b:
-            return Counterexample(x, a, b)
-        count += 1
-    return Equal(count)
+    return _compare(f, g, grid.points())
 
 
 def sample_equal(
@@ -66,15 +60,19 @@ def sample_equal(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
-    for _ in range(trials):
-        x = tuple(
-            Fraction(rng.randint(0, den), den)
-            for den in (rng.randint(1, 10_000) for _ in range(n))
-        )
+    points = (tuple(Fraction(rng.randint(0, den), den) for den in (rng.randint(1, 10_000) for _ in range(n)))
+              for _ in range(trials))
+    return _compare(f, g, points)
+
+
+def _compare(f: PointFn, g: PointFn, points: Iterable[tuple[Fraction, ...]]) -> Equal | Counterexample:
+    """The first point where f and g differ, else Equal over every point."""
+    count = 0
+    for count, x in enumerate(points, 1):
         a, b = f(x), g(x)
         if a != b:
             return Counterexample(x, a, b)
-    return Equal(trials)
+    return Equal(count)
 
 
 # ---------------------------------------------------------------------------

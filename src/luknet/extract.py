@@ -77,7 +77,7 @@ def extr(m, b) -> Formula:
     fractional and constant-bias steps never fire, so only unit peeling, sign
     flips and the bare variable remain.
     """
-    return _formula(FLAVOR_INTEGER, m, b)
+    return formula_for_certificate((m, b, FLAVOR_INTEGER))
 
 
 def extr_rational(m, b) -> Formula:
@@ -88,7 +88,7 @@ def extr_rational(m, b) -> Formula:
     result is the left-associated chain delta_s t_0 + ... + delta_s t_{s-1}.
     Integer input (s = 1) is peeled directly, which is :func:`extr` exactly.
     """
-    return _formula(FLAVOR_RATIONAL, m, b)
+    return formula_for_certificate((m, b, FLAVOR_RATIONAL))
 
 
 def extr_real(m, b) -> Formula:
@@ -103,12 +103,7 @@ def extr_real(m, b) -> Formula:
     variable itself.  A leftover constant bias in (0,1) becomes scale(b, 1).
     The peel runs on the row scaled once to integers (:func:`_peel`).
     """
-    return _formula(FLAVOR_REAL, m, b)
-
-
-def _formula(flavor: str, m, b) -> Formula:
-    """The flavor's formula of clip(m.x + b), peeled with a memo of its own."""
-    return next(_formulas(((m, b, flavor),)))
+    return formula_for_certificate((m, b, FLAVOR_REAL))
 
 
 def _formulas(certs):
@@ -246,7 +241,7 @@ def _peel(run: _Row, b: int) -> Formula:
 
 
 def formula_for_certificate(cert: MintermCertificate) -> Formula:
-    """Re-run the flavor's extractor on a certificate."""
+    """The flavor's formula of one certificate (m, b, flavor), with its own memo."""
     return next(_formulas((cert,)))
 
 

@@ -290,22 +290,14 @@ def evaluate(f: Formula, assignment) -> Fraction:
     oplus = min(1,x+y), odot = max(0,x+y-1), not = 1-x, delta_i = x/i,
     scale_r = r*x.  Raises UnboundVariable / OutOfDomain on bad input.
     """
-    return evaluate_all((f,), assignment)[0]
-
-
-def evaluate_all(fs: Sequence[Formula], assignment) -> list[Fraction]:
-    """Exact truth values of the formulas under one assignment, in order.
-
-    One memo serves all of them, so a subterm they share is evaluated once.
-    """
-    return evaluator(fs)(assignment)
+    return evaluator((f,))(assignment)[0]
 
 
 def evaluator(fs: Sequence[Formula]) -> Callable[..., list[Fraction]]:
-    """``evaluate_all(fs, ·)`` with the DAG of ``fs`` walked once, here.
-
-    The returned function evaluates the formulas at one assignment per call,
-    over the one postorder, so many points cost one walk.
+    """The multi-formula entry point: exact truth values of ``fs``, in order,
+    as a function of one assignment.  The DAG of ``fs`` is walked once, here;
+    each call evaluates over that postorder with one memo, so a subterm the
+    formulas share is evaluated once and many points cost one walk.
     """
     fs = tuple(fs)
     order = postorder(*fs)

@@ -25,10 +25,11 @@ class Infeasible(Exception):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the whole text as ``p/q`` or ``p``, ASCII digits, sign on ``p``."""
-    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
+    """Parse the whole text as ``p/q`` or ``p`` as ``str(Fraction)`` writes it:
+    ASCII digits, sign on ``p``, lowest terms, q > 1, no leading zero or -0."""
+    if not (isinstance(text, str) and _RATIONAL_RE.fullmatch(text) and str(q := Fraction(text)) == text):
         raise ValueError(f"not a canonical rational: {text!r}")
-    return Fraction(text)
+    return q
 
 
 def json_decode(text: str, what: str):

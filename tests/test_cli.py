@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import luknet
-from helpers import box_forced_network, layer, net
+from helpers import POOL_ROUNDTRIP, box_forced_network, layer, net
 from luknet import bounds
 from luknet.cli import main
 from luknet.equiv import FiniteGrid
@@ -28,10 +28,33 @@ def test_roundtrip_fixture(fixtures_dir, capsys):
     assert "identical" in out
 
 
-@pytest.mark.parametrize("weight,bias", [("\u0661", "0"), ("1", "0\n")])
+def test_roundtrip_mismatch_and_ignore_permutation(tmp_path):
+    # The one pool network whose round trip permutes its hidden nodes, run as
+    # the module's __main__.
+    path = tmp_path / "mismatch.json"
+    path.write_text(json.dumps(json.loads(POOL_ROUNDTRIP.read_text())["about"]["mismatch"][0]))
+    src = str(pathlib.Path(luknet.__file__).resolve().parent.parent)
+
+    def roundtrip(*flags):
+        return subprocess.run(
+            [sys.executable, "-m", "luknet.cli", "roundtrip", str(path), *flags],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+
+    done = roundtrip()
+    assert (done.returncode, done.stderr) == (1, "")
+    lines = done.stdout.splitlines()
+    assert lines[0] == "roundtrip: MISMATCH"
+    assert "  node (1,2) weights: ['-3', '3'] vs ['-3', '-1']" in lines
+    done = roundtrip("--ignore-permutation")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "roundtrip: identical up to node relabeling\n", "")
+
+
+@pytest.mark.parametrize("weight,bias", [("\u0661", "0"), ("1", "0\n"), ("2/2", "-0")])
 def test_non_canonical_rational_exits_two(tmp_path, capsys, weight, bias):
-    # An Arabic-Indic one and a trailing newline are not the wire format,
-    # though Fraction() reads both; the identity x would round-trip.
+    # An Arabic-Indic one, a trailing newline, 2/2 and -0 are not the wire
+    # format, though Fraction() reads them all; the identity x would round-trip.
     path = tmp_path / "n.json"
     path.write_text(json.dumps(
         {"input_dim": 1, "layers": [{"weights": [[weight]], "biases": [bias], "activation": ["none"]}]}))
@@ -243,6 +266,32 @@ def test_check_equiv_rejects_negative_samples_before_any_work(fixtures_dir, caps
     assert err == "error: --samples must be a non-negative integer, got -2\n"
 
 
+def test_check_equiv_network_arity_mismatch_exits_two(fixtures_dir, tmp_path, capsys):
+    fpath = tmp_path / "f.txt"
+    fpath.write_text("x3\n")
+    lhs = str(fixtures_dir / "intro2.json")
+    code, out, err = run(capsys, "check-equiv", lhs, str(fpath))
+    assert (code, out) == (2, "")
+    assert err == f"error: {lhs} expects 1 inputs but the comparison uses 3\n"
+
+
+def test_check_equiv_seeded_sample_counterexample(fixtures_dir, capsys):
+    # The grid I_2 misses the kink; the seeded points are pinned by the first
+    # one that finds it.
+    code, out, _ = run(
+        capsys,
+        "check-equiv",
+        str(fixtures_dir / "halfgrid_identity.json"),
+        str(fixtures_dir / "halfgrid_kinked.json"),
+        "--grid",
+        "2",
+        "--samples",
+        "20",
+    )
+    assert code == 1
+    assert out == "equal on all 3 points of I_2^1\nsample counterexample at (6209/6312): 6209/6312 != 1\n"
+
+
 def test_axioms_listing(capsys):
     code, out, _ = run(capsys, "axioms", "--set", "MV")
     assert code == 0
@@ -273,13 +322,6 @@ def test_bounds_output_and_node(fixtures_dir, capsys):
     )
     assert code == 0
     assert "[-1, 2]" in out
-
-
-def test_bounds_budget_env(fixtures_dir, capsys, monkeypatch):
-    monkeypatch.setenv("LUK_NODE_BUDGET", "1")
-    code, _, err = run(capsys, "bounds", str(fixtures_dir / "dag.json"))
-    assert code == 1
-    assert "budget" in err
 
 
 def test_rewrite_applies_graph_trace(fixtures_dir, tmp_path, capsys):
@@ -420,28 +462,26 @@ def test_bounds_budget_error_is_one_line(fixtures_dir, capsys):
     assert err.rstrip().endswith(("while minimising", "while maximising"))
 
 
+# Each id keeps the name its case had while a row could also set the budget
+# through the environment, so the case names stay stable.
 @pytest.mark.parametrize(
-    "command,argv,env,message",
+    "command,argv,message",
     [
-        ("bounds", ["--budget", "-3"], None, "--budget must be a positive integer, got -3"),
-        ("bounds", ["--budget", "0"], None, "--budget must be a positive integer, got 0"),
-        ("roundtrip", ["--budget", "0"], None, "--budget must be a positive integer, got 0"),
-        ("bounds", [], "0", "LUK_NODE_BUDGET must be a positive integer, got 0"),
-        ("bounds", [], "many", "LUK_NODE_BUDGET must be a positive integer, got many"),
-        ("bounds", ["--node", "2"], None, "--node must be LAYER,INDEX, got 2"),
-        ("bounds", ["--node", "1,x"], None, "--node must be LAYER,INDEX, got 1,x"),
-        ("bounds", ["--node", "1,2,3"], None, "--node must be LAYER,INDEX, got 1,2,3"),
-        ("extract", ["--budget", "0", "-o", os.devnull], None,
-         "--budget must be a positive integer, got 0"),
+        pytest.param(command, argv, message, id=f"{command}-argv{i}-None-{message}")
+        for i, command, argv, message in [
+            (0, "bounds", ["--budget", "-3"], "--budget must be a positive integer, got -3"),
+            (1, "bounds", ["--budget", "0"], "--budget must be a positive integer, got 0"),
+            (2, "roundtrip", ["--budget", "0"], "--budget must be a positive integer, got 0"),
+            (5, "bounds", ["--node", "2"], "--node must be LAYER,INDEX, got 2"),
+            (6, "bounds", ["--node", "1,x"], "--node must be LAYER,INDEX, got 1,x"),
+            (7, "bounds", ["--node", "1,2,3"], "--node must be LAYER,INDEX, got 1,2,3"),
+            (8, "extract", ["--budget", "0", "-o", os.devnull],
+             "--budget must be a positive integer, got 0"),
+        ]
     ],
 )
-def test_bad_budget_or_node_exits_two(fixtures_dir, capsys, monkeypatch, command, argv, env,
-                                      message):
+def test_bad_budget_or_node_exits_two(fixtures_dir, capsys, command, argv, message):
     # A budget or node that makes no sense is bad input, not a negative result.
-    if env is None:
-        monkeypatch.delenv("LUK_NODE_BUDGET", raising=False)
-    else:
-        monkeypatch.setenv("LUK_NODE_BUDGET", env)
     code, out, err = run(capsys, command, str(fixtures_dir / "dag.json"), *argv)
     assert code == 2
     assert out == ""

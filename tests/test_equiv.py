@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from helpers import layer, net, random_formula
 from luknet import formula as fm
 from luknet.equiv import (
@@ -86,6 +88,11 @@ def test_sample_equal_finds_planted_discrepancy():
     # x1+x1 and x1 differ on all of (0, 1/2); a thousand trials cannot miss it.
     res = sample_equal(formula_fn(fm.oplus(x1, x1)), formula_fn(x1), 1, 1000, seed=11)
     assert isinstance(res, Counterexample)
+
+
+def test_sample_equal_needs_a_trial():
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        sample_equal(formula_fn(x1), formula_fn(x1), 1, 0, seed=0)
 
 
 def test_as_point_fn_arities():

@@ -184,6 +184,11 @@ def test_extr_agrees_with_fraction_evaluator():
         assert evaluate(f, pts[idx]) == F(table[idx], 12)
 
 
+def test_extr_rejects_a_fractional_row():
+    with pytest.raises(ValueError, match="extr needs integer coefficients"):
+        extr((F(1, 2),), 0)
+
+
 # ---------------------------------------------------------------------------
 # Rational and scalar flavors
 # ---------------------------------------------------------------------------

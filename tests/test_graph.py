@@ -8,7 +8,7 @@ from helpers import layer, net, random_formula, random_graph, represented_formul
 from luknet import formula as fm
 from luknet.equiv import FiniteGrid
 from luknet.extract import extract_graph
-from luknet.formula import evaluate, evaluate_all, postorder, to_text
+from luknet.formula import evaluate, evaluator, postorder, to_text
 from luknet.graph import (
     FactorizationMismatch,
     GraphNode,
@@ -74,7 +74,7 @@ def test_graph_eval_composes_per_node_evaluate():
             for level in g.nodes:
                 formulas = [node.formula for node in level]
                 each = [evaluate(f, values) for f in formulas]
-                assert evaluate_all(formulas, values) == each
+                assert evaluator(formulas)(values) == each
                 values = each
             assert graph_eval(g, x) == values[0]
 

@@ -51,7 +51,8 @@ def test_rational_wire_format(text, num, den):
     assert format_rational(q) == text
 
 
-@pytest.mark.parametrize("bad", ["1.5", "1/-2", "+3", "2/0", "a", "1 / 2", "", "1\n", "3/4\n", "\u0661"])
+@pytest.mark.parametrize("bad", ["1.5", "1/-2", "+3", "2/0", "a", "1 / 2", "", "1\n", "3/4\n", "\u0661",
+                                 "2/4", "-0", "007", "0/5", "2/2"])
 def test_rational_wire_format_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
