@@ -26,7 +26,6 @@ from .network import (
     network_diff,
     network_from_json,
     network_to_json,
-    networks_equal_up_to_permutation,
 )
 from .numerics import format_rational, json_decode
 
@@ -109,9 +108,6 @@ def _cmd_roundtrip(args) -> int:
         return 1
     if back == net:
         print("roundtrip: identical")
-        return 0
-    if args.ignore_permutation and networks_equal_up_to_permutation(net, back):
-        print("roundtrip: identical up to node relabeling")
         return 0
     print("roundtrip: MISMATCH")
     for line in network_diff(net, back):
@@ -235,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roundtrip", help="verify extract+construct is the identity")
     p.add_argument("network")
     p.add_argument("--flavor", choices=FLAVORS, default=FLAVOR_INTEGER)
-    p.add_argument("--ignore-permutation", action="store_true")
     p.add_argument("--budget", type=int, default=None)
     p.set_defaults(fn=_cmd_roundtrip)
 

@@ -109,11 +109,14 @@ def sigma_to_rho(net: Network, node_budget: int | None = None) -> Network:
     Hidden layers are processed from the deepest to the first, each in one
     pass over its nodes.  A node whose input interval has upper bound L <= 1
     swaps its activation; otherwise it becomes a relu pair (bias b and b-1,
-    the twin's outgoing weights negated).  A relu node whose local map equals
-    an earlier one's is merged into that first occurrence by summing outgoing
-    weights; merged or synthetic nodes whose outgoing weights all cancel are
-    removed.  The output activation is dropped when the exact range lies
-    inside [0,1]; otherwise a differencing relu pair is appended.
+    the twin's outgoing weights negated).  Relu nodes with one local map merge
+    by summing outgoing weights; merged or synthetic nodes whose outgoing
+    weights all cancel are removed.  Slot rule: a node claims a slot unless its
+    key is the twin key (row, b-1) of the node before it, as a clip copy from
+    ``rho_to_sigma`` is; a twin never claims; a merged node sits where its
+    first claiming member sits, or its first member if none claims.  The
+    output activation is dropped when the exact range lies inside [0,1];
+    otherwise a differencing relu pair is appended.
 
     Each layer is scaled once to ints (``scaled_layer``): the box bounds, the
     merge keys and the column arithmetic run on them, and only the columns
@@ -127,16 +130,18 @@ def sigma_to_rho(net: Network, node_budget: int | None = None) -> Network:
         nxt = layers[j + 1]
         s, rows, biases = scaled_layer(layer)
         # (scaled row, scaled bias) -> (row, bias, outgoing column over nxt_s,
-        # synthetic-or-merged flag), in first-occurrence order.
+        # synthetic-or-merged flag, claimed flag), in slot order.
         relus: dict[tuple, tuple] = {}
+        twin = None  # the twin key of the node before
         for row, b, row_s, b_s, col in zip(layer.weights, layer.biases, rows, biases, zip(*nxt_rows)):
-            _add_relu(relus, (row_s, b_s), row, b, col, False)
+            _add_relu(relus, (row_s, b_s), row, b, col, False, (row_s, b_s) != twin)
+            twin = (row_s, b_s - s)
             if cube_box(row_s, b_s)[1] > s:
-                _add_relu(relus, (row_s, b_s - s), row, b - 1, [-w for w in col], True)
-        kept = [(row_s, row, b, col) for (row_s, _), (row, b, col, extra) in relus.items()
+                _add_relu(relus, twin, row, b - 1, [-w for w in col], True, False)
+        kept = [(row_s, row, b, col) for (row_s, _), (row, b, col, extra, _) in relus.items()
                 if any(col) or not extra]
         if not kept:  # everything cancelled; keep one inert node for shape
-            (row_s, _), (row, b, _, _) = next(iter(relus.items()))
+            (row_s, _), (row, b, _, _, _) = next(iter(relus.items()))
             kept = [(row_s, row, b, [0] * nxt.width)]
         kept_s, kept_rows, kept_biases, cols = zip(*kept)
         layers[j] = Layer(kept_rows, kept_biases, (RELU,) * len(kept))
@@ -163,17 +168,22 @@ def sigma_to_rho(net: Network, node_budget: int | None = None) -> Network:
     return Network(net.input_dim, tuple(layers))
 
 
-def _add_relu(relus: dict, key: tuple, row, bias, col, synthetic: bool) -> None:
-    """File a relu node under its scaled local map; a repeat adds its outgoing
-    column to the first occurrence, which keeps its place and is flagged."""
+def _add_relu(relus: dict, key: tuple, row, bias, col, synthetic: bool, claims: bool) -> None:
+    """File a relu node under its scaled local map; a repeat adds its column to
+    the entry and flags it, and an entry's first claimer moves it to its slot."""
     if key in relus:
-        row, bias, first, _ = relus[key]
+        row, bias, first, _, claimed = relus[key]
         col, synthetic = [a + c for a, c in zip(first, col)], True
-    relus[key] = (row, bias, col, synthetic)
+        if claims and not claimed:
+            del relus[key]  # re-filed below, at this node's slot
+        claims = claims or claimed
+    relus[key] = (row, bias, col, synthetic, claims)
 
 
 def roundtrip(net: Network, flavor: str = "integer", node_budget: int | None = None) -> Network:
-    """extract -> construct; structurally the identity on well-behaved networks.
+    """extract -> construct; on every non-degenerate network measured, the
+    identity, node order included, except where a hidden node with an all-zero
+    outgoing column merges into another node's clip copy and is dropped.
 
     Its premise is the theorem's: a degenerate network raises Degenerate,
     after bad input is rejected and before anything is extracted.  The graph

@@ -256,31 +256,3 @@ def network_diff(a: Network, b: Network) -> list[str]:
                 )
     return out
 
-
-def networks_equal_up_to_permutation(a: Network, b: Network) -> bool:
-    """Structural equality modulo within-layer node relabeling.
-
-    Layer by layer, each node of ``b`` is looked up in one dict of the nodes
-    of ``a``, keyed by row (columns reordered by the previous layer's
-    matching), bias and activation; no two nodes of ``b`` may match the same
-    node.  Raises ValueError when a layer of ``a`` holds two nodes with
-    identical local maps, which clause (c) of ``is_non_degenerate`` rules out.
-    """
-    if a.input_dim != b.input_dim or a.depth != b.depth:
-        return False
-    perm = list(range(a.input_dim))  # perm[q]: the node of a matched by node q of b
-    for j, (la, lb) in enumerate(zip(a.layers, b.layers), start=1):
-        if la.width != lb.width:
-            return False
-        nodes: dict[tuple, int] = {}
-        for p, (row, bias, act) in enumerate(zip(la.weights, la.biases, la.activations)):
-            key = (tuple(row[q] for q in perm), bias, act)
-            if nodes.setdefault(key, p) != p:
-                raise ValueError(f"layer {j} holds twin nodes {nodes[key] + 1} and {p + 1}")
-        perm = []
-        for key in zip(lb.weights, lb.biases, lb.activations):
-            p = nodes.pop(key, None)  # a second node of b cannot hit the same node of a
-            if p is None:
-                return False
-            perm.append(p)
-    return True

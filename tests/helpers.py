@@ -190,6 +190,41 @@ def corpus_network(rng: random.Random, max_attempts: int = 60) -> Network | None
     return None
 
 
+def clamped(hidden: Layer, out: tuple) -> Network | None:
+    """One hidden layer and the clamp pair rho(g+t) - rho(g+t-1) of its output
+    g = out . hidden, with t = floor(-min g); None when g + t never passes 1
+    or the network is degenerate."""
+    n = len(hidden.weights[0])
+    g = Network(n, (hidden, Layer((out,), (F(0),), (NONE,))))
+    rng_out = exact_extrema(g, "output")
+    t = F(floor(-rng_out.lo))
+    if rng_out.hi + t <= 1:
+        return None
+    pair = Layer((out, out), (t, t - 1), (RELU, RELU))
+    network = Network(n, (hidden, pair, Layer(((F(1), F(-1)),), (F(0),), (NONE,))))
+    return network if is_non_degenerate(network)[0] else None
+
+
+def same_row_pairs_network(rng: random.Random) -> Network | None:
+    """One or two pairs of relu nodes on one integer row each, with biases b
+    and b - 1 or b - 2 that both change sign on the cube, shuffled into one
+    hidden layer and wrapped by ``clamped``."""
+    n = rng.randint(1, 2)
+    nodes, pairs = [], rng.randint(1, 2)
+    while len(nodes) < 2 * pairs:
+        row = [rng.randint(-3, 3) for _ in range(n)]
+        delta = rng.randint(1, 2)
+        hi, lo = sum(w for w in row if w > 0), sum(w for w in row if w < 0)
+        if delta - hi < -lo:
+            b = rng.randint(delta - hi + 1, -lo)
+            row = tuple(map(F, row))
+            nodes += [(row, F(b)), (row, F(b - delta))]
+    rng.shuffle(nodes)
+    rows, biases = zip(*nodes)
+    out = tuple(F(rng.choice((-3, -2, -1, 1, 2, 3))) for _ in nodes)
+    return clamped(Layer(rows, biases, (RELU,) * len(nodes)), out)
+
+
 # ---------------------------------------------------------------------------
 # Independent extremum oracles (vertex enumeration, no simplex, no pruning)
 # ---------------------------------------------------------------------------
@@ -420,25 +455,34 @@ def reference_rho_to_sigma(network: Network) -> Network:
 
 def reference_sigma_to_rho(network: Network) -> Network:
     """The Fraction clip -> relu conversion ``construct.sigma_to_rho`` ran
-    before it scaled each layer to ints."""
+    before it scaled each layer to ints, with its slot rule: a node claims a
+    slot unless the node before it has the same row and a bias 1 higher (it
+    is then a clip copy of that node), a twin never claims, and a merged node
+    sits at the slot of its first claiming member, or of its first member if
+    none claims."""
     layers = list(network.layers)
     for j in range(len(layers) - 2, -1, -1):
         lay, nxt = layers[j], layers[j + 1]
-        converted = []  # (row, bias, outgoing column, synthetic-or-merged flag)
+        converted = []  # (row, bias, outgoing column, synthetic flag, claims a slot)
         for i, (row, b) in enumerate(zip(lay.weights, lay.biases)):
             col = [wrow[i] for wrow in nxt.weights]
-            converted.append([row, b, col, False])
+            copy = i > 0 and lay.weights[i - 1] == row and lay.biases[i - 1] == b + 1
+            converted.append([row, b, col, False, not copy])
             if fraction_box(row, b)[1] > 1:
-                converted.append([row, b - 1, [-w for w in col], True])
+                converted.append([row, b - 1, [-w for w in col], True, False])
+        # [row, bias, column, synthetic-or-merged flag, claimed flag, slot]
         merged, index_of = [], {}
-        for row, b, col, synth in converted:
+        for slot, (row, b, col, synth, claims) in enumerate(converted):
             if (row, b) in index_of:
                 entry = merged[index_of[row, b]]
                 entry[2] = [a + c for a, c in zip(entry[2], col)]
                 entry[3] = True
+                if claims and not entry[4]:
+                    entry[4], entry[5] = True, slot
             else:
                 index_of[row, b] = len(merged)
-                merged.append([row, b, col, synth])
+                merged.append([row, b, col, synth, claims, slot])
+        merged.sort(key=lambda e: e[5])
         kept = [e for e in merged if not (e[3] and all(w == 0 for w in e[2]))]
         if not kept:
             merged[0][2] = [F(0)] * nxt.width

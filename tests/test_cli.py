@@ -28,27 +28,40 @@ def test_roundtrip_fixture(fixtures_dir, capsys):
     assert "identical" in out
 
 
-def test_roundtrip_mismatch_and_ignore_permutation(tmp_path):
-    # The one pool network whose round trip permutes its hidden nodes, run as
-    # the module's __main__.
-    path = tmp_path / "mismatch.json"
-    path.write_text(json.dumps(json.loads(POOL_ROUNDTRIP.read_text())["about"]["mismatch"][0]))
+def test_roundtrip_mismatch_and_ignore_permutation(fixtures_dir, tmp_path):
+    # The pool's former node-order mismatch (pair_order.json) comes back
+    # identical, and the option that forgave it is gone; run as the module's
+    # __main__.
     src = str(pathlib.Path(luknet.__file__).resolve().parent.parent)
 
-    def roundtrip(*flags):
+    def roundtrip(path, *flags):
         return subprocess.run(
             [sys.executable, "-m", "luknet.cli", "roundtrip", str(path), *flags],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
         )
 
-    done = roundtrip()
+    pair_order = fixtures_dir / "pair_order.json"
+    assert json.loads(pair_order.read_text()) == json.loads(POOL_ROUNDTRIP.read_text())["about"]["mismatch"][0]
+    done = roundtrip(pair_order)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "roundtrip: identical\n", "")
+    done = roundtrip(pair_order, "--ignore-permutation")
+    assert done.returncode == 2
+    assert "unrecognized arguments: --ignore-permutation" in done.stderr
+    # Corpus seed 7709: hidden node (1,1) has an all-zero outgoing column and
+    # the row of node (1,3)'s clip copies, so the round trip drops it.
+    dead = net(
+        2,
+        layer([[2, -3], [1, -2], [2, -3]], [1, 1, 2], ["relu"] * 3),
+        layer([[0, -2, 3], [0, -2, 3]], [0, -1], ["relu"] * 2),
+        layer([[1, -1]], [0], ["none"]),
+    )
+    path = tmp_path / "dead.json"
+    path.write_text(network_to_json(dead))
+    done = roundtrip(path)
     assert (done.returncode, done.stderr) == (1, "")
     lines = done.stdout.splitlines()
     assert lines[0] == "roundtrip: MISMATCH"
-    assert "  node (1,2) weights: ['-3', '3'] vs ['-3', '-1']" in lines
-    done = roundtrip("--ignore-permutation")
-    assert (done.returncode, done.stdout, done.stderr) == (
-        0, "roundtrip: identical up to node relabeling\n", "")
+    assert "  layer 1 width: 3 vs 2" in lines
 
 
 @pytest.mark.parametrize("weight,bias", [("\u0661", "0"), ("1", "0\n"), ("2/2", "-0")])

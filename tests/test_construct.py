@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     POOL_ROUNDTRIP,
+    clamped,
     corpus_network,
     fraction_box,
     layer,
@@ -14,6 +15,7 @@ from helpers import (
     rational_network,
     reference_rho_to_sigma,
     reference_sigma_to_rho,
+    same_row_pairs_network,
 )
 from luknet import extract
 from luknet import formula as fm
@@ -374,6 +376,31 @@ def test_roundtrip_rational_network():
     network = half_network()
     assert roundtrip(network, flavor="rational") == network
     assert roundtrip(network, flavor="real") == network
+
+
+def test_roundtrip_keeps_node_order():
+    # A relu node of L > 1 becomes clip copies with biases b, b-1, ...; a
+    # later node on the same row with bias b-1 merges with the first one's
+    # twin, yet must come back in its own slot: in the pool's one former
+    # mismatch, in seeded layers of same-row pairs, and on a half-integer
+    # row, whose copies are one unit s = 2 of the scaled row apart.
+    pool = json.loads(POOL_ROUNDTRIP.read_text())
+    mismatch = network_from_dict(pool["about"]["mismatch"][0])
+    assert roundtrip(mismatch) == mismatch
+    rng = random.Random(24)
+    drawn = 0
+    for _ in range(200):
+        network = same_row_pairs_network(rng)
+        if network is not None:
+            drawn += 1
+            assert roundtrip(network) == network
+    assert drawn >= 150
+    half = clamped(
+        layer([[F(5, 2)], [F(-3, 2)], [F(5, 2)]], [F(-1, 2), 1, F(-3, 2)], ["relu"] * 3),
+        (F(1), F(1), F(-2)),
+    )
+    for flavor in ("rational", "real"):
+        assert roundtrip(half, flavor=flavor) == half
 
 
 def test_roundtrip_frozen_pool():
