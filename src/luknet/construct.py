@@ -11,8 +11,8 @@ from fractions import Fraction
 
 from . import formula as fm
 from .bounds import exact_extrema
-from .extract import check_flavor, extract_graph, formula_for_certificate
-from .graph import CertificateMismatch, GraphError, MissingCertificate, SubstitutionGraph, normality_violation
+from .extract import check_flavor, extract_graph
+from .graph import GraphError, SubstitutionGraph, normality_violation
 from .network import CLIP, NONE, RELU, Degenerate, Layer, Network, cube_box, is_non_degenerate, scaled_layer
 
 _F0 = Fraction(0)
@@ -21,32 +21,6 @@ _F1 = Fraction(1)
 
 class NotNormal(GraphError):
     """Construction requires a normal substitution graph."""
-
-
-CONST0 = "const0"
-CONST1 = "const1"
-
-
-def kappa(node) -> str | tuple[tuple[Fraction, ...], Fraction]:
-    """Map a normal node back to its affine clip neuron, or to a constant.
-
-    The certificate must re-extract to the stored formula; the constants 0
-    and 1 have no neuron and are signalled by tag.
-    """
-    if node.certificate is None:
-        raise MissingCertificate()
-    if formula_for_certificate(node.certificate) is not node.formula:
-        raise CertificateMismatch()
-    return _neuron(node)
-
-
-def _neuron(node) -> str | tuple[tuple[Fraction, ...], Fraction]:
-    """kappa of a node whose certificate is already known to be sound."""
-    if node.formula is fm.ZERO:
-        return CONST0
-    if node.formula is fm.ONE:
-        return CONST1
-    return node.certificate.m, node.certificate.b
 
 
 def graph_to_sigma(g: SubstitutionGraph) -> Network:
@@ -66,25 +40,23 @@ def graph_to_sigma(g: SubstitutionGraph) -> Network:
 def _read_sigma(g: SubstitutionGraph) -> Network:
     """The clip network of a graph whose nodes are known to be normal."""
     layers: list[Layer] = []
-    # Per previous-level position: "kept" column index or a constant tag.
-    prev_map: list[int | str] = list(range(g.widths[0]))
+    # Per previous-level position: "kept" column index or a constant formula.
+    prev_map: list[int | fm.Const] = list(range(g.widths[0]))
     prev_kept = g.widths[0]
     for level in g.nodes:
         rows: list[tuple[Fraction, ...]] = []
         biases: list[Fraction] = []
-        cur_map: list[int | str] = []
+        cur_map: list[int | fm.Const] = []
         for node in level:
-            k = _neuron(node)
-            if k in (CONST0, CONST1):
-                cur_map.append(k)  # dropped from the network
+            if node.formula is fm.ZERO or node.formula is fm.ONE:
+                cur_map.append(node.formula)  # dropped from the network
                 continue
-            m, b = k
             row = [_F0] * prev_kept
-            bias = b
-            for src, coeff in zip(prev_map, m):
-                if src == CONST1:
+            bias = node.certificate.b
+            for src, coeff in zip(prev_map, node.certificate.m):
+                if src is fm.ONE:
                     bias += coeff
-                elif src != CONST0:
+                elif src is not fm.ZERO:
                     row[src] = coeff
             rows.append(tuple(row))
             biases.append(bias)
@@ -93,9 +65,9 @@ def _read_sigma(g: SubstitutionGraph) -> Network:
             # Whole level folded to constants (a constant output node among
             # them): fall back to constant carriers so the layered shape stays
             # well-formed.
-            for pos, tag in enumerate(cur_map):
+            for pos, const in enumerate(cur_map):
                 rows.append((_F0,) * prev_kept)
-                biases.append(_F0 if tag == CONST0 else _F1)
+                biases.append(Fraction(const.value))
                 cur_map[pos] = pos
         layers.append(Layer(tuple(rows), tuple(biases), (CLIP,) * len(rows)))
         prev_map = cur_map
@@ -104,19 +76,22 @@ def _read_sigma(g: SubstitutionGraph) -> Network:
 
 
 def sigma_to_rho(net: Network, node_budget: int | None = None) -> Network:
-    """Construction step II: convert a clip network into a relu network.
+    """Construction step II: convert a clip network into a relu network,
+    removing exactly what ``rho_to_sigma`` added.
 
     Hidden layers are processed from the deepest to the first, each in one
     pass over its nodes.  A node whose input interval has upper bound L <= 1
     swaps its activation; otherwise it becomes a relu pair (bias b and b-1,
     the twin's outgoing weights negated).  Relu nodes with one local map merge
-    by summing outgoing weights; merged or synthetic nodes whose outgoing
-    weights all cancel are removed.  Slot rule: a node claims a slot unless its
-    key is the twin key (row, b-1) of the node before it, as a clip copy from
-    ``rho_to_sigma`` is; a twin never claims; a merged node sits where its
-    first claiming member sits, or its first member if none claims.  The
-    output activation is dropped when the exact range lies inside [0,1];
-    otherwise a differencing relu pair is appended.
+    by summing outgoing weights.  One claim flag decides each node's slot and
+    whether it survives.  A node claims unless it is a clip copy from
+    ``rho_to_sigma``: its key is the twin key (row, b-1) of the node before
+    it, whose L > 1.  A twin never claims.  A merged node sits where its
+    first claiming member sits, or its first member if none claims, and is
+    kept when some member claims or its outgoing weights do not all cancel,
+    so a node with an all-zero outgoing column stays.  The output activation
+    is dropped when the exact range lies inside [0,1]; otherwise a
+    differencing relu pair is appended.
 
     Each layer is scaled once to ints (``scaled_layer``): the box bounds, the
     merge keys and the column arithmetic run on them, and only the columns
@@ -130,19 +105,16 @@ def sigma_to_rho(net: Network, node_budget: int | None = None) -> Network:
         nxt = layers[j + 1]
         s, rows, biases = scaled_layer(layer)
         # (scaled row, scaled bias) -> (row, bias, outgoing column over nxt_s,
-        # synthetic-or-merged flag, claimed flag), in slot order.
+        # claimed flag), in slot order.
         relus: dict[tuple, tuple] = {}
-        twin = None  # the twin key of the node before
+        twin = None  # the twin key of the node before, if it was split
         for row, b, row_s, b_s, col in zip(layer.weights, layer.biases, rows, biases, zip(*nxt_rows)):
-            _add_relu(relus, (row_s, b_s), row, b, col, False, (row_s, b_s) != twin)
-            twin = (row_s, b_s - s)
-            if cube_box(row_s, b_s)[1] > s:
-                _add_relu(relus, twin, row, b - 1, [-w for w in col], True, False)
-        kept = [(row_s, row, b, col) for (row_s, _), (row, b, col, extra, _) in relus.items()
-                if any(col) or not extra]
-        if not kept:  # everything cancelled; keep one inert node for shape
-            (row_s, _), (row, b, _, _, _) = next(iter(relus.items()))
-            kept = [(row_s, row, b, [0] * nxt.width)]
+            _add_relu(relus, (row_s, b_s), row, b, col, (row_s, b_s) != twin)
+            twin = (row_s, b_s - s) if cube_box(row_s, b_s)[1] > s else None
+            if twin:
+                _add_relu(relus, twin, row, b - 1, [-w for w in col], False)
+        kept = [(row_s, row, b, col) for (row_s, _), (row, b, col, claimed) in relus.items()
+                if claimed or any(col)]
         kept_s, kept_rows, kept_biases, cols = zip(*kept)
         layers[j] = Layer(kept_rows, kept_biases, (RELU,) * len(kept))
         as_q = {w: Fraction(w, nxt_s) for w in {w for col in cols for w in col}}
@@ -168,22 +140,22 @@ def sigma_to_rho(net: Network, node_budget: int | None = None) -> Network:
     return Network(net.input_dim, tuple(layers))
 
 
-def _add_relu(relus: dict, key: tuple, row, bias, col, synthetic: bool, claims: bool) -> None:
+def _add_relu(relus: dict, key: tuple, row, bias, col, claims: bool) -> None:
     """File a relu node under its scaled local map; a repeat adds its column to
-    the entry and flags it, and an entry's first claimer moves it to its slot."""
+    the entry, and an entry's first claimer moves it to its slot."""
     if key in relus:
-        row, bias, first, _, claimed = relus[key]
-        col, synthetic = [a + c for a, c in zip(first, col)], True
+        row, bias, first, claimed = relus[key]
+        col = [a + c for a, c in zip(first, col)]
         if claims and not claimed:
             del relus[key]  # re-filed below, at this node's slot
         claims = claims or claimed
-    relus[key] = (row, bias, col, synthetic, claims)
+    relus[key] = (row, bias, col, claims)
 
 
 def roundtrip(net: Network, flavor: str = "integer", node_budget: int | None = None) -> Network:
     """extract -> construct; on every non-degenerate network measured, the
-    identity, node order included, except where a hidden node with an all-zero
-    outgoing column merges into another node's clip copy and is dropped.
+    identity, node order included, hidden nodes with an all-zero outgoing
+    column too.
 
     Its premise is the theorem's: a degenerate network raises Degenerate,
     after bad input is rejected and before anything is extracted.  The graph

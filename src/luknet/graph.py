@@ -264,7 +264,7 @@ class _MintermCertificate(NamedTuple):
 
 
 class MintermCertificate(_MintermCertificate):
-    """The affine row a node formula was derived from; fed back by kappa."""
+    """The affine row a node formula was derived from; construction reads it back."""
 
     __slots__ = ()
 

@@ -205,10 +205,11 @@ def clamped(hidden: Layer, out: tuple) -> Network | None:
     return network if is_non_degenerate(network)[0] else None
 
 
-def same_row_pairs_network(rng: random.Random) -> Network | None:
+def same_row_pairs_network(rng: random.Random, weights=(-3, -2, -1, 1, 2, 3)) -> Network | None:
     """One or two pairs of relu nodes on one integer row each, with biases b
     and b - 1 or b - 2 that both change sign on the cube, shuffled into one
-    hidden layer and wrapped by ``clamped``."""
+    hidden layer and wrapped by ``clamped``; the output weights are drawn from
+    ``weights``, and a draw whose weights are all 0 gives None."""
     n = rng.randint(1, 2)
     nodes, pairs = [], rng.randint(1, 2)
     while len(nodes) < 2 * pairs:
@@ -221,7 +222,9 @@ def same_row_pairs_network(rng: random.Random) -> Network | None:
             nodes += [(row, F(b)), (row, F(b - delta))]
     rng.shuffle(nodes)
     rows, biases = zip(*nodes)
-    out = tuple(F(rng.choice((-3, -2, -1, 1, 2, 3))) for _ in nodes)
+    out = tuple(F(rng.choice(weights)) for _ in nodes)
+    if not any(out):
+        return None
     return clamped(Layer(rows, biases, (RELU,) * len(nodes)), out)
 
 
@@ -455,38 +458,36 @@ def reference_rho_to_sigma(network: Network) -> Network:
 
 def reference_sigma_to_rho(network: Network) -> Network:
     """The Fraction clip -> relu conversion ``construct.sigma_to_rho`` ran
-    before it scaled each layer to ints, with its slot rule: a node claims a
-    slot unless the node before it has the same row and a bias 1 higher (it
-    is then a clip copy of that node), a twin never claims, and a merged node
-    sits at the slot of its first claiming member, or of its first member if
-    none claims."""
+    before it scaled each layer to ints, with its claim rule: a node claims a
+    slot unless it is a clip copy of the node before it (the same row, a bias
+    1 lower, and that node's L > 1), a twin never claims, a merged node sits
+    at the slot of its first claiming member, or of its first member if none
+    claims, and a node is kept when some member claims or its column is
+    nonzero."""
     layers = list(network.layers)
     for j in range(len(layers) - 2, -1, -1):
         lay, nxt = layers[j], layers[j + 1]
-        converted = []  # (row, bias, outgoing column, synthetic flag, claims a slot)
+        converted = []  # (row, bias, outgoing column, claims a slot)
         for i, (row, b) in enumerate(zip(lay.weights, lay.biases)):
             col = [wrow[i] for wrow in nxt.weights]
-            copy = i > 0 and lay.weights[i - 1] == row and lay.biases[i - 1] == b + 1
-            converted.append([row, b, col, False, not copy])
+            copy = (i > 0 and lay.weights[i - 1] == row and lay.biases[i - 1] == b + 1
+                    and fraction_box(row, b + 1)[1] > 1)
+            converted.append([row, b, col, not copy])
             if fraction_box(row, b)[1] > 1:
-                converted.append([row, b - 1, [-w for w in col], True, False])
-        # [row, bias, column, synthetic-or-merged flag, claimed flag, slot]
+                converted.append([row, b - 1, [-w for w in col], False])
+        # [row, bias, column, claimed flag, slot]
         merged, index_of = [], {}
-        for slot, (row, b, col, synth, claims) in enumerate(converted):
+        for slot, (row, b, col, claims) in enumerate(converted):
             if (row, b) in index_of:
                 entry = merged[index_of[row, b]]
                 entry[2] = [a + c for a, c in zip(entry[2], col)]
-                entry[3] = True
-                if claims and not entry[4]:
-                    entry[4], entry[5] = True, slot
+                if claims and not entry[3]:
+                    entry[3], entry[4] = True, slot
             else:
                 index_of[row, b] = len(merged)
-                merged.append([row, b, col, synth, claims, slot])
-        merged.sort(key=lambda e: e[5])
-        kept = [e for e in merged if not (e[3] and all(w == 0 for w in e[2]))]
-        if not kept:
-            merged[0][2] = [F(0)] * nxt.width
-            kept = [merged[0]]
+                merged.append([row, b, col, claims, slot])
+        merged.sort(key=lambda e: e[4])
+        kept = [e for e in merged if e[3] or any(w != 0 for w in e[2])]
         layers[j] = Layer(
             tuple(e[0] for e in kept), tuple(e[1] for e in kept), (RELU,) * len(kept)
         )

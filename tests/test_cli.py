@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import random
 import resource
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 import luknet
-from helpers import POOL_ROUNDTRIP, box_forced_network, layer, net
+from helpers import POOL_ROUNDTRIP, box_forced_network, corpus_network, layer, net
 from luknet import bounds
 from luknet.cli import main
 from luknet.equiv import FiniteGrid
@@ -29,8 +30,10 @@ def test_roundtrip_fixture(fixtures_dir, capsys):
 
 
 def test_roundtrip_mismatch_and_ignore_permutation(fixtures_dir, tmp_path):
-    # The pool's former node-order mismatch (pair_order.json) comes back
-    # identical, and the option that forgave it is gone; run as the module's
+    # The pool's former node-order mismatch (pair_order.json) and corpus seed
+    # 7709's former dead-node mismatch (dead_node.json) come back identical,
+    # the option that forgave the first is gone, and a network that is not
+    # the image of a relu network still prints MISMATCH; run as the module's
     # __main__.
     src = str(pathlib.Path(luknet.__file__).resolve().parent.parent)
 
@@ -47,21 +50,21 @@ def test_roundtrip_mismatch_and_ignore_permutation(fixtures_dir, tmp_path):
     done = roundtrip(pair_order, "--ignore-permutation")
     assert done.returncode == 2
     assert "unrecognized arguments: --ignore-permutation" in done.stderr
-    # Corpus seed 7709: hidden node (1,1) has an all-zero outgoing column and
-    # the row of node (1,3)'s clip copies, so the round trip drops it.
-    dead = net(
-        2,
-        layer([[2, -3], [1, -2], [2, -3]], [1, 1, 2], ["relu"] * 3),
-        layer([[0, -2, 3], [0, -2, 3]], [0, -1], ["relu"] * 2),
-        layer([[1, -1]], [0], ["none"]),
-    )
-    path = tmp_path / "dead.json"
-    path.write_text(network_to_json(dead))
+    # Hidden node (1,1) has an all-zero outgoing column and the row of node
+    # (1,3)'s clip copies, with which it merges.
+    dead_node = fixtures_dir / "dead_node.json"
+    assert network_from_json(dead_node.read_text()) == corpus_network(random.Random(7709))
+    done = roundtrip(dead_node)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "roundtrip: identical\n", "")
+    # A hidden clip node of L > 1 comes back as a relu pair.
+    clip = net(1, layer([[2]], [0], ["clip"]), layer([[1]], [0], ["none"]))
+    path = tmp_path / "clip.json"
+    path.write_text(network_to_json(clip))
     done = roundtrip(path)
     assert (done.returncode, done.stderr) == (1, "")
     lines = done.stdout.splitlines()
     assert lines[0] == "roundtrip: MISMATCH"
-    assert "  layer 1 width: 3 vs 2" in lines
+    assert "  layer 1 width: 1 vs 2" in lines
 
 
 @pytest.mark.parametrize("weight,bias", [("\u0661", "0"), ("1", "0\n"), ("2/2", "-0")])

@@ -20,22 +20,12 @@ from helpers import (
 from luknet import extract
 from luknet import formula as fm
 from luknet import rewrite as rw
-from luknet.construct import (
-    CONST0,
-    CONST1,
-    NotNormal,
-    graph_to_sigma,
-    kappa,
-    roundtrip,
-    sigma_to_rho,
-)
+from luknet.construct import NotNormal, graph_to_sigma, roundtrip, sigma_to_rho
 from luknet.equiv import FiniteGrid
 from luknet.extract import extr, extract_graph, rho_to_sigma
 from luknet.graph import (
-    CertificateMismatch,
     GraphNode,
     MintermCertificate,
-    MissingCertificate,
     SubstitutionGraph,
     graph_eval,
     represented_formula,
@@ -62,35 +52,6 @@ def dag_network():
         layer([[-1, -1]], [1], ["relu"]),
         layer([[1]], [0], ["none"]),
     )
-
-
-# ---------------------------------------------------------------------------
-# kappa
-# ---------------------------------------------------------------------------
-
-
-def test_kappa_constants():
-    z = GraphNode(fm.ZERO, MintermCertificate((F(1), F(1)), F(-3), "integer"))
-    assert kappa(z) == CONST0
-    o = GraphNode(fm.ONE, MintermCertificate((F(1), F(1)), F(2), "integer"))
-    assert kappa(o) == CONST1
-
-
-def test_kappa_returns_certificate_row():
-    cert = MintermCertificate((F(1), F(1)), F(-1), "integer")
-    node = GraphNode(extr((1, 1), -1), cert)
-    assert kappa(node) == ((F(1), F(1)), F(-1))
-
-
-def test_kappa_rejects_forged_certificate():
-    node = GraphNode(fm.oplus(fm.var(1), fm.var(1)), MintermCertificate((F(2),), F(0), "integer"))
-    with pytest.raises(CertificateMismatch):
-        kappa(node)
-
-
-def test_kappa_rejects_missing_certificate():
-    with pytest.raises(MissingCertificate):
-        kappa(GraphNode(fm.var(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -381,20 +342,26 @@ def test_roundtrip_rational_network():
 def test_roundtrip_keeps_node_order():
     # A relu node of L > 1 becomes clip copies with biases b, b-1, ...; a
     # later node on the same row with bias b-1 merges with the first one's
-    # twin, yet must come back in its own slot: in the pool's one former
-    # mismatch, in seeded layers of same-row pairs, and on a half-integer
-    # row, whose copies are one unit s = 2 of the scaled row apart.
+    # twin, yet must come back in its own slot, and a node whose outgoing
+    # column is all zero must come back at all: in the pool's one former
+    # mismatch, in the corpus's three former dead-node mismatches, in seeded
+    # layers of same-row pairs (with output weights that may be 0, too), and
+    # on a half-integer row, whose copies are one unit s = 2 of the scaled row
+    # apart.
     pool = json.loads(POOL_ROUNDTRIP.read_text())
-    mismatch = network_from_dict(pool["about"]["mismatch"][0])
-    assert roundtrip(mismatch) == mismatch
-    rng = random.Random(24)
-    drawn = 0
-    for _ in range(200):
-        network = same_row_pairs_network(rng)
-        if network is not None:
-            drawn += 1
-            assert roundtrip(network) == network
-    assert drawn >= 150
+    cases = [network_from_dict(pool["about"]["mismatch"][0])]
+    cases += [corpus_network(random.Random(seed)) for seed in (7644, 7709, 8107)]
+    for network in cases:
+        assert roundtrip(network) == network
+    for weights in ((-3, -2, -1, 1, 2, 3), (-3, -2, -1, 0, 0, 1, 2, 3)):
+        rng = random.Random(24)
+        drawn = 0
+        for _ in range(200):
+            network = same_row_pairs_network(rng, weights)
+            if network is not None:
+                drawn += 1
+                assert roundtrip(network) == network
+        assert drawn >= 150
     half = clamped(
         layer([[F(5, 2)], [F(-3, 2)], [F(5, 2)]], [F(-1, 2), 1, F(-3, 2)], ["relu"] * 3),
         (F(1), F(1), F(-2)),
@@ -460,7 +427,8 @@ def test_conversions_match_the_fraction_reference():
                 seen["merge"] += len(set(keys + twins)) < len(keys + twins)
                 seen["cancel"] += out.width < len(set(keys + twins))
     assert min(seen.values()) >= 10, seen
-    # Every node of the layer merges and cancels: one inert node stays.
+    # Both nodes of the layer share a local map: they merge and their columns
+    # cancel, but the merged node claims a slot, so it stays, inert.
     inert = net(1, layer([[1], [1]], [0, 0], ["clip", "clip"]), layer([[1, -1]], [0], ["clip"]))
     back = sigma_to_rho(inert)
     assert back == reference_sigma_to_rho(inert)

@@ -466,8 +466,9 @@ def test_extract_graph_rejects_non_integer_for_integer_flavor():
 
 
 def test_extract_graph_certificates_reproduce_formulas(fixtures_dir):
-    # kappa's normality premise, in every flavour: re-running the extractor
-    # on every stored certificate rebuilds the stored tree byte for byte.
+    # Construction's normality premise, in every flavour: re-running the
+    # extractor on every stored certificate rebuilds the stored tree byte for
+    # byte.
     # The check runs outside extraction's pass, so no peel memo of the
     # extraction serves it.
     # The networks are a random one, the fixtures, and the first 10
