@@ -22,6 +22,9 @@ of solving from scratch, and a leaf minimises over its tableau
 (``numerics.minimum``).  Tableaux are cached by the branch's path and
 shared by the two runs.  Each fixed node stores its post-activation box next
 to its form, so the pruning pass starts at the level of the node fixed last.
+
+The same interval pass, run on a single vertex of the cube, is an exact
+forward pass: ``vertex_witnessed`` reads every hidden node's sign there.
 """
 from __future__ import annotations
 
@@ -96,17 +99,25 @@ def _activate(act: str, t: int, one: int) -> int:
 
 
 def _interval_pass(
-    levels: Sequence[_Level], i: int, fixed: Sequence[Sequence[Box | None]], start: int = 0
+    levels: Sequence[_Level],
+    i: int,
+    fixed: Sequence[Sequence[Box | None]],
+    start: int = 0,
+    inputs: Sequence[Box] | None = None,
 ) -> tuple[list[list[Box | None]], Box]:
     """One layer-wise interval pass up to node i (0-based) of the last level.
 
     A node whose regime is fixed has its post-activation box in ``fixed``;
     the pass starts at level ``start`` (0-based), and every level below it
-    must be fully fixed.  Returns the pre-activation box of every node in
-    the levels it computed, grouped by level (None for a fixed node), and
-    that of the node itself.
+    must be fully fixed.  A pass from level 0 takes the input boxes
+    ``inputs``, by default the unit cube.  Returns the pre-activation box of
+    every node in the levels it computed, grouped by level (None for a fixed
+    node), and that of the node itself.
     """
-    post: Sequence[Box | None] = fixed[start - 1] if start else [(0, 1)] * len(levels[0].rows[0])
+    if start:
+        post: Sequence[Box | None] = fixed[start - 1]
+    else:
+        post = inputs or [(0, 1)] * len(levels[0].rows[0])
     below: list[list[Box | None]] = []
     for level, boxes in zip(levels[start:-1], fixed[start:]):
         pre: list[Box | None] = []
@@ -140,6 +151,24 @@ def interval_propagation(net: Network, ref: NodeRef) -> Interval:
     _, (lo, hi) = _interval_pass(levels, ref.index - 1, _unfixed(levels))
     den = levels[-1].den
     return Interval(Fraction(lo, den), Fraction(hi, den))
+
+
+def vertex_witnessed(net: Network) -> list[list[bool]]:
+    """For each hidden node, level by level, whether its pre-activation is
+    > 0 at one of the cube's vertices 0, 1, e_k, 1 - e_k and <= 0 at another.
+
+    A vertex is the degenerate box {x}: one interval pass over the scaled
+    levels evaluates every hidden node there exactly, in ints.
+    """
+    levels = _scaled_levels(net, net.depth)
+    units = [tuple(int(i == k) for i in range(net.input_dim)) for k in range(-1, net.input_dim)]
+    signs = [[0] * len(level.rows) for level in levels[:-1]]  # bit 1: > 0 seen, bit 2: <= 0 seen
+    for x in dict.fromkeys(units + [tuple(1 - v for v in u) for u in units]):
+        below, _ = _interval_pass(levels, 0, _unfixed(levels), inputs=[(v, v) for v in x])
+        for seen, pre in zip(signs, below):
+            for i, (t, _) in enumerate(pre):
+                seen[i] |= 1 if t > 0 else 2
+    return [[s == 3 for s in seen] for seen in signs]
 
 
 def _branches(act: str, form: AffineForm, one: int) -> list[tuple[tuple, AffineForm, Box]]:
@@ -216,6 +245,7 @@ def exact_extrema(
             return level.rows[i], level.biases[i]
         return _combine(level.rows[i], level.biases[i], forms[j - 2])
 
+    root = cube(net.input_dim)
     visited = 0
     # The tableau of every branch probed so far, None when its rows cut the
     # cube empty.  Both runs walk the same tree, so the key is the branch's
@@ -238,7 +268,7 @@ def exact_extrema(
         fixed = len(upstream)
         # Each entry: its index into upstream, its path, the tableau its parent
         # left feasible, and the cut rows, form and box of upstream[index - 1].
-        stack: list[tuple] = [(0, 1, cube(net.input_dim), (), None, None)]
+        stack: list[tuple] = [(0, 1, root, (), None, None)]
         while stack:
             idx, path, state, rows, form, box = stack.pop()
             while fixed > idx:

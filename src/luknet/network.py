@@ -153,8 +153,10 @@ def is_non_degenerate(net: Network, node_budget: int | None = None) -> tuple[boo
     """Check the three non-degeneracy clauses; returns (ok, first violation).
 
     (a) every hidden node's global pre-activation map attains a value > 0 and
-        a value <= 0 over the cube: settled by the exact extrema of every
-        hidden node (``bounds.exact_extrema``, under ``node_budget``);
+        a value <= 0 over the cube: the cube's vertices 0, 1, e_k and 1 - e_k
+        are tried first (``bounds.vertex_witnessed``), and a node that no
+        vertex shows with both signs is settled by its exact extrema
+        (``bounds.exact_extrema``, under ``node_budget``), in node order;
     (b) the output node has a nonzero incoming weight;
     (c) no two same-layer nodes share an identical local map.
     """
@@ -174,8 +176,11 @@ def is_non_degenerate(net: Network, node_budget: int | None = None) -> tuple[boo
                     f"({ref.layer},{ref.index}) have identical local maps"
                 )
             seen[key] = ref
+    witnessed = bounds.vertex_witnessed(net)
     for j in range(1, net.depth):  # hidden layers only
         for i in range(1, net.width(j) + 1):
+            if witnessed[j - 1][i - 1]:
+                continue
             iv = bounds.exact_extrema(net, NodeRef(j, i), node_budget=node_budget)
             if iv.hi <= 0:
                 return False, f"hidden node ({j},{i}) is never active (max {iv.hi} <= 0)"

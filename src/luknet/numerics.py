@@ -149,9 +149,10 @@ class Tableau(NamedTuple):
 
 
 def cube(d: int) -> Tableau:
-    """The bare cube [0,1]^d: its upper faces x_i <= 1 cut from no rows at all."""
-    bare = Tableau(d, (), (), tuple(range(1, d + 1)), 1)
-    return cut(bare, [([int(i == k) for i in range(d)], 1) for k in range(d)])
+    """The bare cube [0,1]^d: row k reads s_k + x_k = 1, its slack s_k basic,
+    every x_i nonbasic at 0, and det 1."""
+    rows = tuple([1, *(int(i == k) for i in range(d))] for k in range(d))
+    return Tableau(d, rows, tuple(range(d + 1, 2 * d + 1)), tuple(range(1, d + 1)), 1)
 
 
 def _scale(values: Sequence[int | Fraction]) -> tuple[list[int], int]:

@@ -366,6 +366,28 @@ def brute_non_degenerate(network: Network) -> bool:
     return True
 
 
+def reference_non_degenerate(network: Network) -> tuple[bool, str | None]:
+    """``is_non_degenerate`` without vertex witnesses: the same clauses,
+    order and messages, with clause (a) settled by ``exact_extrema`` on
+    every hidden node."""
+    if all(w == 0 for w in network.layers[-1].weights[0]):
+        return False, "output node has only zero incoming weights"
+    for j, lay in enumerate(network.layers, start=1):
+        seen: dict[tuple, int] = {}
+        for i, key in enumerate(zip(lay.weights, lay.biases, lay.activations), start=1):
+            if key in seen:
+                return False, f"nodes ({j},{seen[key]}) and ({j},{i}) have identical local maps"
+            seen[key] = i
+    for j in range(1, network.depth):
+        for i in range(1, network.width(j) + 1):
+            iv = exact_extrema(network, NodeRef(j, i))
+            if iv.hi <= 0:
+                return False, f"hidden node ({j},{i}) is never active (max {iv.hi} <= 0)"
+            if iv.lo > 0:
+                return False, f"hidden node ({j},{i}) is always active (min {iv.lo} > 0)"
+    return True, None
+
+
 def represented_formula_forward(g: SubstitutionGraph) -> Formula:
     """Input-first order: push each node's global formula up the layers.
 

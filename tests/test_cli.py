@@ -156,9 +156,9 @@ def test_extract_check_range(tmp_path, capsys):
 
 
 def test_budget_reaches_degeneracy_check(tmp_path, capsys):
-    # roundtrip settles every hidden node by an exact extrema search, and
-    # extract --check-range the output node; a budget of one branch cannot
-    # settle either.
+    # roundtrip searches every hidden node that no cube vertex settles, and
+    # relu(x - 5) is positive at none; extract --check-range searches the
+    # output node.  A budget of one branch cannot settle either.
     path = tmp_path / "dead.json"
     path.write_text(json.dumps(DEAD))
     extract = ("extract", str(path), "--check-range", "-o", str(tmp_path / "g.json"))

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import brute_non_degenerate, layer, net, random_network
+from helpers import brute_non_degenerate, layer, net, random_network, reference_non_degenerate
+from luknet import bounds
 from luknet.network import (
     DimensionMismatch,
     Network,
@@ -151,6 +152,60 @@ def test_non_degenerate_matches_brute_oracle():
     for _ in range(25):
         network = random_network(rng, rng.randint(1, 2), [rng.randint(1, 3)])
         assert is_non_degenerate(network)[0] == brute_non_degenerate(network)
+
+
+def test_non_degenerate_matches_search_reference():
+    # Vertex witnesses change which nodes are searched, never a verdict or
+    # its message; most of these draws are degenerate.
+    rng = random.Random(26)
+    verdicts = []
+    for _ in range(500):
+        hidden = [rng.randint(1, 5) for _ in range(rng.randint(1, 3))]
+        network = random_network(rng, rng.randint(1, 4), hidden)
+        verdict = is_non_degenerate(network)
+        assert verdict == reference_non_degenerate(network)
+        verdicts.append(verdict[0])
+    assert 0 < verdicts.count(True) < verdicts.count(False)
+
+
+def count_searches(monkeypatch) -> list:
+    """The nodes ``bounds.exact_extrema`` is called on from now on, in order."""
+    searched = []
+    search = bounds.exact_extrema
+
+    def counting(net, node="output", *args, **kwargs):
+        searched.append(node)
+        return search(net, node, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "exact_extrema", counting)
+    return searched
+
+
+def test_unwitnessed_node_is_searched(monkeypatch):
+    # relu(-8 relu(2x - 1) + 4 relu(x) - 1) is positive only near x = 1/2,
+    # so no vertex shows node (2,1) positive; the layer-1 nodes are settled.
+    network = net(
+        1,
+        layer([[2], [1]], [-1, 0], ["relu", "relu"]),
+        layer([[-8, 4]], [-1], ["relu"]),
+        layer([[1]], [0], ["none"]),
+    )
+    assert bounds.vertex_witnessed(network) == [[True, True], [False]]
+    searched = count_searches(monkeypatch)
+    assert is_non_degenerate(network) == (True, None)
+    assert searched == [NodeRef(2, 1)]
+    assert brute_non_degenerate(network)
+
+
+def test_witnessed_network_is_not_searched(monkeypatch):
+    # relu(x1 - x2) and relu(x1 + x2 - 1) are positive at (1, 0) and (1, 1).
+    two = net(
+        2, layer([[1, -1], [1, 1]], [0, -1], ["relu", "relu"]), layer([[1, 1]], [0], ["none"])
+    )
+    searched = count_searches(monkeypatch)
+    for network in (nprime(), two):
+        assert is_non_degenerate(network) == (True, None)
+    assert searched == []
 
 
 def test_json_roundtrip():

@@ -12,6 +12,7 @@ from luknet import numerics
 from luknet.numerics import (
     Infeasible,
     Interval,
+    Tableau,
     cube,
     cut,
     format_rational,
@@ -67,6 +68,12 @@ def test_interval_invariant():
     Interval(F(0), F(1))
     with pytest.raises(ValueError):
         Interval(F(1), F(0))
+
+
+def test_cube_is_its_faces_cut_from_nothing():
+    for d in range(1, 7):
+        bare = Tableau(d, (), (), tuple(range(1, d + 1)), 1)
+        assert cube(d) == cut(bare, [([int(i == k) for i in range(d)], 1) for k in range(d)])
 
 
 def test_lp_vertex_of_cube():
