@@ -2,8 +2,7 @@
 
 Grid points are exactly {0, 1/k, ..., 1}^n in lexicographic order; comparison
 is exact rational equality and the first counterexample is reported.
-Formulas, networks and graphs are compared through their exact Fraction
-evaluators.
+Formulas, networks and graphs are compared through their exact evaluators.
 """
 from __future__ import annotations
 

@@ -8,6 +8,8 @@ occurrences: shared subtrees are built and evaluated once.
 
 Walks over a formula in memory are loops over :func:`postorder`, the distinct
 subterms children first, so their cost follows the DAG and no walk recurses.
+Evaluation compiles that order once into a flat program of int steps over a
+static scale per subterm, so a point costs no Fraction per node.
 The two text forms are loops too.  The s-expression (``to_text``, ``parse``)
 spells out the expanded tree, so its size follows the tree, and it serves
 the command line, rewrite traces and display.  The term table (``to_terms``,
@@ -27,6 +29,7 @@ and nothing on the hot paths reads it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from weakref import ref
 
@@ -280,10 +283,6 @@ def postorder(*roots: Formula) -> list[Formula]:
 # Evaluation in the standard algebra on [0,1]
 # ---------------------------------------------------------------------------
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
-
 def evaluate(f: Formula, assignment) -> Fraction:
     """Exact truth value of f under the assignment (1-based variable indices).
 
@@ -294,43 +293,68 @@ def evaluate(f: Formula, assignment) -> Fraction:
 
 
 def evaluator(fs: Sequence[Formula]) -> Callable[..., list[Fraction]]:
-    """The multi-formula entry point: exact truth values of ``fs``, in order,
-    as a function of one assignment.  The DAG of ``fs`` is walked once, here;
-    each call evaluates over that postorder with one memo, so a subterm the
-    formulas share is evaluated once and many points cost one walk.
+    """Exact truth values of ``fs``, in order, as a function of one assignment.
+
+    The DAG is compiled once, here, into a flat program over its postorder
+    with a static scale f per subterm: 1 at atoms, the child's at ``not``,
+    the lcm of the children's at ``oplus`` and ``odot``, s or q times the
+    child's at ``delta s`` or ``scale p/q``.  A call takes D, the lcm of the
+    assignment's denominators, and holds each subterm's value as an int over
+    its one, D*f, in a list by postorder position: a shared subterm costs
+    one int step, and only the assignment and the results are Fractions.
     """
     fs = tuple(fs)
     order = postorder(*fs)
     top = max((f.max_var for f in fs), default=0)
+    at_pos = {node: k for k, node in enumerate(order)}
+    # Each entry: op, child positions i and j, their multipliers a and b, scale
+    # f.  An atom keeps its variable's position or its constant's value in i.
+    program: list[tuple] = []
+    for node in order:
+        t = type(node)
+        if t is Var or t is Const:
+            program.append((t, node.index - 1 if t is Var else node.value, 0, 0, 0, 1))
+        elif t is Oplus or t is Odot:
+            i, j = at_pos[node.left], at_pos[node.right]
+            fi, fj = program[i][5], program[j][5]
+            f = lcm(fi, fj)
+            program.append((t, i, j, f // fi, f // fj, f))
+        elif t is Not:
+            i = at_pos[node.child]
+            program.append((Not, i, 0, 0, 0, program[i][5]))
+        else:
+            i = at_pos[node.child]
+            p, q = (1, node.divisor) if t is Delta else (node.factor.numerator, node.factor.denominator)
+            program.append((Scale, i, 0, p, 0, q * program[i][5]))
+    outputs = [at_pos[f] for f in fs]
 
     def at(assignment) -> list[Fraction]:
         values = [Fraction(v) for v in assignment]
         for v in values:
-            if not _F0 <= v <= _F1:
+            if not 0 <= v <= 1:
                 raise OutOfDomain(f"assignment value {v} outside [0,1]")
         if top > len(values):
             raise UnboundVariable(f"formula uses x{top} but only {len(values)} values were given")
-        memo: dict[Formula, Fraction] = {}
-        for node in order:
-            t = type(node)
-            if t is Var:
-                r = values[node.index - 1]
-            elif t is Const:
-                r = _F1 if node.value else _F0
-            elif t is Not:
-                r = _F1 - memo[node.child]
-            elif t is Oplus:
-                s = memo[node.left] + memo[node.right]
-                r = s if s < _F1 else _F1
-            elif t is Odot:
-                s = memo[node.left] + memo[node.right] - _F1
-                r = s if s > _F0 else _F0
-            elif t is Delta:
-                r = memo[node.child] / node.divisor
+        d = lcm(*(v.denominator for v in values))
+        xs = [v.numerator * (d // v.denominator) for v in values]
+        vals: list[int] = []
+        push = vals.append
+        for op, i, j, a, b, f in program:
+            if op is Oplus:
+                s = a * vals[i] + b * vals[j]
+                push(s if s < d * f else d * f)
+            elif op is Odot:
+                s = a * vals[i] + b * vals[j] - d * f
+                push(s if s > 0 else 0)
+            elif op is Not:
+                push(d * f - vals[i])
+            elif op is Scale:
+                push(a * vals[i])
+            elif op is Var:
+                push(xs[i])
             else:
-                r = node.factor * memo[node.child]
-            memo[node] = r
-        return [memo[f] for f in fs]
+                push(d * i)
+        return [Fraction(vals[k], d * program[k][5]) for k in outputs]
 
     return at
 

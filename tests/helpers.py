@@ -401,6 +401,38 @@ def represented_formula_forward(g: SubstitutionGraph) -> Formula:
     return global_formulas[0]
 
 
+def reference_evaluate(fs, x) -> list[Fraction]:
+    """Truth values of ``fs`` at ``x`` by one ``Fraction`` operation per
+    subterm: the loop that ``formula.evaluator`` replaced by int arithmetic
+    over a static scale per subterm, kept as its judge."""
+    values = [F(v) for v in x]
+    for v in values:
+        if not 0 <= v <= 1:
+            raise fm.OutOfDomain(f"assignment value {v} outside [0,1]")
+    top = max((f.max_var for f in fs), default=0)
+    if top > len(values):
+        raise fm.UnboundVariable(f"formula uses x{top} but only {len(values)} values were given")
+    memo: dict[Formula, Fraction] = {}
+    for node in fm.postorder(*fs):
+        t = type(node)
+        if t is fm.Var:
+            r = values[node.index - 1]
+        elif t is fm.Const:
+            r = F(node.value)
+        elif t is fm.Not:
+            r = 1 - memo[node.child]
+        elif t is fm.Oplus:
+            r = min(F(1), memo[node.left] + memo[node.right])
+        elif t is fm.Odot:
+            r = max(F(0), memo[node.left] + memo[node.right] - 1)
+        elif t is fm.Delta:
+            r = memo[node.child] / node.divisor
+        else:
+            r = node.factor * memo[node.child]
+        memo[node] = r
+    return [memo[f] for f in fs]
+
+
 def reference_extr_real(m, b) -> Formula:
     """The recursive Fraction peel that ``extract`` replaced by its integer core.
 

@@ -9,7 +9,7 @@ import pytest
 
 from helpers import (
     POOL_ROUNDTRIP, brute_non_degenerate, layer, net, random_network, rational_network,
-    reference_extr_real,
+    reference_evaluate, reference_extr_real,
 )
 from luknet import bounds, extract
 from luknet import formula as fm
@@ -101,6 +101,26 @@ def test_hidden_clip_nodes_are_not_split():
             for flavor in flavors_of(network):
                 at = graph_evaluator(extract_graph(network, flavor=flavor))
                 assert [at(x) for x in points] == [clipped(network, x) for x in points], flavor
+
+
+def test_graph_evaluator_agrees_with_the_fraction_reference_level_by_level():
+    # Extracted graphs in every flavour: integer and half/third-integer
+    # networks, relu, clip and mixed, at grid points and rational points.
+    rng = random.Random(27)
+    for _ in range(6):
+        n, hidden = rng.randint(1, 3), [rng.randint(1, 3) for _ in range(rng.randint(1, 2))]
+        points = list(FiniteGrid(2, n).points())
+        points += [tuple(F(rng.randint(0, q), q) for q in (rng.randint(1, 10_000) for _ in range(n))) for _ in range(4)]
+        for network in (random_network(rng, n, hidden), random_network(rng, n, hidden, activation="clip"),
+                        rational_network(rng, n, hidden, "mixed")):
+            for flavor in flavors_of(network):
+                g = extract_graph(network, flavor=flavor)
+                at = graph_evaluator(g)
+                for x in points:
+                    values = list(x)
+                    for level in g.nodes:
+                        values = reference_evaluate([node.formula for node in level], values)
+                    assert at(x) == values[0], (flavor, x)
 
 
 # ---------------------------------------------------------------------------

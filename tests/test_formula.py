@@ -6,10 +6,10 @@ from functools import partial
 from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import layer, net, random_formula, random_substitution
+from helpers import layer, net, random_formula, random_substitution, reference_evaluate
 from luknet import formula as fm
 from luknet.extract import extract_graph
 from luknet.formula import (
@@ -39,12 +39,93 @@ def test_eval_scale():
 
 
 def test_eval_errors():
-    with pytest.raises(UnboundVariable):
-        evaluate(x3, [F(0), F(0)])
-    with pytest.raises(OutOfDomain):
-        evaluate(x1, [F(3, 2)])
-    with pytest.raises(OutOfDomain):
-        evaluate(x1, [F(-1, 2)])
+    # The evaluator and its Fraction reference raise the same errors, messages included.
+    cases = [
+        ((x3,), [F(0), F(0)], UnboundVariable, "formula uses x3 but only 2 values were given"),
+        ((fm.ONE, fm.odot(x1, x2)), [], UnboundVariable, "formula uses x2 but only 0 values were given"),
+        ((x1,), [F(3, 2)], OutOfDomain, "assignment value 3/2 outside [0,1]"),
+        ((x1,), [F(1, 2), F(-1, 2)], OutOfDomain, "assignment value -1/2 outside [0,1]"),
+        ((x3,), [F(2)], OutOfDomain, "assignment value 2 outside [0,1]"),
+    ]
+    for fs, x, error, message in cases:
+        for at in (fm.evaluator(fs), partial(reference_evaluate, fs), lambda x: [evaluate(fs[-1], x)]):
+            with pytest.raises(error) as info:
+                at(x)
+            assert str(info.value) == message
+
+
+@st.composite
+def formula_pools(draw):
+    """Subterms over all seven node types, each built over earlier ones, so
+    later subterms share earlier ones; picks lean to the newest subterm,
+    which nests delta and scale."""
+    n = draw(st.integers(0, 3))
+    pool = [fm.ZERO, fm.ONE] + [fm.var(i) for i in range(1, n + 1)]
+    for _ in range(draw(st.integers(1, 30))):
+        pick = lambda: pool[len(pool) - 1 - draw(st.integers(0, len(pool) - 1))]
+        op = draw(st.sampled_from(["not", "oplus", "odot", "delta", "scale"]))
+        if op == "not":
+            pool.append(fm.lnot(pick()))
+        elif op == "delta":
+            pool.append(fm.delta(draw(st.integers(1, 12)), pick()))
+        elif op == "scale":
+            pool.append(fm.scale(draw(st.fractions(0, 1, max_denominator=12)), pick()))
+        else:
+            pool.append((fm.oplus if op == "oplus" else fm.odot)(pick(), pick()))
+    return n, pool
+
+
+# 0, 1 and rationals with denominators up to 10^4, as check-equiv samples.
+point_values = st.one_of(st.sampled_from([F(0), F(1)]), st.fractions(0, 1, max_denominator=10_000))
+
+
+@settings(max_examples=200)
+@given(formula_pools(), st.data())
+def test_evaluator_agrees_with_the_fraction_reference(drawn, data):
+    n, pool = drawn
+    fs = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    at = fm.evaluator(fs)
+    for _ in range(3):
+        x = data.draw(st.lists(point_values, min_size=n, max_size=n))
+        got = at(x)
+        assert got == reference_evaluate(fs, x)
+        assert all(type(v) is F for v in got)
+
+
+def test_constant_formulas_evaluate_at_the_empty_assignment():
+    fs = (fm.ZERO, fm.scale(F(2, 3), fm.delta(3, fm.lnot(fm.ZERO))), fm.oplus(fm.ONE, fm.ONE))
+    assert fm.evaluator(fs)([]) == reference_evaluate(fs, []) == [F(0), F(2, 9), F(1)]
+
+
+def test_level_evaluator_builds_no_fraction_per_node(monkeypatch):
+    # The clamp pair clip(16a + 15b + 14c - 24): a two-level graph of 2 375
+    # subterms.  One call builds only its assignment and its outputs.
+    class Counted(F):
+        made = 0
+
+        def __new__(cls, *args, **kwargs):
+            Counted.made += 1
+            return super().__new__(cls, *args, **kwargs)
+
+    # Arithmetic on a Counted value yields a Counted value, so a Fraction loop
+    # over the subterms would be counted too.
+    for name in ("add", "sub", "mul", "truediv"):
+        for method in (f"__{name}__", f"__r{name}__"):
+            base = getattr(F, method)
+            setattr(Counted, method, lambda a, b, base=base: Counted(base(a, b)))
+    row = [16, 15, 14]
+    g = extract_graph(net(3, layer([row, row], [-24, -25], ["relu", "relu"]), layer([[1, -1]], [0], ["none"])))
+    assert [len(fm.postorder(*(node.formula for node in level))) for level in g.nodes] == [1432, 943]
+    monkeypatch.setattr(fm, "Fraction", Counted)
+    x = [F(1, 2), F(1, 3), F(3, 4)]
+    for level in g.nodes:
+        fs = [node.formula for node in level]
+        at = fm.evaluator(fs)
+        Counted.made = 0
+        values = at(x)
+        assert Counted.made <= len(x) + len(fs)
+        assert values == reference_evaluate(fs, x)
+        x = values
 
 
 @given(unit, unit)
