@@ -20,8 +20,12 @@ branch adds the cut rows of its regime to the simplex tableau its parent
 left feasible (``numerics.cut``, a dual simplex under Bland's rule) instead
 of solving from scratch, and a leaf minimises over its tableau
 (``numerics.minimum``).  Tableaux are cached by the branch's path and
-shared by the two runs.  Each fixed node stores its post-activation box next
-to its form, so the pruning pass starts at the level of the node fixed last.
+shared by the two runs.  The incumbent is an int ratio num/den over d_j,
+so a prune check compares ints, and each run makes its answer a Fraction
+once, at the end.  Each fixed node stores its post-activation box next to its
+form.  The levels are fixed in order, so a level's node forms and interval
+boxes are computed once below the branch that entered it, cached by that
+branch's path, and the pruning pass recomputes only the levels above.
 
 The same interval pass, run on a single vertex of the cube, is an exact
 forward pass: ``vertex_witnessed`` reads every hidden node's sign there.
@@ -98,59 +102,50 @@ def _activate(act: str, t: int, one: int) -> int:
     return one if act == CLIP and t > one else t
 
 
+def _level_pass(
+    level: _Level, post: Sequence[Box], fixed: Sequence[Box | None]
+) -> tuple[list[Box | None], list[Box]]:
+    """The pre-activation boxes (None for a fixed node) and the
+    post-activation boxes of one level over the post-activation boxes
+    ``post`` of the level below.  A fixed node has its box in ``fixed``."""
+    pre: list[Box | None] = []
+    nxt: list[Box] = []
+    for row, b, act, box in zip(level.rows, level.biases, level.activations, fixed):
+        if box is not None:
+            pre.append(None)
+            nxt.append(box)
+            continue
+        lo, hi = _box(row, b, post)
+        pre.append((lo, hi))
+        nxt.append((_activate(act, lo, level.den), _activate(act, hi, level.den)))
+    return pre, nxt
+
+
 def _interval_pass(
     levels: Sequence[_Level],
     i: int,
     fixed: Sequence[Sequence[Box | None]],
+    post: Sequence[Box],
     start: int = 0,
-    inputs: Sequence[Box] | None = None,
 ) -> tuple[list[list[Box | None]], Box]:
     """One layer-wise interval pass up to node i (0-based) of the last level.
 
-    A node whose regime is fixed has its post-activation box in ``fixed``;
-    the pass starts at level ``start`` (0-based), and every level below it
-    must be fully fixed.  A pass from level 0 takes the input boxes
-    ``inputs``, by default the unit cube.  Returns the pre-activation box of
-    every node in the levels it computed, grouped by level (None for a fixed
-    node), and that of the node itself.
+    ``post`` holds the post-activation boxes of level ``start`` (level 0 is
+    the inputs); the pass computes the levels above it.  A node whose regime
+    is fixed has its post-activation box in ``fixed``.  Returns the
+    pre-activation box of every node in the levels it computed, grouped by
+    level (None for a fixed node), and that of the node itself.
     """
-    if start:
-        post: Sequence[Box | None] = fixed[start - 1]
-    else:
-        post = inputs or [(0, 1)] * len(levels[0].rows[0])
     below: list[list[Box | None]] = []
     for level, boxes in zip(levels[start:-1], fixed[start:]):
-        pre: list[Box | None] = []
-        nxt: list[Box] = []
-        for row, b, act, box in zip(level.rows, level.biases, level.activations, boxes):
-            if box is not None:
-                pre.append(None)
-                nxt.append(box)
-                continue
-            lo, hi = _box(row, b, post)
-            pre.append((lo, hi))
-            nxt.append((_activate(act, lo, level.den), _activate(act, hi, level.den)))
+        pre, post = _level_pass(level, post, boxes)
         below.append(pre)
-        post = nxt
     top = levels[-1]
     return below, _box(top.rows[i], top.biases[i], post)
 
 
 def _unfixed(levels: Sequence[_Level]) -> list[list[None]]:
     return [[None] * len(level.rows) for level in levels[:-1]]
-
-
-def interval_propagation(net: Network, ref: NodeRef) -> Interval:
-    """Closed-form layer-wise interval bound on the node's pre-activation map.
-
-    Always encloses the exact extrema; a sanity check for them (the search
-    prunes through ``_interval_pass`` directly).
-    """
-    node_local_map(net, ref)  # validates the reference
-    levels = _scaled_levels(net, ref.layer)
-    _, (lo, hi) = _interval_pass(levels, ref.index - 1, _unfixed(levels))
-    den = levels[-1].den
-    return Interval(Fraction(lo, den), Fraction(hi, den))
 
 
 def vertex_witnessed(net: Network) -> list[list[bool]]:
@@ -164,7 +159,7 @@ def vertex_witnessed(net: Network) -> list[list[bool]]:
     units = [tuple(int(i == k) for i in range(net.input_dim)) for k in range(-1, net.input_dim)]
     signs = [[0] * len(level.rows) for level in levels[:-1]]  # bit 1: > 0 seen, bit 2: <= 0 seen
     for x in dict.fromkeys(units + [tuple(1 - v for v in u) for u in units]):
-        below, _ = _interval_pass(levels, 0, _unfixed(levels), inputs=[(v, v) for v in x])
+        below, _ = _interval_pass(levels, 0, _unfixed(levels), [(v, v) for v in x])
         for seen, pre in zip(signs, below):
             for i, (t, _) in enumerate(pre):
                 seen[i] |= 1 if t > 0 else 2
@@ -226,24 +221,43 @@ def exact_extrema(
     _, _, act = node_local_map(net, ref)  # validates the reference
     levels = _scaled_levels(net, ref.layer)
     top = ref.index - 1
+    inputs = [(0, 1)] * net.input_dim
     # forms[j-1][i] and boxes[j-1][i]: the fixed form of node (j, i+1) and
     # its post-activation box.
     forms: list[list[AffineForm | None]] = _unfixed(levels)
     boxes: list[list[Box | None]] = _unfixed(levels)
 
     # Upstream nodes (level, 0-based index), level by level; inside a level
-    # widest IA slack first.
-    below, _ = _interval_pass(levels, top, boxes)
+    # widest IA slack first.  Level j's nodes start at upstream[entered[j-1]].
+    below, _ = _interval_pass(levels, top, boxes, inputs)
     upstream: list[tuple[int, int]] = []
+    entered: list[int] = []
     for j, pre in enumerate(below, start=1):
+        entered.append(len(upstream))
         order = sorted(range(len(pre)), key=lambda i: pre[i][1] - pre[i][0], reverse=True)
         upstream.extend((j, i) for i in order)
 
-    def node_form(j: int, i: int) -> AffineForm:
+    # Level j's node forms and interval boxes depend only on level j - 1,
+    # which is fully fixed from the branch that entered level j down.  Both
+    # are cached by that branch's path: path >> 2 * (idx - entered[j-1]) at
+    # a branch idx choices deep.  The node's own level is entered at a leaf.
+    entry_forms: dict[tuple[int, int], AffineForm] = {}
+    entry_boxes: dict[int, list[Box]] = {}
+
+    def node_form(j: int, i: int, key: int) -> AffineForm:
         level = levels[j - 1]
         if j == 1:
             return level.rows[i], level.biases[i]
-        return _combine(level.rows[i], level.biases[i], forms[j - 2])
+        if (key, i) not in entry_forms:
+            entry_forms[key, i] = _combine(level.rows[i], level.biases[i], forms[j - 2])
+        return entry_forms[key, i]
+
+    def level_boxes(j: int, key: int) -> list[Box]:
+        """The post-activation boxes of level j: a fixed node's own, else its interval box."""
+        if key not in entry_boxes:
+            level = levels[j - 1]
+            entry_boxes[key] = _level_pass(level, boxes[j - 2] if j > 1 else inputs, [None] * len(level.rows))[1]
+        return [cached if box is None else box for box, cached in zip(boxes[j - 1], entry_boxes[key])]
 
     root = cube(net.input_dim)
     visited = 0
@@ -261,8 +275,9 @@ def exact_extrema(
     def optimize(sign: int) -> Fraction:
         """The minimum of sign times the node's value."""
         nonlocal visited
-        # The incumbent is sign times a value of the node, times its level's denominator.
-        incumbent: Fraction | None = None
+        # The incumbent is sign times a value of the node, times its level's
+        # denominator, as the int ratio num/den; den is 0 until the first leaf.
+        num = den = 0
         # upstream[:fixed] may hold a form and a box; a pop clears what a
         # deeper branch left behind.
         fixed = len(upstream)
@@ -292,29 +307,35 @@ def exact_extrema(
                     f"branch-and-bound budget of {node_budget} exceeded at node ({j},{i + 1}) "
                     f"while {'minimising' if sign > 0 else 'maximising'}"
                 )
-            if incumbent is not None:
-                # Every level below that of the node fixed last is fixed.
-                start = upstream[idx - 1][0] - 1 if idx else 0
-                _, (lo, hi) = _interval_pass(levels, top, boxes, start)
-                if (lo if sign > 0 else -hi) >= incumbent:
+            if den:
+                # The root came first, so a node is fixed; every level below
+                # that of the node fixed last is fixed.
+                j = upstream[idx - 1][0]
+                post = level_boxes(j, path >> 2 * (idx - entered[j - 1]))
+                _, (lo, hi) = _interval_pass(levels, top, boxes, post, j)
+                if (lo if sign > 0 else -hi) * den >= num:
                     continue
             if leaf:
                 if rows:
                     state = tableau(path, state, rows)
                     if state is None:
                         continue
-                coeffs, const = node_form(ref.layer, top)
-                val = sign * const + minimum(state, [sign * c for c in coeffs])
-                incumbent = val if incumbent is None else min(incumbent, val)
+                coeffs, const = node_form(ref.layer, top, path)
+                m = minimum(state, [sign * c for c in coeffs])
+                w = m.denominator
+                v = sign * const * w + m.numerator
+                if not den or v * den < num * w:
+                    num, den = v, w
                 continue
             j, i = upstream[idx]
             level = levels[j - 1]
-            branches = _branches(level.activations[i], node_form(j, i), level.den)
+            form = node_form(j, i, path >> 2 * (idx - entered[j - 1]))
+            branches = _branches(level.activations[i], form, level.den)
             for k in reversed(range(len(branches))):  # visited in the order of _branches
                 rows, form, box = branches[k]
                 stack.append((idx + 1, path * 4 + k, state, rows, form, box))
-        assert incumbent is not None  # the cube is never empty
-        return sign * incumbent / levels[-1].den
+        assert den, "the cube is never empty"
+        return Fraction(sign * num, den * levels[-1].den)
 
     lo = optimize(1)
     hi = optimize(-1)

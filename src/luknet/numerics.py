@@ -91,9 +91,6 @@ class Interval(_Interval):
             raise ValueError(f"empty interval: [{lo}, {hi}]")
         return super().__new__(cls, lo, hi)
 
-    def encloses(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
 
 # ---------------------------------------------------------------------------
 # Incremental exact simplex over the unit cube, fraction-free.
@@ -126,7 +123,9 @@ class Interval(_Interval):
 # Avis, "lrs", 2000).  Every entry is a minor of the integer system, so a
 # pivot divides by the old det exactly and no gcd is ever taken.  Each row is
 # det times its rational row, so signs, ratios and pivots are the rational
-# tableau's.
+# tableau's.  A cut row or objective of ints, as the search passes them all,
+# enters as it is; one with Fractions is first scaled to ints by the lcm of
+# its denominators.
 # ---------------------------------------------------------------------------
 
 Constraint = tuple[Sequence[Fraction], Fraction]  # coeffs . x <= bound; int or Fraction
@@ -165,10 +164,14 @@ def _row(state: Tableau, values: Sequence[int | Fraction]) -> tuple[list[int], i
     """The row of a new basic variable v with v + c.x = b, where values is
     [b, *c], written over the state's nonbasic variables, and its scale s.
 
-    The row's basic variable is s*v, s the lcm of the denominators of values:
-    det*(s*b, s*c) minus s*c_k times the row of each basic x_k.
+    The row's basic variable is s*v, s the lcm of the denominators of values
+    (1 for a row of ints, which is read as is): det*(s*b, s*c) minus s*c_k
+    times the row of each basic x_k.
     """
-    (rhs, *coeffs), s = _scale(values)
+    s = 1
+    if not all(type(v) is int for v in values):
+        values, s = _scale(values)
+    rhs, *coeffs = values
     d, det = state.d, state.det
     row = [rhs * det, *(coeffs[v - 1] * det if v <= d else 0 for v in state.nonbasic)]
     for prow, b in zip(state.rows, state.basis):
@@ -201,8 +204,11 @@ def _pivot(rows: list[list[int]], basis: list[int], nonbasic: list[int], det: in
 
 def _entering(row: list[int], nonbasic: Sequence[int]) -> int | None:
     """The position of the least nonbasic variable with a negative entry in row."""
-    negative = (j for j in range(1, len(row)) if row[j] < 0)
-    return min(negative, key=lambda j: nonbasic[j - 1], default=None)
+    enter = None
+    for j in range(1, len(row)):
+        if row[j] < 0 and (enter is None or nonbasic[j - 1] < nonbasic[enter - 1]):
+            enter = j
+    return enter
 
 
 def cut(state: Tableau, constraints: Sequence[Constraint]) -> Tableau | None:

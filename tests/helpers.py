@@ -20,9 +20,11 @@ from luknet.network import (
     Layer,
     Network,
     NodeRef,
+    apply_activation,
     is_non_degenerate,
     node_preactivations,
 )
+from luknet.numerics import Interval
 
 F = Fraction
 
@@ -343,6 +345,25 @@ def brute_extrema(network: Network, ref: NodeRef):
             best_hi = value if best_hi is None else max(best_hi, value)
     assert best_lo is not None and best_hi is not None
     return best_lo, best_hi
+
+
+def interval_propagation(network: Network, ref: NodeRef) -> Interval:
+    """Layer-wise interval bound on the node's pre-activation map, in
+    Fractions: each level's boxes from those of the level below, through
+    the activation.  It always encloses the exact extrema."""
+    post = [(F(0), F(1))] * network.input_dim
+    for lay in network.layers[: ref.layer]:
+        pre = []
+        for row, bias in zip(lay.weights, lay.biases):
+            lo = bias + sum(w * (vlo if w > 0 else vhi) for w, (vlo, vhi) in zip(row, post))
+            hi = bias + sum(w * (vhi if w > 0 else vlo) for w, (vlo, vhi) in zip(row, post))
+            pre.append((lo, hi))
+        post = [(apply_activation(a, lo), apply_activation(a, hi)) for a, (lo, hi) in zip(lay.activations, pre)]
+    return Interval(*pre[ref.index - 1])
+
+
+def encloses(outer: Interval, inner: Interval) -> bool:
+    return outer.lo <= inner.lo and inner.hi <= outer.hi
 
 
 def brute_non_degenerate(network: Network) -> bool:

@@ -7,10 +7,10 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import (
-    box_forced_network, brute_extrema, layer, net, random_network, rational_network
+    box_forced_network, brute_extrema, encloses, interval_propagation, layer, net, random_network, rational_network
 )
-from luknet import numerics
-from luknet.bounds import BudgetExceeded, exact_extrema, interval_propagation
+from luknet import bounds, numerics
+from luknet.bounds import BudgetExceeded, exact_extrema
 from luknet.network import NodeRef, apply_activation, eval_network, network_from_dict, network_from_json
 
 POOL_EXTREMA = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "pool_extrema.json"
@@ -62,7 +62,7 @@ def test_interval_propagation_contains_exact():
         ref = NodeRef(n.depth, 1)
         exact = exact_extrema(n, ref)
         loose = interval_propagation(n, ref)
-        assert loose.encloses(exact)
+        assert encloses(loose, exact)
 
 
 def test_matches_brute_force_on_random_networks():
@@ -132,7 +132,7 @@ def test_rational_networks_match_brute_force(activation):
                 lo, hi = brute_extrema(n, ref)
                 iv = exact_extrema(n, ref)
                 assert (iv.lo, iv.hi) == (lo, hi)
-                assert interval_propagation(n, ref).encloses(iv)
+                assert encloses(interval_propagation(n, ref), iv)
                 act = n.layers[j - 1].activations[i - 1]
                 post = exact_extrema(n, ref, activated=True)
                 assert (post.lo, post.hi) == (apply_activation(act, lo), apply_activation(act, hi))
@@ -201,3 +201,78 @@ def test_large_entry_network(fixtures_dir, monkeypatch):
     assert pivots == 12_140
     values = [eval_network(n, x) for x in itertools.product((F(0), F(1, 2), F(1)), repeat=6)]
     assert iv.lo <= min(values) and max(values) <= iv.hi
+
+
+def test_frozen_cuts_and_leaves(fixtures_dir, monkeypatch):
+    # The sample of test_frozen_budget_classes and the network of
+    # test_large_entry_network.  The calls to numerics.cut count the branches
+    # probed and those to numerics.minimum the leaves solved: a cache that
+    # served a branch the tableau of another would move them, even where the
+    # pivots and the budget classes stay.
+    calls = {"cut": 0, "minimum": 0}
+    for name in calls:
+        def counted(*args, name=name, real=getattr(bounds, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(bounds, name, counted)
+    pool = json.loads(POOL_EXTREMA.read_text())
+    budget = pool.pop("about")["budget"]
+    for entries in pool.values():
+        for e in entries[:10]:
+            try:
+                exact_extrema(network_from_dict(e["net"]), "output", node_budget=budget)
+            except BudgetExceeded:
+                assert e["class"] == "budget"
+    assert calls == {"cut": 3_937, "minimum": 962}
+    calls.update(cut=0, minimum=0)
+    n = network_from_json((fixtures_dir / "search" / "relu_6x12x12_seed2.json").read_text())
+    exact_extrema(n, "output")
+    assert calls == {"cut": 4_236, "minimum": 1_048}
+
+
+def test_search_builds_no_fraction_per_branch(monkeypatch):
+    # A pool network whose search visits 151 branches.  The incumbent and the
+    # prune checks are ints: a leaf builds one Fraction, the optimum its
+    # minimum returns, and each sense one more, its answer.
+    class Counted(F):
+        made = compared = 0
+
+        def __new__(cls, *args, **kwargs):
+            Counted.made += 1
+            return super().__new__(cls, *args, **kwargs)
+
+    # Arithmetic on a Counted value yields a Counted value, so a Fraction
+    # built from a leaf's optimum is counted too.
+    for name in ("add", "sub", "mul", "truediv"):
+        for method in (f"__{name}__", f"__r{name}__"):
+            base = getattr(F, method)
+            setattr(Counted, method, lambda a, b, base=base: Counted(base(a, b)))
+    for method in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+        def compare(a, b, base=getattr(F, method)):
+            Counted.compared += 1
+            return base(a, b)
+
+        setattr(Counted, method, compare)
+    leaves = 0
+    minimum = bounds.minimum
+
+    def counted_minimum(*args):
+        nonlocal leaves
+        leaves += 1
+        return minimum(*args)
+
+    monkeypatch.setattr(bounds, "minimum", counted_minimum)
+    monkeypatch.setattr(bounds, "Fraction", Counted)
+    monkeypatch.setattr(numerics, "Fraction", Counted)
+    e = json.loads(POOL_EXTREMA.read_text())["2x4-4"][10]
+    n = network_from_dict(e["net"])
+    with pytest.raises(BudgetExceeded):
+        exact_extrema(n, "output", node_budget=150)
+    Counted.made = Counted.compared = 0
+    leaves = 0
+    iv = exact_extrema(n, "output")
+    assert Counted.compared <= 1  # Interval checks lo <= hi
+    assert leaves == 37
+    assert Counted.made <= leaves + 2
+    assert (iv.lo, iv.hi) == tuple(F(v) for v in e["expect"])

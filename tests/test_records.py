@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import layer, net
+from helpers import encloses, layer, net
 from luknet import formula as fm
 from luknet.equiv import Counterexample, Equal, FiniteGrid
 from luknet.graph import GraphNode, MintermCertificate, SubstitutionGraph
@@ -71,7 +71,7 @@ def test_defaults_and_keywords():
     assert GraphNode(x1) == GraphNode(formula=x1, certificate=None)
     assert Equal() == Equal(points_checked=0)
     assert Network(input_dim=2, layers=(LAYER,)) == net(2, LAYER)
-    assert Interval(lo=F(0), hi=F(0)).encloses(Interval(F(0), F(0)))
+    assert encloses(Interval(lo=F(0), hi=F(0)), Interval(F(0), F(0)))
     assert Step("Ax5", "LR", ()) == Step(axiom_id="Ax5", direction="LR", pos=(), binding=None, node=None)
     assert DerivationTrace(x1) == DerivationTrace(start=x1, steps=())
     assert Axiom(id="Ax5", lhs=x1, rhs=x1) == Axiom("Ax5", x1, x1)
