@@ -2,7 +2,9 @@
 check-equiv / axioms / bounds.
 
 Exit codes: 0 success (or Equal), 1 negative result (counterexample, not
-normal, roundtrip of a degenerate network or mismatch), 2 usage or input errors.
+normal, roundtrip of a degenerate network or mismatch), 2 usage or input
+errors, or an output that cannot be written (an -o path, or standard output
+closed by its reader).
 
 ``rewrite`` and ``axioms`` load the rewrite engine (:mod:`luknet.rewrite`)
 on demand, so the other commands start without it.
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import formula as fm
@@ -267,7 +270,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        if sys.stdout is not None:  # None when started with fd 1 closed
+            sys.stdout.flush()  # inside the guard: a buffered tail fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed standard output early: what is still buffered
+        # goes nowhere, and the run ends as an unwritable -o path does.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output closed before all output was written", file=sys.stderr)
+        return 2
     except BudgetExceeded as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 1

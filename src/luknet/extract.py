@@ -17,8 +17,7 @@ from itertools import islice
 from . import formula as fm
 from .formula import Formula
 from .graph import (
-    FLAVOR_INTEGER, FLAVOR_RATIONAL, FLAVOR_REAL, FLAVORS, GraphNode, MintermCertificate,
-    SubstitutionGraph,
+    FLAVOR_INTEGER, FLAVOR_RATIONAL, FLAVORS, GraphNode, MintermCertificate, SubstitutionGraph,
 )
 from .network import CLIP, Layer, Network, cube_box, scaled_layer
 from .numerics import _scale
@@ -70,55 +69,31 @@ def rho_to_sigma(net: Network) -> Network:
 # ---------------------------------------------------------------------------
 
 
-def extr(m, b) -> Formula:
-    """Formula whose truth function is clip(m.x + b) for integer m, b.
-
-    The integer flavor of the peeling core: on integer rows (s = 1) its
-    fractional and constant-bias steps never fire, so only unit peeling, sign
-    flips and the bare variable remain.
-    """
-    return formula_for_certificate((m, b, FLAVOR_INTEGER))
-
-
-def extr_rational(m, b) -> Formula:
-    """DMV formula for clip(m.x + b) with rational m, b.
-
-    Clears denominators by s = lcm: the neuron splits into s integer neurons
-    h_i = clip(s(m.x+b) - i), each peeled on the one integer row s.m, and the
-    result is the left-associated chain delta_s t_0 + ... + delta_s t_{s-1}.
-    Integer input (s = 1) is peeled directly, which is :func:`extr` exactly.
-    """
-    return formula_for_certificate((m, b, FLAVOR_RATIONAL))
-
-
-def extr_real(m, b) -> Formula:
-    """Scalar-operator formula for clip(m.x + b), coefficients rational.
-
-    A row whose box bound over the cube has lo >= 1 or hi <= 0 is the
-    constant 1 or 0.  Otherwise the first nonzero coefficient decides the
-    step: a negative one flips the whole row via not EXTR(-m, 1 - b); a
-    fractional part is stripped in one step as
-    (EXTR(f0) + scale(frac, x_k)) * EXTR(f0 + 1); an integer unit peels off
-    as (EXTR(f0) + x_k) * EXTR(f0 + 1), and a row that is exactly x_k is the
-    variable itself.  A leftover constant bias in (0,1) becomes scale(b, 1).
-    The peel runs on the row scaled once to integers (:func:`_peel`).
-    """
-    return formula_for_certificate((m, b, FLAVOR_REAL))
-
-
 def _formulas(certs):
     """The flavor's formula of clip(m.x + b) for each certificate (m, b, flavor).
 
     Each row is peeled on [b, *m] scaled once to ints by s, the lcm of its
-    denominators.  Consecutive items on an equal scaled row share one _Row
-    whatever their flavors, so the sigma copies ``rho_to_sigma`` places side
-    by side, and the s terms of the rational chain, peel with one memo.
+    denominators (:func:`_peel`).  A row whose box bound over the cube has
+    lo >= 1 or hi <= 0 is the constant 1 or 0.  Otherwise the first nonzero
+    coefficient decides the step: a negative one flips the whole row via
+    not EXTR(-m, 1 - b); a fractional part is stripped in one step as
+    (EXTR(f0) + scale(frac, x_k)) * EXTR(f0 + 1); an integer unit peels off
+    as (EXTR(f0) + x_k) * EXTR(f0 + 1), and a row that is exactly x_k is the
+    variable itself.  A leftover constant bias in (0,1) becomes scale(b, 1).
+    That is the real flavor.  On an integer row (s = 1, which an integer
+    certificate always has) the fractional and constant-bias steps never
+    fire, so the integer flavor is the same peel.  The rational flavor with
+    s > 1 splits the neuron into s integer neurons h_i = clip(s(m.x+b) - i),
+    each peeled on the one integer row s.m, and yields the left-associated
+    chain delta_s h_0 + ... + delta_s h_{s-1}.
+
+    Consecutive items on an equal scaled row share one _Row whatever their
+    flavors, so the sigma copies ``rho_to_sigma`` places side by side, and
+    the s terms of the rational chain, peel with one memo.
     """
     run = None
     for m, b, flavor in certs:
         (bs, *row), s = _scale([b, *m])
-        if flavor == FLAVOR_INTEGER and s != 1:
-            raise ValueError("extr needs integer coefficients; use extr_rational")
         chain = flavor == FLAVOR_RATIONAL and s > 1
         key = (1 if chain else s, tuple(row))
         if run is None or run.key != key:

@@ -97,21 +97,15 @@ class Formula:
     @property
     def length(self) -> int:
         """Variable occurrences in the expanded tree, counted over the DAG."""
-        sizes: dict[Formula, int] = {}
-        for node in postorder(self):
-            sizes[node] = 1 if type(node) is Var else sum(sizes[kid] for kid in node.children())
-        return sizes[self]
+        return _tree_sizes(self)[2]
 
     def __repr__(self):
         """``to_text`` of a small formula; past ``_REPR_LIMIT`` tree nodes,
         whose text could outgrow any memory, a one-line summary instead."""
-        order = postorder(self)
-        nodes: dict[Formula, int] = {}
-        for node in order:
-            nodes[node] = 1 + sum(nodes[kid] for kid in node.children())
-        if nodes[self] <= _REPR_LIMIT:
+        distinct, nodes, length = _tree_sizes(self)
+        if nodes <= _REPR_LIMIT:
             return to_text(self)
-        return f"<{_head_text(self)}: {len(order)} distinct subterms, tree length {self.length}>"
+        return f"<{_head_text(self)}: {distinct} distinct subterms, tree length {length}>"
 
     def children(self) -> tuple["Formula", ...]:
         return ()
@@ -134,7 +128,6 @@ class Const(Formula):
 
 class Var(Formula):
     __slots__ = ("index",)
-    op = property(lambda self: self.index)
 
     def __init__(self, index: int):
         self.index, self.max_var = index, index
@@ -258,6 +251,20 @@ def scale(factor: Fraction, child: Formula) -> Formula:
     return (entry and entry()) or _make(key, Scale, factor, child)
 
 
+def _tree_sizes(f: Formula) -> tuple[int, int, int]:
+    """Distinct subterms of f, then the nodes and the variable occurrences of
+    its expanded tree, in one fold over the DAG."""
+    order = postorder(f)
+    sizes: dict[Formula, tuple[int, int]] = {}
+    for node in order:
+        nodes, occurrences = 1, int(type(node) is Var)
+        for kid in node.children():
+            kid_nodes, kid_occurrences = sizes[kid]
+            nodes, occurrences = nodes + kid_nodes, occurrences + kid_occurrences
+        sizes[node] = nodes, occurrences
+    return (len(order), *sizes[f])
+
+
 def postorder(*roots: Formula) -> list[Formula]:
     """The distinct subterms of the roots, each once, children before parents.
 
@@ -283,17 +290,13 @@ def postorder(*roots: Formula) -> list[Formula]:
 # Evaluation in the standard algebra on [0,1]
 # ---------------------------------------------------------------------------
 
-def evaluate(f: Formula, assignment) -> Fraction:
-    """Exact truth value of f under the assignment (1-based variable indices).
-
-    oplus = min(1,x+y), odot = max(0,x+y-1), not = 1-x, delta_i = x/i,
-    scale_r = r*x.  Raises UnboundVariable / OutOfDomain on bad input.
-    """
-    return evaluator((f,))(assignment)[0]
-
-
 def evaluator(fs: Sequence[Formula]) -> Callable[..., list[Fraction]]:
     """Exact truth values of ``fs``, in order, as a function of one assignment.
+
+    The assignment gives x_1, x_2, ... in order; oplus = min(1,x+y),
+    odot = max(0,x+y-1), not = 1-x, delta_i = x/i and scale_r = r*x.  A call
+    raises UnboundVariable or OutOfDomain on an assignment too short or
+    outside [0,1].
 
     The DAG is compiled once, here, into a flat program over its postorder
     with a static scale f per subterm: 1 at atoms, the child's at ``not``,
@@ -379,11 +382,6 @@ def substitute(f: Formula, subst: Substitution) -> Formula:
         else:
             memo[node] = node.rebuild([memo[kid] for kid in node.children()])
     return memo[f]
-
-
-def compose(z1: Substitution, z2: Substitution) -> dict[int, Formula]:
-    """Composition z1 then z2: maps each key k of z1 to substitute(z1[k], z2)."""
-    return {k: substitute(v, z2) for k, v in z1.items()}
 
 
 def variables(f: Formula) -> set[int]:

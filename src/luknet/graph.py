@@ -1,8 +1,7 @@
 """Substitution graphs: layered graphs whose nodes carry formulas.
 
 The represented formula is the output node's formula with each layer's
-substitution applied from the outside in; collapse and expansion change the
-layering without changing that formula.
+substitution applied from the outside in.
 
 Wire format.  A graph file is one JSON object::
 
@@ -26,7 +25,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from . import formula as fm
 from .formula import Formula, substitute
@@ -53,16 +52,6 @@ class CertificateMismatch(GraphError):
     def __init__(self, level: int | None = None, index: int | None = None):
         super().__init__(f"certificate of {_where(level, index)} does not reproduce its formula")
         self.node = (level, index)
-
-
-class LevelOutOfRange(GraphError):
-    pass
-
-
-class FactorizationMismatch(GraphError):
-    def __init__(self, index: int):
-        super().__init__(f"factor {index} does not reproduce the stored formula")
-        self.index = index
 
 
 class GraphNode(NamedTuple):
@@ -111,28 +100,20 @@ class SubstitutionGraph(_SubstitutionGraph):
     def node(self, level: int, index: int) -> GraphNode:
         return self.nodes[level - 1][index - 1]
 
-    def level_substitution(self, level: int) -> dict[int, Formula]:
-        """zeta mapping x_i to the formula of node i at the given level (>= 1)."""
-        return {i + 1: node.formula for i, node in enumerate(self.nodes[level - 1])}
-
 
 def represented_formula(g: SubstitutionGraph) -> Formula:
     """Output-first substitution: ([v_out] zeta_{L-1}) zeta_{L-2} ... zeta_1."""
     f = g.node(g.depth, 1).formula
-    for level in range(g.depth - 1, 0, -1):
-        f = substitute(f, g.level_substitution(level))
+    for level in reversed(g.nodes[:-1]):
+        f = substitute(f, {i: node.formula for i, node in enumerate(level, start=1)})
     return f
 
 
-def graph_eval(g: SubstitutionGraph, x) -> Fraction:
-    """Layer-wise numeric propagation of the node truth functions."""
-    return graph_evaluator(g)(x)
-
-
 def graph_evaluator(g: SubstitutionGraph) -> Callable[..., Fraction]:
-    """``graph_eval(g, ·)`` with each level's DAG walked once, here.
+    """The graph's value at a point, level by level, as a function of the point.
 
-    Each level is one pass with one memo over the union of its formulas.
+    Each level's formulas are compiled once, here, into one evaluator over
+    the union of their DAGs.
     """
     levels = [fm.evaluator([node.formula for node in level]) for level in g.nodes]
 
@@ -164,80 +145,6 @@ def normality_violation(g: SubstitutionGraph) -> GraphError | None:
             if next(formulas) is not node.formula:
                 return CertificateMismatch(j, i)
     return None
-
-
-def is_normal(g: SubstitutionGraph) -> bool:
-    return normality_violation(g) is None
-
-
-# ---------------------------------------------------------------------------
-# Collapse / expansion
-# ---------------------------------------------------------------------------
-
-
-def collapse(g: SubstitutionGraph, k: int) -> SubstitutionGraph:
-    """Remove level k (1 <= k <= L-1) by substituting it into level k+1.
-
-    Rewritten nodes lose their certificates; the represented formula is
-    unchanged.
-    """
-    g2, _, _ = collapse_with_record(g, k)
-    return g2
-
-
-def collapse_with_record(
-    g: SubstitutionGraph, k: int
-) -> tuple[SubstitutionGraph, list[Formula], dict[int, Formula]]:
-    """Collapse, also returning the (factors, substitution) pair that undoes it."""
-    if not 1 <= k <= g.depth - 1:
-        raise LevelOutOfRange(f"collapse level {k} outside 1..{g.depth - 1}")
-    zeta = g.level_substitution(k)
-    taus = [node.formula for node in g.nodes[k]]
-    rewritten = tuple(GraphNode(substitute(t, zeta)) for t in taus)
-    new_nodes = g.nodes[: k - 1] + (rewritten,) + g.nodes[k + 1 :]
-    new_widths = g.widths[:k] + g.widths[k + 1 :]
-    return SubstitutionGraph(new_widths, new_nodes), taus, zeta
-
-
-def expand(
-    g: SubstitutionGraph,
-    k: int,
-    factors: Sequence[Formula],
-    zeta: dict[int, Formula],
-) -> SubstitutionGraph:
-    """Split level k (1 <= k <= L) into factor formulas over a new inserted level.
-
-    Requires substitute(factors[i], zeta) to equal the stored formula of every
-    node i at level k; the inserted level holds zeta's substitutors.
-    """
-    if not 1 <= k <= g.depth:
-        raise LevelOutOfRange(f"expand level {k} outside 1..{g.depth}")
-    if len(factors) != g.widths[k]:
-        raise ValueError(f"need {g.widths[k]} factors, got {len(factors)}")
-    d = max(zeta) if zeta else 0
-    if not zeta or set(zeta) != set(range(1, d + 1)):
-        raise ValueError("substitution keys must be exactly 1..d")
-    for i, tau in enumerate(factors, start=1):
-        if substitute(tau, zeta) is not g.node(k, i).formula:
-            raise FactorizationMismatch(i)
-        if tau.max_var > d:
-            raise ValueError(f"factor {i} uses x{tau.max_var} beyond the new width {d}")
-    prev_width = g.widths[k - 1]
-    for p in range(1, d + 1):
-        if zeta[p].max_var > prev_width:
-            raise ValueError(f"substitutor for x{p} uses variables beyond width {prev_width}")
-    inserted = tuple(GraphNode(zeta[p]) for p in range(1, d + 1))
-    refit = tuple(GraphNode(t) for t in factors)
-    new_nodes = g.nodes[: k - 1] + (inserted, refit) + g.nodes[k:]
-    new_widths = g.widths[:k] + (d,) + g.widths[k:]
-    return SubstitutionGraph(new_widths, new_nodes)
-
-
-def full_collapse(g: SubstitutionGraph) -> SubstitutionGraph:
-    """Collapse to depth 1; the output node then holds the represented formula."""
-    while g.depth > 1:
-        g = collapse(g, 1)
-    return g
 
 
 def formula_graph(f: Formula, input_width: int) -> SubstitutionGraph:

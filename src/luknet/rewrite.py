@@ -5,8 +5,8 @@ instantiation is plain substitution.  Positions are root-to-node child-index
 paths.  Derivation traces record (axiom, direction, position, binding) steps
 and replay deterministically.  ``Axiom``, ``Step`` and ``DerivationTrace``
 are named tuples.  The rho glossary writes an MV formula with affine maps and
-rho = relu: one table gives the text and the value of each MV connective's rho
-form over its children's, and one fold over the formula's postorder reads it.
+rho = relu: one table gives the text of each MV connective's rho form over its
+children's, and one fold over the formula's postorder reads it.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import formula as fm
 from .formula import Formula, Not, Odot, Oplus, Var, substitute
@@ -414,21 +414,8 @@ def _applied(idx: int, step: Step, axioms: Mapping[str, Axiom], apply):
         raise StepFailure(idx, str(e)) from e
 
 
-def check_derivation(
-    trace: DerivationTrace, expected_end: Formula, axioms: Mapping[str, Axiom]
-) -> bool:
-    """Replay every step; True iff the final formula equals expected_end."""
-    return replay(trace, axioms)[-1] is expected_end
-
-
 # Trace wire format: one JSON object per line.  A leading {"start": ...}
 # object is allowed for formula-level traces; graph traces add "node".
-
-
-def _binding_to_json(binding: Mapping[int, Formula] | None) -> dict | None:
-    if binding is None:
-        return None
-    return {_METAVAR_NAMES.get(i, f"#{i}"): fm.to_text(f) for i, f in binding.items()}
 
 
 def _binding_from_json(data, where: str) -> dict[int, Formula] | None:
@@ -460,9 +447,10 @@ def trace_to_jsonl(trace: DerivationTrace) -> str:
             "dir": step.direction,
             "pos": list(step.pos),
         }
-        bind = _binding_to_json(step.binding)
-        if bind is not None:
-            entry["bind"] = bind
+        if step.binding is not None:
+            entry["bind"] = {
+                _METAVAR_NAMES.get(i, f"#{i}"): fm.to_text(f) for i, f in step.binding.items()
+            }
         if step.node is not None:
             entry["node"] = list(step.node)
         lines.append(json.dumps(entry))
@@ -523,39 +511,33 @@ def apply_trace_to_graph(
 # ---------------------------------------------------------------------------
 
 
-_F0, _F1 = Fraction(0), Fraction(1)
-
-
 def _minus(text: str) -> str:
     """A subtracted operand's text: a difference (each starts "1 - ") in parentheses."""
     return f"({text})" if text.startswith("1 - ") else text
 
 
-# The rho form of each MV connective over its children's: its text, then its
-# value.  x*y = rho(x + y - 1) and x+y = 1 - rho(1 - x - y).
+# The text of each MV connective's rho form over its children's:
+# x*y = rho(x + y - 1) and x+y = 1 - rho(1 - x - y).
 _RHO_FORMS = {
-    Not: (lambda a: f"1 - {_minus(a)}", lambda a: _F1 - a),
-    Odot: ("rho({} + {} - 1)".format, lambda a, b: max(a + b - _F1, _F0)),
-    Oplus: (
-        lambda a, b: f"1 - rho(1 - {_minus(a)} - {_minus(b)})",
-        lambda a, b: _F1 - max(_F1 - a - b, _F0),
-    ),
+    Not: lambda a: f"1 - {_minus(a)}",
+    Odot: "rho({} + {} - 1)".format,
+    Oplus: lambda a, b: f"1 - rho(1 - {_minus(a)} - {_minus(b)})",
 }
 
 
-def _rho_fold(f: Formula, column: int, atom: Callable[[Formula], object]):
-    """Column ``column`` of ``_RHO_FORMS`` folded over f's postorder, atom(node) at
-    the leaves.  A result is dropped once its last parent has read it, so a deep
-    chain holds one text at a time, not every prefix of it."""
+def _rho_fold(f: Formula) -> str:
+    """The text of f's rho form: ``_RHO_FORMS`` folded over f's postorder.  A
+    result is dropped once its last parent has read it, so a deep chain holds
+    one text at a time, not every prefix of it."""
     order = fm.postorder(f)
     readers = Counter(kid for node in order for kid in node.children())
-    memo: dict[Formula, object] = {}
+    memo: dict[Formula, str] = {}
     for node in order:
         kids = node.children()
         if node.head is None:
-            memo[node] = atom(node)
+            memo[node] = _atom_text(node)
         elif type(node) in _RHO_FORMS:
-            memo[node] = _RHO_FORMS[type(node)][column](*[memo[kid] for kid in kids])
+            memo[node] = _RHO_FORMS[type(node)](*[memo[kid] for kid in kids])
         else:
             raise ValueError("symmetry rendering is defined for the MV connectives only")
         for kid in kids:
@@ -571,13 +553,5 @@ def _atom_text(node: Formula) -> str:
 
 def render_symmetry(axiom: Axiom) -> tuple[str, str]:
     """Both sides as compositions of affine maps and rho; they agree pointwise."""
-    return _rho_fold(axiom.lhs, 0, _atom_text), _rho_fold(axiom.rhs, 0, _atom_text)
+    return _rho_fold(axiom.lhs), _rho_fold(axiom.rhs)
 
-
-def rho_value(f: Formula, env: Mapping[int, Fraction]) -> Fraction:
-    """The value of f's rho form where metavariable i takes env[i]."""
-    return _rho_fold(f, 1, lambda node: env[node.index] if type(node) is Var else Fraction(node.value))
-
-
-def axiom_arity(axiom: Axiom) -> int:
-    return max(axiom.lhs.max_var, axiom.rhs.max_var)

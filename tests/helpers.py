@@ -1,6 +1,7 @@
 """Shared test machinery: random generators, the round-trip corpus network
-generator, and brute-force oracles kept independent of the library's solver
-paths."""
+generator, brute-force oracles kept independent of the library's solver
+paths, and the paper's level operations (collapse and expansion), which only
+tests run."""
 from __future__ import annotations
 
 import itertools
@@ -11,8 +12,12 @@ from math import ceil, floor
 
 from luknet import formula as fm
 from luknet.bounds import exact_extrema
+from luknet.extract import formula_for_certificate
 from luknet.formula import Formula, substitute
-from luknet.graph import GraphNode, SubstitutionGraph
+from luknet.graph import (
+    FLAVOR_INTEGER, FLAVOR_RATIONAL, FLAVOR_REAL, GraphError, GraphNode, MintermCertificate,
+    SubstitutionGraph,
+)
 from luknet.network import (
     CLIP,
     NONE,
@@ -422,6 +427,11 @@ def represented_formula_forward(g: SubstitutionGraph) -> Formula:
     return global_formulas[0]
 
 
+def evaluate(f: Formula, x) -> Fraction:
+    """The truth value of one formula at x, through ``formula.evaluator``."""
+    return fm.evaluator((f,))(x)[0]
+
+
 def reference_evaluate(fs, x) -> list[Fraction]:
     """Truth values of ``fs`` at ``x`` by one ``Fraction`` operation per
     subterm: the loop that ``formula.evaluator`` replaced by int arithmetic
@@ -452,6 +462,19 @@ def reference_evaluate(fs, x) -> list[Fraction]:
             r = node.factor * memo[node.child]
         memo[node] = r
     return [memo[f] for f in fs]
+
+
+def extr(m, b, flavor: str = FLAVOR_INTEGER) -> Formula:
+    """The flavor's formula of clip(m.x + b), extracted from one certificate."""
+    return formula_for_certificate(MintermCertificate(tuple(m), b, flavor))
+
+
+def extr_rational(m, b) -> Formula:
+    return extr(m, b, FLAVOR_RATIONAL)
+
+
+def extr_real(m, b) -> Formula:
+    return extr(m, b, FLAVOR_REAL)
 
 
 def reference_extr_real(m, b) -> Formula:
@@ -581,3 +604,104 @@ def reference_sigma_to_rho(network: Network) -> Network:
         )
         layers.append(Layer(((F(1), F(-1)),), (F(0),), (NONE,)))
     return Network(network.input_dim, tuple(layers))
+
+
+# ---------------------------------------------------------------------------
+# Collapse and expansion: the paper's level operations, which keep the
+# represented formula
+# ---------------------------------------------------------------------------
+
+
+class LevelOutOfRange(GraphError):
+    pass
+
+
+class FactorizationMismatch(GraphError):
+    def __init__(self, index: int):
+        super().__init__(f"factor {index} does not reproduce the stored formula")
+        self.index = index
+
+
+def collapse(g: SubstitutionGraph, k: int) -> SubstitutionGraph:
+    """Remove level k (1 <= k <= L-1) by substituting it into level k+1.
+
+    Rewritten nodes lose their certificates; the represented formula is
+    unchanged.
+    """
+    g2, _, _ = collapse_with_record(g, k)
+    return g2
+
+
+def collapse_with_record(
+    g: SubstitutionGraph, k: int
+) -> tuple[SubstitutionGraph, list[Formula], dict[int, Formula]]:
+    """Collapse, also returning the (factors, substitution) pair that undoes it."""
+    if not 1 <= k <= g.depth - 1:
+        raise LevelOutOfRange(f"collapse level {k} outside 1..{g.depth - 1}")
+    zeta = {i: node.formula for i, node in enumerate(g.nodes[k - 1], start=1)}
+    taus = [node.formula for node in g.nodes[k]]
+    rewritten = tuple(GraphNode(substitute(t, zeta)) for t in taus)
+    new_nodes = g.nodes[: k - 1] + (rewritten,) + g.nodes[k + 1 :]
+    new_widths = g.widths[:k] + g.widths[k + 1 :]
+    return SubstitutionGraph(new_widths, new_nodes), taus, zeta
+
+
+def expand(g: SubstitutionGraph, k: int, factors, zeta: dict[int, Formula]) -> SubstitutionGraph:
+    """Split level k (1 <= k <= L) into factor formulas over a new inserted level.
+
+    Requires substitute(factors[i], zeta) to equal the stored formula of every
+    node i at level k; the inserted level holds zeta's substitutors.
+    """
+    if not 1 <= k <= g.depth:
+        raise LevelOutOfRange(f"expand level {k} outside 1..{g.depth}")
+    if len(factors) != g.widths[k]:
+        raise ValueError(f"need {g.widths[k]} factors, got {len(factors)}")
+    d = max(zeta) if zeta else 0
+    if not zeta or set(zeta) != set(range(1, d + 1)):
+        raise ValueError("substitution keys must be exactly 1..d")
+    for i, tau in enumerate(factors, start=1):
+        if substitute(tau, zeta) is not g.node(k, i).formula:
+            raise FactorizationMismatch(i)
+        if tau.max_var > d:
+            raise ValueError(f"factor {i} uses x{tau.max_var} beyond the new width {d}")
+    prev_width = g.widths[k - 1]
+    for p in range(1, d + 1):
+        if zeta[p].max_var > prev_width:
+            raise ValueError(f"substitutor for x{p} uses variables beyond width {prev_width}")
+    inserted = tuple(GraphNode(zeta[p]) for p in range(1, d + 1))
+    refit = tuple(GraphNode(t) for t in factors)
+    new_nodes = g.nodes[: k - 1] + (inserted, refit) + g.nodes[k:]
+    new_widths = g.widths[:k] + (d,) + g.widths[k:]
+    return SubstitutionGraph(new_widths, new_nodes)
+
+
+def full_collapse(g: SubstitutionGraph) -> SubstitutionGraph:
+    """Collapse to depth 1; the output node then holds the represented formula."""
+    while g.depth > 1:
+        g = collapse(g, 1)
+    return g
+
+
+def rho_value(f: Formula, env) -> Fraction:
+    """The value of f's rho form where metavariable i takes env[i]: not x is
+    1 - x, x*y is rho(x + y - 1) and x+y is 1 - rho(1 - x - y), rho = relu.
+
+    The judge of ``rewrite.render_symmetry``'s glossary text: a Fraction fold
+    of its own over the MV connectives, sharing no code with the text."""
+    memo: dict[Formula, Fraction] = {}
+    for node in fm.postorder(f):
+        t = type(node)
+        if t is fm.Var:
+            r = F(env[node.index])
+        elif t is fm.Const:
+            r = F(node.value)
+        elif t is fm.Not:
+            r = 1 - memo[node.child]
+        elif t is fm.Odot:
+            r = max(memo[node.left] + memo[node.right] - 1, F(0))
+        elif t is fm.Oplus:
+            r = 1 - max(1 - memo[node.left] - memo[node.right], F(0))
+        else:
+            raise ValueError("the rho form is defined for the MV connectives only")
+        memo[node] = r
+    return memo[f]

@@ -329,6 +329,22 @@ def test_axioms_sets(capsys):
         assert len(out.strip().splitlines()) == count
 
 
+def test_reader_closing_the_pipe_early_exits_two():
+    # As in `luknet axioms --set MVk:20 | head -c 10`: the reader leaves while
+    # 148 kB of catalog, more than a pipe holds, are still to be written.
+    src = str(pathlib.Path(luknet.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "luknet.cli", "axioms", "--set", "MVk:20"],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10) == b"Ax1: (oplu"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 2
+    assert "Traceback" not in err
+    assert err == "error: standard output closed before all output was written\n"
+
+
 def test_bounds_output_and_node(fixtures_dir, capsys):
     code, out, _ = run(capsys, "bounds", str(fixtures_dir / "intro2.json"))
     assert code == 0

@@ -22,13 +22,12 @@ from luknet import formula as fm
 from luknet import rewrite as rw
 from luknet.construct import NotNormal, graph_to_sigma, roundtrip, sigma_to_rho
 from luknet.equiv import FiniteGrid
-from luknet.extract import extr, extract_graph, rho_to_sigma
+from luknet.extract import extract_graph, formula_for_certificate, rho_to_sigma
 from luknet.graph import (
     GraphNode,
     MintermCertificate,
     SubstitutionGraph,
-    graph_eval,
-    represented_formula,
+    graph_evaluator,
 )
 from luknet.network import (
     CLIP, Degenerate, Layer, Network, eval_network, network_from_dict, network_to_dict
@@ -123,7 +122,7 @@ def test_graph_to_sigma_refuses_a_swapped_formula():
 
 def _normal_node(m, b):
     cert = MintermCertificate(tuple(F(c) for c in m), F(b), "integer")
-    return GraphNode(extr(m, b), cert)
+    return GraphNode(formula_for_certificate(cert), cert)
 
 
 def test_graph_to_sigma_drops_const0_node():
@@ -141,7 +140,7 @@ def test_graph_to_sigma_drops_const0_node():
     assert sigma.layers[1].weights[0] == (F(1),)
     assert sigma.layers[1].biases[0] == F(0)
     for x in FiniteGrid(6, 1).points():
-        assert eval_network(sigma, x) == graph_eval(g, x)
+        assert eval_network(sigma, x) == graph_evaluator(g)(x)
 
 
 def test_graph_to_sigma_folds_const1_into_bias():
@@ -157,7 +156,7 @@ def test_graph_to_sigma_folds_const1_into_bias():
     assert sigma.layers[1].weights[0] == (F(1),)
     assert sigma.layers[1].biases[0] == F(-1)
     for x in FiniteGrid(6, 1).points():
-        assert eval_network(sigma, x) == graph_eval(g, x)
+        assert eval_network(sigma, x) == graph_evaluator(g)(x)
 
 
 def test_graph_to_sigma_matches_graph_semantics_on_random_corpus():
@@ -171,7 +170,7 @@ def test_graph_to_sigma_matches_graph_semantics_on_random_corpus():
         sigma = graph_to_sigma(g)
         n = network.input_dim
         for x in FiniteGrid(4, n).points():
-            assert eval_network(sigma, x) == graph_eval(g, x)
+            assert eval_network(sigma, x) == graph_evaluator(g)(x)
         done += 1
 
 
@@ -230,7 +229,7 @@ def test_sigma_to_rho_preserves_function_after_rewrite():
         graph_to_sigma(rewritten)
     # The graph itself still evaluates like the original network.
     for x in FiniteGrid(4, 2).points():
-        assert graph_eval(rewritten, x) == eval_network(network, x)
+        assert graph_evaluator(rewritten)(x) == eval_network(network, x)
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,16 @@ from fractions import Fraction as F
 
 import pytest
 
+from helpers import evaluate, extr, rho_value
 from luknet import formula as fm
 from luknet import rewrite as rw
 from luknet.cli import main
-from luknet.extract import extr
-from luknet.formula import dag_size, evaluate, parse, substitute, to_text, variables
+from luknet.formula import dag_size, parse, substitute, to_text, variables
 from luknet.graph import (
     GraphNode,
     SubstitutionGraph,
     formula_graph,
-    graph_eval,
+    graph_evaluator,
     represented_formula,
 )
 
@@ -68,7 +68,7 @@ def test_variables_and_dag_size_deep():
 
 
 def test_graph_walks_deep():
-    assert graph_eval(formula_graph(chain(x1), 1), [F(1, 4)]) == F(1, 4)
+    assert graph_evaluator(formula_graph(chain(x1), 1))([F(1, 4)]) == F(1, 4)
     levels = ((GraphNode(spine(x1, x1)),), (GraphNode(chain(x1)),))
     two_levels = SubstitutionGraph((1, 1, 1), levels)
     assert represented_formula(two_levels) is chain(spine(x1, x1))
@@ -87,7 +87,7 @@ def test_render_symmetry_deep():
     assert len(rhs) == len("1 - rho(1 - (") * DEPTH + len("x") + len(") - y)") * DEPTH - 2
     env = {1: F(1, 3), 2: F(1, 3 * DEPTH)}
     for side in (ax.lhs, ax.rhs):
-        assert rw.rho_value(side, env) == evaluate(side, [F(1, 3), F(1, 3 * DEPTH)])
+        assert rho_value(side, env) == evaluate(side, [F(1, 3), F(1, 3 * DEPTH)])
 
 
 def test_replace_at_deep():

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import layer, net, random_formula
+from helpers import extr, layer, net, random_formula
 from luknet import formula as fm
 from luknet.equiv import (
     Counterexample,
@@ -15,9 +15,8 @@ from luknet.equiv import (
     network_fn,
     sample_equal,
 )
-from luknet.extract import extr, extract_graph
-from luknet.formula import evaluate
-from luknet.graph import graph_eval
+from luknet.extract import extract_graph
+from luknet.graph import graph_evaluator
 
 x1, x2, x3 = fm.var(1), fm.var(2), fm.var(3)
 
@@ -131,7 +130,7 @@ def test_graph_fn_walks_each_level_once_per_comparison(monkeypatch):
     assert res == Equal(27)
     assert len(calls) == g.depth
     assert [lhs(x) for x in FiniteGrid(2, 3).points()] == [
-        graph_eval(g, x) for x in FiniteGrid(2, 3).points()
+        graph_evaluator(g)(x) for x in FiniteGrid(2, 3).points()
     ]
 
 

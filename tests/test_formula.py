@@ -9,15 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import layer, net, random_formula, random_substitution, reference_evaluate
+from helpers import evaluate, layer, net, random_formula, random_substitution, reference_evaluate
 from luknet import formula as fm
 from luknet.extract import extract_graph
 from luknet.formula import (
     FormulaSyntaxError,
     OutOfDomain,
     UnboundVariable,
-    compose,
-    evaluate,
     parse,
     substitute,
     to_text,
@@ -209,6 +207,11 @@ def test_substitute_is_homomorphic():
         assert substitute(fm.lnot(a), z) is fm.lnot(substitute(a, z))
         assert substitute(fm.delta(2, a), z) is fm.delta(2, substitute(a, z))
         assert substitute(fm.scale(F(1, 2), a), z) is fm.scale(F(1, 2), substitute(a, z))
+
+
+def compose(z1, z2):
+    """Composition z1 then z2: each key k of z1 maps to substitute(z1[k], z2)."""
+    return {k: substitute(v, z2) for k, v in z1.items()}
 
 
 def test_compose_examples():

@@ -4,27 +4,32 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import layer, net, random_formula, random_graph, represented_formula_forward
+from helpers import (
+    FactorizationMismatch,
+    LevelOutOfRange,
+    collapse,
+    collapse_with_record,
+    evaluate,
+    expand,
+    full_collapse,
+    layer,
+    net,
+    random_graph,
+    represented_formula_forward,
+)
 from luknet import formula as fm
 from luknet.equiv import FiniteGrid
 from luknet.extract import extract_graph
-from luknet.formula import evaluate, evaluator, postorder, to_text
+from luknet.formula import evaluator, postorder, to_text
 from luknet.graph import (
-    FactorizationMismatch,
     GraphNode,
-    LevelOutOfRange,
     MintermCertificate,
     MissingCertificate,
     SubstitutionGraph,
-    collapse,
-    collapse_with_record,
-    expand,
     formula_graph,
-    full_collapse,
-    graph_eval,
+    graph_evaluator,
     graph_from_json,
     graph_to_json,
-    is_normal,
     normality_violation,
     represented_formula,
 )
@@ -62,7 +67,7 @@ def test_graph_eval_matches_formula_eval():
         rep = represented_formula(g)
         n = g.widths[0]
         for x in FiniteGrid(3, n).points():
-            assert graph_eval(g, x) == evaluate(rep, x)
+            assert graph_evaluator(g)(x) == evaluate(rep, x)
 
 
 def test_graph_eval_composes_per_node_evaluate():
@@ -76,18 +81,18 @@ def test_graph_eval_composes_per_node_evaluate():
                 each = [evaluate(f, values) for f in formulas]
                 assert evaluator(formulas)(values) == each
                 values = each
-            assert graph_eval(g, x) == values[0]
+            assert graph_evaluator(g)(x) == values[0]
 
 
 def test_extraction_output_is_normal():
-    assert is_normal(chain_graph())
+    assert normality_violation(chain_graph()) is None
 
 
 def test_forged_certificate_is_not_normal():
     # x1+x1 with certificate (2),0: extr((2),0) is a different tree.
     node = GraphNode(fm.oplus(x1, x1), MintermCertificate((F(2),), F(0), "integer"))
     g = SubstitutionGraph((1, 1), ((node,),))
-    assert not is_normal(g)
+    assert normality_violation(g) is not None
     violation = normality_violation(g)
     assert violation is not None and "reproduce" in str(violation)
 
@@ -104,7 +109,7 @@ def test_certificate_row_must_match_the_input_width(m):
 
 def test_missing_certificate_reported():
     g = formula_graph(x1, 1)
-    assert not is_normal(g)
+    assert normality_violation(g) is not None
     assert isinstance(normality_violation(g), MissingCertificate)
 
 
@@ -141,7 +146,7 @@ def test_collapse_drops_certificates_of_rewritten_nodes_only():
     g2 = collapse(g, 1)
     assert all(n.certificate is None for n in g2.nodes[0])
     assert all(n.certificate is not None for n in g2.nodes[1])
-    assert not is_normal(g2)
+    assert normality_violation(g2) is not None
 
 
 def test_full_collapse_holds_represented_formula():

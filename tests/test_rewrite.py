@@ -4,16 +4,21 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import random_formula, random_graph, random_substitution
+from helpers import evaluate, random_formula, random_graph, random_substitution, rho_value
 from luknet import formula as fm
 from luknet import rewrite as rw
 from luknet.equiv import FiniteGrid
-from luknet.formula import evaluate, substitute
-from luknet.graph import GraphNode, SubstitutionGraph, graph_eval
+from luknet.formula import substitute
+from luknet.graph import GraphNode, SubstitutionGraph, graph_evaluator
 
 x1, x2, x3 = fm.var(1), fm.var(2), fm.var(3)
 MV = rw.mv_catalog()
 MV_BY_ID = rw.catalog_by_id(MV)
+
+
+def axiom_arity(ax: rw.Axiom) -> int:
+    """The number of metavariables the axiom's sides range over."""
+    return max(ax.lhs.max_var, ax.rhs.max_var)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +86,7 @@ def test_catalog_soundness_on_matching_grid(spec):
     cat = rw.catalog(spec)
     k = 3 if spec == "MVk:3" else (1 if spec == "MVk:1" else (4 if spec == "MVk:4" else 12))
     for ax in cat:
-        arity = rw.axiom_arity(ax)
+        arity = axiom_arity(ax)
         for point in FiniteGrid(k, arity).points():
             assert evaluate(ax.lhs, point) == evaluate(ax.rhs, point), ax.id
 
@@ -212,7 +217,7 @@ def test_graph_rewrite_preserves_represented_truth_function():
         g2 = rw.apply_axiom_on_graph(g, level, index, ax, direction, pos, binding)
         n = g.widths[0]
         for point in FiniteGrid(3, n).points():
-            assert graph_eval(g, point) == graph_eval(g2, point)
+            assert graph_evaluator(g)(point) == graph_evaluator(g2)(point)
         done += 1
 
 
@@ -293,13 +298,13 @@ def intro_trace() -> rw.DerivationTrace:
 
 
 def test_intro_derivation_replays_to_zero():
-    assert rw.check_derivation(intro_trace(), fm.ZERO, MV_BY_ID)
+    assert rw.replay(intro_trace(), MV_BY_ID)[-1] is fm.ZERO
 
 
 def test_empty_trace_is_reflexive():
     t = rw.DerivationTrace(x1, ())
-    assert rw.check_derivation(t, x1, MV_BY_ID)
-    assert not rw.check_derivation(t, x2, MV_BY_ID)
+    assert rw.replay(t, MV_BY_ID)[-1] is x1
+    assert rw.replay(t, MV_BY_ID)[-1] is not x2
 
 
 def test_forged_step_fails_with_index():
@@ -364,7 +369,7 @@ def test_trace_soundness_over_random_traces():
             steps.append(rw.Step(ax.id, direction, pos, binding))
             states.append(rw.apply_axiom(states[-1], ax, direction, pos, binding))
         trace = rw.DerivationTrace(f, tuple(steps))
-        assert rw.check_derivation(trace, states[-1], MV_BY_ID)
+        assert rw.replay(trace, MV_BY_ID)[-1] is states[-1]
         for point in FiniteGrid(4, 2).points():
             assert evaluate(f, point) == evaluate(states[-1], point)
 
@@ -383,15 +388,15 @@ def test_render_symmetry_commutativity():
 def test_render_symmetry_zero_case():
     ax = MV_BY_ID["Ax3p"]
     env = {1: F(1, 3)}
-    assert rw.rho_value(ax.lhs, env) == rw.rho_value(ax.rhs, env) == 0
+    assert rho_value(ax.lhs, env) == rho_value(ax.rhs, env) == 0
 
 
 def test_all_sixteen_symmetries_agree_on_grid():
     for ax in MV:
-        arity = rw.axiom_arity(ax)
+        arity = axiom_arity(ax)
         for point in FiniteGrid(12, arity).points():
             env = {i + 1: v for i, v in enumerate(point)}
-            assert rw.rho_value(ax.lhs, env) == rw.rho_value(ax.rhs, env), ax.id
+            assert rho_value(ax.lhs, env) == rho_value(ax.rhs, env), ax.id
 
 
 @pytest.mark.parametrize("spec", ["MV", "MVk:2", "MVk:5"])
@@ -403,17 +408,17 @@ def test_rendered_text_denotes_its_value(spec):
 
     for ax in rw.catalog(spec):
         texts = rw.render_symmetry(ax)
-        for point in FiniteGrid(4, rw.axiom_arity(ax)).points():
+        for point in FiniteGrid(4, axiom_arity(ax)).points():
             names = {"rho": relu, **dict(zip("xyz", point))}
             env = {i + 1: v for i, v in enumerate(point)}
             for side, text in zip((ax.lhs, ax.rhs), texts):
                 value = eval(text, {"__builtins__": {}}, names)
-                assert value == rw.rho_value(side, env) == evaluate(side, point), (ax.id, text)
+                assert value == rho_value(side, env) == evaluate(side, point), (ax.id, text)
 
 
 def test_rendered_sides_match_formula_semantics():
     for ax in MV:
-        arity = rw.axiom_arity(ax)
+        arity = axiom_arity(ax)
         for point in FiniteGrid(4, arity).points():
             env = {i + 1: v for i, v in enumerate(point)}
-            assert rw.rho_value(ax.lhs, env) == evaluate(ax.lhs, point), ax.id
+            assert rho_value(ax.lhs, env) == evaluate(ax.lhs, point), ax.id
