@@ -22,10 +22,16 @@ of solving from scratch, and a leaf minimises over its tableau
 (``numerics.minimum``).  Tableaux are cached by the branch's path and
 shared by the two runs.  The incumbent is an int ratio num/den over d_j,
 so a prune check compares ints, and each run makes its answer a Fraction
-once, at the end.  Each fixed node stores its post-activation box next to its
-form.  The levels are fixed in order, so a level's node forms and interval
-boxes are computed once below the branch that entered it, cached by that
-branch's path, and the pruning pass recomputes only the levels above.
+once, at the end.
+
+The levels are fixed in order, level by level, and the search keeps one
+slot per hidden node for the form and post-activation box that the current
+path fixed it to.  A slot the path has not written may hold what another
+branch left there, and nothing reads it: a branch at level j reads level
+j - 1, which its path fixed completely, and the level-j nodes its path
+fixed so far.  So a level's node forms and interval boxes are computed once
+below the branch that entered it, cached by that branch's path, and the
+pruning pass computes only the levels above, none of whose nodes is fixed.
 
 The same interval pass, run on a single vertex of the cube, is an exact
 forward pass: ``vertex_witnessed`` reads every hidden node's sign there.
@@ -36,7 +42,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .network import (
-    CLIP, NONE, RELU, Network, NodeRef, apply_activation, cube_box, node_local_map, scaled_layer
+    CLIP, NONE, RELU, Network, NodeRef, apply_activation, box, node_local_map, scaled_layer
 )
 from .numerics import Interval, Tableau, cube, cut, minimum
 
@@ -83,69 +89,40 @@ def _combine(row: Sequence[int], bias: int, forms: Sequence[AffineForm]) -> Affi
     return tuple(coeffs), const
 
 
-def _box(row: Sequence[int], bias: int, boxes: Sequence[Box]) -> Box:
-    """Box bound of bias + row.V for V in the product of ``boxes``."""
-    lo = hi = bias
-    for w, (vlo, vhi) in zip(row, boxes):
-        if w > 0:
-            lo += w * vlo
-            hi += w * vhi
-        elif w < 0:
-            lo += w * vhi
-            hi += w * vlo
-    return lo, hi
-
-
 def _activate(act: str, t: int, one: int) -> int:
     if t < 0:
         return 0
     return one if act == CLIP and t > one else t
 
 
-def _level_pass(
-    level: _Level, post: Sequence[Box], fixed: Sequence[Box | None]
-) -> tuple[list[Box | None], list[Box]]:
-    """The pre-activation boxes (None for a fixed node) and the
-    post-activation boxes of one level over the post-activation boxes
-    ``post`` of the level below.  A fixed node has its box in ``fixed``."""
-    pre: list[Box | None] = []
+def _level_pass(level: _Level, post: Sequence[Box]) -> tuple[list[Box], list[Box]]:
+    """The pre- and post-activation boxes of one level over the
+    post-activation boxes ``post`` of the level below."""
+    pre: list[Box] = []
     nxt: list[Box] = []
-    for row, b, act, box in zip(level.rows, level.biases, level.activations, fixed):
-        if box is not None:
-            pre.append(None)
-            nxt.append(box)
-            continue
-        lo, hi = _box(row, b, post)
+    for row, b, act in zip(level.rows, level.biases, level.activations):
+        lo, hi = box(row, b, post)
         pre.append((lo, hi))
         nxt.append((_activate(act, lo, level.den), _activate(act, hi, level.den)))
     return pre, nxt
 
 
 def _interval_pass(
-    levels: Sequence[_Level],
-    i: int,
-    fixed: Sequence[Sequence[Box | None]],
-    post: Sequence[Box],
-    start: int = 0,
-) -> tuple[list[list[Box | None]], Box]:
+    levels: Sequence[_Level], i: int, post: Sequence[Box], start: int = 0
+) -> tuple[list[list[Box]], Box]:
     """One layer-wise interval pass up to node i (0-based) of the last level.
 
     ``post`` holds the post-activation boxes of level ``start`` (level 0 is
-    the inputs); the pass computes the levels above it.  A node whose regime
-    is fixed has its post-activation box in ``fixed``.  Returns the
+    the inputs); the pass computes the levels above it.  Returns the
     pre-activation box of every node in the levels it computed, grouped by
-    level (None for a fixed node), and that of the node itself.
+    level, and that of the node itself.
     """
-    below: list[list[Box | None]] = []
-    for level, boxes in zip(levels[start:-1], fixed[start:]):
-        pre, post = _level_pass(level, post, boxes)
+    below: list[list[Box]] = []
+    for level in levels[start:-1]:
+        pre, post = _level_pass(level, post)
         below.append(pre)
     top = levels[-1]
-    return below, _box(top.rows[i], top.biases[i], post)
-
-
-def _unfixed(levels: Sequence[_Level]) -> list[list[None]]:
-    return [[None] * len(level.rows) for level in levels[:-1]]
+    return below, box(top.rows[i], top.biases[i], post)
 
 
 def vertex_witnessed(net: Network) -> list[list[bool]]:
@@ -159,7 +136,7 @@ def vertex_witnessed(net: Network) -> list[list[bool]]:
     units = [tuple(int(i == k) for i in range(net.input_dim)) for k in range(-1, net.input_dim)]
     signs = [[0] * len(level.rows) for level in levels[:-1]]  # bit 1: > 0 seen, bit 2: <= 0 seen
     for x in dict.fromkeys(units + [tuple(1 - v for v in u) for u in units]):
-        below, _ = _interval_pass(levels, 0, _unfixed(levels), [(v, v) for v in x])
+        below, _ = _interval_pass(levels, 0, [(v, v) for v in x])
         for seen, pre in zip(signs, below):
             for i, (t, _) in enumerate(pre):
                 seen[i] |= 1 if t > 0 else 2
@@ -175,7 +152,7 @@ def _branches(act: str, form: AffineForm, one: int) -> list[tuple[tuple, AffineF
     A regime the box bound forces needs no cut row.
     """
     coeffs, const = form
-    lo, hi = box = cube_box(coeffs, const)
+    lo, hi = bound = box(coeffs, const, [(0, 1)] * len(coeffs))
     neg = tuple(-c for c in coeffs)
     zero: AffineForm = ((0,) * len(coeffs), 0)
     le0 = ((coeffs, -const),)
@@ -184,8 +161,8 @@ def _branches(act: str, form: AffineForm, one: int) -> list[tuple[tuple, AffineF
         if hi <= 0:
             return [((), zero, (0, 0))]
         if lo >= 0:
-            return [((), form, box)]
-        return [(le0, zero, (0, 0)), (ge0, form, box)]
+            return [((), form, bound)]
+        return [(le0, zero, (0, 0)), (ge0, form, bound)]
     if act == CLIP:
         top: AffineForm = (zero[0], one)
         if hi < 0:
@@ -193,9 +170,9 @@ def _branches(act: str, form: AffineForm, one: int) -> list[tuple[tuple, AffineF
         if lo > one:
             return [((), top, (one, one))]
         if lo >= 0 and hi <= one:
-            return [((), form, box)]
+            return [((), form, bound)]
         out = [(le0, zero, (0, 0))] if lo <= 0 else []
-        out.append((ge0 + ((coeffs, one - const),), form, box))
+        out.append((ge0 + ((coeffs, one - const),), form, bound))
         if hi >= one:
             out.append((((neg, const - one),), top, (one, one)))
         return out
@@ -222,20 +199,24 @@ def exact_extrema(
     levels = _scaled_levels(net, ref.layer)
     top = ref.index - 1
     inputs = [(0, 1)] * net.input_dim
-    # forms[j-1][i] and boxes[j-1][i]: the fixed form of node (j, i+1) and
-    # its post-activation box.
-    forms: list[list[AffineForm | None]] = _unfixed(levels)
-    boxes: list[list[Box | None]] = _unfixed(levels)
 
     # Upstream nodes (level, 0-based index), level by level; inside a level
     # widest IA slack first.  Level j's nodes start at upstream[entered[j-1]].
-    below, _ = _interval_pass(levels, top, boxes, inputs)
+    below, _ = _interval_pass(levels, top, inputs)
     upstream: list[tuple[int, int]] = []
     entered: list[int] = []
     for j, pre in enumerate(below, start=1):
         entered.append(len(upstream))
         order = sorted(range(len(pre)), key=lambda i: pre[i][1] - pre[i][0], reverse=True)
         upstream.extend((j, i) for i in order)
+
+    # forms[j-1][i] and boxes[j-1][i]: the form and post-activation box the
+    # current path fixed node (j, i+1) to.  A slot the path has not written
+    # holds what another branch left, and is never read: a branch at
+    # upstream[idx], on level j, reads only level j - 1, which its path
+    # fixed completely, and the level-j nodes upstream[entered[j-1]:idx].
+    forms: list[list[AffineForm | None]] = [[None] * len(pre) for pre in below]
+    boxes: list[list[Box | None]] = [[None] * len(pre) for pre in below]
 
     # Level j's node forms and interval boxes depend only on level j - 1,
     # which is fully fixed from the branch that entered level j down.  Both
@@ -252,12 +233,15 @@ def exact_extrema(
             entry_forms[key, i] = _combine(level.rows[i], level.biases[i], forms[j - 2])
         return entry_forms[key, i]
 
-    def level_boxes(j: int, key: int) -> list[Box]:
-        """The post-activation boxes of level j: a fixed node's own, else its interval box."""
+    def level_boxes(j: int, idx: int, key: int) -> list[Box]:
+        """The post-activation boxes of level j at a branch idx choices deep:
+        a node its path fixed has its own, any other its interval box."""
         if key not in entry_boxes:
-            level = levels[j - 1]
-            entry_boxes[key] = _level_pass(level, boxes[j - 2] if j > 1 else inputs, [None] * len(level.rows))[1]
-        return [cached if box is None else box for box, cached in zip(boxes[j - 1], entry_boxes[key])]
+            entry_boxes[key] = _level_pass(levels[j - 1], boxes[j - 2] if j > 1 else inputs)[1]
+        post = entry_boxes[key][:]
+        for _, i in upstream[entered[j - 1]:idx]:
+            post[i] = boxes[j - 1][i]
+        return post
 
     root = cube(net.input_dim)
     visited = 0
@@ -278,22 +262,14 @@ def exact_extrema(
         # The incumbent is sign times a value of the node, times its level's
         # denominator, as the int ratio num/den; den is 0 until the first leaf.
         num = den = 0
-        # upstream[:fixed] may hold a form and a box; a pop clears what a
-        # deeper branch left behind.
-        fixed = len(upstream)
         # Each entry: its index into upstream, its path, the tableau its parent
         # left feasible, and the cut rows, form and box of upstream[index - 1].
         stack: list[tuple] = [(0, 1, root, (), None, None)]
         while stack:
-            idx, path, state, rows, form, box = stack.pop()
-            while fixed > idx:
-                fixed -= 1
-                j, i = upstream[fixed]
-                forms[j - 1][i] = boxes[j - 1][i] = None
+            idx, path, state, rows, form, bound = stack.pop()
             if idx:
                 j, i = upstream[idx - 1]
-                forms[j - 1][i], boxes[j - 1][i] = form, box
-                fixed = idx
+                forms[j - 1][i], boxes[j - 1][i] = form, bound
             leaf = idx == len(upstream)
             # Probes pay off only above leaves; a leaf cuts after its prune check.
             if rows and not leaf:
@@ -308,11 +284,12 @@ def exact_extrema(
                     f"while {'minimising' if sign > 0 else 'maximising'}"
                 )
             if den:
-                # The root came first, so a node is fixed; every level below
-                # that of the node fixed last is fixed.
+                # The root came first, so a node is fixed: the pass starts at
+                # the level of the node fixed last, and no level above holds
+                # a fixed node.
                 j = upstream[idx - 1][0]
-                post = level_boxes(j, path >> 2 * (idx - entered[j - 1]))
-                _, (lo, hi) = _interval_pass(levels, top, boxes, post, j)
+                post = level_boxes(j, idx, path >> 2 * (idx - entered[j - 1]))
+                _, (lo, hi) = _interval_pass(levels, top, post, j)
                 if (lo if sign > 0 else -hi) * den >= num:
                     continue
             if leaf:
@@ -332,8 +309,8 @@ def exact_extrema(
             form = node_form(j, i, path >> 2 * (idx - entered[j - 1]))
             branches = _branches(level.activations[i], form, level.den)
             for k in reversed(range(len(branches))):  # visited in the order of _branches
-                rows, form, box = branches[k]
-                stack.append((idx + 1, path * 4 + k, state, rows, form, box))
+                rows, form, bound = branches[k]
+                stack.append((idx + 1, path * 4 + k, state, rows, form, bound))
         assert den, "the cube is never empty"
         return Fraction(sign * num, den * levels[-1].den)
 

@@ -13,7 +13,7 @@ from . import formula as fm
 from .bounds import exact_extrema
 from .extract import check_flavor, extract_graph
 from .graph import GraphError, SubstitutionGraph, normality_violation
-from .network import CLIP, NONE, RELU, Degenerate, Layer, Network, cube_box, is_non_degenerate, scaled_layer
+from .network import CLIP, NONE, RELU, Degenerate, Layer, Network, box, is_non_degenerate, scaled_layer
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -110,7 +110,7 @@ def sigma_to_rho(net: Network, node_budget: int | None = None) -> Network:
         twin = None  # the twin key of the node before, if it was split
         for row, b, row_s, b_s, col in zip(layer.weights, layer.biases, rows, biases, zip(*nxt_rows)):
             _add_relu(relus, (row_s, b_s), row, b, col, (row_s, b_s) != twin)
-            twin = (row_s, b_s - s) if cube_box(row_s, b_s)[1] > s else None
+            twin = (row_s, b_s - s) if box(row_s, b_s, [(0, 1)] * len(row_s))[1] > s else None
             if twin:
                 _add_relu(relus, twin, row, b - 1, [-w for w in col], False)
         kept = [(row_s, row, b, col) for (row_s, _), (row, b, col, claimed) in relus.items()

@@ -19,7 +19,7 @@ from .formula import Formula
 from .graph import (
     FLAVOR_INTEGER, FLAVOR_RATIONAL, FLAVORS, GraphNode, MintermCertificate, SubstitutionGraph,
 )
-from .network import CLIP, Layer, Network, cube_box, scaled_layer
+from .network import CLIP, Layer, Network, box, scaled_layer
 from .numerics import _scale
 
 
@@ -46,7 +46,7 @@ def rho_to_sigma(net: Network) -> Network:
         copies: list[int] = []  # outgoing column multiplicity per original node
         s, rows_s, biases_s = scaled_layer(layer)
         for row, b, act, row_s, b_s in zip(layer.weights, layer.biases, layer.activations, rows_s, biases_s):
-            top = cube_box(row_s, b_s)[1]  # s * L
+            top = box(row_s, b_s, [(0, 1)] * len(row_s))[1]  # s * L
             k = 0 if act == CLIP or top <= s else -(-top // s) - 1
             copies.append(k + 1)
             for step in range(k + 1):

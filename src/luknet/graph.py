@@ -38,20 +38,14 @@ class GraphError(Exception):
     pass
 
 
-def _where(level: int | None, index: int | None) -> str:
-    return "node" if level is None else f"node ({level},{index})"
-
-
 class MissingCertificate(GraphError):
-    def __init__(self, level: int | None = None, index: int | None = None):
-        super().__init__(f"{_where(level, index)} carries no certificate")
-        self.node = (level, index)
+    def __init__(self, level: int, index: int):
+        super().__init__(f"node ({level},{index}) carries no certificate")
 
 
 class CertificateMismatch(GraphError):
-    def __init__(self, level: int | None = None, index: int | None = None):
-        super().__init__(f"certificate of {_where(level, index)} does not reproduce its formula")
-        self.node = (level, index)
+    def __init__(self, level: int, index: int):
+        super().__init__(f"certificate of node ({level},{index}) does not reproduce its formula")
 
 
 class GraphNode(NamedTuple):

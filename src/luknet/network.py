@@ -130,14 +130,17 @@ def node_local_map(net: Network, ref: NodeRef) -> tuple[tuple[Fraction, ...], Fr
     return layer.weights[i], layer.biases[i], layer.activations[i]
 
 
-def cube_box(row: Sequence[int], bias: int) -> tuple[int, int]:
-    """Box bound (lo, hi) of bias + row.x over the unit cube, in closed form."""
+def box(row: Sequence[int], bias: int, boxes: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """Box bound (lo, hi) of bias + row.v for v in the product of ``boxes``,
+    one (lo, hi) per entry of v; the unit cube is [(0, 1)] * len(row)."""
     lo = hi = bias
-    for w in row:
+    for w, (vlo, vhi) in zip(row, boxes):
         if w > 0:
-            hi += w
+            lo += w * vlo
+            hi += w * vhi
         elif w < 0:
-            lo += w
+            lo += w * vhi
+            hi += w * vlo
     return lo, hi
 
 

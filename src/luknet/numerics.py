@@ -137,10 +137,9 @@ class Tableau(NamedTuple):
     Row r is [rhs, a_1..a_d] of ints and reads det*v_basis[r] +
     sum_j a_j*v_nonbasic[j-1] = rhs, det > 0 the determinant of the basis, so
     rhs >= 0 at a feasible basis.  The first d rows are the upper faces
-    x_i <= 1 (see :func:`cube`).
+    x_i <= 1 (see :func:`cube`); d is ``len(nonbasic)``.
     """
 
-    d: int
     rows: tuple[list[int], ...]
     basis: tuple[int, ...]
     nonbasic: tuple[int, ...]
@@ -151,7 +150,7 @@ def cube(d: int) -> Tableau:
     """The bare cube [0,1]^d: row k reads s_k + x_k = 1, its slack s_k basic,
     every x_i nonbasic at 0, and det 1."""
     rows = tuple([1, *(int(i == k) for i in range(d))] for k in range(d))
-    return Tableau(d, rows, tuple(range(d + 1, 2 * d + 1)), tuple(range(1, d + 1)), 1)
+    return Tableau(rows, tuple(range(d + 1, 2 * d + 1)), tuple(range(1, d + 1)), 1)
 
 
 def _scale(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
@@ -172,7 +171,7 @@ def _row(state: Tableau, values: Sequence[int | Fraction]) -> tuple[list[int], i
     if not all(type(v) is int for v in values):
         values, s = _scale(values)
     rhs, *coeffs = values
-    d, det = state.d, state.det
+    d, det = len(state.nonbasic), state.det
     row = [rhs * det, *(coeffs[v - 1] * det if v <= d else 0 for v in state.nonbasic)]
     for prow, b in zip(state.rows, state.basis):
         if b <= d and (c := coeffs[b - 1]):
@@ -214,7 +213,7 @@ def _entering(row: list[int], nonbasic: Sequence[int]) -> int | None:
 def cut(state: Tableau, constraints: Sequence[Constraint]) -> Tableau | None:
     """The state cut by coeffs.x <= bound for each constraint, or None when
     the cut region is empty.  ``state`` itself is left as it is."""
-    d = state.d
+    d = len(state.nonbasic)
     rows, basis = list(state.rows), list(state.basis)
     for coeffs, bound in constraints:
         if len(coeffs) != d:
@@ -228,7 +227,7 @@ def cut(state: Tableau, constraints: Sequence[Constraint]) -> Tableau | None:
             if row[0] < 0 and (leave is None or basis[i] < basis[leave]):
                 leave = i
         if leave is None:
-            return Tableau(d, tuple(rows), tuple(basis), tuple(nonbasic), det)
+            return Tableau(tuple(rows), tuple(basis), tuple(nonbasic), det)
         enter = _entering(rows[leave], nonbasic)
         if enter is None:
             return None
@@ -237,7 +236,7 @@ def cut(state: Tableau, constraints: Sequence[Constraint]) -> Tableau | None:
 
 def minimum(state: Tableau, objective: Sequence[int | Fraction]) -> Fraction:
     """Minimum of objective.x over the state's region, which is never empty."""
-    if len(objective) != state.d:
+    if len(objective) != len(state.nonbasic):
         raise ValueError("objective arity mismatch")
     m = len(state.rows)
     obj, s = _row(state, [0, *objective])  # its basic variable is -s*objective.x

@@ -56,7 +56,8 @@ class StepFailure(StepError):
 
 
 class BadStep(StepError):
-    """The step names no axiom, node or position of its target: bad input."""
+    """The step names no axiom, node or position of its target, or brings in
+    a variable beyond its node's width: bad input."""
 
 
 _METAVAR_NAMES = {1: "x", 2: "y", 3: "z"}
@@ -401,14 +402,14 @@ def replay(trace: DerivationTrace, axioms: Mapping[str, Axiom]) -> list[Formula]
 
 def _applied(idx: int, step: Step, axioms: Mapping[str, Axiom], apply):
     """apply(axiom, direction, pos, binding) for step idx: a step that names no
-    axiom, node or child of its target is a BadStep, one that does not match a
-    StepFailure."""
+    axiom, node or child of its target, or that brings in a variable beyond
+    its node's width, is a BadStep, one that does not match a StepFailure."""
     ax = axioms.get(step.axiom_id)
     if ax is None:
         raise BadStep(idx, f"unknown axiom {step.axiom_id!r}")
     try:
         return apply(ax, step.direction, step.pos, step.binding)
-    except (InvalidPosition, InputNodeTarget, ValueError) as e:
+    except (InvalidPosition, InputNodeTarget, VariableEscape, ValueError) as e:
         raise BadStep(idx, str(e)) from e
     except RewriteError as e:
         raise StepFailure(idx, str(e)) from e

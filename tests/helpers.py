@@ -521,7 +521,7 @@ def reference_extr_real(m, b) -> Formula:
 def fraction_box(m, b) -> tuple[Fraction, Fraction]:
     """Box bound (lo, hi) of b + m.x over the unit cube, on Fractions.
 
-    The oracles' own copy, kept apart from the library's integer ``cube_box``.
+    The oracles' own copy, kept apart from the library's integer ``network.box``.
     """
     lo = b + sum((c for c in m if c < 0), Fraction(0))
     hi = b + sum((c for c in m if c > 0), Fraction(0))

@@ -509,6 +509,8 @@ def test_bounds_budget_error_is_one_line(fixtures_dir, capsys):
             (7, "bounds", ["--node", "1,2,3"], "--node must be LAYER,INDEX, got 1,2,3"),
             (8, "extract", ["--budget", "0", "-o", os.devnull],
              "--budget must be a positive integer, got 0"),
+            (9, "bounds", ["--node", "1,99"], "node index 99 out of range 1..2"),
+            (10, "bounds", ["--node", "9,1"], "layer 9 out of range 1..4"),
         ]
     ],
 )
@@ -633,6 +635,20 @@ def test_bad_rewrite_step_exits_two(tmp_path, capsys, fields, message):
     out_path = tmp_path / "g2.json"
     code, out, err = run(capsys, "rewrite", str(gpath), "--trace", str(trace), "-o", str(out_path))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not out_path.exists()
+
+
+def test_rewrite_bringing_in_a_variable_beyond_the_width_exits_two(fixtures_dir, tmp_path, capsys):
+    # Binding x to x7 on a width-1 node is bad input, not a negative result.
+    gpath, trace, out_path = tmp_path / "g.json", tmp_path / "t.jsonl", tmp_path / "g2.json"
+    assert run(capsys, "extract", str(fixtures_dir / "intro2.json"), "-o", str(gpath))[0] == 0
+    steps = [
+        {"axiom": "Ax5", "dir": "RL", "pos": [0], "node": [1, 1]},
+        {"axiom": "Ax4p", "dir": "RL", "pos": [0, 1], "node": [1, 1], "bind": {"x": "x7"}},
+    ]
+    trace.write_text("".join(json.dumps(s) + "\n" for s in steps))
+    code, out, err = run(capsys, "rewrite", str(gpath), "--trace", str(trace), "-o", str(out_path))
+    assert (code, out, err) == (2, "", "error: step 1: rewrite introduces x7 beyond width 1\n")
     assert not out_path.exists()
 
 

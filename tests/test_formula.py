@@ -292,6 +292,8 @@ def test_print_parse_roundtrip_on_canonical_text():
         ("(delta x1 x2)", 7),
         ("(not x1) x2", 9),
         ("(scale 2 x1)", 7),
+        ("(scale abc x1)", 7),
+        ("(scale 2/4 x1)", 7),
     ],
 )
 def test_parse_errors_carry_offsets(bad, offset):

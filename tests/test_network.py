@@ -10,7 +10,7 @@ from luknet.network import (
     DimensionMismatch,
     Network,
     NodeRef,
-    cube_box,
+    box,
     eval_network,
     is_non_degenerate,
     network_from_json,
@@ -75,9 +75,10 @@ def test_node_local_map():
 
 
 def test_input_interval_examples():
-    assert cube_box((1, 2), -1) == (-1, 2)
-    assert cube_box((-2,), 1) == (-1, 1)
-    assert cube_box((), 5) == (5, 5)
+    assert box((1, 2), -1, [(0, 1)] * 2) == (-1, 2)
+    assert box((-2,), 1, [(0, 1)]) == (-1, 1)
+    assert box((), 5, []) == (5, 5)
+    assert box((1, -2, 0), 3, [(-1, 2), (0, 5), (-7, 7)]) == (-8, 5)
 
 
 def test_input_interval_bounds_attained():
@@ -86,7 +87,7 @@ def test_input_interval_bounds_attained():
         d = rng.randint(1, 4)
         w = tuple(rng.randint(-4, 4) for _ in range(d))
         b = rng.randint(-3, 3)
-        lo, hi = cube_box(w, b)
+        lo, hi = box(w, b, [(0, 1)] * d)
         at_lo = [1 if c < 0 else 0 for c in w]
         at_hi = [1 if c > 0 else 0 for c in w]
         assert sum(c * v for c, v in zip(w, at_lo)) + b == lo

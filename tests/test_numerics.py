@@ -72,7 +72,7 @@ def test_interval_invariant():
 
 def test_cube_is_its_faces_cut_from_nothing():
     for d in range(1, 7):
-        bare = Tableau(d, (), (), tuple(range(1, d + 1)), 1)
+        bare = Tableau((), (), tuple(range(1, d + 1)), 1)
         assert cube(d) == cut(bare, [([int(i == k) for i in range(d)], 1) for k in range(d)])
 
 
@@ -263,12 +263,11 @@ def test_cut_leaves_parent_unchanged():
     assert children >= 50
 
 
-def assert_dictionary(state):
+def assert_dictionary(state, d):
     # Every row is [rhs, one entry per nonbasic variable], all ints (a float
     # cannot slip in), over one int determinant det > 0; rhs >= 0 at a
-    # feasible basis, and the basic and nonbasic ids are exactly the
-    # variables 1..d + len(rows).
-    d = state.d
+    # feasible basis, the d nonbasic variables of the cube [0,1]^d, and the
+    # basic and nonbasic ids are exactly the variables 1..d + len(rows).
     assert type(state.det) is int and state.det > 0
     assert len(state.nonbasic) == d and len(state.basis) == len(state.rows)
     assert sorted(state.basis + state.nonbasic) == list(range(1, d + len(state.rows) + 1))
@@ -315,7 +314,7 @@ cut_row = st.tuples(
 def test_tableau_is_a_dictionary_over_one_determinant(d, batches, obj):
     with mock.patch.object(numerics, "_pivot", checked_pivot):
         state = cube(d)
-        assert_dictionary(state)
+        assert_dictionary(state, d)
         for batch in batches:
             snapshot = copy.deepcopy(state)
             minimum(state, obj[:d])
@@ -323,5 +322,5 @@ def test_tableau_is_a_dictionary_over_one_determinant(d, batches, obj):
             assert state == snapshot
             if child is None:
                 break
-            assert_dictionary(child)
+            assert_dictionary(child, d)
             state = child

@@ -342,6 +342,15 @@ def test_trace_jsonl_roundtrip():
     start, steps = rw.steps_from_jsonl(text)
     assert start is t.start
     assert tuple(steps) == t.steps
+    # A graph trace, whose steps carry a node and a binding; a blank line is skipped.
+    g = rw.DerivationTrace(fm.oplus(x1, x2), (
+        rw.Step("Ax5", "RL", (0,), node=(1, 1)),
+        rw.Step("Ax4p", "RL", (0, 1), binding={1: fm.odot(x1, x2), 2: x3}, node=(2, 1)),
+    ))
+    first, *rest = rw.trace_to_jsonl(g).splitlines(keepends=True)
+    start, steps = rw.steps_from_jsonl("".join([first, "\n", *rest]))
+    assert start is g.start
+    assert tuple(steps) == g.steps
 
 
 def test_binding_order_is_left_to_right():
