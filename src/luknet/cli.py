@@ -1,10 +1,11 @@
 """Command-line surface: extract / construct / roundtrip / rewrite /
 check-equiv / axioms / bounds.
 
-Exit codes: 0 success (or Equal), 1 negative result (counterexample, not
-normal, roundtrip of a degenerate network or mismatch), 2 usage or input
-errors, or an output that cannot be written (an -o path, or standard output
-closed by its reader).
+Exit codes: 0 success (or Equal); 1 negative result (counterexample, not
+normal, roundtrip of a degenerate network or mismatch, trace failed: a
+rewrite step that does not match) or budget exceeded (an exact search past
+its --budget); 2 usage or input errors, or an output that cannot be written
+(an -o path, or standard output closed by its reader).
 
 ``rewrite`` and ``axioms`` load the rewrite engine (:mod:`luknet.rewrite`)
 on demand, so the other commands start without it.
@@ -21,20 +22,9 @@ from .bounds import BudgetExceeded, exact_extrema
 from .construct import NotNormal, graph_to_sigma, roundtrip, sigma_to_rho
 from .equiv import Counterexample, FiniteGrid, as_point_fn, grid_equal, sample_equal
 from .extract import extract_graph
-from .graph import FLAVOR_INTEGER, FLAVORS, GraphError, graph_from_json, graph_to_json
-from .network import (
-    Degenerate,
-    NetworkError,
-    NodeRef,
-    network_diff,
-    network_from_json,
-    network_to_json,
-)
+from .graph import FLAVOR_INTEGER, FLAVORS, graph_from_json, graph_to_json
+from .network import Degenerate, NodeRef, network_diff, network_from_json, network_to_json
 from .numerics import format_rational, json_decode
-
-
-class InputError(Exception):
-    pass
 
 
 def _read(path: str) -> str:
@@ -42,7 +32,7 @@ def _read(path: str) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
-        raise InputError(f"cannot read {path}: {e}") from e
+        raise ValueError(f"cannot read {path}: {e}") from e
 
 
 def _write(path: str, text: str) -> None:
@@ -50,7 +40,7 @@ def _write(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as e:
-        raise InputError(f"cannot write {path}: {e}") from e
+        raise ValueError(f"cannot write {path}: {e}") from e
 
 
 def _load_any(path: str):
@@ -67,14 +57,14 @@ def _load_any(path: str):
     try:
         return fm.parse(text.strip())
     except fm.FormulaSyntaxError as e:
-        raise InputError(f"{path} is neither network/graph JSON nor a formula: {e}") from e
+        raise ValueError(f"{path} is neither network/graph JSON nor a formula: {e}") from e
 
 
 def _node_budget(args) -> int | None:
     """The --budget option, the one way to set the node budget: None when
     unset, else a positive integer."""
     if args.budget is not None and args.budget < 1:
-        raise InputError(f"--budget must be a positive integer, got {args.budget}")
+        raise ValueError(f"--budget must be a positive integer, got {args.budget}")
     return args.budget
 
 
@@ -106,7 +96,7 @@ def _cmd_roundtrip(args) -> int:
     net = network_from_json(_read(args.network))
     try:
         back = roundtrip(net, flavor=args.flavor, node_budget=_node_budget(args))
-    except (Degenerate, NotNormal) as e:
+    except Degenerate as e:
         print(f"roundtrip refused: {e}", file=sys.stderr)
         return 1
     if back == net:
@@ -119,16 +109,12 @@ def _cmd_roundtrip(args) -> int:
 
 
 def _rewrite_command(run):
-    """The command run(args, rw) with the rewrite engine rw imported on
-    demand; a RewriteError is bad input, as for every other command."""
+    """The command run(args, rw) with the rewrite engine rw imported on demand."""
 
     def command(args) -> int:
         from . import rewrite as rw
 
-        try:
-            return run(args, rw)
-        except rw.RewriteError as e:
-            raise InputError(e) from e
+        return run(args, rw)
 
     return command
 
@@ -140,7 +126,7 @@ def _cmd_rewrite(args, rw) -> int:
     axioms = rw.catalog_by_id(rw.catalog(args.axioms))
     try:
         result = rw.apply_trace_to_graph(g, steps, axioms)
-    except rw.StepFailure as e:
+    except rw.NoMatchAtPosition as e:
         print(f"trace failed: {e}", file=sys.stderr)
         return 1
     _write(args.output, graph_to_json(result) + "\n")
@@ -149,7 +135,7 @@ def _cmd_rewrite(args, rw) -> int:
 
 def _cmd_check_equiv(args) -> int:
     if args.samples < 0:
-        raise InputError(f"--samples must be a non-negative integer, got {args.samples}")
+        raise ValueError(f"--samples must be a non-negative integer, got {args.samples}")
     la, lb = _load_any(args.lhs), _load_any(args.rhs)
     fa, na = as_point_fn(la)
     fb, nb = as_point_fn(lb)
@@ -157,7 +143,7 @@ def _cmd_check_equiv(args) -> int:
     # Formulas tolerate extra inputs; networks and graphs have a fixed arity.
     for obj, arity, path in ((la, na, args.lhs), (lb, nb, args.rhs)):
         if arity != n and not isinstance(obj, fm.Formula):
-            raise InputError(f"{path} expects {arity} inputs but the comparison uses {n}")
+            raise ValueError(f"{path} expects {arity} inputs but the comparison uses {n}")
     result = grid_equal(fa, fb, FiniteGrid(args.grid, n))
     if isinstance(result, Counterexample):
         _print_counterexample(result, "grid")
@@ -198,7 +184,7 @@ def _cmd_bounds(args) -> int:
         try:
             j, i = (int(p) for p in args.node.split(","))
         except ValueError:
-            raise InputError(f"--node must be LAYER,INDEX, got {args.node}") from None
+            raise ValueError(f"--node must be LAYER,INDEX, got {args.node}") from None
         ref: NodeRef | str = NodeRef(j, i)
         label = f"node ({j},{i})"
     else:
@@ -285,7 +271,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 1
-    except (InputError, NetworkError, GraphError, fm.FormulaError, ValueError, KeyError) as e:
+    except (ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MemoryError:

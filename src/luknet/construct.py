@@ -12,14 +12,14 @@ from fractions import Fraction
 from . import formula as fm
 from .bounds import exact_extrema
 from .extract import check_flavor, extract_graph
-from .graph import GraphError, SubstitutionGraph, normality_violation
+from .graph import SubstitutionGraph, normality_violation
 from .network import CLIP, NONE, RELU, Degenerate, Layer, Network, box, is_non_degenerate, scaled_layer
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-class NotNormal(GraphError):
+class NotNormal(Exception):
     """Construction requires a normal substitution graph."""
 
 
@@ -33,7 +33,7 @@ def graph_to_sigma(g: SubstitutionGraph) -> Network:
     """
     violation = normality_violation(g)
     if violation is not None:
-        raise NotNormal(str(violation))
+        raise NotNormal(violation)
     return _read_sigma(g)
 
 

@@ -136,7 +136,7 @@ class _Row:
         self.memo: dict[int, Formula] = {}
 
 
-_EVAL, _NOT, _PLUS, _TIMES = range(4)
+_EVAL, _NOT, _TIMES = range(3)
 
 
 def _peel(run: _Row, b: int) -> Formula:
@@ -146,7 +146,8 @@ def _peel(run: _Row, b: int) -> Formula:
     whose entry k is c and whose rest is sign.row[k+1:], with bias b (all
     scaled by s); c is nonzero unless k = d.  Its box bound is read off the
     suffix sums, so a step costs O(1).  The walk keeps an explicit stack of
-    tasks and builds nodes in the order of the recursive definition.
+    tasks; a split state's node, odot(oplus(left, step), right), is built
+    once both of its halves are done.
     """
     row, s, pos, neg, nxt, memo = run.row, run.s, run.pos, run.neg, run.nxt, run.memo
     width, offset = run.width, run.offset
@@ -198,20 +199,17 @@ def _peel(run: _Row, b: int) -> Formula:
                     res = x  # the row is exactly x_k
                 else:
                     step = fm.scale(Fraction(frac, s), x) if frac else x
-                    todo.append((_TIMES, key))
+                    todo.append((_TIMES, key, step))
                     todo.append((_EVAL, k0, c0, b + s, sign0))
-                    todo.append((_PLUS, step))
                     todo.append((_EVAL, k0, c0, b, sign0))
                     continue
             memo[key] = res
             done.append(res)
-        elif kind == _PLUS:
-            done[-1] = fm.oplus(done[-1], task[1])
         elif kind == _NOT:
             done[-1] = memo[task[1]] = fm.lnot(done[-1])
         else:
             right = done.pop()
-            done[-1] = memo[task[1]] = fm.odot(done[-1], right)
+            done[-1] = memo[task[1]] = fm.odot(fm.oplus(done[-1], task[2]), right)
     return done[0]
 
 

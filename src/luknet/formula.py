@@ -36,19 +36,7 @@ from weakref import ref
 from .numerics import parse_rational
 
 
-class FormulaError(Exception):
-    pass
-
-
-class UnboundVariable(FormulaError):
-    pass
-
-
-class OutOfDomain(FormulaError):
-    pass
-
-
-class FormulaSyntaxError(FormulaError):
+class FormulaSyntaxError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at byte {offset})")
         self.offset = offset
@@ -295,8 +283,7 @@ def evaluator(fs: Sequence[Formula]) -> Callable[..., list[Fraction]]:
 
     The assignment gives x_1, x_2, ... in order; oplus = min(1,x+y),
     odot = max(0,x+y-1), not = 1-x, delta_i = x/i and scale_r = r*x.  A call
-    raises UnboundVariable or OutOfDomain on an assignment too short or
-    outside [0,1].
+    raises ValueError on an assignment too short or outside [0,1].
 
     The DAG is compiled once, here, into a flat program over its postorder
     with a static scale f per subterm: 1 at atoms, the child's at ``not``,
@@ -335,9 +322,9 @@ def evaluator(fs: Sequence[Formula]) -> Callable[..., list[Fraction]]:
         values = [Fraction(v) for v in assignment]
         for v in values:
             if not 0 <= v <= 1:
-                raise OutOfDomain(f"assignment value {v} outside [0,1]")
+                raise ValueError(f"assignment value {v} outside [0,1]")
         if top > len(values):
-            raise UnboundVariable(f"formula uses x{top} but only {len(values)} values were given")
+            raise ValueError(f"formula uses x{top} but only {len(values)} values were given")
         d = lcm(*(v.denominator for v in values))
         xs = [v.numerator * (d // v.denominator) for v in values]
         vals: list[int] = []
@@ -387,11 +374,6 @@ def substitute(f: Formula, subst: Substitution) -> Formula:
 def variables(f: Formula) -> set[int]:
     """Set of variable indices occurring in f."""
     return {node.index for node in postorder(f) if type(node) is Var}
-
-
-def dag_size(f: Formula) -> int:
-    """Number of distinct subterm objects (the cost unit for shared formulas)."""
-    return len(postorder(f))
 
 
 # ---------------------------------------------------------------------------
@@ -548,37 +530,37 @@ def to_terms(roots: Iterable[Formula]) -> tuple[list[str], dict[Formula, int]]:
 def from_terms(terms: list[str]) -> list[Formula]:
     """The formulas of a term table, in table order; inverse of :func:`to_terms`.
 
-    Raises FormulaError on a malformed table: a term that is not a string, an
+    Raises ValueError on a malformed table: a term that is not a string, an
     unknown head, a wrong number of arguments, a bad parameter, or a child
     that is not the index of an earlier term.
     """
     if not isinstance(terms, list):
-        raise FormulaError("the term table must be a list of strings")
+        raise ValueError("the term table must be a list of strings")
     out: list[Formula] = []
     for k, text in enumerate(terms):
         if not isinstance(text, str):
-            raise FormulaError(f"term {k} is {text!r}, not a string")
+            raise ValueError(f"term {k} is {text!r}, not a string")
         head, *words = text.split(" ")
         if not words:
             f = _atom(head)
             if f is None:
-                raise FormulaError(f"term {k} {text!r} is not an atom")
+                raise ValueError(f"term {k} {text!r} is not an atom")
             out.append(f)
             continue
         if head not in _OPS:
-            raise FormulaError(f"term {k} {text!r}: unknown operator {head!r}")
+            raise ValueError(f"term {k} {text!r}: unknown operator {head!r}")
         build, arity, read = _OPS[head]
         if len(words) != arity:
-            raise FormulaError(f"term {k} {text!r}: {head} takes {arity} argument{'s' * (arity > 1)}")
+            raise ValueError(f"term {k} {text!r}: {head} takes {arity} argument{'s' * (arity > 1)}")
         args: list = []
         if read is not None:
             args.append(read(words.pop(0)))
             if args[0] is None:
-                raise FormulaError(f"term {k} {text!r}: {_BAD_PARAMETER[head]}")
+                raise ValueError(f"term {k} {text!r}: {_BAD_PARAMETER[head]}")
         for word in words:
             child = _natural(word)
             if child is None or child >= k:
-                raise FormulaError(f"term {k} {text!r}: child {word} is not an earlier term")
+                raise ValueError(f"term {k} {text!r}: child {word} is not an earlier term")
             args.append(out[child])
         out.append(build(*args))
     return out

@@ -19,7 +19,7 @@ written in a depth-first postorder over the nodes in level order, so the
 bytes depend only on the graph.  Decoding runs once through the interning
 constructors: the decoded formulas are the very objects that were encoded,
 and a certificate still re-extracts to its node's formula.  A malformed
-table, or a file without one, is a GraphError or a FormulaError.
+table, or a file without one, is a ValueError.
 """
 from __future__ import annotations
 
@@ -32,20 +32,6 @@ from .formula import Formula, substitute
 from .numerics import (
     format_rational, json_decode, json_field, json_int, json_list, parse_rational
 )
-
-
-class GraphError(Exception):
-    pass
-
-
-class MissingCertificate(GraphError):
-    def __init__(self, level: int, index: int):
-        super().__init__(f"node ({level},{index}) carries no certificate")
-
-
-class CertificateMismatch(GraphError):
-    def __init__(self, level: int, index: int):
-        super().__init__(f"certificate of node ({level},{index}) does not reproduce its formula")
 
 
 class GraphNode(NamedTuple):
@@ -120,8 +106,8 @@ def graph_evaluator(g: SubstitutionGraph) -> Callable[..., Fraction]:
     return at
 
 
-def normality_violation(g: SubstitutionGraph) -> GraphError | None:
-    """First reason the graph is not normal, in level order, or None.
+def normality_violation(g: SubstitutionGraph) -> str | None:
+    """First reason the graph is not normal, in level order, as a message, or None.
 
     A graph is normal when every node holds a certificate whose re-extraction
     reproduces the stored formula tree exactly.  The certificates are
@@ -135,9 +121,9 @@ def normality_violation(g: SubstitutionGraph) -> GraphError | None:
     for j, level in enumerate(g.nodes, start=1):
         for i, node in enumerate(level, start=1):
             if node.certificate is None:
-                return MissingCertificate(j, i)
+                return f"node ({j},{i}) carries no certificate"
             if next(formulas) is not node.formula:
-                return CertificateMismatch(j, i)
+                return f"certificate of node ({j},{i}) does not reproduce its formula"
     return None
 
 
@@ -203,10 +189,10 @@ def graph_to_dict(g: SubstitutionGraph) -> dict:
 
 
 def graph_from_dict(data: dict) -> SubstitutionGraph:
-    """The graph of a wire-format dict; a malformed shape is a ValueError that
-    names the field, a malformed term table a GraphError or FormulaError."""
+    """The graph of a wire-format dict; a malformed shape or term table is a
+    ValueError that names the field or the term."""
     if not isinstance(data, dict) or "terms" not in data:
-        raise GraphError('graph has no "terms" table (files without one predate the term-table format)')
+        raise ValueError('graph has no "terms" table (files without one predate the term-table format)')
     formulas = fm.from_terms(data["terms"])
     widths = json_list(json_field(data, "widths", "graph"), "widths")
     levels = []
@@ -216,7 +202,7 @@ def graph_from_dict(data: dict) -> SubstitutionGraph:
             where = f"node ({j},{i})"
             k = json_int(json_field(entry, "formula", where), f"formula index of {where}")
             if not 0 <= k < len(formulas):
-                raise GraphError(f"{where} names term {k}, outside the {len(formulas)} terms")
+                raise ValueError(f"{where} names term {k}, outside the {len(formulas)} terms")
             cert = entry.get("certificate")
             if cert is not None:
                 what = f"certificate of {where}"

@@ -20,15 +20,7 @@ NONE = "none"
 _ACTIVATIONS = (RELU, CLIP, NONE)
 
 
-class NetworkError(Exception):
-    pass
-
-
-class DimensionMismatch(NetworkError):
-    pass
-
-
-class Degenerate(NetworkError):
+class Degenerate(Exception):
     """Raised when a round trip is attempted on a degenerate network."""
 
 
@@ -66,9 +58,7 @@ class Network(_Network):
                 raise ValueError(f"layer {j}: empty layer")
             for row in layer.weights:
                 if len(row) != prev:
-                    raise DimensionMismatch(
-                        f"layer {j}: weight row of length {len(row)}, expected {prev}"
-                    )
+                    raise ValueError(f"layer {j}: weight row of length {len(row)}, expected {prev}")
             for act in layer.activations:
                 if act not in _ACTIVATIONS:
                     raise ValueError(f"layer {j}: unknown activation {act!r}")
@@ -106,7 +96,7 @@ def eval_network(net: Network, x: Sequence[Fraction]) -> Fraction:
 def node_preactivations(net: Network, x: Sequence[Fraction]) -> list[list[Fraction]]:
     """Pre-activation value of every non-input node at x, grouped by layer."""
     if len(x) != net.input_dim:
-        raise DimensionMismatch(f"expected {net.input_dim} inputs, got {len(x)}")
+        raise ValueError(f"expected {net.input_dim} inputs, got {len(x)}")
     values = [Fraction(v) for v in x]
     out: list[list[Fraction]] = []
     for layer in net.layers:

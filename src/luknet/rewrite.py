@@ -22,42 +22,8 @@ from .graph import GraphNode, SubstitutionGraph
 from .numerics import json_decode, json_field, json_int, json_list, json_str, parse_rational
 
 
-class RewriteError(Exception):
-    pass
-
-
-class InvalidPosition(RewriteError):
-    pass
-
-
-class NoMatchAtPosition(RewriteError):
-    pass
-
-
-class InputNodeTarget(RewriteError):
-    pass
-
-
-class VariableEscape(RewriteError):
-    pass
-
-
-class StepError(RewriteError):
-    """Step ``index`` of a derivation trace cannot be applied."""
-
-    def __init__(self, index: int, reason: str):
-        super().__init__(f"step {index}: {reason}")
-        self.index = index
-        self.reason = reason
-
-
-class StepFailure(StepError):
-    """The step's subterm does not instantiate its axiom side: a negative result."""
-
-
-class BadStep(StepError):
-    """The step names no axiom, node or position of its target, or brings in
-    a variable beyond its node's width: bad input."""
+class NoMatchAtPosition(Exception):
+    """The subterm at a position does not instantiate the axiom side: a negative result."""
 
 
 _METAVAR_NAMES = {1: "x", 2: "y", 3: "z"}
@@ -123,7 +89,7 @@ def _descend(f: Formula, pos: Position) -> list[Formula]:
     for step, branch in enumerate(pos):
         kids = nodes[-1].children()
         if not 0 <= branch < len(kids):
-            raise InvalidPosition(
+            raise ValueError(
                 f"position {list(pos)} has no child {branch} at depth {step}, "
                 f"where the subterm has {len(kids)}"
             )
@@ -224,12 +190,12 @@ def apply_axiom_on_graph(
 ) -> SubstitutionGraph:
     """Rewrite one node's formula in place; its certificate is dropped."""
     if level < 1:
-        raise InputNodeTarget("input nodes carry no rewritable formula")
+        raise ValueError("input nodes carry no rewritable formula")
     if not level <= g.depth or not 1 <= index <= g.widths[level]:
         raise ValueError(f"no node ({level},{index})")
     new_formula = apply_axiom(g.node(level, index).formula, axiom, direction, pos, binding)
     if new_formula.max_var > g.widths[level - 1]:
-        raise VariableEscape(
+        raise ValueError(
             f"rewrite introduces x{new_formula.max_var} beyond width {g.widths[level - 1]}"
         )
     new_level = list(g.nodes[level - 1])
@@ -401,18 +367,19 @@ def replay(trace: DerivationTrace, axioms: Mapping[str, Axiom]) -> list[Formula]
 
 
 def _applied(idx: int, step: Step, axioms: Mapping[str, Axiom], apply):
-    """apply(axiom, direction, pos, binding) for step idx: a step that names no
-    axiom, node or child of its target, or that brings in a variable beyond
-    its node's width, is a BadStep, one that does not match a StepFailure."""
+    """apply(axiom, direction, pos, binding) for step idx.  A step that names
+    no axiom, node or child of its target, or that brings in a variable beyond
+    its node's width, is a ValueError; one that does not match is a
+    NoMatchAtPosition.  Either message starts ``step idx: ``."""
     ax = axioms.get(step.axiom_id)
     if ax is None:
-        raise BadStep(idx, f"unknown axiom {step.axiom_id!r}")
+        raise ValueError(f"step {idx}: unknown axiom {step.axiom_id!r}")
     try:
         return apply(ax, step.direction, step.pos, step.binding)
-    except (InvalidPosition, InputNodeTarget, VariableEscape, ValueError) as e:
-        raise BadStep(idx, str(e)) from e
-    except RewriteError as e:
-        raise StepFailure(idx, str(e)) from e
+    except NoMatchAtPosition as e:
+        raise NoMatchAtPosition(f"step {idx}: {e}") from e
+    except ValueError as e:
+        raise ValueError(f"step {idx}: {e}") from e
 
 
 # Trace wire format: one JSON object per line.  A leading {"start": ...}
@@ -502,7 +469,7 @@ def apply_trace_to_graph(
 ) -> SubstitutionGraph:
     for idx, step in enumerate(steps):
         if step.node is None:
-            raise BadStep(idx, "graph trace step lacks a node reference")
+            raise ValueError(f"step {idx}: graph trace step lacks a node reference")
         g = _applied(idx, step, axioms, partial(apply_axiom_on_graph, g, *step.node))
     return g
 

@@ -15,8 +15,7 @@ from luknet.bounds import exact_extrema
 from luknet.extract import formula_for_certificate
 from luknet.formula import Formula, substitute
 from luknet.graph import (
-    FLAVOR_INTEGER, FLAVOR_RATIONAL, FLAVOR_REAL, GraphError, GraphNode, MintermCertificate,
-    SubstitutionGraph,
+    FLAVOR_INTEGER, FLAVOR_RATIONAL, FLAVOR_REAL, GraphNode, MintermCertificate, SubstitutionGraph,
 )
 from luknet.network import (
     CLIP,
@@ -439,10 +438,10 @@ def reference_evaluate(fs, x) -> list[Fraction]:
     values = [F(v) for v in x]
     for v in values:
         if not 0 <= v <= 1:
-            raise fm.OutOfDomain(f"assignment value {v} outside [0,1]")
+            raise ValueError(f"assignment value {v} outside [0,1]")
     top = max((f.max_var for f in fs), default=0)
     if top > len(values):
-        raise fm.UnboundVariable(f"formula uses x{top} but only {len(values)} values were given")
+        raise ValueError(f"formula uses x{top} but only {len(values)} values were given")
     memo: dict[Formula, Fraction] = {}
     for node in fm.postorder(*fs):
         t = type(node)
@@ -612,16 +611,6 @@ def reference_sigma_to_rho(network: Network) -> Network:
 # ---------------------------------------------------------------------------
 
 
-class LevelOutOfRange(GraphError):
-    pass
-
-
-class FactorizationMismatch(GraphError):
-    def __init__(self, index: int):
-        super().__init__(f"factor {index} does not reproduce the stored formula")
-        self.index = index
-
-
 def collapse(g: SubstitutionGraph, k: int) -> SubstitutionGraph:
     """Remove level k (1 <= k <= L-1) by substituting it into level k+1.
 
@@ -637,7 +626,7 @@ def collapse_with_record(
 ) -> tuple[SubstitutionGraph, list[Formula], dict[int, Formula]]:
     """Collapse, also returning the (factors, substitution) pair that undoes it."""
     if not 1 <= k <= g.depth - 1:
-        raise LevelOutOfRange(f"collapse level {k} outside 1..{g.depth - 1}")
+        raise ValueError(f"collapse level {k} outside 1..{g.depth - 1}")
     zeta = {i: node.formula for i, node in enumerate(g.nodes[k - 1], start=1)}
     taus = [node.formula for node in g.nodes[k]]
     rewritten = tuple(GraphNode(substitute(t, zeta)) for t in taus)
@@ -653,7 +642,7 @@ def expand(g: SubstitutionGraph, k: int, factors, zeta: dict[int, Formula]) -> S
     node i at level k; the inserted level holds zeta's substitutors.
     """
     if not 1 <= k <= g.depth:
-        raise LevelOutOfRange(f"expand level {k} outside 1..{g.depth}")
+        raise ValueError(f"expand level {k} outside 1..{g.depth}")
     if len(factors) != g.widths[k]:
         raise ValueError(f"need {g.widths[k]} factors, got {len(factors)}")
     d = max(zeta) if zeta else 0
@@ -661,7 +650,7 @@ def expand(g: SubstitutionGraph, k: int, factors, zeta: dict[int, Formula]) -> S
         raise ValueError("substitution keys must be exactly 1..d")
     for i, tau in enumerate(factors, start=1):
         if substitute(tau, zeta) is not g.node(k, i).formula:
-            raise FactorizationMismatch(i)
+            raise ValueError(f"factor {i} does not reproduce the stored formula")
         if tau.max_var > d:
             raise ValueError(f"factor {i} uses x{tau.max_var} beyond the new width {d}")
     prev_width = g.widths[k - 1]

@@ -12,14 +12,7 @@ from hypothesis import strategies as st
 from helpers import evaluate, layer, net, random_formula, random_substitution, reference_evaluate
 from luknet import formula as fm
 from luknet.extract import extract_graph
-from luknet.formula import (
-    FormulaSyntaxError,
-    OutOfDomain,
-    UnboundVariable,
-    parse,
-    substitute,
-    to_text,
-)
+from luknet.formula import FormulaSyntaxError, parse, substitute, to_text
 
 x1, x2, x3 = fm.var(1), fm.var(2), fm.var(3)
 
@@ -39,15 +32,15 @@ def test_eval_scale():
 def test_eval_errors():
     # The evaluator and its Fraction reference raise the same errors, messages included.
     cases = [
-        ((x3,), [F(0), F(0)], UnboundVariable, "formula uses x3 but only 2 values were given"),
-        ((fm.ONE, fm.odot(x1, x2)), [], UnboundVariable, "formula uses x2 but only 0 values were given"),
-        ((x1,), [F(3, 2)], OutOfDomain, "assignment value 3/2 outside [0,1]"),
-        ((x1,), [F(1, 2), F(-1, 2)], OutOfDomain, "assignment value -1/2 outside [0,1]"),
-        ((x3,), [F(2)], OutOfDomain, "assignment value 2 outside [0,1]"),
+        ((x3,), [F(0), F(0)], "formula uses x3 but only 2 values were given"),
+        ((fm.ONE, fm.odot(x1, x2)), [], "formula uses x2 but only 0 values were given"),
+        ((x1,), [F(3, 2)], "assignment value 3/2 outside [0,1]"),
+        ((x1,), [F(1, 2), F(-1, 2)], "assignment value -1/2 outside [0,1]"),
+        ((x3,), [F(2)], "assignment value 2 outside [0,1]"),
     ]
-    for fs, x, error, message in cases:
+    for fs, x, message in cases:
         for at in (fm.evaluator(fs), partial(reference_evaluate, fs), lambda x: [evaluate(fs[-1], x)]):
-            with pytest.raises(error) as info:
+            with pytest.raises(ValueError) as info:
                 at(x)
             assert str(info.value) == message
 
@@ -255,7 +248,7 @@ def test_repr_of_a_huge_tree_is_a_summary():
     tent = net(1, layer([[24]] * 3, [0, -1, -2], ["relu"] * 3), layer([[1, -2, 1]], [0], ["none"]))
     f = extract_graph(tent).node(2, 1).formula
     text = repr(f)
-    assert text == f"<odot: {fm.dag_size(f)} distinct subterms, tree length {f.length}>"
+    assert text == f"<odot: {len(fm.postorder(f))} distinct subterms, tree length {f.length}>"
     assert f.length > 10**26
     rng = random.Random(9)
     for _ in range(50):

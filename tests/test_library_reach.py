@@ -34,7 +34,6 @@ PINNED = {
     "formula.Formula.__repr__": "Python's repr(); item 15 bounds its text by the DAG",
     "formula.Formula.length": "item 15 reports tree sizes; perfbench/spans.py reads it",
     "formula._tree_sizes": "the one fold that Formula.length and Formula.__repr__ read",
-    "formula.dag_size": "item 15 reports DAG sizes",
     "graph.formula_graph": "items 4 and 5: a formula as a depth-1 graph to construct and decide",
     "graph.represented_formula": "item 15 measures the represented formula",
     "numerics.Infeasible": "item 1: raised by lp_extremum alone",

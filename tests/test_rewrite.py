@@ -135,7 +135,7 @@ def test_apply_axiom_errors():
     f = fm.oplus(x1, x2)
     with pytest.raises(rw.NoMatchAtPosition):
         rw.apply_axiom(f, MV_BY_ID["Ax3p"], "LR", ())
-    with pytest.raises(rw.InvalidPosition):
+    with pytest.raises(ValueError, match=r"position \[4\] has no child 4 at depth 0"):
         rw.apply_axiom(f, MV_BY_ID["Ax1"], "LR", (4,))
 
 
@@ -199,7 +199,7 @@ def test_apply_axiom_on_graph_example():
 
 def test_apply_axiom_on_graph_input_target():
     g = random_graph(random.Random(53))
-    with pytest.raises(rw.InputNodeTarget):
+    with pytest.raises(ValueError, match="input nodes carry no rewritable formula"):
         rw.apply_axiom_on_graph(g, 0, 1, MV_BY_ID["Ax1"], "LR", ())
 
 
@@ -315,14 +315,14 @@ def test_forged_step_fails_with_index():
             rw.Step("Ax3p", "LR", ()),  # x1 is not an instance of x * !x
         ),
     )
-    with pytest.raises(rw.StepFailure) as err:
+    with pytest.raises(rw.NoMatchAtPosition) as err:
         rw.replay(t, MV_BY_ID)
-    assert err.value.index == 1
+    assert str(err.value).startswith("step 1: ")
 
 
 def test_unknown_axiom_is_a_bad_step():
     t = rw.DerivationTrace(fm.oplus(x1, fm.ZERO), (rw.Step("Ax5", "LR", ()), rw.Step("Ax99", "LR", ())))
-    with pytest.raises(rw.BadStep) as err:
+    with pytest.raises(ValueError) as err:
         rw.replay(t, MV_BY_ID)
     assert str(err.value) == "step 1: unknown axiom 'Ax99'"
 
@@ -332,7 +332,7 @@ def test_forged_binding_fails():
         fm.oplus(x1, fm.ZERO),
         (rw.Step("Ax5", "LR", (), binding={1: x2}),),
     )
-    with pytest.raises(rw.StepFailure):
+    with pytest.raises(rw.NoMatchAtPosition, match="^step 0: "):
         rw.replay(t, MV_BY_ID)
 
 
