@@ -24,14 +24,14 @@ shared by the two runs.  The incumbent is an int ratio num/den over d_j,
 so a prune check compares ints, and each run makes its answer a Fraction
 once, at the end.
 
-The levels are fixed in order, level by level, and the search keeps one
-slot per hidden node for the form and post-activation box that the current
-path fixed it to.  A slot the path has not written may hold what another
-branch left there, and nothing reads it: a branch at level j reads level
-j - 1, which its path fixed completely, and the level-j nodes its path
-fixed so far.  So a level's node forms and interval boxes are computed once
-below the branch that entered it, cached by that branch's path, and the
-pruning pass computes only the levels above, none of whose nodes is fixed.
+The levels are fixed in order, level by level, and each stack entry carries
+the state of the level its path is fixing: every node's pre-activation
+form, computed once when the path enters the level from the output forms
+of the level below, and the output form and post-activation box the path
+gave each node it fixed; a node not fixed yet keeps its interval box.  So
+the pruning pass starts from that level's boxes and computes only the
+levels above, none of whose nodes is fixed, and a leaf reads the node's
+form off the output forms of the last level.
 
 The same interval pass, run on a single vertex of the cube, is an exact
 forward pass: ``vertex_witnessed`` reads every hidden node's sign there.
@@ -87,6 +87,14 @@ def _combine(row: Sequence[int], bias: int, forms: Sequence[AffineForm]) -> Affi
             if c != 0:
                 coeffs[t] += w * c
     return tuple(coeffs), const
+
+
+def _form(level: _Level, i: int, below: Sequence[AffineForm] | None) -> AffineForm:
+    """The pre-activation form of node i of ``level`` over the output forms
+    ``below`` of the level below: its row on level 1, where ``below`` is None."""
+    if below is None:
+        return level.rows[i], level.biases[i]
+    return _combine(level.rows[i], level.biases[i], below)
 
 
 def _activate(act: str, t: int, one: int) -> int:
@@ -201,47 +209,12 @@ def exact_extrema(
     inputs = [(0, 1)] * net.input_dim
 
     # Upstream nodes (level, 0-based index), level by level; inside a level
-    # widest IA slack first.  Level j's nodes start at upstream[entered[j-1]].
+    # widest IA slack first.
     below, _ = _interval_pass(levels, top, inputs)
     upstream: list[tuple[int, int]] = []
-    entered: list[int] = []
     for j, pre in enumerate(below, start=1):
-        entered.append(len(upstream))
         order = sorted(range(len(pre)), key=lambda i: pre[i][1] - pre[i][0], reverse=True)
         upstream.extend((j, i) for i in order)
-
-    # forms[j-1][i] and boxes[j-1][i]: the form and post-activation box the
-    # current path fixed node (j, i+1) to.  A slot the path has not written
-    # holds what another branch left, and is never read: a branch at
-    # upstream[idx], on level j, reads only level j - 1, which its path
-    # fixed completely, and the level-j nodes upstream[entered[j-1]:idx].
-    forms: list[list[AffineForm | None]] = [[None] * len(pre) for pre in below]
-    boxes: list[list[Box | None]] = [[None] * len(pre) for pre in below]
-
-    # Level j's node forms and interval boxes depend only on level j - 1,
-    # which is fully fixed from the branch that entered level j down.  Both
-    # are cached by that branch's path: path >> 2 * (idx - entered[j-1]) at
-    # a branch idx choices deep.  The node's own level is entered at a leaf.
-    entry_forms: dict[tuple[int, int], AffineForm] = {}
-    entry_boxes: dict[int, list[Box]] = {}
-
-    def node_form(j: int, i: int, key: int) -> AffineForm:
-        level = levels[j - 1]
-        if j == 1:
-            return level.rows[i], level.biases[i]
-        if (key, i) not in entry_forms:
-            entry_forms[key, i] = _combine(level.rows[i], level.biases[i], forms[j - 2])
-        return entry_forms[key, i]
-
-    def level_boxes(j: int, idx: int, key: int) -> list[Box]:
-        """The post-activation boxes of level j at a branch idx choices deep:
-        a node its path fixed has its own, any other its interval box."""
-        if key not in entry_boxes:
-            entry_boxes[key] = _level_pass(levels[j - 1], boxes[j - 2] if j > 1 else inputs)[1]
-        post = entry_boxes[key][:]
-        for _, i in upstream[entered[j - 1]:idx]:
-            post[i] = boxes[j - 1][i]
-        return post
 
     root = cube(net.input_dim)
     visited = 0
@@ -263,13 +236,12 @@ def exact_extrema(
         # denominator, as the int ratio num/den; den is 0 until the first leaf.
         num = den = 0
         # Each entry: its index into upstream, its path, the tableau its parent
-        # left feasible, and the cut rows, form and box of upstream[index - 1].
-        stack: list[tuple] = [(0, 1, root, (), None, None)]
+        # left feasible, the cut rows, form and box of upstream[index - 1], and
+        # the parent's state of that node's level j: the forms, output forms
+        # and post-activation boxes of its nodes.  The root carries level 0.
+        stack: list[tuple] = [(0, 1, root, (), None, None, 0, (), None, inputs)]
         while stack:
-            idx, path, state, rows, form, bound = stack.pop()
-            if idx:
-                j, i = upstream[idx - 1]
-                forms[j - 1][i], boxes[j - 1][i] = form, bound
+            idx, path, state, rows, form, bound, j, forms, outs, post = stack.pop()
             leaf = idx == len(upstream)
             # Probes pay off only above leaves; a leaf cuts after its prune check.
             if rows and not leaf:
@@ -283,12 +255,13 @@ def exact_extrema(
                     f"branch-and-bound budget of {node_budget} exceeded at node ({j},{i + 1}) "
                     f"while {'minimising' if sign > 0 else 'maximising'}"
                 )
+            if idx:
+                i = upstream[idx - 1][1]
+                outs, post = outs[:], post[:]
+                outs[i], post[i] = form, bound
             if den:
                 # The root came first, so a node is fixed: the pass starts at
-                # the level of the node fixed last, and no level above holds
-                # a fixed node.
-                j = upstream[idx - 1][0]
-                post = level_boxes(j, idx, path >> 2 * (idx - entered[j - 1]))
+                # its level, and no level above holds a fixed node.
                 _, (lo, hi) = _interval_pass(levels, top, post, j)
                 if (lo if sign > 0 else -hi) * den >= num:
                     continue
@@ -297,20 +270,26 @@ def exact_extrema(
                     state = tableau(path, state, rows)
                     if state is None:
                         continue
-                coeffs, const = node_form(ref.layer, top, path)
+                coeffs, const = _form(levels[-1], top, outs)
                 m = minimum(state, [sign * c for c in coeffs])
                 w = m.denominator
                 v = sign * const * w + m.numerator
                 if not den or v * den < num * w:
                     num, den = v, w
                 continue
-            j, i = upstream[idx]
-            level = levels[j - 1]
-            form = node_form(j, i, path >> 2 * (idx - entered[j - 1]))
-            branches = _branches(level.activations[i], form, level.den)
+            i = upstream[idx][1]
+            level = levels[upstream[idx][0] - 1]
+            if upstream[idx][0] != j:
+                # Enter the next level, over the output forms and boxes of the
+                # level below, which the path has fixed completely.
+                forms = [_form(level, k, outs) for k in range(len(level.rows))]
+                post = _level_pass(level, post)[1]
+                outs = [None] * len(level.rows)
+                j += 1
+            branches = _branches(level.activations[i], forms[i], level.den)
             for k in reversed(range(len(branches))):  # visited in the order of _branches
                 rows, form, bound = branches[k]
-                stack.append((idx + 1, path * 4 + k, state, rows, form, bound))
+                stack.append((idx + 1, path * 4 + k, state, rows, form, bound, j, forms, outs, post))
         assert den, "the cube is never empty"
         return Fraction(sign * num, den * levels[-1].den)
 

@@ -108,19 +108,9 @@ def _cmd_roundtrip(args) -> int:
     return 1
 
 
-def _rewrite_command(run):
-    """The command run(args, rw) with the rewrite engine rw imported on demand."""
+def _cmd_rewrite(args) -> int:
+    from . import rewrite as rw
 
-    def command(args) -> int:
-        from . import rewrite as rw
-
-        return run(args, rw)
-
-    return command
-
-
-@_rewrite_command
-def _cmd_rewrite(args, rw) -> int:
     g = graph_from_json(_read(args.graph))
     _, steps = rw.steps_from_jsonl(_read(args.trace))
     axioms = rw.catalog_by_id(rw.catalog(args.axioms))
@@ -163,8 +153,9 @@ def _print_counterexample(cx: Counterexample, kind: str) -> None:
     print(f"{kind} counterexample at ({point}): {cx.lhs} != {cx.rhs}")
 
 
-@_rewrite_command
-def _cmd_axioms(args, rw) -> int:
+def _cmd_axioms(args) -> int:
+    from . import rewrite as rw
+
     axioms = rw.catalog(args.set)
     for ax in axioms:
         line = f"{ax.id}: {fm.to_text(ax.lhs)} = {fm.to_text(ax.rhs)}"

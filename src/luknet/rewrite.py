@@ -323,14 +323,13 @@ def rmv_catalog(scalars: Sequence[Fraction]) -> list[Axiom]:
 
 
 def catalog(spec: str) -> list[Axiom]:
-    """Parse a catalog spec: MV | MVk:<k> | DMV:<n> | RMV:<r1,r2,...>."""
+    """Parse a catalog spec: MV | MVk:<k> | DMV:<n> | RMV:<r1,r2,...>, where
+    k and n are strings of ASCII digits."""
     if spec == "MV":
         return mv_catalog()
     kind, _, arg = spec.partition(":")
-    if kind == "MVk" and arg:
-        return mvk_catalog(int(arg))
-    if kind == "DMV" and arg:
-        return dmv_catalog(int(arg))
+    if kind in ("MVk", "DMV") and arg.isascii() and arg.isdigit():
+        return (mvk_catalog if kind == "MVk" else dmv_catalog)(int(arg))
     if kind == "RMV" and arg:
         return rmv_catalog([parse_rational(r) for r in arg.split(",")])
     raise ValueError(f"unknown axiom set {spec!r}")

@@ -205,10 +205,11 @@ def test_large_entry_network(fixtures_dir, monkeypatch):
 
 def test_frozen_cuts_and_leaves(fixtures_dir, monkeypatch):
     # The sample of test_frozen_budget_classes and the network of
-    # test_large_entry_network.  The calls to numerics.cut count the branches
-    # probed and those to numerics.minimum the leaves solved: a cache that
-    # served a branch the tableau of another would move them, even where the
-    # pivots and the budget classes stay.
+    # test_large_entry_network, whose hidden node (2,7) is one more input: its
+    # form is read off the output forms of level 1.  The calls to numerics.cut
+    # count the branches probed and those to numerics.minimum the leaves
+    # solved: a cache that served a branch the tableau of another would move
+    # them, even where the pivots and the budget classes stay.
     calls = {"cut": 0, "minimum": 0}
     for name in calls:
         def counted(*args, name=name, real=getattr(bounds, name)):
@@ -229,6 +230,20 @@ def test_frozen_cuts_and_leaves(fixtures_dir, monkeypatch):
     n = network_from_json((fixtures_dir / "search" / "relu_6x12x12_seed2.json").read_text())
     exact_extrema(n, "output")
     assert calls == {"cut": 4_236, "minimum": 1_048}
+    calls.update(cut=0, minimum=0)
+    pivots = 0
+    pivot = numerics._pivot
+
+    def counted_pivot(*args):
+        nonlocal pivots
+        pivots += 1
+        return pivot(*args)
+
+    monkeypatch.setattr(numerics, "_pivot", counted_pivot)
+    iv = exact_extrema(n, NodeRef(2, 7))
+    assert (iv.lo, iv.hi) == (F(-39), F(9))
+    assert calls == {"cut": 186, "minimum": 134}
+    assert pivots == 629
 
 
 def test_search_builds_no_fraction_per_branch(monkeypatch):

@@ -656,9 +656,14 @@ def test_rewrite_bringing_in_a_variable_beyond_the_width_exits_two(fixtures_dir,
     "argv,message",
     [
         (["axioms", "--set", "Bogus"], "unknown axiom set 'Bogus'"),
-        (["axioms", "--set", "MVk:x"], "invalid literal for int() with base 10: 'x'"),
+        (["axioms", "--set", "MVk:x"], "unknown axiom set 'MVk:x'"),
         (["rewrite", "GRAPH", "--trace", "TRACE", "--axioms", "Bogus", "-o", "OUT"],
          "unknown axiom set 'Bogus'"),
+        (["axioms", "--set", "MVk:1_0"], "unknown axiom set 'MVk:1_0'"),
+        (["axioms", "--set", "MVk: 3"], "unknown axiom set 'MVk: 3'"),
+        (["axioms", "--set", "MVk:0"], "k must be >= 1"),
+        (["axioms", "--set", "DMV:0"], "max_n must be >= 1"),
+        (["axioms", "--set", "RMV:2"], "scalar 2 outside [0,1]"),
     ],
 )
 def test_bad_axiom_set_exits_two(tmp_path, capsys, argv, message):
