@@ -14,15 +14,16 @@ R_j = s_j*W_j and c_j = s_j*b_j, relu is max(t, 0) and clip clamps to
 [0, d_j].  Affine forms, interval bounds and cut rows are numerators over
 their level's denominator, and a leaf's value is (LP optimum + constant)/d_j.
 
-One depth-first walk over an explicit stack minimises sign * value: it
-runs with sign 1 for the minimum and with sign -1 for the maximum.  Each
+One depth-first walk over an explicit stack finds both extrema.  Each
+entry carries the senses still open on its branch; each sense keeps its
+own incumbent, an int ratio num/den over d_j, so a prune check compares
+ints, and makes its answer a Fraction once, at the end.  One interval pass
+per branch closes each sense whose bound cannot beat its incumbent.  A
 branch adds the cut rows of its regime to the simplex tableau its parent
-left feasible (``numerics.cut``, a dual simplex under Bland's rule) instead
-of solving from scratch, and a leaf minimises over its tableau
-(``numerics.minimum``).  Tableaux are cached by the branch's path and
-shared by the two runs.  The incumbent is an int ratio num/den over d_j,
-so a prune check compares ints, and each run makes its answer a Fraction
-once, at the end.
+left feasible (``numerics.cut``, a dual simplex under Bland's rule), and a
+leaf minimises over its tableau (``numerics.minimum``) once per open
+sense.  Each sense walks the tree a walk of its own would; the part the
+two trees share is built once.
 
 The levels are fixed in order, level by level, and each stack entry carries
 the state of the level its path is fixing: every node's pre-activation
@@ -31,7 +32,7 @@ of the level below, and the output form and post-activation box the path
 gave each node it fixed; a node not fixed yet keeps its interval box.  So
 the pruning pass starts from that level's boxes and computes only the
 levels above, none of whose nodes is fixed, and a leaf reads the node's
-form off the output forms of the last level.
+form off the output forms of the last level, once for both senses.
 
 The same interval pass, run on a single vertex of the cube, is an exact
 forward pass: ``vertex_witnessed`` reads every hidden node's sign there.
@@ -44,7 +45,7 @@ from typing import NamedTuple, Sequence
 from .network import (
     CLIP, NONE, RELU, Network, NodeRef, apply_activation, box, node_local_map, scaled_layer
 )
-from .numerics import Interval, Tableau, cube, cut, minimum
+from .numerics import Interval, cube, cut, minimum
 
 # perfbench/freeze.py counts calls to these two by their names in this module.
 from .numerics import lp_extremum, lp_feasible  # noqa: F401
@@ -198,7 +199,8 @@ def exact_extrema(
     ``activated`` selects the post-activation value; the default is the
     pre-activation input to the node (for the output node with no activation
     the two coincide).  Raises BudgetExceeded when the regime search visits
-    more than ``node_budget`` branches, and ValueError for a budget below 1.
+    more than ``node_budget`` branches, counted once per open sense, and
+    ValueError for a budget below 1.
     """
     if node_budget is not None and node_budget < 1:
         raise ValueError(f"node budget must be a positive integer, got {node_budget}")
@@ -218,83 +220,75 @@ def exact_extrema(
 
     root = cube(net.input_dim)
     visited = 0
-    # The tableau of every branch probed so far, None when its rows cut the
-    # cube empty.  Both runs walk the same tree, so the key is the branch's
-    # path: a leading 1, then one base-4 digit per choice (at most 3 regimes).
-    tableaux: dict[int, Tableau | None] = {}
-
-    def tableau(path: int, state: Tableau, rows: tuple) -> Tableau | None:
-        """The tableau of the branch at ``path``: ``state`` cut by ``rows``."""
-        if path not in tableaux:
-            tableaux[path] = cut(state, rows)
-        return tableaux[path]
-
-    def optimize(sign: int) -> Fraction:
-        """The minimum of sign times the node's value."""
-        nonlocal visited
-        # The incumbent is sign times a value of the node, times its level's
-        # denominator, as the int ratio num/den; den is 0 until the first leaf.
-        num = den = 0
-        # Each entry: its index into upstream, its path, the tableau its parent
-        # left feasible, the cut rows, form and box of upstream[index - 1], and
-        # the parent's state of that node's level j: the forms, output forms
-        # and post-activation boxes of its nodes.  The root carries level 0.
-        stack: list[tuple] = [(0, 1, root, (), None, None, 0, (), None, inputs)]
-        while stack:
-            idx, path, state, rows, form, bound, j, forms, outs, post = stack.pop()
-            leaf = idx == len(upstream)
-            # Probes pay off only above leaves; a leaf cuts after its prune check.
-            if rows and not leaf:
-                state = tableau(path, state, rows)
+    # Sense s (0 the minimum, 1 the maximum) has the incumbent num[s]/den[s]:
+    # sign times a value of the node, times its level's denominator.  Both
+    # senses solve the walk's first leaf, so den[0] is 0 until both exist.
+    signs = (1, -1)
+    num, den = [0, 0], [0, 0]
+    # Each entry: its index into upstream, the mask of the senses still open
+    # (bit 1 the minimum, bit 2 the maximum), the tableau its parent left
+    # feasible, the cut rows, form and box of upstream[index - 1], and the
+    # parent's state of that node's level j: the forms, output forms and
+    # post-activation boxes of its nodes.  The root carries level 0.
+    stack: list[tuple] = [(0, 3, root, (), None, None, 0, (), None, inputs)]
+    while stack:
+        idx, senses, state, rows, form, bound, j, forms, outs, post = stack.pop()
+        leaf = idx == len(upstream)
+        # Probes pay off only above leaves; a leaf cuts after its prune check.
+        if rows and not leaf:
+            state = cut(state, rows)
+            if state is None:
+                continue
+        visited += senses.bit_count()
+        if node_budget is not None and visited > node_budget:
+            j, i = (ref.layer, top) if leaf else upstream[idx]
+            doing = ("minimising", "maximising", "minimising and maximising")[senses - 1]
+            raise BudgetExceeded(
+                f"branch-and-bound budget of {node_budget} exceeded at node ({j},{i + 1}) while {doing}"
+            )
+        if idx:
+            i = upstream[idx - 1][1]
+            outs, post = outs[:], post[:]
+            outs[i], post[i] = form, bound
+        if den[0]:
+            # The root came first, so a node is fixed: the pass starts at
+            # its level, and no level above holds a fixed node.
+            _, (lo, hi) = _interval_pass(levels, top, post, j)
+            if lo * den[0] >= num[0]:
+                senses &= 2
+            if -hi * den[1] >= num[1]:
+                senses &= 1
+            if not senses:
+                continue
+        if leaf:
+            if rows:
+                state = cut(state, rows)
                 if state is None:
                     continue
-            visited += 1
-            if node_budget is not None and visited > node_budget:
-                j, i = (ref.layer, top) if leaf else upstream[idx]
-                raise BudgetExceeded(
-                    f"branch-and-bound budget of {node_budget} exceeded at node ({j},{i + 1}) "
-                    f"while {'minimising' if sign > 0 else 'maximising'}"
-                )
-            if idx:
-                i = upstream[idx - 1][1]
-                outs, post = outs[:], post[:]
-                outs[i], post[i] = form, bound
-            if den:
-                # The root came first, so a node is fixed: the pass starts at
-                # its level, and no level above holds a fixed node.
-                _, (lo, hi) = _interval_pass(levels, top, post, j)
-                if (lo if sign > 0 else -hi) * den >= num:
-                    continue
-            if leaf:
-                if rows:
-                    state = tableau(path, state, rows)
-                    if state is None:
-                        continue
-                coeffs, const = _form(levels[-1], top, outs)
-                m = minimum(state, [sign * c for c in coeffs])
-                w = m.denominator
-                v = sign * const * w + m.numerator
-                if not den or v * den < num * w:
-                    num, den = v, w
-                continue
-            i = upstream[idx][1]
-            level = levels[upstream[idx][0] - 1]
-            if upstream[idx][0] != j:
-                # Enter the next level, over the output forms and boxes of the
-                # level below, which the path has fixed completely.
-                forms = [_form(level, k, outs) for k in range(len(level.rows))]
-                post = _level_pass(level, post)[1]
-                outs = [None] * len(level.rows)
-                j += 1
-            branches = _branches(level.activations[i], forms[i], level.den)
-            for k in reversed(range(len(branches))):  # visited in the order of _branches
-                rows, form, bound = branches[k]
-                stack.append((idx + 1, path * 4 + k, state, rows, form, bound, j, forms, outs, post))
-        assert den, "the cube is never empty"
-        return Fraction(sign * num, den * levels[-1].den)
-
-    lo = optimize(1)
-    hi = optimize(-1)
+            coeffs, const = _form(levels[-1], top, outs)
+            for s, sign in enumerate(signs):
+                if senses & 1 << s:
+                    m = minimum(state, [sign * c for c in coeffs])
+                    w = m.denominator
+                    v = sign * const * w + m.numerator
+                    if not den[s] or v * den[s] < num[s] * w:
+                        num[s], den[s] = v, w
+            continue
+        i = upstream[idx][1]
+        level = levels[upstream[idx][0] - 1]
+        if upstream[idx][0] != j:
+            # Enter the next level, over the output forms and boxes of the
+            # level below, which the path has fixed completely.
+            forms = [_form(level, k, outs) for k in range(len(level.rows))]
+            post = _level_pass(level, post)[1]
+            outs = [None] * len(level.rows)
+            j += 1
+        branches = _branches(level.activations[i], forms[i], level.den)
+        for k in reversed(range(len(branches))):  # visited in the order of _branches
+            rows, form, bound = branches[k]
+            stack.append((idx + 1, senses, state, rows, form, bound, j, forms, outs, post))
+    assert den[0], "the cube is never empty"
+    lo, hi = (Fraction(sign * n, d * levels[-1].den) for sign, n, d in zip(signs, num, den))
     if activated and act != NONE:
         return Interval(apply_activation(act, lo), apply_activation(act, hi))
     return Interval(lo, hi)

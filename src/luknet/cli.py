@@ -21,7 +21,7 @@ from . import formula as fm
 from .bounds import BudgetExceeded, exact_extrema
 from .construct import NotNormal, graph_to_sigma, roundtrip, sigma_to_rho
 from .equiv import Counterexample, FiniteGrid, as_point_fn, grid_equal, sample_equal
-from .extract import extract_graph
+from .extract import check_flavor, extract_graph
 from .graph import FLAVOR_INTEGER, FLAVORS, graph_from_json, graph_to_json
 from .network import Degenerate, NodeRef, network_diff, network_from_json, network_to_json
 from .numerics import format_rational, json_decode
@@ -60,6 +60,12 @@ def _load_any(path: str):
         raise ValueError(f"{path} is neither network/graph JSON nor a formula: {e}") from e
 
 
+_BUDGET_HELP = (
+    "at most this many branches per exact extrema search, counted once per "
+    "open sense (minimum, maximum); past it the command exits 1 (default: no limit)"
+)
+
+
 def _node_budget(args) -> int | None:
     """The --budget option, the one way to set the node budget: None when
     unset, else a positive integer."""
@@ -71,13 +77,13 @@ def _node_budget(args) -> int | None:
 def _cmd_extract(args) -> int:
     net = network_from_json(_read(args.network))
     budget = _node_budget(args)
-    g = extract_graph(net, flavor=args.flavor)
+    check_flavor(net, args.flavor)
     if args.check_range:
         rng = exact_extrema(net, "output", node_budget=budget)
         if rng.lo < 0 or rng.hi > 1:
             print(f"realized range [{rng.lo}, {rng.hi}] leaves [0,1]", file=sys.stderr)
             return 1
-    _write(args.output, graph_to_json(g) + "\n")
+    _write(args.output, graph_to_json(extract_graph(net, flavor=args.flavor)) + "\n")
     return 0
 
 
@@ -198,20 +204,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("network")
     p.add_argument("--flavor", choices=FLAVORS, default=FLAVOR_INTEGER)
     p.add_argument("--check-range", action="store_true")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None, help=_BUDGET_HELP)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(fn=_cmd_extract)
 
     p = sub.add_parser("construct", help="substitution graph -> relu network")
     p.add_argument("graph")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None, help=_BUDGET_HELP)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(fn=_cmd_construct)
 
     p = sub.add_parser("roundtrip", help="verify extract+construct is the identity")
     p.add_argument("network")
     p.add_argument("--flavor", choices=FLAVORS, default=FLAVOR_INTEGER)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None, help=_BUDGET_HELP)
     p.set_defaults(fn=_cmd_roundtrip)
 
     p = sub.add_parser("rewrite", help="apply a derivation trace to a graph")
@@ -238,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("network")
     p.add_argument("--node", help="layer,index (default: output)")
     p.add_argument("--activated", action="store_true")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None, help=_BUDGET_HELP)
     p.set_defaults(fn=_cmd_bounds)
     return parser
 

@@ -97,14 +97,65 @@ def test_budget_exceeded():
 
 
 def test_budget_error_names_node_and_sense():
+    # A branch counts once per sense still open on it, and the message names
+    # the node the branch splits next and every sense open there.
     n = net(1, layer([[2], [-2]], [-1, 1], ["relu", "relu"]), layer([[1, 1]], [0], ["none"]))
     with pytest.raises(BudgetExceeded) as exc:
         exact_extrema(n, "output", node_budget=1)
-    assert str(exc.value) == "branch-and-bound budget of 1 exceeded at node (1,2) while minimising"
-    # The minimum visits 7 branches; the 8th is the first of the maximum.
+    # The root counts 2, one per sense, before it splits node (1,1).
+    assert str(exc.value) == (
+        "branch-and-bound budget of 1 exceeded at node (1,1) while minimising and maximising"
+    )
+    # Both senses stay open on each of its 7 branches, so budget 14 completes.
     with pytest.raises(BudgetExceeded) as exc:
         exact_extrema(n, "output", node_budget=7)
-    assert str(exc.value) == "branch-and-bound budget of 7 exceeded at node (1,1) while maximising"
+    assert str(exc.value) == (
+        "branch-and-bound budget of 7 exceeded at node (2,1) while minimising and maximising"
+    )
+    assert exact_extrema(n, "output", node_budget=14) == (0, 1)
+    # Here one sense is pruned on the branch where the count passes the budget.
+    n = net(
+        2,
+        layer([[1, -2], [1, -3], [-1, -1]], [-1, 1, 1], ["relu"] * 3),
+        layer([[-3, 0, -1]], [-3], ["none"]),
+    )
+    with pytest.raises(BudgetExceeded) as exc:
+        exact_extrema(n, "output", node_budget=12)
+    assert str(exc.value) == "branch-and-bound budget of 12 exceeded at node (1,3) while minimising"
+    n = net(2, layer([[2, 1], [-3, 3]], [-2, 1], ["relu", "relu"]), layer([[3, 0]], [-1], ["none"]))
+    with pytest.raises(BudgetExceeded) as exc:
+        exact_extrema(n, "output", node_budget=10)
+    assert str(exc.value) == "branch-and-bound budget of 10 exceeded at node (2,1) while maximising"
+
+
+def test_least_completing_budget_is_a_threshold():
+    # Raising is monotone in the budget: below the least completing budget
+    # every budget raises, at or above it every budget returns the answer.
+    rng = random.Random(27)
+    for _ in range(25):
+        shape = rng.choice([[2], [3], [2, 2], [3, 2]])
+        n = random_network(rng, rng.randint(1, 2), shape, activation=rng.choice(["relu", "clip"]))
+        expect = brute_extrema(n, NodeRef(n.depth, 1))
+        least = 1
+        while True:
+            try:
+                exact_extrema(n, "output", node_budget=least)
+                break
+            except BudgetExceeded:
+                least += 1
+        for budget in (least, least + 1, 2 * least, None):
+            iv = exact_extrema(n, "output", node_budget=budget)
+            assert (iv.lo, iv.hi) == expect
+
+
+@pytest.mark.parametrize("name, least", [
+    ("dag.json", 33), ("intro3_nstar.json", 18), ("search/relu_6x12x12_seed2.json", 7_612),
+])
+def test_least_completing_budget_of_fixtures(fixtures_dir, name, least):
+    n = network_from_json((fixtures_dir / name).read_text())
+    with pytest.raises(BudgetExceeded):
+        exact_extrema(n, "output", node_budget=least - 1)
+    assert exact_extrema(n, "output", node_budget=least) == exact_extrema(n, "output")
 
 
 def test_search_deeper_than_the_recursion_limit():
@@ -154,7 +205,9 @@ def test_frozen_budget_classes(monkeypatch):
     # keep their frozen class at the pool's budget: 15 of the 40 exceed it.
     # A search that visits other branches would move some across the line.
     # The simplex pivot count pins Bland's rule: another entering or leaving
-    # choice, or another row cut, would change it.
+    # choice, or another row cut, would change it.  An "ok" network's search
+    # completes, so its count is the sum over both senses' trees; an
+    # over-budget search's count also depends on where the budget stops it.
     pivots = 0
     pivot = numerics._pivot
 
@@ -167,17 +220,20 @@ def test_frozen_budget_classes(monkeypatch):
     pool = json.loads(POOL_EXTREMA.read_text())
     budget = pool.pop("about")["budget"]
     exceeded = 0
+    by_class = {"ok": 0, "budget": 0}
     for entries in pool.values():
         for e in entries[:10]:
             n = network_from_dict(e["net"])
+            before = pivots
             if e["class"] == "budget":
                 with pytest.raises(BudgetExceeded):
                     exact_extrema(n, "output", node_budget=budget)
                 exceeded += 1
             else:
                 exact_extrema(n, "output", node_budget=budget)
+            by_class[e["class"]] += pivots - before
     assert exceeded == 15
-    assert pivots == 4_389
+    assert by_class == {"ok": 930, "budget": 2_399}
 
 
 def test_large_entry_network(fixtures_dir, monkeypatch):
@@ -208,8 +264,10 @@ def test_frozen_cuts_and_leaves(fixtures_dir, monkeypatch):
     # test_large_entry_network, whose hidden node (2,7) is one more input: its
     # form is read off the output forms of level 1.  The calls to numerics.cut
     # count the branches probed and those to numerics.minimum the leaves
-    # solved: a cache that served a branch the tableau of another would move
-    # them, even where the pivots and the budget classes stay.
+    # solved: a branch whose tableau went to another would move them, even
+    # where the pivots and the budget classes stay.  The "ok" networks are
+    # pinned on their own: a completed search cuts each branch either sense
+    # visits once, and solves each leaf once per sense that reaches it.
     calls = {"cut": 0, "minimum": 0}
     for name in calls:
         def counted(*args, name=name, real=getattr(bounds, name)):
@@ -219,14 +277,16 @@ def test_frozen_cuts_and_leaves(fixtures_dir, monkeypatch):
         monkeypatch.setattr(bounds, name, counted)
     pool = json.loads(POOL_EXTREMA.read_text())
     budget = pool.pop("about")["budget"]
-    for entries in pool.values():
-        for e in entries[:10]:
-            try:
-                exact_extrema(network_from_dict(e["net"]), "output", node_budget=budget)
-            except BudgetExceeded:
-                assert e["class"] == "budget"
-    assert calls == {"cut": 3_937, "minimum": 962}
-    calls.update(cut=0, minimum=0)
+    for cls, expect in (("ok", {"cut": 878, "minimum": 327}), ("budget", {"cut": 2_060, "minimum": 607})):
+        for entries in pool.values():
+            for e in entries[:10]:
+                if e["class"] == cls:
+                    try:
+                        exact_extrema(network_from_dict(e["net"]), "output", node_budget=budget)
+                    except BudgetExceeded:
+                        assert cls == "budget"
+        assert calls == expect
+        calls.update(cut=0, minimum=0)
     n = network_from_json((fixtures_dir / "search" / "relu_6x12x12_seed2.json").read_text())
     exact_extrema(n, "output")
     assert calls == {"cut": 4_236, "minimum": 1_048}

@@ -10,7 +10,7 @@ import pytest
 
 import luknet
 from helpers import POOL_ROUNDTRIP, box_forced_network, corpus_network, layer, net
-from luknet import bounds
+from luknet import bounds, cli
 from luknet.cli import main
 from luknet.equiv import FiniteGrid
 from luknet.graph import graph_from_json
@@ -143,16 +143,27 @@ def relu_net(weight):
     }
 
 
-def test_extract_check_range(tmp_path, capsys):
+def test_extract_check_range(tmp_path, capsys, monkeypatch):
+    # The range check runs before the extraction: a failing check peels nothing.
+    extracted = []
+    extract_graph = cli.extract_graph
+
+    def counted(*args, **kwargs):
+        extracted.append(args)
+        return extract_graph(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "extract_graph", counted)
     npath, gpath = tmp_path / "n.json", tmp_path / "g.json"
     npath.write_text(json.dumps(relu_net("2")))
     code, _, err = run(capsys, "extract", str(npath), "--check-range", "-o", str(gpath))
     assert (code, err) == (1, "realized range [0, 2] leaves [0,1]\n")
     assert not gpath.exists()
+    assert extracted == []
     npath.write_text(json.dumps(relu_net("1")))
     code, _, err = run(capsys, "extract", str(npath), "--check-range", "-o", str(gpath))
     assert (code, err) == (0, "")
     assert graph_from_json(gpath.read_text()).widths == (1, 1, 1)
+    assert len(extracted) == 1
 
 
 def test_budget_reaches_degeneracy_check(tmp_path, capsys):
@@ -486,12 +497,21 @@ def test_unknown_subcommand_exits_two(capsys):
 
 
 def test_bounds_budget_error_is_one_line(fixtures_dir, capsys):
-    code, out, err = run(capsys, "bounds", str(fixtures_dir / "dag.json"), "--budget", "1")
+    path = str(fixtures_dir / "dag.json")
+    code, out, err = run(capsys, "bounds", path, "--budget", "1")
     assert code == 1
     assert out == ""
     assert len(err.strip().splitlines()) == 1
-    assert err.startswith("budget exceeded: branch-and-bound budget of 1 exceeded at node (")
-    assert err.rstrip().endswith(("while minimising", "while maximising"))
+    assert err == (
+        "budget exceeded: branch-and-bound budget of 1 exceeded at node (1,1) "
+        "while minimising and maximising\n"
+    )
+    # 33 is the least budget under which the search of dag.json completes.
+    assert run(capsys, "bounds", path, "--budget", "32") == (
+        1, "", "budget exceeded: branch-and-bound budget of 32 exceeded at node (2,1) while maximising\n"
+    )
+    expect = (0, "output: [0, 1]\n", "")
+    assert run(capsys, "bounds", path, "--budget", "33") == run(capsys, "bounds", path) == expect
 
 
 # Each id keeps the name its case had while a row could also set the budget
