@@ -11,8 +11,9 @@ the lcm of the denominators of layer j's weights and biases, and level j
 has denominator d_j = s_j * d_{j-1}, with d_0 = 1.  Every value on level j is
 then an int numerator over d_j: a pre-activation is R_j.V + c_j*d_{j-1} with
 R_j = s_j*W_j and c_j = s_j*b_j, relu is max(t, 0) and clip clamps to
-[0, d_j].  Affine forms, interval bounds and cut rows are numerators over
-their level's denominator, and a leaf's value is (LP optimum + constant)/d_j.
+[0, d_j].  Affine forms, interval bounds and cut rows [bound, *coeffs] are
+numerators over their level's denominator, and a leaf's LP optimum is an
+int ratio num/det, so its value is (num + constant*det)/(det*d_j).
 
 One depth-first walk over an explicit stack finds both extrema.  Each
 entry carries the senses still open on its branch; each sense keeps its
@@ -28,11 +29,12 @@ two trees share is built once.
 The levels are fixed in order, level by level, and each stack entry carries
 the state of the level its path is fixing: every node's pre-activation
 form, computed once when the path enters the level from the output forms
-of the level below, and the output form and post-activation box the path
-gave each node it fixed; a node not fixed yet keeps its interval box.  So
-the pruning pass starts from that level's boxes and computes only the
-levels above, none of whose nodes is fixed, and a leaf reads the node's
-form off the output forms of the last level, once for both senses.
+of the level below (on level 0, the inputs' unit forms), and the output
+form and post-activation box the path gave each node it fixed; a node not
+fixed yet keeps its interval box.  So the pruning pass starts from that
+level's boxes and computes only the levels above, none of whose nodes is
+fixed, and a leaf reads the node's form off the output forms of the last
+level, once for both senses.
 
 The same interval pass, run on a single vertex of the cube, is an exact
 forward pass: ``vertex_witnessed`` reads every hidden node's sign there.
@@ -90,14 +92,6 @@ def _combine(row: Sequence[int], bias: int, forms: Sequence[AffineForm]) -> Affi
     return tuple(coeffs), const
 
 
-def _form(level: _Level, i: int, below: Sequence[AffineForm] | None) -> AffineForm:
-    """The pre-activation form of node i of ``level`` over the output forms
-    ``below`` of the level below: its row on level 1, where ``below`` is None."""
-    if below is None:
-        return level.rows[i], level.biases[i]
-    return _combine(level.rows[i], level.biases[i], below)
-
-
 def _activate(act: str, t: int, one: int) -> int:
     if t < 0:
         return 0
@@ -153,9 +147,9 @@ def vertex_witnessed(net: Network) -> list[list[bool]]:
 
 
 def _branches(act: str, form: AffineForm, one: int) -> list[tuple[tuple, AffineForm, Box]]:
-    """(cut rows, output form, its box bound) of each regime of a node with
-    pre-activation ``form`` over denominator ``one`` that the form's box
-    bound leaves feasible.
+    """(cut rows [bound, *coeffs], output form, its box bound) of each regime
+    of a node with pre-activation ``form`` over denominator ``one`` that the
+    form's box bound leaves feasible.
 
     Regimes: relu t<=0 -> 0, t>=0 -> t; clip t<=0 -> 0, 0<=t<=1 -> t, t>=1 -> 1.
     A regime the box bound forces needs no cut row.
@@ -164,8 +158,8 @@ def _branches(act: str, form: AffineForm, one: int) -> list[tuple[tuple, AffineF
     lo, hi = bound = box(coeffs, const, [(0, 1)] * len(coeffs))
     neg = tuple(-c for c in coeffs)
     zero: AffineForm = ((0,) * len(coeffs), 0)
-    le0 = ((coeffs, -const),)
-    ge0 = ((neg, const),)
+    le0 = ((-const, *coeffs),)
+    ge0 = ((const, *neg),)
     if act == RELU:
         if hi <= 0:
             return [((), zero, (0, 0))]
@@ -181,9 +175,9 @@ def _branches(act: str, form: AffineForm, one: int) -> list[tuple[tuple, AffineF
         if lo >= 0 and hi <= one:
             return [((), form, bound)]
         out = [(le0, zero, (0, 0))] if lo <= 0 else []
-        out.append((ge0 + ((coeffs, one - const),), form, bound))
+        out.append((ge0 + ((one - const, *coeffs),), form, bound))
         if hi >= one:
-            out.append((((neg, const - one),), top, (one, one)))
+            out.append((((const - one, *neg),), top, (one, one)))
         return out
     raise AssertionError(f"activation {act!r} has no regimes")
 
@@ -229,8 +223,10 @@ def exact_extrema(
     # (bit 1 the minimum, bit 2 the maximum), the tableau its parent left
     # feasible, the cut rows, form and box of upstream[index - 1], and the
     # parent's state of that node's level j: the forms, output forms and
-    # post-activation boxes of its nodes.  The root carries level 0.
-    stack: list[tuple] = [(0, 3, root, (), None, None, 0, (), None, inputs)]
+    # post-activation boxes of its nodes.  The root carries level 0: the
+    # inputs' unit forms (e_k, 0) and the cube's boxes.
+    units = [(tuple(int(i == k) for i in range(net.input_dim)), 0) for k in range(net.input_dim)]
+    stack: list[tuple] = [(0, 3, root, (), None, None, 0, (), units, inputs)]
     while stack:
         idx, senses, state, rows, form, bound, j, forms, outs, post = stack.pop()
         leaf = idx == len(upstream)
@@ -265,12 +261,11 @@ def exact_extrema(
                 state = cut(state, rows)
                 if state is None:
                     continue
-            coeffs, const = _form(levels[-1], top, outs)
+            coeffs, const = _combine(levels[-1].rows[top], levels[-1].biases[top], outs)
             for s, sign in enumerate(signs):
                 if senses & 1 << s:
-                    m = minimum(state, [sign * c for c in coeffs])
-                    w = m.denominator
-                    v = sign * const * w + m.numerator
+                    m, w = minimum(state, [sign * c for c in coeffs])
+                    v = sign * const * w + m
                     if not den[s] or v * den[s] < num[s] * w:
                         num[s], den[s] = v, w
             continue
@@ -279,7 +274,7 @@ def exact_extrema(
         if upstream[idx][0] != j:
             # Enter the next level, over the output forms and boxes of the
             # level below, which the path has fixed completely.
-            forms = [_form(level, k, outs) for k in range(len(level.rows))]
+            forms = [_combine(row, b, outs) for row, b in zip(level.rows, level.biases)]
             post = _level_pass(level, post)[1]
             outs = [None] * len(level.rows)
             j += 1

@@ -22,8 +22,8 @@ from .bounds import BudgetExceeded, exact_extrema
 from .construct import NotNormal, graph_to_sigma, roundtrip, sigma_to_rho
 from .equiv import Counterexample, FiniteGrid, as_point_fn, grid_equal, sample_equal
 from .extract import check_flavor, extract_graph
-from .graph import FLAVOR_INTEGER, FLAVORS, graph_from_json, graph_to_json
-from .network import Degenerate, NodeRef, network_diff, network_from_json, network_to_json
+from .graph import FLAVOR_INTEGER, FLAVORS, graph_from_dict, graph_from_json, graph_to_json
+from .network import Degenerate, NodeRef, network_diff, network_from_dict, network_from_json, network_to_json
 from .numerics import format_rational, json_decode
 
 
@@ -51,13 +51,21 @@ def _load_any(path: str):
     except json.JSONDecodeError:
         data = None
     if isinstance(data, dict) and "input_dim" in data:
-        return network_from_json(text)
+        return network_from_dict(data)
     if isinstance(data, dict) and "widths" in data:
-        return graph_from_json(text)
+        return graph_from_dict(data)
     try:
         return fm.parse(text.strip())
     except fm.FormulaSyntaxError as e:
         raise ValueError(f"{path} is neither network/graph JSON nor a formula: {e}") from e
+
+
+def integer(text: str) -> int:
+    """An optional - and ASCII digits, the one form of every count and index
+    on the command line; argparse names a bad value by this function's name."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 _BUDGET_HELP = (
@@ -144,7 +152,7 @@ def _cmd_check_equiv(args) -> int:
     if isinstance(result, Counterexample):
         _print_counterexample(result, "grid")
         return 1
-    print(f"equal on all {(args.grid + 1) ** n} points of I_{args.grid}^{n}")
+    print(f"equal on all {result.points_checked} points of I_{args.grid}^{n}")
     if args.samples:
         result = sample_equal(fa, fb, n, args.samples, args.seed)
         if isinstance(result, Counterexample):
@@ -179,7 +187,7 @@ def _cmd_bounds(args) -> int:
     net = network_from_json(_read(args.network))
     if args.node:
         try:
-            j, i = (int(p) for p in args.node.split(","))
+            j, i = (integer(p) for p in args.node.split(","))
         except ValueError:
             raise ValueError(f"--node must be LAYER,INDEX, got {args.node}") from None
         ref: NodeRef | str = NodeRef(j, i)
@@ -204,20 +212,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("network")
     p.add_argument("--flavor", choices=FLAVORS, default=FLAVOR_INTEGER)
     p.add_argument("--check-range", action="store_true")
-    p.add_argument("--budget", type=int, default=None, help=_BUDGET_HELP)
+    p.add_argument("--budget", type=integer, default=None,
+                   help="bounds only the --check-range search, as extract runs no other: " + _BUDGET_HELP)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(fn=_cmd_extract)
 
     p = sub.add_parser("construct", help="substitution graph -> relu network")
     p.add_argument("graph")
-    p.add_argument("--budget", type=int, default=None, help=_BUDGET_HELP)
+    p.add_argument("--budget", type=integer, default=None, help=_BUDGET_HELP)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(fn=_cmd_construct)
 
     p = sub.add_parser("roundtrip", help="verify extract+construct is the identity")
     p.add_argument("network")
     p.add_argument("--flavor", choices=FLAVORS, default=FLAVOR_INTEGER)
-    p.add_argument("--budget", type=int, default=None, help=_BUDGET_HELP)
+    p.add_argument("--budget", type=integer, default=None, help=_BUDGET_HELP)
     p.set_defaults(fn=_cmd_roundtrip)
 
     p = sub.add_parser("rewrite", help="apply a derivation trace to a graph")
@@ -230,9 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-equiv", help="exact grid equivalence of two inputs")
     p.add_argument("lhs")
     p.add_argument("rhs")
-    p.add_argument("--grid", type=int, default=12)
-    p.add_argument("--samples", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--grid", type=integer, default=12)
+    p.add_argument("--samples", type=integer, default=0)
+    p.add_argument("--seed", type=integer, default=0)
     p.set_defaults(fn=_cmd_check_equiv)
 
     p = sub.add_parser("axioms", help="dump an axiom catalog")
@@ -244,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("network")
     p.add_argument("--node", help="layer,index (default: output)")
     p.add_argument("--activated", action="store_true")
-    p.add_argument("--budget", type=int, default=None, help=_BUDGET_HELP)
+    p.add_argument("--budget", type=integer, default=None, help=_BUDGET_HELP)
     p.set_defaults(fn=_cmd_bounds)
     return parser
 

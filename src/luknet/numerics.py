@@ -5,7 +5,7 @@ Everything in this package is exact; no floating point is used anywhere.
 Rationals are the standard-library ``fractions.Fraction``, which already
 guarantees lowest terms and a positive denominator.  The simplex runs on a
 dictionary of Python ints over one determinant (integer pivoting), is cut one
-batch of rows at a time, and returns its optimum as a Fraction.
+batch of int rows at a time, and returns its optimum as an int ratio.
 """
 from __future__ import annotations
 
@@ -123,12 +123,14 @@ class Interval(_Interval):
 # Avis, "lrs", 2000).  Every entry is a minor of the integer system, so a
 # pivot divides by the old det exactly and no gcd is ever taken.  Each row is
 # det times its rational row, so signs, ratios and pivots are the rational
-# tableau's.  A cut row or objective of ints, as the search passes them all,
-# enters as it is; one with Fractions is first scaled to ints by the lcm of
-# its denominators.
+# tableau's.  The core exchanges only ints: a cut row is [bound, *coeffs],
+# the tableau's own row format, the objective is d ints, and the optimum is
+# the int ratio (num, det).  The wrappers lp_feasible and lp_extremum are the
+# Fraction entry points: each scales its rows and objective once to ints by
+# the lcm of their denominators, and builds the answer's Fraction.
 # ---------------------------------------------------------------------------
 
-Constraint = tuple[Sequence[Fraction], Fraction]  # coeffs . x <= bound; int or Fraction
+Constraint = tuple[Sequence[Fraction], Fraction]  # the wrappers' coeffs . x <= bound
 
 
 class Tableau(NamedTuple):
@@ -159,24 +161,16 @@ def _scale(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (s // v.denominator) for v in values], s
 
 
-def _row(state: Tableau, values: Sequence[int | Fraction]) -> tuple[list[int], int]:
+def _row(state: Tableau, values: Sequence[int]) -> list[int]:
     """The row of a new basic variable v with v + c.x = b, where values is
-    [b, *c], written over the state's nonbasic variables, and its scale s.
-
-    The row's basic variable is s*v, s the lcm of the denominators of values
-    (1 for a row of ints, which is read as is): det*(s*b, s*c) minus s*c_k
-    times the row of each basic x_k.
-    """
-    s = 1
-    if not all(type(v) is int for v in values):
-        values, s = _scale(values)
-    rhs, *coeffs = values
+    [b, *c] of ints, written over the state's nonbasic variables: det*(b, c)
+    minus c_k times the row of each basic x_k."""
     d, det = len(state.nonbasic), state.det
-    row = [rhs * det, *(coeffs[v - 1] * det if v <= d else 0 for v in state.nonbasic)]
+    row = [values[0] * det, *(values[v] * det if v <= d else 0 for v in state.nonbasic)]
     for prow, b in zip(state.rows, state.basis):
-        if b <= d and (c := coeffs[b - 1]):
+        if b <= d and (c := values[b]):
             row = [a - c * p for a, p in zip(row, prow)]
-    return row, s
+    return row
 
 
 def _pivot(rows: list[list[int]], basis: list[int], nonbasic: list[int], det: int, r: int, j: int) -> int:
@@ -210,16 +204,17 @@ def _entering(row: list[int], nonbasic: Sequence[int]) -> int | None:
     return enter
 
 
-def cut(state: Tableau, constraints: Sequence[Constraint]) -> Tableau | None:
-    """The state cut by coeffs.x <= bound for each constraint, or None when
-    the cut region is empty.  ``state`` itself is left as it is."""
+def cut(state: Tableau, cuts: Sequence[Sequence[int]]) -> Tableau | None:
+    """The state cut by coeffs.x <= bound for each row [bound, *coeffs] of
+    ints in ``cuts``, or None when the cut region is empty.  ``state`` itself
+    is left as it is."""
     d = len(state.nonbasic)
     rows, basis = list(state.rows), list(state.basis)
-    for coeffs, bound in constraints:
-        if len(coeffs) != d:
+    for values in cuts:
+        if len(values) != d + 1:
             raise ValueError("constraint arity mismatch")
-        rows.append(_row(state, [bound, *coeffs])[0])
-        basis.append(d + len(rows))  # the new row's own slack, times its scale
+        rows.append(_row(state, values))
+        basis.append(d + len(rows))  # the new row's own slack
     nonbasic, det = list(state.nonbasic), state.det
     while True:
         leave = None
@@ -234,18 +229,20 @@ def cut(state: Tableau, constraints: Sequence[Constraint]) -> Tableau | None:
         det = _pivot(rows, basis, nonbasic, det, leave, enter)
 
 
-def minimum(state: Tableau, objective: Sequence[int | Fraction]) -> Fraction:
-    """Minimum of objective.x over the state's region, which is never empty."""
+def minimum(state: Tableau, objective: Sequence[int]) -> tuple[int, int]:
+    """Minimum of objective.x, for an objective of d ints, over the state's
+    region, which is never empty: the int ratio (num, det), det > 0 the
+    determinant of the optimal basis."""
     if len(objective) != len(state.nonbasic):
         raise ValueError("objective arity mismatch")
     m = len(state.rows)
-    obj, s = _row(state, [0, *objective])  # its basic variable is -s*objective.x
+    obj = _row(state, [0, *objective])  # its basic variable is -objective.x
     rows, basis, nonbasic, det = [*state.rows, obj], list(state.basis), list(state.nonbasic), state.det
     while True:
         obj = rows[m]
         enter = _entering(obj, nonbasic)
         if enter is None:
-            return Fraction(-obj[0], det * s)
+            return -obj[0], det
         leave = None
         for i in range(m):
             row = rows[i]
@@ -267,7 +264,7 @@ def lp_feasible(constraints: Iterable[Constraint], d: int) -> bool:
 
     The cube is implied: pass only the rows that cut it.
     """
-    return cut(cube(d), list(constraints)) is not None
+    return cut(cube(d), [_scale([bound, *coeffs])[0] for coeffs, bound in constraints]) is not None
 
 
 def lp_extremum(
@@ -283,9 +280,10 @@ def lp_extremum(
     """
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
-    state = cut(cube(len(objective)), list(constraints))
+    state = cut(cube(len(objective)), [_scale([bound, *coeffs])[0] for coeffs, bound in constraints])
     if state is None:
         raise Infeasible("empty feasible region")
-    if sense == "min":
-        return minimum(state, objective) + constant
-    return constant - minimum(state, [-c for c in objective])
+    sign = 1 if sense == "min" else -1
+    obj, s = _scale([sign * c for c in objective])
+    num, det = minimum(state, obj)
+    return constant + sign * Fraction(num, det * s)

@@ -307,9 +307,9 @@ def test_frozen_cuts_and_leaves(fixtures_dir, monkeypatch):
 
 
 def test_search_builds_no_fraction_per_branch(monkeypatch):
-    # A pool network whose search visits 151 branches.  The incumbent and the
-    # prune checks are ints: a leaf builds one Fraction, the optimum its
-    # minimum returns, and each sense one more, its answer.
+    # A pool network whose search visits 151 branches.  The incumbent, the
+    # prune checks and each leaf's optimum, an int ratio, are ints: no leaf
+    # builds a Fraction, and each sense builds one, its answer.
     class Counted(F):
         made = compared = 0
 
@@ -349,5 +349,5 @@ def test_search_builds_no_fraction_per_branch(monkeypatch):
     iv = exact_extrema(n, "output")
     assert Counted.compared <= 1  # Interval checks lo <= hi
     assert leaves == 37
-    assert Counted.made <= leaves + 2
+    assert Counted.made <= 2
     assert (iv.lo, iv.hi) == tuple(F(v) for v in e["expect"])

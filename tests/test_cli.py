@@ -293,6 +293,24 @@ def test_check_equiv_rejects_negative_samples_before_any_work(fixtures_dir, caps
     assert err == "error: --samples must be a non-negative integer, got -2\n"
 
 
+def test_check_equiv_decodes_each_file_once(fixtures_dir, tmp_path, capsys, monkeypatch):
+    # The schema check's decode is the only one: the network and the graph
+    # are built from the decoded values.  The count printed is the one checked.
+    net, graph = str(fixtures_dir / "dag.json"), str(tmp_path / "dag.graph.json")
+    assert run(capsys, "extract", net, "-o", graph)[0] == 0
+    decodes = 0
+    loads = json.loads
+
+    def counted(*args, **kwargs):
+        nonlocal decodes
+        decodes += 1
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counted)
+    assert run(capsys, "check-equiv", net, graph, "--grid", "3") == (0, "equal on all 16 points of I_3^2\n", "")
+    assert decodes == 2
+
+
 def test_check_equiv_network_arity_mismatch_exits_two(fixtures_dir, tmp_path, capsys):
     fpath = tmp_path / "f.txt"
     fpath.write_text("x3\n")
@@ -496,6 +514,22 @@ def test_unknown_subcommand_exits_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "dag.json", "--budget", "\u0663\u0663"],
+        ["check-equiv", "dag.json", "dag.json", "--grid", "1_0"],
+        ["check-equiv", "dag.json", "dag.json", "--samples", "+2"],
+    ],
+)
+def test_count_options_take_ascii_integers_only(fixtures_dir, capsys, argv):
+    # int() would read these as 33, 10 and 2; the options read an optional -
+    # and ASCII digits, as --node parts and axiom-set counts do.
+    with pytest.raises(SystemExit) as exc:
+        main([str(fixtures_dir / a) if a.endswith(".json") else a for a in argv])
+    assert exc.value.code == 2
+
+
 def test_bounds_budget_error_is_one_line(fixtures_dir, capsys):
     path = str(fixtures_dir / "dag.json")
     code, out, err = run(capsys, "bounds", path, "--budget", "1")
@@ -531,6 +565,11 @@ def test_bounds_budget_error_is_one_line(fixtures_dir, capsys):
              "--budget must be a positive integer, got 0"),
             (9, "bounds", ["--node", "1,99"], "node index 99 out of range 1..2"),
             (10, "bounds", ["--node", "9,1"], "layer 9 out of range 1..4"),
+            # A node index is an optional - and ASCII digits, as every count is.
+            (11, "bounds", ["--node", "\u0661,\u0662"], "--node must be LAYER,INDEX, got \u0661,\u0662"),
+            (12, "bounds", ["--node", "0_1,2"], "--node must be LAYER,INDEX, got 0_1,2"),
+            (13, "bounds", ["--node", "+1,+2"], "--node must be LAYER,INDEX, got +1,+2"),
+            (14, "bounds", ["--node", " 1, 2"], "--node must be LAYER,INDEX, got  1, 2"),
         ]
     ],
 )

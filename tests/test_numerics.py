@@ -73,7 +73,7 @@ def test_interval_invariant():
 def test_cube_is_its_faces_cut_from_nothing():
     for d in range(1, 7):
         bare = Tableau((), (), tuple(range(1, d + 1)), 1)
-        assert cube(d) == cut(bare, [([int(i == k) for i in range(d)], 1) for k in range(d)])
+        assert cube(d) == cut(bare, [[1, *(int(i == k) for i in range(d))] for k in range(d)])
 
 
 def test_lp_vertex_of_cube():
@@ -200,7 +200,9 @@ def test_incremental_cuts_match_vertex_enumeration():
     # Rows through one common point p of the cube make degenerate vertices;
     # some rows are shifted past p, so a cut can empty the region midway.
     # Cutting the rows one at a time, in two batches or all at once must
-    # agree with vertex enumeration after every batch.
+    # agree with vertex enumeration after every batch.  The core takes each
+    # row as [bound, *coeffs] of ints: a row times the lcm of its
+    # denominators cuts the same half-space, so fractional bounds stay in.
     rng = random.Random(9)
     empty = feasible = 0
     for _ in range(100):
@@ -211,7 +213,8 @@ def test_incremental_cuts_match_vertex_enumeration():
             row = tuple(F(rng.randint(-3, 3)) for _ in range(d))
             shift = F(rng.randint(1, 2), 2) if rng.random() < 0.25 else 0
             rows.append((row, sum(c * x for c, x in zip(row, p)) - shift))
-        obj = [F(rng.randint(-4, 4)) for _ in range(d)]
+        obj = [rng.randint(-4, 4) for _ in range(d)]
+        scaled = [numerics._scale([bound, *row])[0] for row, bound in rows]
         values = {}  # objective at each vertex of the cube cut by rows[:n]
         for n in range(1, len(rows) + 1):
             vertices = polytope_vertices(cube_constraints(d) + rows[:n], d)
@@ -220,14 +223,14 @@ def test_incremental_cuts_match_vertex_enumeration():
         for sizes in ([1] * len(rows), [half, len(rows) - half], [len(rows)]):
             state, done = cube(d), 0
             for size in sizes:
-                state = cut(state, rows[done:done + size])
+                state = cut(state, scaled[done:done + size])
                 done += size
                 if state is None:
                     assert not values[done]
                     break
                 if done:
-                    assert minimum(state, obj) == min(values[done])
-                    assert -minimum(state, [-c for c in obj]) == max(values[done])
+                    assert F(*minimum(state, obj)) == min(values[done])
+                    assert -F(*minimum(state, [-c for c in obj])) == max(values[done])
         if values[len(rows)]:
             feasible += 1
         else:
@@ -246,19 +249,19 @@ def test_cut_leaves_parent_unchanged():
             (tuple(rng.randint(-3, 3) for _ in range(d)), rng.randint(-2, 4))
             for _ in range(rng.randint(0, 4))
         ]
-        parent = cut(cube(d), rows)
+        parent = cut(cube(d), [(bound, *row) for row, bound in rows])
         if parent is None:
             continue
         obj = [rng.randint(-4, 4) for _ in range(d)]
-        before = minimum(parent, obj)
+        before = F(*minimum(parent, obj))
         snapshot = copy.deepcopy(parent)  # every field, each row list by value
         for _ in range(3):
-            extra = [(tuple(rng.randint(-3, 3) for _ in range(d)), rng.randint(-2, 2))]
-            child = cut(parent, extra)
+            row = tuple(rng.randint(-3, 3) for _ in range(d))
+            child = cut(parent, [(rng.randint(-2, 2), *row)])
             if child is not None:
-                assert minimum(child, obj) >= before
+                assert F(*minimum(child, obj)) >= before
                 children += 1
-        assert minimum(parent, obj) == before
+        assert F(*minimum(parent, obj)) == before
         assert parent == snapshot
     assert children >= 50
 
@@ -317,8 +320,8 @@ def test_tableau_is_a_dictionary_over_one_determinant(d, batches, obj):
         assert_dictionary(state, d)
         for batch in batches:
             snapshot = copy.deepcopy(state)
-            minimum(state, obj[:d])
-            child = cut(state, [(coeffs[:d], bound) for coeffs, bound in batch])
+            minimum(state, numerics._scale(obj[:d])[0])
+            child = cut(state, [numerics._scale([bound, *coeffs[:d]])[0] for coeffs, bound in batch])
             assert state == snapshot
             if child is None:
                 break
