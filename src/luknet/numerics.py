@@ -96,27 +96,44 @@ class Interval(_Interval):
 # Incremental exact simplex over the unit cube, fraction-free.
 #
 # Every LP in this package lives in [0,1]^d, so the solver owns the cube:
-# x >= 0 comes free, and the upper faces x_i <= 1 are its first d rows,
-# whose slacks start basic and feasible.  Variable v is x_v for v <= d and
-# the slack of row v - d - 1 beyond.  The tableau is in dictionary form
-# (Chvatal, Linear Programming, 1983, ch. 2-3): each row, the objective's
-# too, writes one basic variable over the d nonbasic ones.  A Tableau holds
-# a feasible basis of the cube cut by the rows so far; callers pass only the
-# rows that cut it.  There is one simplex core with two entry points:
+# x >= 0 comes free, and the upper faces x_k <= 1 are bounds, not rows
+# (Dantzig's upper-bounding technique with complemented variables: Chvatal,
+# Linear Programming, 1983, ch. 8).  Variable k <= d is x_k, d + k is its
+# face slack s_k = 1 - x_k, and 2d + r is the slack of the r-th cut row.
+# The tableau is in dictionary form (Chvatal, ch. 2-3): each row, the
+# objective's too, writes one basic variable over the d nonbasic ones.  A
+# nonbasic d + k means x_k sits at 1, written over its complement s_k; a
+# basic x_k carries both bounds, so 0 <= rhs <= det.  A Tableau holds a
+# feasible basis of the cube cut by the rows so far, and only the cut rows.
+#
+# The ids are those of the explicit system, whose first d rows are the faces
+# x_k + s_k = 1.  Its basis is ours plus s_k for each x_k that is basic or
+# nonbasic at 0, plus x_k for each nonbasic d + k; its determinant is ours,
+# and its rows for our basic variables are ours, since a basis fixes its
+# dictionary.  Its other rows are implied: s_k = 1 - x_k of a basic x_k,
+# whose rhs is det - rhs, and the face row of a nonbasic variable, its only
+# row with an entry in that column (det, at a ratio of 1).  So offering the
+# implied rows to each choice below, with their ids, makes the same choices
+# as the explicit system, pivot for pivot:
 #
 # - cut(state, rows) writes each row with its own slack basic and restores
-#   feasibility by a dual simplex with a zero objective.  Every dual ratio is
-#   then 0, so choosing the least variable id for both the leaving row (by
-#   its basic variable) and the entering variable is Bland's rule on the
-#   dual LP, which cannot cycle (Bland, Math. OR 1977).  A leaving row with
-#   no negative entry sets a sum of nonnegative terms to a negative value:
-#   the cut region is empty.
+#   feasibility by a dual simplex with a zero objective.  The leaving row is
+#   the least basic id with a negative rhs, s_k's implied row (id d + k) of a
+#   basic x_k with rhs > det among them, and the entering variable the least
+#   id with a negative entry in it: Bland's rule on the dual LP, which cannot
+#   cycle (Bland, Math. OR 1977).  A leaving row with no negative entry sets
+#   a sum of nonnegative terms to a negative value: the cut region is empty.
 # - minimum(state, objective) adds the objective's row and runs the primal
-#   simplex, again with Bland's rule.
+#   simplex, again with Bland's rule.  Its ratio test reads the implied rows
+#   too.  When the entering variable's own face wins, x_k moves across its
+#   box from one bound to the other: a bound flip, which negates the column
+#   and subtracts it from rhs, needs no division, and leaves det as it is.
 #
-# A pivot writes new row lists, never into one, so a child shares its
-# parent's rows and a depth-first search can come back to the parent
-# (incremental simplex as in Katz et al., "Reluplex", CAV 2017).
+# A pivot on an implied row s_k writes it out first, and a pivot that makes
+# some s_k basic writes its row back as x_k's, so _pivot itself is the
+# explicit system's.  A pivot or a flip writes new row lists, never into one,
+# so a child shares its parent's rows and a depth-first search can come back
+# to the parent (incremental simplex as in Katz et al., "Reluplex", CAV 2017).
 #
 # The rows are Python ints over one denominator, the determinant det > 0 of
 # the current basis (integer pivoting: Edmonds, J. Res. NBS 1967, as in
@@ -137,9 +154,10 @@ class Tableau(NamedTuple):
     """A feasible basis of {x in [0,1]^d : the rows cut so far}, in dictionary form.
 
     Row r is [rhs, a_1..a_d] of ints and reads det*v_basis[r] +
-    sum_j a_j*v_nonbasic[j-1] = rhs, det > 0 the determinant of the basis, so
-    rhs >= 0 at a feasible basis.  The first d rows are the upper faces
-    x_i <= 1 (see :func:`cube`); d is ``len(nonbasic)``.
+    sum_j a_j*v_nonbasic[j-1] = rhs, det > 0 the determinant of the basis.
+    There is one row per cut row; a nonbasic id d + k is x_k at 1, and at a
+    feasible basis rhs >= 0, and rhs <= det too for a basic x_k.  d is
+    ``len(nonbasic)``.
     """
 
     rows: tuple[list[int], ...]
@@ -149,10 +167,8 @@ class Tableau(NamedTuple):
 
 
 def cube(d: int) -> Tableau:
-    """The bare cube [0,1]^d: row k reads s_k + x_k = 1, its slack s_k basic,
-    every x_i nonbasic at 0, and det 1."""
-    rows = tuple([1, *(int(i == k) for i in range(d))] for k in range(d))
-    return Tableau(rows, tuple(range(d + 1, 2 * d + 1)), tuple(range(1, d + 1)), 1)
+    """The bare cube [0,1]^d: no rows, every x_k nonbasic at 0, and det 1."""
+    return Tableau((), (), tuple(range(1, d + 1)), 1)
 
 
 def _scale(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
@@ -163,14 +179,28 @@ def _scale(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
 
 def _row(state: Tableau, values: Sequence[int]) -> list[int]:
     """The row of a new basic variable v with v + c.x = b, where values is
-    [b, *c] of ints, written over the state's nonbasic variables: det*(b, c)
-    minus c_k times the row of each basic x_k."""
+    [b, *c] of ints, written over the state's nonbasic variables: det*(b, c),
+    with c_k*x_k = c_k - c_k*s_k for a nonbasic d + k, minus c_k times the
+    row of each basic x_k."""
     d, det = len(state.nonbasic), state.det
-    row = [values[0] * det, *(values[v] * det if v <= d else 0 for v in state.nonbasic)]
+    row = [values[0] * det]
+    for v in state.nonbasic:
+        if v <= d:
+            row.append(values[v] * det)
+        elif v <= 2 * d:
+            row.append(-values[v - d] * det)
+            row[0] += row[-1]
+        else:
+            row.append(0)
     for prow, b in zip(state.rows, state.basis):
         if b <= d and (c := values[b]):
             row = [a - c * p for a, p in zip(row, prow)]
     return row
+
+
+def _complement(row: list[int], det: int) -> list[int]:
+    """x_k's row as s_k's, or s_k's as x_k's: s_k = 1 - x_k."""
+    return [det - row[0], *(-a for a in row[1:])]
 
 
 def _pivot(rows: list[list[int]], basis: list[int], nonbasic: list[int], det: int, r: int, j: int) -> int:
@@ -195,6 +225,29 @@ def _pivot(rows: list[list[int]], basis: list[int], nonbasic: list[int], det: in
     return piv
 
 
+def _exchange(rows: list[list[int]], basis: list[int], nonbasic: list[int], det: int, r: int, j: int) -> int:
+    """:func:`_pivot`, with a face slack s_k that it makes basic written back
+    as x_k's row.  Returns the new det."""
+    det = _pivot(rows, basis, nonbasic, det, r, j)
+    d = len(nonbasic)
+    if d < basis[r] <= 2 * d:
+        rows[r] = _complement(rows[r], det)
+        basis[r] -= d
+    return det
+
+
+def _flip(rows: list[list[int]], nonbasic: list[int], j: int) -> None:
+    """Move nonbasic variable j to its other bound: x_k from 0 to 1, id k to
+    d + k, or back.  Each row's column j is negated and subtracted from rhs."""
+    for i, row in enumerate(rows):
+        if f := row[j]:
+            rows[i] = row = row[:]
+            row[0] -= f
+            row[j] = -f
+    d, v = len(nonbasic), nonbasic[j - 1]
+    nonbasic[j - 1] = v + d if v <= d else v - d
+
+
 def _entering(row: list[int], nonbasic: Sequence[int]) -> int | None:
     """The position of the least nonbasic variable with a negative entry in row."""
     enter = None
@@ -214,26 +267,33 @@ def cut(state: Tableau, cuts: Sequence[Sequence[int]]) -> Tableau | None:
         if len(values) != d + 1:
             raise ValueError("constraint arity mismatch")
         rows.append(_row(state, values))
-        basis.append(d + len(rows))  # the new row's own slack
+        basis.append(2 * d + len(rows))  # the new row's own slack
     nonbasic, det = list(state.nonbasic), state.det
     while True:
         leave = None
         for i, row in enumerate(rows):
-            if row[0] < 0 and (leave is None or basis[i] < basis[leave]):
-                leave = i
+            if row[0] < 0:
+                v = basis[i]
+            elif row[0] > det and basis[i] <= d:
+                v = basis[i] + d  # x_k > 1: its face slack is negative
+            else:
+                continue
+            if leave is None or v < least:
+                leave, least = i, v
         if leave is None:
             return Tableau(tuple(rows), tuple(basis), tuple(nonbasic), det)
+        if least != basis[leave]:
+            rows[leave], basis[leave] = _complement(rows[leave], det), least
         enter = _entering(rows[leave], nonbasic)
         if enter is None:
             return None
-        det = _pivot(rows, basis, nonbasic, det, leave, enter)
-
-
+        det = _exchange(rows, basis, nonbasic, det, leave, enter)
 def minimum(state: Tableau, objective: Sequence[int]) -> tuple[int, int]:
     """Minimum of objective.x, for an objective of d ints, over the state's
     region, which is never empty: the int ratio (num, det), det > 0 the
     determinant of the optimal basis."""
-    if len(objective) != len(state.nonbasic):
+    d = len(state.nonbasic)
+    if len(objective) != d:
         raise ValueError("objective arity mismatch")
     m = len(state.rows)
     obj = _row(state, [0, *objective])  # its basic variable is -objective.x
@@ -243,20 +303,29 @@ def minimum(state: Tableau, objective: Sequence[int]) -> tuple[int, int]:
         enter = _entering(obj, nonbasic)
         if enter is None:
             return -obj[0], det
-        leave = None
+        # The entering variable's own face row is its bound: a ratio of 1.
+        v = nonbasic[enter - 1]
+        leave, least, num, den = None, (v + d if v <= d else v - d) if v <= 2 * d else None, det, det
         for i in range(m):
             row = rows[i]
-            a = row[enter]
+            a, rhs, b = row[enter], row[0], basis[i]
+            if a < 0 and b <= d:  # the implied row of s_b = 1 - x_b
+                a, rhs, b = -a, det - rhs, b + d
             if a > 0:
-                if leave is None:
-                    leave, num, den = i, row[0], a
+                if least is None:
+                    leave, least, num, den = i, b, rhs, a
                     continue
-                # row[0]/a against num/den, both denominators positive.
-                lhs, rhs = row[0] * den, num * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave, num, den = i, row[0], a
-        assert leave is not None, "the cube bounds every variable"
-        det = _pivot(rows, basis, nonbasic, det, leave, enter)
+                # rhs/a against num/den, both denominators positive.
+                lhs, rhs_ = rhs * den, num * a
+                if lhs < rhs_ or (lhs == rhs_ and b < least):
+                    leave, least, num, den = i, b, rhs, a
+        assert least is not None, "the cube bounds every variable"
+        if leave is None:
+            _flip(rows, nonbasic, enter)
+            continue
+        if least != basis[leave]:
+            rows[leave], basis[leave] = _complement(rows[leave], det), least
+        det = _exchange(rows, basis, nonbasic, det, leave, enter)
 
 
 def lp_feasible(constraints: Iterable[Constraint], d: int) -> bool:

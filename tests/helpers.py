@@ -289,6 +289,96 @@ def cube_constraints(d: int) -> list:
     return cons
 
 
+# The integer simplex with the cube's upper faces x_k <= 1 as explicit rows,
+# the judge of numerics' implicit faces.  A state is (rows, basis, nonbasic,
+# det) in numerics' dictionary form; the first d rows are the faces, whose
+# slacks d + 1..2d start basic, and cut slacks are 2d + 1 and up.
+
+
+def explicit_cube(d: int) -> tuple:
+    """The cube [0,1]^d: row k reads s_k + x_k = 1, every x_k nonbasic at 0."""
+    rows = tuple([1, *(int(i == k) for i in range(d))] for k in range(d))
+    return rows, tuple(range(d + 1, 2 * d + 1)), tuple(range(1, d + 1)), 1
+
+
+def _explicit_row(state, values) -> list[int]:
+    rows, basis, nonbasic, det = state
+    d = len(nonbasic)
+    row = [values[0] * det, *(values[v] * det if v <= d else 0 for v in nonbasic)]
+    for prow, b in zip(rows, basis):
+        if b <= d and (c := values[b]):
+            row = [a - c * p for a, p in zip(row, prow)]
+    return row
+
+
+def explicit_pivot(rows, basis, nonbasic, det, r, j) -> int:
+    prow = rows[r][:]
+    piv, prow[j] = prow[j], det
+    if piv < 0:
+        piv, prow = -piv, [-v for v in prow]
+    rows[r] = prow
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[j]
+            rows[i] = out = [(piv * a - f * q) // det for a, q in zip(row, prow)]
+            out[j] = -f if prow[j] > 0 else f
+    basis[r], nonbasic[j - 1] = nonbasic[j - 1], basis[r]
+    return piv
+
+
+def _explicit_entering(row, nonbasic):
+    enter = None
+    for j in range(1, len(row)):
+        if row[j] < 0 and (enter is None or nonbasic[j - 1] < nonbasic[enter - 1]):
+            enter = j
+    return enter
+
+
+def explicit_cut(state, cuts):
+    """The state cut by each int row [bound, *coeffs], by a dual simplex
+    under Bland's rule, or None when the region is empty."""
+    d = len(state[2])
+    rows, basis = list(state[0]), list(state[1])
+    for values in cuts:
+        rows.append(_explicit_row(state, values))
+        basis.append(d + len(rows))
+    nonbasic, det = list(state[2]), state[3]
+    while True:
+        leave = None
+        for i, row in enumerate(rows):
+            if row[0] < 0 and (leave is None or basis[i] < basis[leave]):
+                leave = i
+        if leave is None:
+            return tuple(rows), tuple(basis), tuple(nonbasic), det
+        enter = _explicit_entering(rows[leave], nonbasic)
+        if enter is None:
+            return None
+        det = explicit_pivot(rows, basis, nonbasic, det, leave, enter)
+
+
+def explicit_minimum(state, objective) -> tuple[int, int]:
+    """Minimum of objective.x over the state's region as an int ratio (num, det)."""
+    m = len(state[0])
+    rows, basis, nonbasic, det = [*state[0], _explicit_row(state, [0, *objective])], list(state[1]), list(state[2]), state[3]
+    while True:
+        obj = rows[m]
+        enter = _explicit_entering(obj, nonbasic)
+        if enter is None:
+            return -obj[0], det
+        leave = None
+        for i in range(m):
+            row = rows[i]
+            a = row[enter]
+            if a > 0:
+                if leave is None:
+                    leave, num, den = i, row[0], a
+                    continue
+                lhs, rhs = row[0] * den, num * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, num, den = i, row[0], a
+        det = explicit_pivot(rows, basis, nonbasic, det, leave, enter)
+
+
 def brute_extrema(network: Network, ref: NodeRef):
     """Exhaustive activation-pattern + vertex-enumeration extremum oracle.
 

@@ -200,23 +200,28 @@ def test_frozen_oracle_answers():
         assert (iv.lo, iv.hi) == tuple(F(v) for v in e["expect"])
 
 
+def count_steps(monkeypatch) -> list[int]:
+    """A one-item list that counts the simplex's steps from now on: its
+    pivots and its bound flips, which the explicit cube's rows pivoted."""
+    steps = [0]
+    for name in ("_pivot", "_flip"):
+        def counted(*args, real=getattr(numerics, name)):
+            steps[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(numerics, name, counted)
+    return steps
+
+
 def test_frozen_budget_classes(monkeypatch):
     # The first 10 networks of every shape in the benchmark's extrema pool
     # keep their frozen class at the pool's budget: 15 of the 40 exceed it.
     # A search that visits other branches would move some across the line.
-    # The simplex pivot count pins Bland's rule: another entering or leaving
-    # choice, or another row cut, would change it.  An "ok" network's search
-    # completes, so its count is the sum over both senses' trees; an
+    # The count of simplex steps pins Bland's rule: another entering or
+    # leaving choice, or another row cut, would change it.  An "ok" network's
+    # search completes, so its count is the sum over both senses' trees; an
     # over-budget search's count also depends on where the budget stops it.
-    pivots = 0
-    pivot = numerics._pivot
-
-    def counted(*args):
-        nonlocal pivots
-        pivots += 1
-        return pivot(*args)
-
-    monkeypatch.setattr(numerics, "_pivot", counted)
+    steps = count_steps(monkeypatch)
     pool = json.loads(POOL_EXTREMA.read_text())
     budget = pool.pop("about")["budget"]
     exceeded = 0
@@ -224,14 +229,14 @@ def test_frozen_budget_classes(monkeypatch):
     for entries in pool.values():
         for e in entries[:10]:
             n = network_from_dict(e["net"])
-            before = pivots
+            before = steps[0]
             if e["class"] == "budget":
                 with pytest.raises(BudgetExceeded):
                     exact_extrema(n, "output", node_budget=budget)
                 exceeded += 1
             else:
                 exact_extrema(n, "output", node_budget=budget)
-            by_class[e["class"]] += pivots - before
+            by_class[e["class"]] += steps[0] - before
     assert exceeded == 15
     assert by_class == {"ok": 930, "budget": 2_399}
 
@@ -239,22 +244,15 @@ def test_frozen_budget_classes(monkeypatch):
 def test_large_entry_network(fixtures_dir, monkeypatch):
     # The (6,[12,12]) relu network of perfbench.nets.random_relu_net, seed 2,
     # weights -3..3: its tableaux reach far larger entries and determinants
-    # than the pool's.  The pivot count pins Bland's rule on it, and the
-    # answer must enclose the network's values on the grid I_2^6.  It lies in
-    # fixtures/search/, out of the fixtures that every extraction test reads.
-    pivots = 0
-    pivot = numerics._pivot
-
-    def counted(*args):
-        nonlocal pivots
-        pivots += 1
-        return pivot(*args)
-
-    monkeypatch.setattr(numerics, "_pivot", counted)
+    # than the pool's.  The count of simplex steps pins Bland's rule on it,
+    # and the answer must enclose the network's values on the grid I_2^6.  It
+    # lies in fixtures/search/, out of the fixtures that every extraction test
+    # reads.
+    steps = count_steps(monkeypatch)
     n = network_from_json((fixtures_dir / "search" / "relu_6x12x12_seed2.json").read_text())
     iv = exact_extrema(n, "output")
     assert (iv.lo, iv.hi) == (F(-215, 2), F(65))
-    assert pivots == 12_140
+    assert steps[0] == 12_140
     values = [eval_network(n, x) for x in itertools.product((F(0), F(1, 2), F(1)), repeat=6)]
     assert iv.lo <= min(values) and max(values) <= iv.hi
 
@@ -291,19 +289,11 @@ def test_frozen_cuts_and_leaves(fixtures_dir, monkeypatch):
     exact_extrema(n, "output")
     assert calls == {"cut": 4_236, "minimum": 1_048}
     calls.update(cut=0, minimum=0)
-    pivots = 0
-    pivot = numerics._pivot
-
-    def counted_pivot(*args):
-        nonlocal pivots
-        pivots += 1
-        return pivot(*args)
-
-    monkeypatch.setattr(numerics, "_pivot", counted_pivot)
+    steps = count_steps(monkeypatch)
     iv = exact_extrema(n, NodeRef(2, 7))
     assert (iv.lo, iv.hi) == (F(-39), F(9))
     assert calls == {"cut": 186, "minimum": 134}
-    assert pivots == 629
+    assert steps[0] == 629
 
 
 def test_search_builds_no_fraction_per_branch(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import helpers
 from helpers import cube_constraints, polytope_vertices
 from luknet import numerics
 from luknet.numerics import (
@@ -71,9 +72,58 @@ def test_interval_invariant():
 
 
 def test_cube_is_its_faces_cut_from_nothing():
+    # The faces x_k <= 1 are bounds, not rows: the cube is the tableau with
+    # no rows and every x_k nonbasic at 0, and cutting it by its own faces
+    # changes no optimum.
+    rng = random.Random(11)
     for d in range(1, 7):
-        bare = Tableau((), (), tuple(range(1, d + 1)), 1)
-        assert cube(d) == cut(bare, [[1, *(int(i == k) for i in range(d))] for k in range(d)])
+        assert cube(d) == Tableau((), (), tuple(range(1, d + 1)), 1)
+        faced = cut(cube(d), [[1, *(int(i == k) for i in range(d))] for k in range(d)])
+        for _ in range(10):
+            obj = [rng.randint(-4, 4) for _ in range(d)]
+            assert F(*minimum(faced, obj)) == F(*minimum(cube(d), obj)) == sum(min(c, 0) for c in obj)
+
+
+def test_implicit_faces_keep_the_explicit_bases(monkeypatch):
+    # Judged against the simplex with the faces x_k <= 1 as its first d rows
+    # (helpers.explicit_*), under the ids of that system: after every cut
+    # batch the same verdict and det, the same optimum as an int ratio, and
+    # one pivot or bound flip here for each pivot there.  Rows through a
+    # common point p make degenerate vertices; a shift past p can empty the
+    # region midway.
+    steps = {"explicit": 0, "implicit": 0}
+    for module, name, key in ((helpers, "explicit_pivot", "explicit"), (numerics, "_pivot", "implicit"),
+                              (numerics, "_flip", "implicit")):
+        def counted(*args, key=key, real=getattr(module, name)):
+            steps[key] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    rng = random.Random(12)
+    empty = optima = 0
+    for _ in range(300):
+        d = rng.randint(1, 5)
+        p = [F(rng.randint(0, 6), 3) for _ in range(d)]
+        state, ref = cube(d), helpers.explicit_cube(d)
+        for _ in range(rng.randint(1, 4)):
+            batch = []
+            for _ in range(rng.randint(1, 3)):
+                row = [rng.randint(-3, 3) for _ in range(d)]
+                at = sum(c * x for c, x in zip(row, p))
+                batch.append([3 * at - rng.choice((0, 0, 1, 2)), *(3 * c for c in row)])
+            state, ref = cut(state, batch), helpers.explicit_cut(ref, batch)
+            assert (state is None) == (ref is None)
+            assert steps["implicit"] == steps["explicit"]
+            if state is None:
+                empty += 1
+                break
+            assert state.det == ref[3]
+            for _ in range(2):
+                obj = [rng.randint(-4, 4) for _ in range(d)]
+                assert minimum(state, obj) == helpers.explicit_minimum(ref, obj)
+                assert steps["implicit"] == steps["explicit"]
+                optima += 1
+    assert empty >= 30 and optima >= 500
 
 
 def test_lp_vertex_of_cube():
@@ -268,16 +318,20 @@ def test_cut_leaves_parent_unchanged():
 
 def assert_dictionary(state, d):
     # Every row is [rhs, one entry per nonbasic variable], all ints (a float
-    # cannot slip in), over one int determinant det > 0; rhs >= 0 at a
-    # feasible basis, the d nonbasic variables of the cube [0,1]^d, and the
-    # basic and nonbasic ids are exactly the variables 1..d + len(rows).
+    # cannot slip in), over one int determinant det > 0, with the d nonbasic
+    # variables of the cube [0,1]^d.  Each x_k is basic (id k) or nonbasic at
+    # 0 (id k) or at 1 (id d + k, its face slack), and the cut slacks are
+    # 2d + 1 up to 2d + len(rows).  At a feasible basis rhs >= 0, and a basic
+    # x_k also has rhs <= det.
     assert type(state.det) is int and state.det > 0
     assert len(state.nonbasic) == d and len(state.basis) == len(state.rows)
-    assert sorted(state.basis + state.nonbasic) == list(range(1, d + len(state.rows) + 1))
-    for row in state.rows:
+    assert all(not d < v <= 2 * d for v in state.basis)
+    ids = sorted(v - d if d < v <= 2 * d else v for v in state.basis + state.nonbasic)
+    assert ids == [*range(1, d + 1), *range(2 * d + 1, 2 * d + len(state.rows) + 1)]
+    for row, v in zip(state.rows, state.basis):
         assert len(row) == d + 1
-        assert all(type(v) is int for v in row)
-        assert row[0] >= 0
+        assert all(type(a) is int for a in row)
+        assert row[0] >= 0 and (v > d or row[0] <= state.det)
 
 
 pivot = numerics._pivot
