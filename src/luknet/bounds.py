@@ -18,13 +18,19 @@ int ratio num/det, so its value is (num + constant*det)/(det*d_j).
 One depth-first walk over an explicit stack finds both extrema.  Each
 entry carries the senses still open on its branch; each sense keeps its
 own incumbent, an int ratio num/den over d_j, so a prune check compares
-ints, and makes its answer a Fraction once, at the end.  One interval pass
-per branch closes each sense whose bound cannot beat its incumbent.  A
-branch adds the cut rows of its regime to the simplex tableau its parent
-left feasible (``numerics.cut``, a dual simplex under Bland's rule), and a
-leaf minimises over its tableau (``numerics.minimum``) once per open
-sense.  Each sense walks the tree a walk of its own would; the part the
-two trees share is built once.
+ints, and makes its answer a Fraction once, at the end.  Both incumbents
+are seeded before the walk with the node's exact values at the cube's
+vertices 0, 1, e_k and 1 - e_k, so pruning starts at the root.  One
+interval pass per branch closes each sense whose bound cannot beat its
+incumbent.  A regime's post-activation box is the form's box clamped by
+the regime itself: [max(lo, 0), hi] for relu t >= 0, and also hi <= d_j
+for clip 0 <= t <= 1.  A branch adds the cut rows of its regime to the
+simplex tableau its parent left feasible (``numerics.cut``, a dual simplex
+under Bland's rule).  A leaf first builds the node's form and closes each
+sense that the form's box over the cube cannot improve, then cuts and
+minimises over its tableau (``numerics.minimum``) once per sense still
+open.  Each sense walks the tree a walk of its own would; the part the two
+trees share is built once.
 
 The levels are fixed in order, level by level, and each stack entry carries
 the state of the level its path is fixing: every node's pre-activation
@@ -128,18 +134,21 @@ def _interval_pass(
     return below, box(top.rows[i], top.biases[i], post)
 
 
+def _vertices(d: int) -> list[list[Box]]:
+    """The cube's vertices 0, e_k, 1, 1 - e_k, each once, as degenerate boxes:
+    one interval pass over the scaled levels evaluates every node at one
+    exactly, in ints."""
+    units = [tuple(int(i == k) for i in range(d)) for k in range(-1, d)]
+    return [[(v, v) for v in x] for x in dict.fromkeys(units + [tuple(1 - v for v in u) for u in units])]
+
+
 def vertex_witnessed(net: Network) -> list[list[bool]]:
     """For each hidden node, level by level, whether its pre-activation is
-    > 0 at one of the cube's vertices 0, 1, e_k, 1 - e_k and <= 0 at another.
-
-    A vertex is the degenerate box {x}: one interval pass over the scaled
-    levels evaluates every hidden node there exactly, in ints.
-    """
+    > 0 at one of the cube's vertices 0, 1, e_k, 1 - e_k and <= 0 at another."""
     levels = _scaled_levels(net, net.depth)
-    units = [tuple(int(i == k) for i in range(net.input_dim)) for k in range(-1, net.input_dim)]
     signs = [[0] * len(level.rows) for level in levels[:-1]]  # bit 1: > 0 seen, bit 2: <= 0 seen
-    for x in dict.fromkeys(units + [tuple(1 - v for v in u) for u in units]):
-        below, _ = _interval_pass(levels, 0, [(v, v) for v in x])
+    for x in _vertices(net.input_dim):
+        below, _ = _interval_pass(levels, 0, x)
         for seen, pre in zip(signs, below):
             for i, (t, _) in enumerate(pre):
                 seen[i] |= 1 if t > 0 else 2
@@ -147,9 +156,10 @@ def vertex_witnessed(net: Network) -> list[list[bool]]:
 
 
 def _branches(act: str, form: AffineForm, one: int) -> list[tuple[tuple, AffineForm, Box]]:
-    """(cut rows [bound, *coeffs], output form, its box bound) of each regime
-    of a node with pre-activation ``form`` over denominator ``one`` that the
-    form's box bound leaves feasible.
+    """(cut rows [bound, *coeffs], output form, its box) of each regime of
+    a node with pre-activation ``form`` over denominator ``one`` that the
+    form's box bound leaves feasible; the output's box is that bound clamped
+    to the regime.
 
     Regimes: relu t<=0 -> 0, t>=0 -> t; clip t<=0 -> 0, 0<=t<=1 -> t, t>=1 -> 1.
     A regime the box bound forces needs no cut row.
@@ -165,7 +175,7 @@ def _branches(act: str, form: AffineForm, one: int) -> list[tuple[tuple, AffineF
             return [((), zero, (0, 0))]
         if lo >= 0:
             return [((), form, bound)]
-        return [(le0, zero, (0, 0)), (ge0, form, bound)]
+        return [(le0, zero, (0, 0)), (ge0, form, (0, hi))]
     if act == CLIP:
         top: AffineForm = (zero[0], one)
         if hi < 0:
@@ -175,11 +185,21 @@ def _branches(act: str, form: AffineForm, one: int) -> list[tuple[tuple, AffineF
         if lo >= 0 and hi <= one:
             return [((), form, bound)]
         out = [(le0, zero, (0, 0))] if lo <= 0 else []
-        out.append((ge0 + ((one - const, *coeffs),), form, bound))
+        out.append((ge0 + ((one - const, *coeffs),), form, (max(lo, 0), min(hi, one))))
         if hi >= one:
             out.append((((const - one, *neg),), top, (one, one)))
         return out
     raise AssertionError(f"activation {act!r} has no regimes")
+
+
+def _open(senses: int, lo: int, hi: int, num: list[int], den: list[int]) -> int:
+    """The senses of the mask that a value in [lo, hi] can still improve:
+    the minimum below num[0]/den[0], the maximum above -num[1]/den[1]."""
+    if lo * den[0] >= num[0]:
+        senses &= 2
+    if -hi * den[1] >= num[1]:
+        senses &= 1
+    return senses
 
 
 def exact_extrema(
@@ -212,13 +232,13 @@ def exact_extrema(
         order = sorted(range(len(pre)), key=lambda i: pre[i][1] - pre[i][0], reverse=True)
         upstream.extend((j, i) for i in order)
 
-    root = cube(net.input_dim)
-    visited = 0
     # Sense s (0 the minimum, 1 the maximum) has the incumbent num[s]/den[s]:
     # sign times a value of the node, times its level's denominator.  Both
-    # senses solve the walk's first leaf, so den[0] is 0 until both exist.
+    # start at the best of the node's exact values at the cube's vertices.
     signs = (1, -1)
-    num, den = [0, 0], [0, 0]
+    seeds = [_interval_pass(levels, top, x)[1][0] for x in _vertices(net.input_dim)]
+    num, den = [min(seeds), -max(seeds)], [1, 1]
+    visited = 0
     # Each entry: its index into upstream, the mask of the senses still open
     # (bit 1 the minimum, bit 2 the maximum), the tableau its parent left
     # feasible, the cut rows, form and box of upstream[index - 1], and the
@@ -226,11 +246,11 @@ def exact_extrema(
     # post-activation boxes of its nodes.  The root carries level 0: the
     # inputs' unit forms (e_k, 0) and the cube's boxes.
     units = [(tuple(int(i == k) for i in range(net.input_dim)), 0) for k in range(net.input_dim)]
-    stack: list[tuple] = [(0, 3, root, (), None, None, 0, (), units, inputs)]
+    stack: list[tuple] = [(0, 3, cube(net.input_dim), (), None, None, 0, (), units, inputs)]
     while stack:
         idx, senses, state, rows, form, bound, j, forms, outs, post = stack.pop()
         leaf = idx == len(upstream)
-        # Probes pay off only above leaves; a leaf cuts after its prune check.
+        # Probes pay off only above leaves; a leaf cuts after its prune checks.
         if rows and not leaf:
             state = cut(state, rows)
             if state is None:
@@ -246,27 +266,26 @@ def exact_extrema(
             i = upstream[idx - 1][1]
             outs, post = outs[:], post[:]
             outs[i], post[i] = form, bound
-        if den[0]:
-            # The root came first, so a node is fixed: the pass starts at
-            # its level, and no level above holds a fixed node.
-            _, (lo, hi) = _interval_pass(levels, top, post, j)
-            if lo * den[0] >= num[0]:
-                senses &= 2
-            if -hi * den[1] >= num[1]:
-                senses &= 1
+        # The pass starts at level j, the one the path is fixing: no level
+        # above holds a fixed node.
+        _, (lo, hi) = _interval_pass(levels, top, post, j)
+        senses = _open(senses, lo, hi, num, den)
+        if not senses:
+            continue
+        if leaf:
+            coeffs, const = _combine(levels[-1].rows[top], levels[-1].biases[top], outs)
+            senses = _open(senses, *box(coeffs, const, inputs), num, den)
             if not senses:
                 continue
-        if leaf:
             if rows:
                 state = cut(state, rows)
                 if state is None:
                     continue
-            coeffs, const = _combine(levels[-1].rows[top], levels[-1].biases[top], outs)
             for s, sign in enumerate(signs):
                 if senses & 1 << s:
                     m, w = minimum(state, [sign * c for c in coeffs])
                     v = sign * const * w + m
-                    if not den[s] or v * den[s] < num[s] * w:
+                    if v * den[s] < num[s] * w:
                         num[s], den[s] = v, w
             continue
         i = upstream[idx][1]
@@ -282,7 +301,6 @@ def exact_extrema(
         for k in reversed(range(len(branches))):  # visited in the order of _branches
             rows, form, bound = branches[k]
             stack.append((idx + 1, senses, state, rows, form, bound, j, forms, outs, post))
-    assert den[0], "the cube is never empty"
     lo, hi = (Fraction(sign * n, d * levels[-1].den) for sign, n, d in zip(signs, num, den))
     if activated and act != NONE:
         return Interval(apply_activation(act, lo), apply_activation(act, hi))

@@ -303,22 +303,28 @@ def minimum(state: Tableau, objective: Sequence[int]) -> tuple[int, int]:
         enter = _entering(obj, nonbasic)
         if enter is None:
             return -obj[0], det
-        # The entering variable's own face row is its bound: a ratio of 1.
+        # The entering variable's own face, the row of id d + k for x_k at 0
+        # and of id k for x_k at 1, has the ratio det/det = 1; when it wins,
+        # the step is a bound flip.
         v = nonbasic[enter - 1]
-        leave, least, num, den = None, (v + d if v <= d else v - d) if v <= 2 * d else None, det, det
+        leave = least = None
+        if v <= 2 * d:
+            least, num, den = v + d if v <= d else v - d, det, det
         for i in range(m):
             row = rows[i]
-            a, rhs, b = row[enter], row[0], basis[i]
-            if a < 0 and b <= d:  # the implied row of s_b = 1 - x_b
-                a, rhs, b = -a, det - rhs, b + d
+            a, b = row[enter], basis[i]
             if a > 0:
-                if least is None:
-                    leave, least, num, den = i, b, rhs, a
+                r = row[0]
+            elif a < 0 and b <= d:  # the implied row of s_b = 1 - x_b
+                a, r, b = -a, det - row[0], b + d
+            else:
+                continue
+            if least is not None:
+                # r/a against num/den, both denominators positive.
+                lhs, rhs = r * den, num * a
+                if lhs > rhs or (lhs == rhs and b > least):
                     continue
-                # rhs/a against num/den, both denominators positive.
-                lhs, rhs_ = rhs * den, num * a
-                if lhs < rhs_ or (lhs == rhs_ and b < least):
-                    leave, least, num, den = i, b, rhs, a
+            leave, least, num, den = i, b, r, a
         assert least is not None, "the cube bounds every variable"
         if leave is None:
             _flip(rows, nonbasic, enter)

@@ -58,6 +58,10 @@ INPUTS = {
     "scale.txt": "(scale 1/2 x1)",
     "bad.txt": "(foo x1)",
     "ax5.jsonl": '{"axiom": "Ax5", "dir": "RL", "pos": [], "node": [1, 1]}\n',
+    # A bounds search one of whose LPs moves an input from 0 to 1: a bound flip.
+    "flip.json": '{"input_dim": 2, "layers": ['
+    '{"weights": [["-3", "-1"], ["-2", "0"]], "biases": ["3", "2"], "activation": ["relu", "relu"]}, '
+    '{"weights": [["3", "-1"]], "biases": ["2"], "activation": ["none"]}]}',
 }
 
 # The fixture networks that roundtrip refuses as degenerate.
@@ -85,6 +89,7 @@ def ladder(tmp: pathlib.Path) -> list[tuple[list[str], int]]:
         (["roundtrip", out("clip2.json")], 1),
         (["bounds", fix("dag.json"), "--node", "1,2", "--activated"], 0),
         (["bounds", fix("dag.json"), "--budget", "1"], 1),
+        (["bounds", out("flip.json")], 0),
         (["check-equiv", fix("halfgrid_identity.json"), fix("halfgrid_kinked.json"), "--grid", "4"], 1),
         (["check-equiv", out("delta.txt"), out("scale.txt"), "--grid", "4"], 0),
         (["check-equiv", out("bad.txt"), out("scale.txt")], 2),
