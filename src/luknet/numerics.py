@@ -288,6 +288,8 @@ def cut(state: Tableau, cuts: Sequence[Sequence[int]]) -> Tableau | None:
         if enter is None:
             return None
         det = _exchange(rows, basis, nonbasic, det, leave, enter)
+
+
 def minimum(state: Tableau, objective: Sequence[int]) -> tuple[int, int]:
     """Minimum of objective.x, for an objective of d ints, over the state's
     region, which is never empty: the int ratio (num, det), det > 0 the

@@ -220,10 +220,10 @@ def count_steps(monkeypatch) -> list[int]:
 
 
 def test_frozen_budget_classes(monkeypatch):
-    # The first 10 networks of every shape in the benchmark's extrema pool
-    # at the pool's budget: every one frozen as "ok" completes, and 10 of the
-    # 15 frozen as over budget still exceed it (the vertex seeds and the
-    # clamped boxes finish the other 5).  A search that visits other
+    # Of the first 10 networks of every shape in the benchmark's extrema
+    # pool, at the pool's budget, every one frozen as "ok" completes, and 10
+    # of the 15 frozen as over budget still exceed it (the vertex seeds and
+    # the clamped boxes finish the other 5).  A search that visits other
     # branches would move some across the line.
     # The count of simplex steps pins Bland's rule: another entering or
     # leaving choice, or another row cut, would change it.  An "ok" network's
