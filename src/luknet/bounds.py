@@ -18,29 +18,30 @@ int ratio num/det, so its value is (num + constant*det)/(det*d_j).
 One depth-first walk over an explicit stack finds both extrema.  Each
 entry carries the senses still open on its branch; each sense keeps its
 own incumbent, an int ratio num/den over d_j, so a prune check compares
-ints, and makes its answer a Fraction once, at the end.  Both incumbents
-are seeded before the walk with the node's exact values at the cube's
-vertices 0, 1, e_k and 1 - e_k, so pruning starts at the root.  One
-interval pass per branch closes each sense whose bound cannot beat its
-incumbent.  A regime's post-activation box is the form's box clamped by
-the regime itself: [max(lo, 0), hi] for relu t >= 0, and also hi <= d_j
-for clip 0 <= t <= 1.  A branch adds the cut rows of its regime to the
-simplex tableau its parent left feasible (``numerics.cut``, a dual simplex
-under Bland's rule).  A leaf first builds the node's form and closes each
-sense that the form's box over the cube cannot improve, then cuts and
-minimises over its tableau (``numerics.minimum``) once per sense still
-open.  Each sense walks the tree a walk of its own would; the part the two
-trees share is built once.
+ints, and makes its answer a Fraction once, at the end.  Once both exist,
+one interval pass per branch closes each sense whose bound cannot beat its
+incumbent.  A branch adds the cut rows of its regime to the simplex tableau
+its parent left feasible (``numerics.cut``, a dual simplex under Bland's
+rule).  A leaf first builds the node's form and closes each sense that the
+form's box over the cube cannot improve, then cuts and minimises over its
+tableau (``numerics.minimum``) once per sense still open.  That check only
+spares an LP whose optimum could not have replaced the incumbent, so the
+tree, and the count of branches a node budget limits, is the one the
+interval pass alone prunes.  Each sense walks the tree a walk of its own
+would; the part the two trees share is built once.
 
 The levels are fixed in order, level by level, and each stack entry carries
 the state of the level its path is fixing: every node's pre-activation
 form, computed once when the path enters the level from the output forms
 of the level below (on level 0, the inputs' unit forms), and the output
 form and post-activation box the path gave each node it fixed; a node not
-fixed yet keeps its interval box.  So the pruning pass starts from that
-level's boxes and computes only the levels above, none of whose nodes is
-fixed, and a leaf reads the node's form off the output forms of the last
-level, once for both senses.
+fixed yet keeps its interval box.  The entry also carries the
+pre-activation boxes of the next level up over those boxes; fixing a node
+moves them by that node's column alone, to the same ints a full pass would
+give.  So the pruning pass starts from the next level and computes only the
+levels above it, none of whose nodes is fixed, and a leaf reads the node's
+form off the output forms of the last level, once for both senses.  The
+search keeps only the node's own row of its level.
 
 The same interval pass, run on a single vertex of the cube, is an exact
 forward pass: ``vertex_witnessed`` reads every hidden node's sign there.
@@ -104,16 +105,34 @@ def _activate(act: str, t: int, one: int) -> int:
     return one if act == CLIP and t > one else t
 
 
+def _activated(level: _Level, pre: Sequence[Box]) -> list[Box]:
+    """The post-activation boxes of a level's pre-activation boxes."""
+    one = level.den
+    return [(_activate(act, lo, one), _activate(act, hi, one))
+            for act, (lo, hi) in zip(level.activations, pre)]
+
+
 def _level_pass(level: _Level, post: Sequence[Box]) -> tuple[list[Box], list[Box]]:
     """The pre- and post-activation boxes of one level over the
     post-activation boxes ``post`` of the level below."""
-    pre: list[Box] = []
-    nxt: list[Box] = []
-    for row, b, act in zip(level.rows, level.biases, level.activations):
-        lo, hi = box(row, b, post)
-        pre.append((lo, hi))
-        nxt.append((_activate(act, lo, level.den), _activate(act, hi, level.den)))
-    return pre, nxt
+    pre = [box(row, b, post) for row, b in zip(level.rows, level.biases)]
+    return pre, _activated(level, pre)
+
+
+def _moved(level: _Level, pre: Sequence[Box], i: int, old: Box, new: Box) -> list[Box]:
+    """The pre-activation boxes ``pre`` of a level once node i of the level
+    below moves from box ``old`` to box ``new``: each changes by its weight
+    on node i times the moved end, the same ints a new pass would give."""
+    dlo, dhi = new[0] - old[0], new[1] - old[1]
+    out: list[Box] = []
+    for row, (lo, hi) in zip(level.rows, pre):
+        w = row[i]
+        if w > 0:
+            lo, hi = lo + w * dlo, hi + w * dhi
+        elif w < 0:
+            lo, hi = lo + w * dhi, hi + w * dlo
+        out.append((lo, hi))
+    return out
 
 
 def _interval_pass(
@@ -134,21 +153,18 @@ def _interval_pass(
     return below, box(top.rows[i], top.biases[i], post)
 
 
-def _vertices(d: int) -> list[list[Box]]:
-    """The cube's vertices 0, e_k, 1, 1 - e_k, each once, as degenerate boxes:
-    one interval pass over the scaled levels evaluates every node at one
-    exactly, in ints."""
-    units = [tuple(int(i == k) for i in range(d)) for k in range(-1, d)]
-    return [[(v, v) for v in x] for x in dict.fromkeys(units + [tuple(1 - v for v in u) for u in units])]
-
-
 def vertex_witnessed(net: Network) -> list[list[bool]]:
     """For each hidden node, level by level, whether its pre-activation is
-    > 0 at one of the cube's vertices 0, 1, e_k, 1 - e_k and <= 0 at another."""
+    > 0 at one of the cube's vertices 0, 1, e_k, 1 - e_k and <= 0 at another.
+
+    A vertex is the degenerate box {x}: one interval pass over the scaled
+    levels evaluates every hidden node there exactly, in ints.
+    """
     levels = _scaled_levels(net, net.depth)
+    units = [tuple(int(i == k) for i in range(net.input_dim)) for k in range(-1, net.input_dim)]
     signs = [[0] * len(level.rows) for level in levels[:-1]]  # bit 1: > 0 seen, bit 2: <= 0 seen
-    for x in _vertices(net.input_dim):
-        below, _ = _interval_pass(levels, 0, x)
+    for x in dict.fromkeys(units + [tuple(1 - v for v in u) for u in units]):
+        below, _ = _interval_pass(levels, 0, [(v, v) for v in x])
         for seen, pre in zip(signs, below):
             for i, (t, _) in enumerate(pre):
                 seen[i] |= 1 if t > 0 else 2
@@ -156,10 +172,9 @@ def vertex_witnessed(net: Network) -> list[list[bool]]:
 
 
 def _branches(act: str, form: AffineForm, one: int) -> list[tuple[tuple, AffineForm, Box]]:
-    """(cut rows [bound, *coeffs], output form, its box) of each regime of
-    a node with pre-activation ``form`` over denominator ``one`` that the
-    form's box bound leaves feasible; the output's box is that bound clamped
-    to the regime.
+    """(cut rows [bound, *coeffs], output form, its box bound) of each regime
+    of a node with pre-activation ``form`` over denominator ``one`` that the
+    form's box bound leaves feasible.
 
     Regimes: relu t<=0 -> 0, t>=0 -> t; clip t<=0 -> 0, 0<=t<=1 -> t, t>=1 -> 1.
     A regime the box bound forces needs no cut row.
@@ -175,7 +190,7 @@ def _branches(act: str, form: AffineForm, one: int) -> list[tuple[tuple, AffineF
             return [((), zero, (0, 0))]
         if lo >= 0:
             return [((), form, bound)]
-        return [(le0, zero, (0, 0)), (ge0, form, (0, hi))]
+        return [(le0, zero, (0, 0)), (ge0, form, bound)]
     if act == CLIP:
         top: AffineForm = (zero[0], one)
         if hi < 0:
@@ -185,7 +200,7 @@ def _branches(act: str, form: AffineForm, one: int) -> list[tuple[tuple, AffineF
         if lo >= 0 and hi <= one:
             return [((), form, bound)]
         out = [(le0, zero, (0, 0))] if lo <= 0 else []
-        out.append((ge0 + ((one - const, *coeffs),), form, (max(lo, 0), min(hi, one))))
+        out.append((ge0 + ((one - const, *coeffs),), form, bound))
         if hi >= one:
             out.append((((const - one, *neg),), top, (one, one)))
         return out
@@ -222,33 +237,37 @@ def exact_extrema(
     _, _, act = node_local_map(net, ref)  # validates the reference
     levels = _scaled_levels(net, ref.layer)
     top = ref.index - 1
+    # The node's own row is row 0 of the last level from here on.
+    last = levels[-1]
+    levels[-1] = _Level((last.rows[top],), (last.biases[top],), (last.activations[top],), last.den)
     inputs = [(0, 1)] * net.input_dim
 
     # Upstream nodes (level, 0-based index), level by level; inside a level
     # widest IA slack first.
-    below, _ = _interval_pass(levels, top, inputs)
+    below, _ = _interval_pass(levels, 0, inputs)
     upstream: list[tuple[int, int]] = []
     for j, pre in enumerate(below, start=1):
         order = sorted(range(len(pre)), key=lambda i: pre[i][1] - pre[i][0], reverse=True)
         upstream.extend((j, i) for i in order)
 
+    root = cube(net.input_dim)
+    visited = 0
     # Sense s (0 the minimum, 1 the maximum) has the incumbent num[s]/den[s]:
     # sign times a value of the node, times its level's denominator.  Both
-    # start at the best of the node's exact values at the cube's vertices.
+    # senses solve the walk's first leaf, so den[0] is 0 until both exist.
     signs = (1, -1)
-    seeds = [_interval_pass(levels, top, x)[1][0] for x in _vertices(net.input_dim)]
-    num, den = [min(seeds), -max(seeds)], [1, 1]
-    visited = 0
+    num, den = [0, 0], [0, 0]
     # Each entry: its index into upstream, the mask of the senses still open
     # (bit 1 the minimum, bit 2 the maximum), the tableau its parent left
     # feasible, the cut rows, form and box of upstream[index - 1], and the
     # parent's state of that node's level j: the forms, output forms and
-    # post-activation boxes of its nodes.  The root carries level 0: the
-    # inputs' unit forms (e_k, 0) and the cube's boxes.
+    # post-activation boxes of its nodes, and the pre-activation boxes of
+    # level j + 1 over those.  The root carries level 0: the inputs' unit
+    # forms (e_k, 0) and the cube's boxes.
     units = [(tuple(int(i == k) for i in range(net.input_dim)), 0) for k in range(net.input_dim)]
-    stack: list[tuple] = [(0, 3, cube(net.input_dim), (), None, None, 0, (), units, inputs)]
+    stack: list[tuple] = [(0, 3, root, (), None, None, 0, (), units, inputs, below[0] if below else None)]
     while stack:
-        idx, senses, state, rows, form, bound, j, forms, outs, post = stack.pop()
+        idx, senses, state, rows, form, bound, j, forms, outs, post, above = stack.pop()
         leaf = idx == len(upstream)
         # Probes pay off only above leaves; a leaf cuts after its prune checks.
         if rows and not leaf:
@@ -264,19 +283,25 @@ def exact_extrema(
             )
         if idx:
             i = upstream[idx - 1][1]
+            above = _moved(levels[j], above, i, post[i], bound)
             outs, post = outs[:], post[:]
             outs[i], post[i] = form, bound
-        # The pass starts at level j, the one the path is fixing: no level
-        # above holds a fixed node.
-        _, (lo, hi) = _interval_pass(levels, top, post, j)
-        senses = _open(senses, lo, hi, num, den)
-        if not senses:
-            continue
-        if leaf:
-            coeffs, const = _combine(levels[-1].rows[top], levels[-1].biases[top], outs)
-            senses = _open(senses, *box(coeffs, const, inputs), num, den)
+        if den[0]:
+            # The root came first, so a node is fixed: the pass starts above
+            # its level, and no level above holds a fixed node.
+            if j + 1 < len(levels):
+                _, (lo, hi) = _interval_pass(levels, 0, _activated(levels[j], above), j + 1)
+            else:
+                (lo, hi), = above
+            senses = _open(senses, lo, hi, num, den)
             if not senses:
                 continue
+        if leaf:
+            coeffs, const = _combine(levels[-1].rows[0], levels[-1].biases[0], outs)
+            if den[0]:
+                senses = _open(senses, *box(coeffs, const, inputs), num, den)
+                if not senses:
+                    continue
             if rows:
                 state = cut(state, rows)
                 if state is None:
@@ -285,7 +310,7 @@ def exact_extrema(
                 if senses & 1 << s:
                     m, w = minimum(state, [sign * c for c in coeffs])
                     v = sign * const * w + m
-                    if v * den[s] < num[s] * w:
+                    if not den[s] or v * den[s] < num[s] * w:
                         num[s], den[s] = v, w
             continue
         i = upstream[idx][1]
@@ -294,13 +319,15 @@ def exact_extrema(
             # Enter the next level, over the output forms and boxes of the
             # level below, which the path has fixed completely.
             forms = [_combine(row, b, outs) for row, b in zip(level.rows, level.biases)]
-            post = _level_pass(level, post)[1]
+            post = _activated(level, above)
+            above = _level_pass(levels[j + 1], post)[0]
             outs = [None] * len(level.rows)
             j += 1
         branches = _branches(level.activations[i], forms[i], level.den)
         for k in reversed(range(len(branches))):  # visited in the order of _branches
             rows, form, bound = branches[k]
-            stack.append((idx + 1, senses, state, rows, form, bound, j, forms, outs, post))
+            stack.append((idx + 1, senses, state, rows, form, bound, j, forms, outs, post, above))
+    assert den[0], "the cube is never empty"
     lo, hi = (Fraction(sign * n, d * levels[-1].den) for sign, n, d in zip(signs, num, den))
     if activated and act != NONE:
         return Interval(apply_activation(act, lo), apply_activation(act, hi))

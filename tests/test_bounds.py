@@ -106,32 +106,26 @@ def test_budget_error_names_node_and_sense():
     assert str(exc.value) == (
         "branch-and-bound budget of 1 exceeded at node (1,1) while minimising and maximising"
     )
+    # Both senses stay open on each of its 7 branches, so budget 14 completes.
     with pytest.raises(BudgetExceeded) as exc:
         exact_extrema(n, "output", node_budget=7)
     assert str(exc.value) == (
-        "branch-and-bound budget of 7 exceeded at node (1,2) while minimising and maximising"
+        "branch-and-bound budget of 7 exceeded at node (2,1) while minimising and maximising"
     )
+    assert exact_extrema(n, "output", node_budget=14) == (0, 1)
     # Here one sense is pruned on the branch where the count passes the budget.
-    with pytest.raises(BudgetExceeded) as exc:
-        exact_extrema(n, "output", node_budget=4)
-    assert str(exc.value) == "branch-and-bound budget of 4 exceeded at node (2,1) while minimising"
-    with pytest.raises(BudgetExceeded) as exc:
-        exact_extrema(n, "output", node_budget=8)
-    assert str(exc.value) == "branch-and-bound budget of 8 exceeded at node (2,1) while maximising"
-    assert exact_extrema(n, "output", node_budget=10) == (0, 1)
-    # The vertex seeds meet the root's interval bound in both senses: the
-    # root's count of 2 is the whole search.
     n = net(
         2,
         layer([[1, -2], [1, -3], [-1, -1]], [-1, 1, 1], ["relu"] * 3),
         layer([[-3, 0, -1]], [-3], ["none"]),
     )
     with pytest.raises(BudgetExceeded) as exc:
-        exact_extrema(n, "output", node_budget=1)
-    assert str(exc.value) == (
-        "branch-and-bound budget of 1 exceeded at node (1,2) while minimising and maximising"
-    )
-    assert exact_extrema(n, "output", node_budget=2) == (-4, -3)
+        exact_extrema(n, "output", node_budget=12)
+    assert str(exc.value) == "branch-and-bound budget of 12 exceeded at node (1,3) while minimising"
+    n = net(2, layer([[2, 1], [-3, 3]], [-2, 1], ["relu", "relu"]), layer([[3, 0]], [-1], ["none"]))
+    with pytest.raises(BudgetExceeded) as exc:
+        exact_extrema(n, "output", node_budget=10)
+    assert str(exc.value) == "branch-and-bound budget of 10 exceeded at node (2,1) while maximising"
 
 
 def test_least_completing_budget_is_a_threshold():
@@ -155,7 +149,7 @@ def test_least_completing_budget_is_a_threshold():
 
 
 @pytest.mark.parametrize("name, least", [
-    ("dag.json", 11), ("intro3_nstar.json", 8), ("search/relu_6x12x12_seed2.json", 7_606),
+    ("dag.json", 33), ("intro3_nstar.json", 18), ("search/relu_6x12x12_seed2.json", 7_612),
 ])
 def test_least_completing_budget_of_fixtures(fixtures_dir, name, least):
     n = network_from_json((fixtures_dir / name).read_text())
@@ -220,11 +214,9 @@ def count_steps(monkeypatch) -> list[int]:
 
 
 def test_frozen_budget_classes(monkeypatch):
-    # Of the first 10 networks of every shape in the benchmark's extrema
-    # pool, at the pool's budget, every one frozen as "ok" completes, and 10
-    # of the 15 frozen as over budget still exceed it (the vertex seeds and
-    # the clamped boxes finish the other 5).  A search that visits other
-    # branches would move some across the line.
+    # The first 10 networks of every shape in the benchmark's extrema pool
+    # keep their frozen class at the pool's budget: 15 of the 40 exceed it.
+    # A search that visits other branches would move some across the line.
     # The count of simplex steps pins Bland's rule: another entering or
     # leaving choice, or another row cut, would change it.  An "ok" network's
     # search completes, so its count is the sum over both senses' trees; an
@@ -238,14 +230,15 @@ def test_frozen_budget_classes(monkeypatch):
         for e in entries[:10]:
             n = network_from_dict(e["net"])
             before = steps[0]
-            try:
-                exact_extrema(n, "output", node_budget=budget)
-            except BudgetExceeded:
-                assert e["class"] == "budget"
+            if e["class"] == "budget":
+                with pytest.raises(BudgetExceeded):
+                    exact_extrema(n, "output", node_budget=budget)
                 exceeded += 1
+            else:
+                exact_extrema(n, "output", node_budget=budget)
             by_class[e["class"]] += steps[0] - before
-    assert exceeded == 10
-    assert by_class == {"ok": 594, "budget": 2_356}
+    assert exceeded == 15
+    assert by_class == {"ok": 890, "budget": 2_218}
 
 
 def test_large_entry_network(fixtures_dir, monkeypatch):
@@ -259,7 +252,7 @@ def test_large_entry_network(fixtures_dir, monkeypatch):
     n = network_from_json((fixtures_dir / "search" / "relu_6x12x12_seed2.json").read_text())
     iv = exact_extrema(n, "output")
     assert (iv.lo, iv.hi) == (F(-215, 2), F(65))
-    assert steps[0] == 10_482
+    assert steps[0] == 10_605
     values = [eval_network(n, x) for x in itertools.product((F(0), F(1, 2), F(1)), repeat=6)]
     assert iv.lo <= min(values) and max(values) <= iv.hi
 
@@ -272,7 +265,8 @@ def test_frozen_cuts_and_leaves(fixtures_dir, monkeypatch):
     # solved: a branch whose tableau went to another would move them, even
     # where the pivots and the budget classes stay.  The "ok" networks are
     # pinned on their own: a completed search cuts each branch either sense
-    # visits once, and solves each leaf once per sense that reaches it.
+    # visits once, and solves each leaf once per sense that reaches it and
+    # that the box of the leaf's form over the cube leaves open.
     calls = {"cut": 0, "minimum": 0}
     for name in calls:
         def counted(*args, name=name, real=getattr(bounds, name)):
@@ -282,7 +276,7 @@ def test_frozen_cuts_and_leaves(fixtures_dir, monkeypatch):
         monkeypatch.setattr(bounds, name, counted)
     pool = json.loads(POOL_EXTREMA.read_text())
     budget = pool.pop("about")["budget"]
-    for cls, expect in (("ok", {"cut": 691, "minimum": 129}), ("budget", {"cut": 2_269, "minimum": 374})):
+    for cls, expect in (("ok", {"cut": 873, "minimum": 298}), ("budget", {"cut": 2_045, "minimum": 508})):
         for entries in pool.values():
             for e in entries[:10]:
                 if e["class"] == cls:
@@ -294,17 +288,17 @@ def test_frozen_cuts_and_leaves(fixtures_dir, monkeypatch):
         calls.update(cut=0, minimum=0)
     n = network_from_json((fixtures_dir / "search" / "relu_6x12x12_seed2.json").read_text())
     exact_extrema(n, "output")
-    assert calls == {"cut": 4_207, "minimum": 606}
+    assert calls == {"cut": 4_223, "minimum": 633}
     calls.update(cut=0, minimum=0)
     steps = count_steps(monkeypatch)
     iv = exact_extrema(n, NodeRef(2, 7))
     assert (iv.lo, iv.hi) == (F(-39), F(9))
-    assert calls == {"cut": 186, "minimum": 78}
-    assert steps[0] == 446
+    assert calls == {"cut": 186, "minimum": 83}
+    assert steps[0] == 472
 
 
 def test_search_builds_no_fraction_per_branch(monkeypatch):
-    # A pool network whose search visits 85 branches.  The incumbent, the
+    # A pool network whose search visits 151 branches.  The incumbent, the
     # prune checks and each leaf's optimum, an int ratio, are ints: no leaf
     # builds a Fraction, and each sense builds one, its answer.
     class Counted(F):
@@ -337,14 +331,14 @@ def test_search_builds_no_fraction_per_branch(monkeypatch):
     monkeypatch.setattr(bounds, "minimum", counted_minimum)
     monkeypatch.setattr(bounds, "Fraction", Counted)
     monkeypatch.setattr(numerics, "Fraction", Counted)
-    e = json.loads(POOL_EXTREMA.read_text())["2x4-4"][27]
+    e = json.loads(POOL_EXTREMA.read_text())["2x4-4"][10]
     n = network_from_dict(e["net"])
     with pytest.raises(BudgetExceeded):
-        exact_extrema(n, "output", node_budget=84)
+        exact_extrema(n, "output", node_budget=150)
     Counted.made = Counted.compared = 0
     leaves = 0
     iv = exact_extrema(n, "output")
     assert Counted.compared <= 1  # Interval checks lo <= hi
-    assert leaves == 11
+    assert leaves == 36
     assert Counted.made <= 2
     assert (iv.lo, iv.hi) == tuple(F(v) for v in e["expect"])

@@ -540,12 +540,12 @@ def test_bounds_budget_error_is_one_line(fixtures_dir, capsys):
         "budget exceeded: branch-and-bound budget of 1 exceeded at node (1,1) "
         "while minimising and maximising\n"
     )
-    # 11 is the least budget under which the search of dag.json completes.
-    assert run(capsys, "bounds", path, "--budget", "10") == (
-        1, "", "budget exceeded: branch-and-bound budget of 10 exceeded at node (2,1) while maximising\n"
+    # 33 is the least budget under which the search of dag.json completes.
+    assert run(capsys, "bounds", path, "--budget", "32") == (
+        1, "", "budget exceeded: branch-and-bound budget of 32 exceeded at node (2,1) while maximising\n"
     )
     expect = (0, "output: [0, 1]\n", "")
-    assert run(capsys, "bounds", path, "--budget", "11") == run(capsys, "bounds", path) == expect
+    assert run(capsys, "bounds", path, "--budget", "33") == run(capsys, "bounds", path) == expect
 
 
 # Each id keeps the name its case had while a row could also set the budget
