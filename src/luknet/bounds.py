@@ -35,13 +35,11 @@ the state of the level its path is fixing: every node's pre-activation
 form, computed once when the path enters the level from the output forms
 of the level below (on level 0, the inputs' unit forms), and the output
 form and post-activation box the path gave each node it fixed; a node not
-fixed yet keeps its interval box.  The entry also carries the
-pre-activation boxes of the next level up over those boxes; fixing a node
-moves them by that node's column alone, to the same ints a full pass would
-give.  So the pruning pass starts from the next level and computes only the
-levels above it, none of whose nodes is fixed, and a leaf reads the node's
-form off the output forms of the last level, once for both senses.  The
-search keeps only the node's own row of its level.
+fixed yet keeps its interval box.  So the pruning pass starts from those
+boxes and computes only the levels above, none of whose nodes is fixed, and
+a leaf reads the node's form off the output forms of the last level, once
+for both senses.  The search keeps only the node's own row of its level, so
+the last level of every pass has one row.
 
 The same interval pass, run on a single vertex of the cube, is an exact
 forward pass: ``vertex_witnessed`` reads every hidden node's sign there.
@@ -105,52 +103,31 @@ def _activate(act: str, t: int, one: int) -> int:
     return one if act == CLIP and t > one else t
 
 
-def _activated(level: _Level, pre: Sequence[Box]) -> list[Box]:
-    """The post-activation boxes of a level's pre-activation boxes."""
-    one = level.den
-    return [(_activate(act, lo, one), _activate(act, hi, one))
-            for act, (lo, hi) in zip(level.activations, pre)]
-
-
 def _level_pass(level: _Level, post: Sequence[Box]) -> tuple[list[Box], list[Box]]:
     """The pre- and post-activation boxes of one level over the
     post-activation boxes ``post`` of the level below."""
     pre = [box(row, b, post) for row, b in zip(level.rows, level.biases)]
-    return pre, _activated(level, pre)
-
-
-def _moved(level: _Level, pre: Sequence[Box], i: int, old: Box, new: Box) -> list[Box]:
-    """The pre-activation boxes ``pre`` of a level once node i of the level
-    below moves from box ``old`` to box ``new``: each changes by its weight
-    on node i times the moved end, the same ints a new pass would give."""
-    dlo, dhi = new[0] - old[0], new[1] - old[1]
-    out: list[Box] = []
-    for row, (lo, hi) in zip(level.rows, pre):
-        w = row[i]
-        if w > 0:
-            lo, hi = lo + w * dlo, hi + w * dhi
-        elif w < 0:
-            lo, hi = lo + w * dhi, hi + w * dlo
-        out.append((lo, hi))
-    return out
+    one = level.den
+    return pre, [(_activate(act, lo, one), _activate(act, hi, one))
+                 for act, (lo, hi) in zip(level.activations, pre)]
 
 
 def _interval_pass(
-    levels: Sequence[_Level], i: int, post: Sequence[Box], start: int = 0
+    levels: Sequence[_Level], post: Sequence[Box], start: int = 0
 ) -> tuple[list[list[Box]], Box]:
-    """One layer-wise interval pass up to node i (0-based) of the last level.
+    """One layer-wise interval pass up to the last level, which has one row.
 
     ``post`` holds the post-activation boxes of level ``start`` (level 0 is
     the inputs); the pass computes the levels above it.  Returns the
     pre-activation box of every node in the levels it computed, grouped by
-    level, and that of the node itself.
+    level, and that of its one node.
     """
     below: list[list[Box]] = []
     for level in levels[start:-1]:
         pre, post = _level_pass(level, post)
         below.append(pre)
     top = levels[-1]
-    return below, box(top.rows[i], top.biases[i], post)
+    return below, box(top.rows[0], top.biases[0], post)
 
 
 def vertex_witnessed(net: Network) -> list[list[bool]]:
@@ -164,7 +141,7 @@ def vertex_witnessed(net: Network) -> list[list[bool]]:
     units = [tuple(int(i == k) for i in range(net.input_dim)) for k in range(-1, net.input_dim)]
     signs = [[0] * len(level.rows) for level in levels[:-1]]  # bit 1: > 0 seen, bit 2: <= 0 seen
     for x in dict.fromkeys(units + [tuple(1 - v for v in u) for u in units]):
-        below, _ = _interval_pass(levels, 0, [(v, v) for v in x])
+        below, _ = _interval_pass(levels, [(v, v) for v in x])
         for seen, pre in zip(signs, below):
             for i, (t, _) in enumerate(pre):
                 seen[i] |= 1 if t > 0 else 2
@@ -244,7 +221,7 @@ def exact_extrema(
 
     # Upstream nodes (level, 0-based index), level by level; inside a level
     # widest IA slack first.
-    below, _ = _interval_pass(levels, 0, inputs)
+    below, _ = _interval_pass(levels, inputs)
     upstream: list[tuple[int, int]] = []
     for j, pre in enumerate(below, start=1):
         order = sorted(range(len(pre)), key=lambda i: pre[i][1] - pre[i][0], reverse=True)
@@ -261,13 +238,12 @@ def exact_extrema(
     # (bit 1 the minimum, bit 2 the maximum), the tableau its parent left
     # feasible, the cut rows, form and box of upstream[index - 1], and the
     # parent's state of that node's level j: the forms, output forms and
-    # post-activation boxes of its nodes, and the pre-activation boxes of
-    # level j + 1 over those.  The root carries level 0: the inputs' unit
-    # forms (e_k, 0) and the cube's boxes.
+    # post-activation boxes of its nodes.  The root carries level 0: the
+    # inputs' unit forms (e_k, 0) and the cube's boxes.
     units = [(tuple(int(i == k) for i in range(net.input_dim)), 0) for k in range(net.input_dim)]
-    stack: list[tuple] = [(0, 3, root, (), None, None, 0, (), units, inputs, below[0] if below else None)]
+    stack: list[tuple] = [(0, 3, root, (), None, None, 0, (), units, inputs)]
     while stack:
-        idx, senses, state, rows, form, bound, j, forms, outs, post, above = stack.pop()
+        idx, senses, state, rows, form, bound, j, forms, outs, post = stack.pop()
         leaf = idx == len(upstream)
         # Probes pay off only above leaves; a leaf cuts after its prune checks.
         if rows and not leaf:
@@ -283,16 +259,12 @@ def exact_extrema(
             )
         if idx:
             i = upstream[idx - 1][1]
-            above = _moved(levels[j], above, i, post[i], bound)
             outs, post = outs[:], post[:]
             outs[i], post[i] = form, bound
         if den[0]:
-            # The root came first, so a node is fixed: the pass starts above
+            # The root came first, so a node is fixed: the pass starts at
             # its level, and no level above holds a fixed node.
-            if j + 1 < len(levels):
-                _, (lo, hi) = _interval_pass(levels, 0, _activated(levels[j], above), j + 1)
-            else:
-                (lo, hi), = above
+            _, (lo, hi) = _interval_pass(levels, post, j)
             senses = _open(senses, lo, hi, num, den)
             if not senses:
                 continue
@@ -319,14 +291,13 @@ def exact_extrema(
             # Enter the next level, over the output forms and boxes of the
             # level below, which the path has fixed completely.
             forms = [_combine(row, b, outs) for row, b in zip(level.rows, level.biases)]
-            post = _activated(level, above)
-            above = _level_pass(levels[j + 1], post)[0]
+            post = _level_pass(level, post)[1]
             outs = [None] * len(level.rows)
             j += 1
         branches = _branches(level.activations[i], forms[i], level.den)
         for k in reversed(range(len(branches))):  # visited in the order of _branches
             rows, form, bound = branches[k]
-            stack.append((idx + 1, senses, state, rows, form, bound, j, forms, outs, post, above))
+            stack.append((idx + 1, senses, state, rows, form, bound, j, forms, outs, post))
     assert den[0], "the cube is never empty"
     lo, hi = (Fraction(sign * n, d * levels[-1].den) for sign, n, d in zip(signs, num, den))
     if activated and act != NONE:

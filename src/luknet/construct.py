@@ -153,14 +153,17 @@ def _add_relu(relus: dict, key: tuple, row, bias, col, claims: bool) -> None:
 
 
 def roundtrip(net: Network, flavor: str = "integer", node_budget: int | None = None) -> Network:
-    """extract -> construct; on every non-degenerate network measured, the
-    identity, node order included, hidden nodes with an all-zero outgoing
-    column too.
+    """extract -> construct; on every non-degenerate network measured whose
+    output range lies in [0,1], the identity, node order included, hidden
+    nodes with an all-zero outgoing column too.
 
-    Its premise is the theorem's: a degenerate network raises Degenerate,
-    after bad input is rejected and before anything is extracted.  The graph
-    is read off without the normality check: extraction's nodes are normal by
-    construction, and re-peeling a certificate would only rebuild its formula.
+    Its premises are the theorem's.  A degenerate network raises Degenerate,
+    after bad input is rejected and before anything is extracted.  An output
+    range past [0,1] raises nothing: extraction represents clip(N), so the
+    result computes clip(N), and ``luknet roundtrip`` reports a mismatch.
+    The graph is read off without the normality check: extraction's nodes
+    are normal by construction, and re-peeling a certificate would only
+    rebuild its formula.
     """
     check_flavor(net, flavor)
     ok, why = is_non_degenerate(net, node_budget=node_budget)

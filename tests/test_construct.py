@@ -273,6 +273,24 @@ def test_roundtrip_rejects_degenerate():
     assert str(raised.value) == "hidden node (1,1) is never active (max -4 <= 0)"
 
 
+def test_roundtrip_of_an_output_outside_the_unit_interval_is_its_clip():
+    # The round trip's other premise: the output range lies in [0,1].  Past
+    # it, extraction represents clip(N), and the round trip computes that.
+    flavors = ("integer", "rational", "real")
+    cases = [(1, 1, flavors), (2, 0, flavors), (-1, 0, flavors), (F(3, 2), 0, flavors[1:])]
+    for weight, bias, admitted in cases:  # weight * relu(x) + bias
+        network = net(1, layer([[1]], [0], ["relu"]), layer([[weight]], [bias], ["none"]))
+        for flavor in admitted:
+            back = roundtrip(network, flavor=flavor)
+            assert back != network
+            for x in FiniteGrid(12, 1).points():
+                assert eval_network(back, x) == min(max(eval_network(network, x), 0), 1)
+    # relu(2x - 1) + relu(1 - 2x) attains 0 and 1 and stays inside.
+    onto = net(1, layer([[2], [-2]], [-1, 1], ["relu", "relu"]), layer([[1, 1]], [0], ["none"]))
+    for flavor in flavors:
+        assert roundtrip(onto, flavor=flavor) == onto
+
+
 def half_network():
     return net(
         1,
