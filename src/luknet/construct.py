@@ -3,7 +3,8 @@
 Step I copies the layered shape of a normal substitution graph and reads each
 node's affine row off its certificate (constant nodes are folded away).
 Step II converts the clip network back to a relu network, inverting the
-extraction's node splitting by telescoping pairs and aggregation.
+extraction's node splitting by telescoping pairs and aggregation.  The round
+trip peels nothing: it reads ``rho_to_sigma``'s rows as certificates.
 """
 from __future__ import annotations
 
@@ -11,8 +12,8 @@ from fractions import Fraction
 
 from . import formula as fm
 from .bounds import exact_extrema
-from .extract import check_flavor, extract_graph
-from .graph import SubstitutionGraph, normality_violation
+from .extract import check_flavor, rho_to_sigma
+from .graph import FLAVOR_RATIONAL, MintermCertificate, SubstitutionGraph, normality_violation
 from .network import CLIP, NONE, RELU, Degenerate, Layer, Network, box, is_non_degenerate, scaled_layer
 
 _F0 = Fraction(0)
@@ -34,26 +35,35 @@ def graph_to_sigma(g: SubstitutionGraph) -> Network:
     violation = normality_violation(g)
     if violation is not None:
         raise NotNormal(violation)
-    return _read_sigma(g)
+    return _read_sigma(g.widths[0], [[node.certificate for node in level] for level in g.nodes])
 
 
-def _read_sigma(g: SubstitutionGraph) -> Network:
-    """The clip network of a graph whose nodes are known to be normal."""
+def _read_sigma(input_dim: int, levels) -> Network:
+    """The clip network of normal certificates, one list per level.
+
+    A row is the constant 1 when its box over the cube has lo >= 1 and 0 when
+    hi <= 0, the test at the root of extraction's peel, unless it is a
+    rational row with a non-integer entry (a delta chain, never a constant).
+    The boxes run on each level scaled once to ints (``scaled_layer``).
+    """
     layers: list[Layer] = []
     # Per previous-level position: "kept" column index or a constant formula.
-    prev_map: list[int | fm.Const] = list(range(g.widths[0]))
-    prev_kept = g.widths[0]
-    for level in g.nodes:
+    prev_map: list[int | fm.Const] = list(range(input_dim))
+    prev_kept = input_dim
+    for certs in levels:
+        s, rows_s, biases_s = scaled_layer(Layer([c.m for c in certs], [c.b for c in certs], ()))
         rows: list[tuple[Fraction, ...]] = []
         biases: list[Fraction] = []
         cur_map: list[int | fm.Const] = []
-        for node in level:
-            if node.formula is fm.ZERO or node.formula is fm.ONE:
-                cur_map.append(node.formula)  # dropped from the network
+        for cert, row_s, b_s in zip(certs, rows_s, biases_s):
+            lo, hi = box(row_s, b_s, [(0, 1)] * len(row_s))
+            chain = cert.flavor == FLAVOR_RATIONAL and any(v % s for v in (b_s, *row_s))
+            if (lo >= s or hi <= 0) and not chain:
+                cur_map.append(fm.ONE if lo >= s else fm.ZERO)  # dropped from the network
                 continue
             row = [_F0] * prev_kept
-            bias = node.certificate.b
-            for src, coeff in zip(prev_map, node.certificate.m):
+            bias = cert.b
+            for src, coeff in zip(prev_map, cert.m):
                 if src is fm.ONE:
                     bias += coeff
                 elif src is not fm.ZERO:
@@ -72,7 +82,7 @@ def _read_sigma(g: SubstitutionGraph) -> Network:
         layers.append(Layer(tuple(rows), tuple(biases), (CLIP,) * len(rows)))
         prev_map = cur_map
         prev_kept = len(rows)
-    return Network(g.widths[0], tuple(layers))
+    return Network(input_dim, tuple(layers))
 
 
 def sigma_to_rho(net: Network, node_budget: int | None = None) -> Network:
@@ -153,21 +163,23 @@ def _add_relu(relus: dict, key: tuple, row, bias, col, claims: bool) -> None:
 
 
 def roundtrip(net: Network, flavor: str = "integer", node_budget: int | None = None) -> Network:
-    """extract -> construct; on every non-degenerate network measured whose
-    output range lies in [0,1], the identity, node order included, hidden
-    nodes with an all-zero outgoing column too.
+    """rho_to_sigma -> construct; on every non-degenerate network measured
+    whose output range lies in [0,1], the identity, node order included,
+    hidden nodes with an all-zero outgoing column too.
 
     Its premises are the theorem's.  A degenerate network raises Degenerate,
-    after bad input is rejected and before anything is extracted.  An output
-    range past [0,1] raises nothing: extraction represents clip(N), so the
-    result computes clip(N), and ``luknet roundtrip`` reports a mismatch.
-    The graph is read off without the normality check: extraction's nodes
-    are normal by construction, and re-peeling a certificate would only
-    rebuild its formula.
+    after bad input is rejected and before anything is converted.  An output
+    range past [0,1] raises nothing: the clip network computes clip(N), so
+    the result does too, and ``luknet roundtrip`` reports a mismatch.
+    Nothing is peeled and no formula is built: each clip row is read as the
+    certificate ``extract_graph`` would attach to it, which is normal by
+    construction, so the result is that of ``graph_to_sigma`` on the
+    extracted graph followed by ``sigma_to_rho``.
     """
     check_flavor(net, flavor)
     ok, why = is_non_degenerate(net, node_budget=node_budget)
     if not ok:
         raise Degenerate(why)
-    g = extract_graph(net, flavor=flavor)
-    return sigma_to_rho(_read_sigma(g), node_budget=node_budget)
+    levels = [[MintermCertificate(m, b, flavor) for m, b in zip(layer.weights, layer.biases)]
+              for layer in rho_to_sigma(net).layers]
+    return sigma_to_rho(_read_sigma(net.input_dim, levels), node_budget=node_budget)

@@ -6,8 +6,9 @@ substitution graph whose represented formula realizes the network's map.  No
 search runs: non-degeneracy is a premise of the round trip only.
 
 The formulas of a graph are peeled in one pass over its certificates, where
-consecutive equal rows share one peeling memo; the normality check re-runs
-that pass.  The memo is a local of the pass, so no state outlives a call.
+consecutive equal rows share one peeling memo; ``graph_to_sigma``'s normality
+check re-runs that pass, and the round trip runs none.  The memo is a local of
+the pass, so no state outlives a call.
 """
 from __future__ import annotations
 

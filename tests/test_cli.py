@@ -29,6 +29,19 @@ def test_roundtrip_fixture(fixtures_dir, capsys):
     assert "identical" in out
 
 
+def test_half_integer_fixture(fixtures_dir, tmp_path, capsys):
+    # half_relu.json, relu(3/2 x - 1/2)/2 + 1/4, is the one fixture with
+    # non-integer weights: it round-trips in the rational and the real
+    # flavour, and its rational graph constructs back to it.
+    half = fixtures_dir / "half_relu.json"
+    for flavor in ("rational", "real"):
+        assert run(capsys, "roundtrip", str(half), "--flavor", flavor) == (0, "roundtrip: identical\n", "")
+    gpath, npath = tmp_path / "g.json", tmp_path / "n.json"
+    assert run(capsys, "extract", str(half), "--flavor", "rational", "-o", str(gpath))[0] == 0
+    assert run(capsys, "construct", str(gpath), "-o", str(npath))[0] == 0
+    assert npath.read_text() == half.read_text()
+
+
 def test_roundtrip_mismatch_and_ignore_permutation(fixtures_dir, tmp_path):
     # The pool's former node-order mismatch (pair_order.json) and corpus seed
     # 7709's former dead-node mismatch (dead_node.json) come back identical,

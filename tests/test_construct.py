@@ -17,7 +17,7 @@ from helpers import (
     reference_sigma_to_rho,
     same_row_pairs_network,
 )
-from luknet import extract
+from luknet import construct, extract
 from luknet import formula as fm
 from luknet import rewrite as rw
 from luknet.construct import NotNormal, graph_to_sigma, roundtrip, sigma_to_rho
@@ -323,31 +323,106 @@ def test_no_memo_outlives_its_pass():
         gc.enable()
 
 
-def test_roundtrip_peels_each_certificate_once(monkeypatch):
-    # The round trip reads its graph straight off extraction: it peels only
-    # what extract_graph peels and re-extracts no certificate: its one pass
-    # of the extraction's generator is extract_graph's.
-    runs = count_formula_runs(monkeypatch)
-    calls = 0
-    peel = extract._peel
+def test_roundtrip_builds_no_formula(monkeypatch):
+    # The round trip reads rho_to_sigma's rows as certificates: it enters
+    # neither the extraction pass nor its peel, and, with no collection to
+    # hide a short-lived node, the intern table holds as many entries after
+    # a round trip as before it.
+    def refused(*args):
+        raise AssertionError("the round trip peeled a row")
 
-    def counted(run, b):
-        nonlocal calls
-        calls += 1
-        return peel(run, b)
+    monkeypatch.setattr(extract, "_formulas", refused)
+    monkeypatch.setattr(extract, "_peel", refused)
+    cases = [(dag_network(), flavor) for flavor in ("integer", "rational", "real")]
+    cases += [(half_network(), "rational"), (half_network(), "real")]
+    gc.collect()
+    gc.disable()
+    try:
+        for network, flavor in cases:
+            before = len(fm._interned)
+            assert roundtrip(network, flavor=flavor) == network
+            assert len(fm._interned) == before
+    finally:
+        gc.enable()
 
-    monkeypatch.setattr(extract, "_peel", counted)
-    cases = [(dag_network(), "integer"), (half_network(), "rational"),
-             (half_network(), "real")]
+
+def _constant_rule_rows(rng, flavor):
+    """Seeded rows (m, b) for the reader's constant test: integer and
+    half-integer rows, boxes that end exactly at 0 or 1, zero rows with a
+    bias in (0,1), and constant rows with a non-integer entry."""
+    d = rng.randint(1, 3)
+    q = 1 if flavor == "integer" else rng.choice((1, 2, 2, 3))
+    m = [F(rng.randint(-6, 6), q) for _ in range(d)]
+    if rng.random() < 0.15:
+        m = [F(0)] * d
+    lo = sum(w for w in m if w < 0)
+    hi = sum(w for w in m if w > 0)
+    # The bias that puts the box's hi at 0 or 1, or its lo at 0 or 1, or
+    # just past one of those, or a random one.
+    b = rng.choice((-hi, 1 - hi, -lo, 1 - lo, -hi - F(1, q), 1 - lo + F(1, q),
+                    F(rng.randint(-3 * q, 3 * q), q)))
+    if flavor == "integer":
+        b = F(round(b))
+    elif not any(m) and rng.random() < 0.5:
+        b = F(rng.randint(1, 5), 6)  # scale(b, 1) in the real flavour
+    return tuple(m), b
+
+
+def test_reader_folds_exactly_the_constant_formulas():
+    # The reader folds a certificate into a constant exactly when its peeled
+    # formula is the constant object: between a live node x1 and an output
+    # x1 over the level, a folded 1 moves into the output's bias, a folded 0
+    # disappears, and a kept row is read as it is.
+    rng = random.Random(37)
+    seen = {"zero": 0, "one": 0, "kept": 0, "chain": 0, "edge": 0, "inside": 0}
+    for flavor in ("integer", "rational", "real") * 400:
+        m, b = _constant_rule_rows(rng, flavor)
+        d = len(m)
+        cert = MintermCertificate(m, b, flavor)
+        live = MintermCertificate((F(1),) + (F(0),) * (d - 1), F(0), flavor)
+        out = MintermCertificate((F(1), F(0)), F(0), flavor)
+        sigma = construct._read_sigma(d, [[cert, live], [out]])
+        formula = formula_for_certificate(cert)
+        lo, hi = fraction_box(m, b)
+        if formula is fm.ONE or formula is fm.ZERO:
+            seen["one" if formula is fm.ONE else "zero"] += 1
+            assert sigma.layers[0].weights == (live.m,)
+            assert sigma.layers[1] == layer([[0]], [formula.value], ["clip"])
+        else:
+            seen["kept"] += 1
+            seen["chain"] += lo >= 1 or hi <= 0
+            seen["inside"] += not any(m) and 0 < b < 1
+            assert sigma.layers[0].weights == (m, live.m)
+            assert sigma.layers[0].biases == (b, F(0))
+            assert sigma.layers[1] == layer([[1, 0]], [0], ["clip"])
+        seen["edge"] += lo in (0, 1) or hi in (0, 1)
+    assert min(seen.values()) >= 30, seen
+
+
+def test_roundtrip_is_the_papers_loop():
+    # Extraction, construction's step I and step II in turn give what the
+    # round trip gives without peeling, on seeded corpus networks and on
+    # outputs past [0,1].  relu(x)/2 + 1 has the constant 1 as its clip; the
+    # rational flavour peels that row to a delta chain, so its output node
+    # stays and gains a differencing pair (depth 3), and the real flavour
+    # folds it (depth 2).
+    flavors = ("integer", "rational", "real")
+    rng = random.Random(41)
+    cases = []
+    while len(cases) < 12:
+        network = corpus_network(rng)
+        if network is not None:
+            cases += [(network, flavor) for flavor in flavors]
+    for weight, bias in ((1, 1), (2, 0), (-1, 0), (F(3, 2), 0), (F(1, 2), 1)):
+        network = net(1, layer([[1]], [0], ["relu"]), layer([[weight]], [bias], ["none"]))
+        admitted = flavors if F(weight).denominator == 1 else flavors[1:]
+        cases += [(network, flavor) for flavor in admitted]
     for network, flavor in cases:
-        calls = 0
-        extract_graph(network, flavor=flavor)
-        alone = calls
-        calls = 0
-        runs.clear()
-        assert roundtrip(network, flavor=flavor) == network
-        assert calls == alone > 0
-        assert len(runs) == 1
+        loop = sigma_to_rho(graph_to_sigma(extract_graph(network, flavor=flavor)))
+        assert roundtrip(network, flavor=flavor) == loop
+    half_plus_one = net(1, layer([[1]], [0], ["relu"]), layer([[F(1, 2)]], [1], ["none"]))
+    assert roundtrip(half_plus_one, flavor="rational").depth == 3
+    assert roundtrip(half_plus_one, flavor="real").depth == 2
 
 
 def test_roundtrip_rational_network():

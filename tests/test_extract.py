@@ -489,13 +489,14 @@ def test_extract_graph_certificates_reproduce_formulas(fixtures_dir):
     # The check runs outside extraction's pass, so no peel memo of the
     # extraction serves it.
     # The networks are a random one, the fixtures, and the first 10
-    # half-integer networks of the round-trip pool (not the integer flavour).
+    # half-integer networks of the round-trip pool, each in every flavour
+    # that applies.
     rng = random.Random(37)
     networks = [random_network(rng, 2, [3, 2])]
     networks += [network_from_json(p.read_text()) for p in sorted(fixtures_dir.glob("*.json"))]
     half = [network_from_dict(e["net"]) for e in json.loads(POOL_ROUNDTRIP.read_text())["half"][:10]]
-    for flavor in ("integer", "rational", "real"):
-        for network in networks + (half if flavor != "integer" else []):
+    for network in networks + half:
+        for flavor in flavors_of(network):
             assert normality_violation(extract_graph(network, flavor=flavor)) is None, flavor
 
 

@@ -66,6 +66,7 @@ INPUTS = {
 
 # The fixture networks that roundtrip refuses as degenerate.
 DEGENERATE = {"intro2_peer", "intro3_nstar", "never_active", "zero_net"}
+HALF_INTEGER = {"half_relu"}  # run in the rational flavour
 
 
 def ladder(tmp: pathlib.Path) -> list[tuple[list[str], int]]:
@@ -74,10 +75,11 @@ def ladder(tmp: pathlib.Path) -> list[tuple[list[str], int]]:
     runs: list[tuple[list[str], int]] = []
     for path in sorted(FIXTURES.glob("*.json")):
         net, graph = str(path), out(f"{path.stem}.graph.json")
+        flavor = ["--flavor", "rational"] if path.stem in HALF_INTEGER else []
         runs += [
-            (["extract", net, "-o", graph], 0),
+            (["extract", net, *flavor, "-o", graph], 0),
             (["construct", graph, "-o", out(f"{path.stem}.net.json")], 0),
-            (["roundtrip", net], 1 if path.stem in DEGENERATE else 0),
+            (["roundtrip", net, *flavor], 1 if path.stem in DEGENERATE else 0),
             (["bounds", net], 0),
             (["check-equiv", net, graph, "--grid", "2", "--samples", "2"], 0),
         ]
