@@ -6,9 +6,10 @@ exact LP, and the outer min/max over leaves is the answer.  Interval
 arithmetic pins regimes that cannot flip and prunes branches that cannot
 beat the incumbent, but never replaces an exact LP at a leaf.
 
-The search runs on integers.  The network is scaled once per call: s_j is
-the lcm of the denominators of layer j's weights and biases, and level j
-has denominator d_j = s_j * d_{j-1}, with d_0 = 1.  Every value on level j is
+The search runs on integer layers, each read once where a network enters
+(``network.scaled_layer``), so the round trip hands it its own: s_j is the
+lcm of the denominators of layer j's weights and biases, and level j has
+denominator d_j = s_j * d_{j-1}, with d_0 = 1.  Every value on level j is
 then an int numerator over d_j: a pre-activation is R_j.V + c_j*d_{j-1} with
 R_j = s_j*W_j and c_j = s_j*b_j, relu is max(t, 0) and clip clamps to
 [0, d_j].  Affine forms, interval bounds and cut rows [bound, *coeffs] are
@@ -50,7 +51,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .network import (
-    CLIP, NONE, RELU, Network, NodeRef, apply_activation, box, node_local_map, scaled_layer
+    CLIP, NONE, RELU, IntLayer, Network, NodeRef, apply_activation, box, node_local_map, scaled_layer
 )
 from .numerics import Interval, cube, cut, minimum
 
@@ -73,13 +74,12 @@ class _Level(NamedTuple):
     den: int  # d_j
 
 
-def _scaled_levels(net: Network, depth: int) -> list[_Level]:
-    """Layers 1..depth of the network as integer rows over their levels' denominators."""
+def scaled_levels(layers: Sequence[IntLayer]) -> list[_Level]:
+    """Integer layers as integer rows over their levels' denominators."""
     levels: list[_Level] = []
     den = 1
-    for layer in net.layers[:depth]:
-        s, rows, biases = scaled_layer(layer)
-        levels.append(_Level(rows, tuple(c * den for c in biases), layer.activations, den * s))
+    for s, rows, biases, acts in layers:
+        levels.append(_Level(rows, tuple(c * den for c in biases), acts, den * s))
         den *= s
     return levels
 
@@ -130,15 +130,15 @@ def _interval_pass(
     return below, box(top.rows[0], top.biases[0], post)
 
 
-def vertex_witnessed(net: Network) -> list[list[bool]]:
+def vertex_witnessed(levels: Sequence[_Level]) -> list[list[bool]]:
     """For each hidden node, level by level, whether its pre-activation is
     > 0 at one of the cube's vertices 0, 1, e_k, 1 - e_k and <= 0 at another.
 
-    A vertex is the degenerate box {x}: one interval pass over the scaled
-    levels evaluates every hidden node there exactly, in ints.
+    A vertex is the degenerate box {x}: one interval pass over the levels
+    evaluates every hidden node there exactly, in ints.
     """
-    levels = _scaled_levels(net, net.depth)
-    units = [tuple(int(i == k) for i in range(net.input_dim)) for k in range(-1, net.input_dim)]
+    d = len(levels[0].rows[0])
+    units = [tuple(int(i == k) for i in range(d)) for k in range(-1, d)]
     signs = [[0] * len(level.rows) for level in levels[:-1]]  # bit 1: > 0 seen, bit 2: <= 0 seen
     for x in dict.fromkeys(units + [tuple(1 - v for v in u) for u in units]):
         below, _ = _interval_pass(levels, [(v, v) for v in x])
@@ -206,18 +206,30 @@ def exact_extrema(
     pre-activation input to the node (for the output node with no activation
     the two coincide).  Raises BudgetExceeded when the regime search visits
     more than ``node_budget`` branches, counted once per open sense, and
-    ValueError for a budget below 1.
+    ValueError for a budget below 1; :func:`extrema` on its scaled layers.
     """
-    if node_budget is not None and node_budget < 1:
-        raise ValueError(f"node budget must be a positive integer, got {node_budget}")
     ref = NodeRef(net.depth, 1) if node == "output" else node
     _, _, act = node_local_map(net, ref)  # validates the reference
-    levels = _scaled_levels(net, ref.layer)
+    levels = scaled_levels(list(map(scaled_layer, net.layers[:ref.layer])))
+    lo, hi = (Fraction(n, d) for n, d in extrema(levels, ref, node_budget))
+    if activated and act != NONE:
+        return Interval(apply_activation(act, lo), apply_activation(act, hi))
+    return Interval(lo, hi)
+
+
+def extrema(levels: Sequence[_Level], ref: NodeRef, node_budget: int | None = None):
+    """The exact min and max of node ``ref``'s pre-activation over the cube
+    as int ratios (num, den), den > 0, on the levels of a network that reach
+    the node's; its budget is that of :func:`exact_extrema`."""
+    if node_budget is not None and node_budget < 1:
+        raise ValueError(f"node budget must be a positive integer, got {node_budget}")
+    levels = list(levels[:ref.layer])
     top = ref.index - 1
     # The node's own row is row 0 of the last level from here on.
     last = levels[-1]
     levels[-1] = _Level((last.rows[top],), (last.biases[top],), (last.activations[top],), last.den)
-    inputs = [(0, 1)] * net.input_dim
+    d = len(levels[0].rows[0])
+    inputs = [(0, 1)] * d
 
     # Upstream nodes (level, 0-based index), level by level; inside a level
     # widest IA slack first.
@@ -227,7 +239,7 @@ def exact_extrema(
         order = sorted(range(len(pre)), key=lambda i: pre[i][1] - pre[i][0], reverse=True)
         upstream.extend((j, i) for i in order)
 
-    root = cube(net.input_dim)
+    root = cube(d)
     visited = 0
     # Sense s (0 the minimum, 1 the maximum) has the incumbent num[s]/den[s]:
     # sign times a value of the node, times its level's denominator.  Both
@@ -240,7 +252,7 @@ def exact_extrema(
     # parent's state of that node's level j: the forms, output forms and
     # post-activation boxes of its nodes.  The root carries level 0: the
     # inputs' unit forms (e_k, 0) and the cube's boxes.
-    units = [(tuple(int(i == k) for i in range(net.input_dim)), 0) for k in range(net.input_dim)]
+    units = [(tuple(int(i == k) for i in range(d)), 0) for k in range(d)]
     stack: list[tuple] = [(0, 3, root, (), None, None, 0, (), units, inputs)]
     while stack:
         idx, senses, state, rows, form, bound, j, forms, outs, post = stack.pop()
@@ -299,7 +311,4 @@ def exact_extrema(
             rows, form, bound = branches[k]
             stack.append((idx + 1, senses, state, rows, form, bound, j, forms, outs, post))
     assert den[0], "the cube is never empty"
-    lo, hi = (Fraction(sign * n, d * levels[-1].den) for sign, n, d in zip(signs, num, den))
-    if activated and act != NONE:
-        return Interval(apply_activation(act, lo), apply_activation(act, hi))
-    return Interval(lo, hi)
+    return [(sign * n, w * levels[-1].den) for sign, n, w in zip(signs, num, den)]

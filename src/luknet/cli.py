@@ -23,7 +23,9 @@ from .construct import NotNormal, graph_to_sigma, roundtrip, sigma_to_rho
 from .equiv import Counterexample, FiniteGrid, as_point_fn, grid_equal, sample_equal
 from .extract import check_flavor, extract_graph
 from .graph import FLAVOR_INTEGER, FLAVORS, graph_from_dict, graph_from_json, graph_to_json
-from .network import Degenerate, NodeRef, network_diff, network_from_dict, network_from_json, network_to_json
+from .network import (
+    Degenerate, NodeRef, network_diff, network_from_dict, network_from_json, network_to_json, scaled_layer
+)
 from .numerics import format_rational, json_decode
 
 
@@ -85,7 +87,7 @@ def _node_budget(args) -> int | None:
 def _cmd_extract(args) -> int:
     net = network_from_json(_read(args.network))
     budget = _node_budget(args)
-    check_flavor(net, args.flavor)
+    check_flavor(list(map(scaled_layer, net.layers)), args.flavor)
     if args.check_range:
         rng = exact_extrema(net, "output", node_budget=budget)
         if rng.lo < 0 or rng.hi > 1:

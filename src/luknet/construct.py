@@ -4,20 +4,19 @@ Step I copies the layered shape of a normal substitution graph and reads each
 node's affine row off its certificate (constant nodes are folded away).
 Step II converts the clip network back to a relu network, inverting the
 extraction's node splitting by telescoping pairs and aggregation.  The round
-trip peels nothing: it reads ``rho_to_sigma``'s rows as certificates.
+trip peels nothing: it reads ``rho_to_sigma``'s rows as certificates, scales
+each input layer once and builds Fractions only for its result.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import formula as fm
-from .bounds import exact_extrema
-from .extract import check_flavor, rho_to_sigma
-from .graph import FLAVOR_RATIONAL, MintermCertificate, SubstitutionGraph, normality_violation
-from .network import CLIP, NONE, RELU, Degenerate, Layer, Network, box, is_non_degenerate, scaled_layer
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+from .bounds import extrema, scaled_levels
+from .extract import check_flavor, sigma_layers
+from .graph import FLAVOR_RATIONAL, SubstitutionGraph, normality_violation
+from .network import (
+    CLIP, NONE, RELU, Degenerate, IntLayer, Layer, Network, NodeRef, box, degeneracy, scaled_layer,
+    unscaled_network,
+)
 
 
 class NotNormal(Exception):
@@ -35,59 +34,67 @@ def graph_to_sigma(g: SubstitutionGraph) -> Network:
     violation = normality_violation(g)
     if violation is not None:
         raise NotNormal(violation)
-    return _read_sigma(g.widths[0], [[node.certificate for node in level] for level in g.nodes])
+    certs = [[node.certificate for node in level] for level in g.nodes]
+    levels = [scaled_layer(Layer([c.m for c in cs], [c.b for c in cs], ())) for cs in certs]
+    rational = [[c.flavor == FLAVOR_RATIONAL for c in cs] for cs in certs]
+    return unscaled_network(g.widths[0], _read_sigma(levels, rational))
 
 
-def _read_sigma(input_dim: int, levels) -> Network:
-    """The clip network of normal certificates, one list per level.
+def _read_sigma(levels: list[IntLayer], rational) -> list[IntLayer]:
+    """The integer clip layers of normal certificates, given as integer layers
+    with a flag per row for the rational flavour.
 
     A row is the constant 1 when its box over the cube has lo >= 1 and 0 when
     hi <= 0, the test at the root of extraction's peel, unless it is a
     rational row with a non-integer entry (a delta chain, never a constant).
-    The boxes run on each level scaled once to ints (``scaled_layer``).
+    A level keeps its s, so a folded constant 1 adds its weight's int to the
+    bias.
     """
-    layers: list[Layer] = []
+    layers: list[IntLayer] = []
     # Per previous-level position: "kept" column index or a constant formula.
-    prev_map: list[int | fm.Const] = list(range(input_dim))
-    prev_kept = input_dim
-    for certs in levels:
-        s, rows_s, biases_s = scaled_layer(Layer([c.m for c in certs], [c.b for c in certs], ()))
-        rows: list[tuple[Fraction, ...]] = []
-        biases: list[Fraction] = []
+    prev_map: list[int | fm.Const] = list(range(len(levels[0][1][0])))
+    prev_kept = len(prev_map)
+    for (s, rows_s, biases_s, _), flags in zip(levels, rational):
+        rows: list[tuple[int, ...]] = []
+        biases: list[int] = []
         cur_map: list[int | fm.Const] = []
-        for cert, row_s, b_s in zip(certs, rows_s, biases_s):
+        for row_s, b_s, chain in zip(rows_s, biases_s, flags):
             lo, hi = box(row_s, b_s, [(0, 1)] * len(row_s))
-            chain = cert.flavor == FLAVOR_RATIONAL and any(v % s for v in (b_s, *row_s))
+            chain = chain and any(v % s for v in (b_s, *row_s))
             if (lo >= s or hi <= 0) and not chain:
                 cur_map.append(fm.ONE if lo >= s else fm.ZERO)  # dropped from the network
                 continue
-            row = [_F0] * prev_kept
-            bias = cert.b
-            for src, coeff in zip(prev_map, cert.m):
+            row = [0] * prev_kept
+            for src, coeff in zip(prev_map, row_s):
                 if src is fm.ONE:
-                    bias += coeff
+                    b_s += coeff
                 elif src is not fm.ZERO:
                     row[src] = coeff
             rows.append(tuple(row))
-            biases.append(bias)
+            biases.append(b_s)
             cur_map.append(len(rows) - 1)
         if not rows:
             # Whole level folded to constants (a constant output node among
             # them): fall back to constant carriers so the layered shape stays
             # well-formed.
             for pos, const in enumerate(cur_map):
-                rows.append((_F0,) * prev_kept)
-                biases.append(Fraction(const.value))
+                rows.append((0,) * prev_kept)
+                biases.append(s if const is fm.ONE else 0)
                 cur_map[pos] = pos
-        layers.append(Layer(tuple(rows), tuple(biases), (CLIP,) * len(rows)))
+        layers.append((s, tuple(rows), tuple(biases), (CLIP,) * len(rows)))
         prev_map = cur_map
         prev_kept = len(rows)
-    return Network(input_dim, tuple(layers))
+    return layers
 
 
 def sigma_to_rho(net: Network, node_budget: int | None = None) -> Network:
-    """Construction step II: convert a clip network into a relu network,
-    removing exactly what ``rho_to_sigma`` added.
+    """Construction step II: :func:`rho_layers` on a clip network's layers, each scaled once."""
+    return unscaled_network(net.input_dim, rho_layers(list(map(scaled_layer, net.layers)), node_budget))
+
+
+def rho_layers(layers: list[IntLayer], node_budget: int | None = None) -> list[IntLayer]:
+    """The integer layers of the relu network of a clip network's, removing
+    exactly what ``rho_to_sigma`` added.
 
     Hidden layers are processed from the deepest to the first, each in one
     pass over its nodes.  A node whose input interval has upper bound L <= 1
@@ -103,63 +110,46 @@ def sigma_to_rho(net: Network, node_budget: int | None = None) -> Network:
     is dropped when the exact range lies inside [0,1]; otherwise a
     differencing relu pair is appended.
 
-    Each layer is scaled once to ints (``scaled_layer``): the box bounds, the
-    merge keys and the column arithmetic run on them, and only the columns
-    written back become Fractions again.
+    Each layer keeps its s: the box bounds, the merge keys (integer row,
+    integer bias) and the column sums run on its ints, and the output range
+    is the int ratios of ``bounds.extrema`` against 0 and 1.
     """
-    layers = list(net.layers)
-    # The layer after the one being converted, scaled: its s and integer rows.
-    nxt_s, nxt_rows, _ = scaled_layer(layers[-1])
+    layers = list(layers)
     for j in range(len(layers) - 2, -1, -1):
-        layer = layers[j]
-        nxt = layers[j + 1]
-        s, rows, biases = scaled_layer(layer)
-        # (scaled row, scaled bias) -> (row, bias, outgoing column over nxt_s,
-        # claimed flag), in slot order.
+        s, rows, biases, _ = layers[j]
+        nxt_s, nxt_rows, nxt_biases, nxt_acts = layers[j + 1]
+        # (row, bias) -> (outgoing column, claimed flag), in slot order.
         relus: dict[tuple, tuple] = {}
         twin = None  # the twin key of the node before, if it was split
-        for row, b, row_s, b_s, col in zip(layer.weights, layer.biases, rows, biases, zip(*nxt_rows)):
-            _add_relu(relus, (row_s, b_s), row, b, col, (row_s, b_s) != twin)
-            twin = (row_s, b_s - s) if box(row_s, b_s, [(0, 1)] * len(row_s))[1] > s else None
+        for row, b, col in zip(rows, biases, zip(*nxt_rows)):
+            _add_relu(relus, (row, b), col, (row, b) != twin)
+            twin = (row, b - s) if box(row, b, [(0, 1)] * len(row))[1] > s else None
             if twin:
-                _add_relu(relus, twin, row, b - 1, [-w for w in col], False)
-        kept = [(row_s, row, b, col) for (row_s, _), (row, b, col, claimed) in relus.items()
-                if claimed or any(col)]
-        kept_s, kept_rows, kept_biases, cols = zip(*kept)
-        layers[j] = Layer(kept_rows, kept_biases, (RELU,) * len(kept))
-        as_q = {w: Fraction(w, nxt_s) for w in {w for col in cols for w in col}}
-        out_rows = tuple(tuple(as_q[w] for w in out_row) for out_row in zip(*cols))
-        layers[j + 1] = Layer(out_rows, nxt.biases, nxt.activations)
-        nxt_s, nxt_rows = s, kept_s
+                _add_relu(relus, twin, [-w for w in col], False)
+        kept = [(row, b, col) for (row, b), (col, claimed) in relus.items() if claimed or any(col)]
+        kept_rows, kept_biases, cols = zip(*kept)
+        layers[j] = (s, kept_rows, kept_biases, (RELU,) * len(kept))
+        layers[j + 1] = (nxt_s, tuple(zip(*cols)), nxt_biases, nxt_acts)
 
-    candidate = Network(net.input_dim, tuple(layers))
-    out = candidate.layers[-1]
-    rng = exact_extrema(candidate, "output", node_budget=node_budget)
-    if rng.lo >= 0 and rng.hi <= 1:
-        layers[-1] = Layer(out.weights, out.biases, (NONE,))
-        return Network(net.input_dim, tuple(layers))
-    # General case: sigma(t) = rho(t) - rho(t-1) through a differencing node.
-    pair = Layer(
-        (out.weights[0], out.weights[0]),
-        (out.biases[0], out.biases[0] - 1),
-        (RELU, RELU),
-    )
-    differ = Layer(((_F1, -_F1),), (_F0,), (NONE,))
-    layers[-1] = pair
-    layers.append(differ)
-    return Network(net.input_dim, tuple(layers))
+    s, (row,), (b,), _ = layers[-1]
+    (lo, _), (hi, hi_den) = extrema(scaled_levels(layers), NodeRef(len(layers), 1), node_budget)
+    if lo >= 0 and hi <= hi_den:
+        layers[-1] = (s, (row,), (b,), (NONE,))
+    else:  # sigma(t) = rho(t) - rho(t-1) through a differencing node
+        layers[-1:] = [(s, (row, row), (b, b - s), (RELU, RELU)), (1, ((1, -1),), (0,), (NONE,))]
+    return layers
 
 
-def _add_relu(relus: dict, key: tuple, row, bias, col, claims: bool) -> None:
-    """File a relu node under its scaled local map; a repeat adds its column to
-    the entry, and an entry's first claimer moves it to its slot."""
+def _add_relu(relus: dict, key: tuple, col, claims: bool) -> None:
+    """File a relu node's outgoing column under its local map; a repeat adds
+    its column to the entry, and an entry's first claimer moves it to its slot."""
     if key in relus:
-        row, bias, first, claimed = relus[key]
+        first, claimed = relus[key]
         col = [a + c for a, c in zip(first, col)]
         if claims and not claimed:
             del relus[key]  # re-filed below, at this node's slot
         claims = claims or claimed
-    relus[key] = (row, bias, col, claims)
+    relus[key] = (col, claims)
 
 
 def roundtrip(net: Network, flavor: str = "integer", node_budget: int | None = None) -> Network:
@@ -174,12 +164,16 @@ def roundtrip(net: Network, flavor: str = "integer", node_budget: int | None = N
     Nothing is peeled and no formula is built: each clip row is read as the
     certificate ``extract_graph`` would attach to it, which is normal by
     construction, so the result is that of ``graph_to_sigma`` on the
-    extracted graph followed by ``sigma_to_rho``.
+    extracted graph followed by ``sigma_to_rho``.  Each layer is scaled once,
+    every step runs on the integer layers, and Fractions are written only
+    for the result, whose layers equal to the input's are the input's own.
     """
-    check_flavor(net, flavor)
-    ok, why = is_non_degenerate(net, node_budget=node_budget)
+    layers = list(map(scaled_layer, net.layers))
+    check_flavor(layers, flavor)
+    ok, why = degeneracy(layers, node_budget=node_budget)
     if not ok:
         raise Degenerate(why)
-    levels = [[MintermCertificate(m, b, flavor) for m, b in zip(layer.weights, layer.biases)]
-              for layer in rho_to_sigma(net).layers]
-    return sigma_to_rho(_read_sigma(net.input_dim, levels), node_budget=node_budget)
+    sigma = sigma_layers(layers)
+    rational = [(flavor == FLAVOR_RATIONAL,) * len(biases) for _, _, biases, _ in sigma]
+    back = rho_layers(_read_sigma(sigma, rational), node_budget=node_budget)
+    return unscaled_network(net.input_dim, back, zip(layers, net.layers))

@@ -20,7 +20,7 @@ from .formula import Formula
 from .graph import (
     FLAVOR_INTEGER, FLAVOR_RATIONAL, FLAVORS, GraphNode, MintermCertificate, SubstitutionGraph,
 )
-from .network import CLIP, Layer, Network, box, scaled_layer
+from .network import CLIP, IntLayer, Network, box, scaled_layer, unscaled_network
 from .numerics import _scale
 
 
@@ -30,39 +30,43 @@ from .numerics import _scale
 
 
 def rho_to_sigma(net: Network) -> Network:
-    """Convert a relu/clip network into a clip network realizing the same function.
+    """Convert a relu/clip network into a clip network realizing the same
+    function: :func:`sigma_layers` on its layers, each scaled once."""
+    return unscaled_network(net.input_dim, sigma_layers(list(map(scaled_layer, net.layers))))
+
+
+def sigma_layers(layers: list[IntLayer]) -> list[IntLayer]:
+    """The integer layers of the clip network of a relu/clip network's.
 
     A hidden clip node, and a hidden relu node whose input interval has upper
     bound L <= 1, keep their row and just carry the clip tag.  A relu node
     with L > 1 becomes ceil(L) clip nodes with biases b, b-1, ..., b-ceil(L)+1,
     duplicated incoming and outgoing weights; the new nodes sit immediately
     after the originating node.  The output node gains the clip activation.
-    L is read off each layer scaled once to ints (``scaled_layer``).
+    Each layer keeps its s: s.L is the box bound of its integer row, and the
+    copies' biases step by s.
     """
-    layers = list(net.layers)
+    layers = list(layers)
     for j in range(len(layers) - 1):
-        layer = layers[j]
-        rows: list[tuple[Fraction, ...]] = []
-        biases: list[Fraction] = []
+        s, rows_s, biases_s, acts = layers[j]
+        rows: list[tuple[int, ...]] = []
+        biases: list[int] = []
         copies: list[int] = []  # outgoing column multiplicity per original node
-        s, rows_s, biases_s = scaled_layer(layer)
-        for row, b, act, row_s, b_s in zip(layer.weights, layer.biases, layer.activations, rows_s, biases_s):
-            top = box(row_s, b_s, [(0, 1)] * len(row_s))[1]  # s * L
+        for row, b, act in zip(rows_s, biases_s, acts):
+            top = box(row, b, [(0, 1)] * len(row))[1]  # s * L
             k = 0 if act == CLIP or top <= s else -(-top // s) - 1
             copies.append(k + 1)
             for step in range(k + 1):
                 rows.append(row)
-                biases.append(b - step)
-        layers[j] = Layer(tuple(rows), tuple(biases), (CLIP,) * len(rows))
-        nxt = layers[j + 1]
-        new_weights = tuple(
-            tuple(w for w, reps in zip(old_row, copies) for _ in range(reps))
-            for old_row in nxt.weights
-        )
-        layers[j + 1] = Layer(new_weights, nxt.biases, nxt.activations)
-    out = layers[-1]
-    layers[-1] = Layer(out.weights, out.biases, (CLIP,) * out.width)
-    return Network(net.input_dim, tuple(layers))
+                biases.append(b - step * s)
+        layers[j] = (s, tuple(rows), tuple(biases), (CLIP,) * len(rows))
+        if len(rows) > len(copies):
+            nxt_s, nxt_rows, nxt_biases, nxt_acts = layers[j + 1]
+            wide = tuple(tuple(w for w, n in zip(row, copies) for _ in range(n)) for row in nxt_rows)
+            layers[j + 1] = (nxt_s, wide, nxt_biases, nxt_acts)
+    s, rows, biases, acts = layers[-1]
+    layers[-1] = (s, rows, biases, (CLIP,) * len(rows))
+    return layers
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +228,12 @@ def formula_for_certificate(cert: MintermCertificate) -> Formula:
 # ---------------------------------------------------------------------------
 
 
-def check_flavor(net: Network, flavor: str) -> None:
-    """Reject an unknown flavor, or the integer flavor on non-integer weights."""
+def check_flavor(layers: list[IntLayer], flavor: str) -> None:
+    """Reject an unknown flavor, or the integer flavor on integer layers with
+    non-integer weights (some s > 1)."""
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
-    entries = (q for layer in net.layers for row in (*layer.weights, layer.biases) for q in row)
-    if flavor == FLAVOR_INTEGER and any(q.denominator != 1 for q in entries):
+    if flavor == FLAVOR_INTEGER and any(s != 1 for s, *_ in layers):
         raise ValueError("integer flavor requires integer weights and biases")
 
 
@@ -239,8 +243,9 @@ def extract_graph(net: Network, flavor: str = FLAVOR_INTEGER) -> SubstitutionGra
     The graph shares the clip network's layered shape; every non-input node
     carries its extracted formula together with the certificate it came from.
     """
-    check_flavor(net, flavor)
-    sigma = rho_to_sigma(net)
+    layers = list(map(scaled_layer, net.layers))
+    check_flavor(layers, flavor)
+    sigma = unscaled_network(net.input_dim, sigma_layers(layers))
     certs = [
         MintermCertificate(tuple(m), b, flavor)
         for layer in sigma.layers for m, b in zip(layer.weights, layer.biases)

@@ -18,6 +18,7 @@ RELU = "relu"
 CLIP = "clip"
 NONE = "none"
 _ACTIVATIONS = (RELU, CLIP, NONE)
+IntLayer = tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...], tuple[str, ...]]  # s, s.W, s.b, tags
 
 
 class Degenerate(Exception):
@@ -134,51 +135,68 @@ def box(row: Sequence[int], bias: int, boxes: Sequence[tuple[int, int]]) -> tupl
     return lo, hi
 
 
-def scaled_layer(layer: Layer) -> tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """(s, s.W, s.b) of a layer, for s the lcm of its weights' and biases' denominators."""
+def scaled_layer(layer: Layer) -> IntLayer:
+    """The one integer form of a layer, (s, s.W, s.b, activations), for s the
+    lcm of its weights' and biases' denominators."""
     s = lcm(*(w.denominator for row in layer.weights for w in row),
             *(b.denominator for b in layer.biases))
     rows = tuple(tuple(w.numerator * (s // w.denominator) for w in row) for row in layer.weights)
-    return s, rows, tuple(b.numerator * (s // b.denominator) for b in layer.biases)
+    return s, rows, tuple(b.numerator * (s // b.denominator) for b in layer.biases), layer.activations
+
+
+def unscaled_network(input_dim: int, layers: Sequence[IntLayer], known=()) -> Network:
+    """The one writer: the network of integer layers, each distinct int v of a
+    layer written once as Fraction(v, s).  ``known`` pairs integer forms with
+    the layers they were read from; a layer of one of those forms is written
+    as that layer itself."""
+    known = dict(known)
+    for s, rows, biases, acts in layers:
+        if (s, rows, biases, acts) not in known:
+            q = {v: Fraction(v, s) for v in {v for row in (*rows, biases) for v in row}}
+            rows_q = tuple(tuple(map(q.get, row)) for row in rows)
+            known[s, rows, biases, acts] = Layer(rows_q, tuple(map(q.get, biases)), acts)
+    return Network(input_dim, tuple(map(known.get, layers)))
 
 
 def is_non_degenerate(net: Network, node_budget: int | None = None) -> tuple[bool, str | None]:
-    """Check the three non-degeneracy clauses; returns (ok, first violation).
+    """The verdict of :func:`degeneracy` on the network's layers, each scaled once."""
+    return degeneracy(list(map(scaled_layer, net.layers)), node_budget)
+
+
+def degeneracy(layers: Sequence[IntLayer], node_budget: int | None = None) -> tuple[bool, str | None]:
+    """Check the three non-degeneracy clauses on integer layers; returns (ok,
+    first violation).
 
     (a) every hidden node's global pre-activation map attains a value > 0 and
         a value <= 0 over the cube: the cube's vertices 0, 1, e_k and 1 - e_k
         are tried first (``bounds.vertex_witnessed``), and a node that no
         vertex shows with both signs is settled by its exact extrema
-        (``bounds.exact_extrema``, under ``node_budget``), in node order;
+        (``bounds.extrema``, under ``node_budget``), in node order, all on
+        the same levels;
     (b) the output node has a nonzero incoming weight;
-    (c) no two same-layer nodes share an identical local map.
+    (c) no two same-layer nodes share an identical local map (int row and bias).
     """
     from . import bounds  # late import; bounds needs the network types
 
-    out_layer = net.layers[-1]
-    if all(w == 0 for w in out_layer.weights[0]):
+    if not any(layers[-1][1][0]):
         return False, "output node has only zero incoming weights"
-    for j, layer in enumerate(net.layers, start=1):
-        seen: dict[tuple, NodeRef] = {}
-        for i in range(layer.width):
-            key = (layer.weights[i], layer.biases[i], layer.activations[i])
-            ref = NodeRef(j, i + 1)
+    for j, (_, rows, biases, acts) in enumerate(layers, start=1):
+        seen: dict[tuple, int] = {}
+        for i, key in enumerate(zip(rows, biases, acts), start=1):
             if key in seen:
-                return False, (
-                    f"nodes ({seen[key].layer},{seen[key].index}) and "
-                    f"({ref.layer},{ref.index}) have identical local maps"
-                )
-            seen[key] = ref
-    witnessed = bounds.vertex_witnessed(net)
-    for j in range(1, net.depth):  # hidden layers only
-        for i in range(1, net.width(j) + 1):
-            if witnessed[j - 1][i - 1]:
+                return False, f"nodes ({j},{seen[key]}) and ({j},{i}) have identical local maps"
+            seen[key] = i
+    levels = bounds.scaled_levels(layers)
+    witnessed = bounds.vertex_witnessed(levels)
+    for j, layer_witnessed in enumerate(witnessed, start=1):  # hidden layers only
+        for i, seen_both in enumerate(layer_witnessed, start=1):
+            if seen_both:
                 continue
-            iv = bounds.exact_extrema(net, NodeRef(j, i), node_budget=node_budget)
-            if iv.hi <= 0:
-                return False, f"hidden node ({j},{i}) is never active (max {iv.hi} <= 0)"
-            if iv.lo > 0:
-                return False, f"hidden node ({j},{i}) is always active (min {iv.lo} > 0)"
+            (lo, lo_den), (hi, hi_den) = bounds.extrema(levels, NodeRef(j, i), node_budget)
+            if hi <= 0:
+                return False, f"hidden node ({j},{i}) is never active (max {Fraction(hi, hi_den)} <= 0)"
+            if lo > 0:
+                return False, f"hidden node ({j},{i}) is always active (min {Fraction(lo, lo_den)} > 0)"
     return True, None
 
 

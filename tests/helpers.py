@@ -503,6 +503,40 @@ def reference_non_degenerate(network: Network) -> tuple[bool, str | None]:
     return True, None
 
 
+def reference_is_non_degenerate(network: Network, node_budget: int | None = None) -> tuple[bool, str | None]:
+    """The degeneracy check as it ran on Fractions before ``network.degeneracy``
+    moved to integer layers: the three clauses, their order and messages, the
+    vertex witnesses of clause (a) read off the Fraction forward pass
+    ``node_preactivations``, and ``exact_extrema`` on every other hidden node."""
+    if all(w == 0 for w in network.layers[-1].weights[0]):
+        return False, "output node has only zero incoming weights"
+    for j, lay in enumerate(network.layers, start=1):
+        seen: dict[tuple, NodeRef] = {}
+        for i in range(lay.width):
+            key = (lay.weights[i], lay.biases[i], lay.activations[i])
+            ref = NodeRef(j, i + 1)
+            if key in seen:
+                return False, (
+                    f"nodes ({seen[key].layer},{seen[key].index}) and "
+                    f"({ref.layer},{ref.index}) have identical local maps"
+                )
+            seen[key] = ref
+    d = network.input_dim
+    units = [tuple(F(int(i == k)) for i in range(d)) for k in range(-1, d)]
+    pres = [node_preactivations(network, x) for x in units + [tuple(1 - v for v in u) for u in units]]
+    for j in range(1, network.depth):
+        for i in range(1, network.width(j) + 1):
+            values = [pre[j - 1][i - 1] for pre in pres]
+            if any(v > 0 for v in values) and any(v <= 0 for v in values):
+                continue
+            iv = exact_extrema(network, NodeRef(j, i), node_budget=node_budget)
+            if iv.hi <= 0:
+                return False, f"hidden node ({j},{i}) is never active (max {iv.hi} <= 0)"
+            if iv.lo > 0:
+                return False, f"hidden node ({j},{i}) is always active (min {iv.lo} > 0)"
+    return True, None
+
+
 def represented_formula_forward(g: SubstitutionGraph) -> Formula:
     """Input-first order: push each node's global formula up the layers.
 

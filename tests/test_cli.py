@@ -561,6 +561,17 @@ def test_bounds_budget_error_is_one_line(fixtures_dir, capsys):
     assert run(capsys, "bounds", path, "--budget", "33") == run(capsys, "bounds", path) == expect
 
 
+def test_roundtrip_budget_pin(fixtures_dir, capsys):
+    # 36 is the least budget under which the round trip of dag.json
+    # completes: the searches of its degeneracy check and of its output
+    # range count their branches as the Network-level search does.
+    path = str(fixtures_dir / "dag.json")
+    assert run(capsys, "roundtrip", path, "--budget", "36") == (0, "roundtrip: identical\n", "")
+    assert run(capsys, "roundtrip", path, "--budget", "35") == (
+        1, "", "budget exceeded: branch-and-bound budget of 35 exceeded at node (3,1) while minimising\n"
+    )
+
+
 # Each id keeps the name its case had while a row could also set the budget
 # through the environment, so the case names stay stable.
 @pytest.mark.parametrize(

@@ -17,8 +17,9 @@ from helpers import (
     reference_sigma_to_rho,
     same_row_pairs_network,
 )
-from luknet import construct, extract
+from luknet import bounds, construct, extract
 from luknet import formula as fm
+from luknet import network as nw
 from luknet import rewrite as rw
 from luknet.construct import NotNormal, graph_to_sigma, roundtrip, sigma_to_rho
 from luknet.equiv import FiniteGrid
@@ -346,6 +347,29 @@ def test_roundtrip_builds_no_formula(monkeypatch):
         gc.enable()
 
 
+def test_roundtrip_does_no_fraction_arithmetic(monkeypatch):
+    # The round trip reads each input layer once into ints, runs every step
+    # on them and writes its result with Fraction(n, d) alone: with Fraction
+    # arithmetic, comparison and hashing refused, it still runs, and each
+    # result equals its input once they are allowed again.
+    reads = []
+    for module in (bounds, construct, extract, nw):
+        read = module.scaled_layer
+        monkeypatch.setattr(module, "scaled_layer", lambda lay, read=read: reads.append(lay) or read(lay))
+
+    def refused(*args):
+        raise AssertionError("the round trip did Fraction arithmetic")
+
+    cases = [(dag_network(), flavor) for flavor in ("integer", "rational", "real")]
+    cases += [(half_network(), "rational"), (half_network(), "real")]
+    with monkeypatch.context() as patch:
+        for name in ("__add__", "__sub__", "__mul__", "__eq__", "__lt__", "__le__", "__hash__"):
+            patch.setattr(F, name, refused)
+        results = [roundtrip(n, flavor=flavor) for n, flavor in cases]
+    assert [back == n for back, (n, _) in zip(results, cases)] == [True] * len(cases)
+    assert len(reads) == sum(n.depth for n, _ in cases)
+
+
 def _constant_rule_rows(rng, flavor):
     """Seeded rows (m, b) for the reader's constant test: integer and
     half-integer rows, boxes that end exactly at 0 or 1, zero rows with a
@@ -372,7 +396,8 @@ def test_reader_folds_exactly_the_constant_formulas():
     # The reader folds a certificate into a constant exactly when its peeled
     # formula is the constant object: between a live node x1 and an output
     # x1 over the level, a folded 1 moves into the output's bias, a folded 0
-    # disappears, and a kept row is read as it is.
+    # disappears, and a kept row is read as it is.  The graph is normal, so
+    # graph_to_sigma hands its certificates to the reader as they are.
     rng = random.Random(37)
     seen = {"zero": 0, "one": 0, "kept": 0, "chain": 0, "edge": 0, "inside": 0}
     for flavor in ("integer", "rational", "real") * 400:
@@ -381,8 +406,9 @@ def test_reader_folds_exactly_the_constant_formulas():
         cert = MintermCertificate(m, b, flavor)
         live = MintermCertificate((F(1),) + (F(0),) * (d - 1), F(0), flavor)
         out = MintermCertificate((F(1), F(0)), F(0), flavor)
-        sigma = construct._read_sigma(d, [[cert, live], [out]])
-        formula = formula_for_certificate(cert)
+        nodes = [GraphNode(formula_for_certificate(c), c) for c in (cert, live, out)]
+        sigma = graph_to_sigma(SubstitutionGraph((d, 2, 1), (tuple(nodes[:2]), (nodes[2],))))
+        formula = nodes[0].formula
         lo, hi = fraction_box(m, b)
         if formula is fm.ONE or formula is fm.ZERO:
             seen["one" if formula is fm.ONE else "zero"] += 1

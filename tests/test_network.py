@@ -4,9 +4,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import brute_non_degenerate, layer, net, random_network, reference_non_degenerate
+from helpers import (
+    brute_non_degenerate,
+    layer,
+    net,
+    random_network,
+    rational_network,
+    reference_is_non_degenerate,
+    reference_non_degenerate,
+)
 from luknet import bounds
 from luknet.network import (
+    Layer,
     Network,
     NodeRef,
     box,
@@ -16,6 +25,7 @@ from luknet.network import (
     network_to_json,
     node_local_map,
     node_preactivations,
+    scaled_layer,
 )
 
 
@@ -169,15 +179,15 @@ def test_non_degenerate_matches_search_reference():
 
 
 def count_searches(monkeypatch) -> list:
-    """The nodes ``bounds.exact_extrema`` is called on from now on, in order."""
+    """The nodes the exact search, ``bounds.extrema``, runs on from now on, in order."""
     searched = []
-    search = bounds.exact_extrema
+    search = bounds.extrema
 
-    def counting(net, node="output", *args, **kwargs):
-        searched.append(node)
-        return search(net, node, *args, **kwargs)
+    def counting(levels, ref, *args, **kwargs):
+        searched.append(ref)
+        return search(levels, ref, *args, **kwargs)
 
-    monkeypatch.setattr(bounds, "exact_extrema", counting)
+    monkeypatch.setattr(bounds, "extrema", counting)
     return searched
 
 
@@ -190,7 +200,8 @@ def test_unwitnessed_node_is_searched(monkeypatch):
         layer([[-8, 4]], [-1], ["relu"]),
         layer([[1]], [0], ["none"]),
     )
-    assert bounds.vertex_witnessed(network) == [[True, True], [False]]
+    levels = bounds.scaled_levels([scaled_layer(lay) for lay in network.layers])
+    assert bounds.vertex_witnessed(levels) == [[True, True], [False]]
     searched = count_searches(monkeypatch)
     assert is_non_degenerate(network) == (True, None)
     assert searched == [NodeRef(2, 1)]
@@ -206,6 +217,48 @@ def test_witnessed_network_is_not_searched(monkeypatch):
     for network in (nprime(), two):
         assert is_non_degenerate(network) == (True, None)
     assert searched == []
+
+
+def _planted(rng: random.Random) -> Network:
+    """A rational relu network with, at random, a planted twin, a hidden node
+    whose box over the cube is never or always positive, or an all-zero
+    output row."""
+    hidden = [rng.randint(1, 3) for _ in range(rng.randint(1, 2))]
+    network = rational_network(rng, rng.randint(1, 3), hidden, "relu")
+    layers = list(network.layers)
+    plant = rng.choice(("twin", "never", "always", "zero", "none"))
+    j = rng.randrange(len(layers) - 1)
+    lay, nxt = layers[j], layers[j + 1]
+    rows, biases = list(lay.weights), list(lay.biases)
+    i = rng.randrange(len(rows))
+    if plant == "twin":
+        rows.append(rows[i])
+        biases.append(biases[i])
+        layers[j + 1] = Layer(tuple((*r, F(rng.randint(-3, 3), 2)) for r in nxt.weights),
+                              nxt.biases, nxt.activations)
+    elif plant in ("never", "always"):
+        lo, hi = sum(w for w in rows[i] if w < 0), sum(w for w in rows[i] if w > 0)
+        biases[i] = -hi - F(rng.randint(0, 2), 3) if plant == "never" else -lo + F(rng.randint(1, 3), 3)
+    elif plant == "zero":
+        out = layers[-1]
+        layers[-1] = Layer(((F(0),) * len(out.weights[0]),), out.biases, out.activations)
+    layers[j] = Layer(tuple(rows), tuple(biases), ("relu",) * len(rows))
+    return Network(network.input_dim, tuple(layers))
+
+
+def test_degeneracy_on_int_keys_matches_the_fraction_check():
+    # The check on integer layers gives the Fraction check's verdict and
+    # message, byte for byte, on seeded rational networks with planted
+    # twins, never- and always-active nodes and all-zero output rows; each
+    # refusal message is reached at least 10 times, and so is a pass.
+    rng = random.Random(38)
+    seen = {"identical local maps": 0, "never active": 0, "always active": 0, "zero incoming": 0, None: 0}
+    for _ in range(600):
+        network = _planted(rng)
+        verdict = is_non_degenerate(network)
+        assert verdict == reference_is_non_degenerate(network)
+        seen[next((k for k in seen if k and k in (verdict[1] or "")), None)] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_json_roundtrip():
