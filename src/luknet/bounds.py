@@ -6,15 +6,15 @@ exact LP, and the outer min/max over leaves is the answer.  Interval
 arithmetic pins regimes that cannot flip and prunes branches that cannot
 beat the incumbent, but never replaces an exact LP at a leaf.
 
-The search runs on integer layers, each read once where a network enters
-(``network.scaled_layer``), so the round trip hands it its own: s_j is the
-lcm of the denominators of layer j's weights and biases, and level j has
-denominator d_j = s_j * d_{j-1}, with d_0 = 1.  Every value on level j is
-then an int numerator over d_j: a pre-activation is R_j.V + c_j*d_{j-1} with
-R_j = s_j*W_j and c_j = s_j*b_j, relu is max(t, 0) and clip clamps to
-[0, d_j].  Affine forms, interval bounds and cut rows [bound, *coeffs] are
-numerators over their level's denominator, and a leaf's LP optimum is an
-int ratio num/det, so its value is (num + constant*det)/(det*d_j).
+The search and ``vertex_witnessed`` take the integer layers every other
+stage uses, (s_j, R_j, c_j, activations) with R_j = s_j*W_j, c_j = s_j*b_j
+and s_j the lcm of layer j's denominators, each read once where a network
+enters (``network.scaled_layer``).  Inside, level j has the one denominator
+d_j = s_j * d_{j-1}, with d_0 = 1, and every value on it is an int numerator
+over d_j: a pre-activation is R_j.V + c_j*d_{j-1}, relu is max(t, 0) and
+clip clamps to [0, d_j].  Affine forms, interval bounds and cut rows
+[bound, *coeffs] are numerators over their level's denominator, and a leaf's
+LP optimum is an int ratio num/det, so its value is (num + constant*det)/(det*d_j).
 
 One depth-first walk over an explicit stack finds both extrema.  Each
 entry carries the senses still open on its branch; each sense keeps its
@@ -74,7 +74,7 @@ class _Level(NamedTuple):
     den: int  # d_j
 
 
-def scaled_levels(layers: Sequence[IntLayer]) -> list[_Level]:
+def _levels(layers: Sequence[IntLayer]) -> list[_Level]:
     """Integer layers as integer rows over their levels' denominators."""
     levels: list[_Level] = []
     den = 1
@@ -130,13 +130,14 @@ def _interval_pass(
     return below, box(top.rows[0], top.biases[0], post)
 
 
-def vertex_witnessed(levels: Sequence[_Level]) -> list[list[bool]]:
+def vertex_witnessed(layers: Sequence[IntLayer]) -> list[list[bool]]:
     """For each hidden node, level by level, whether its pre-activation is
     > 0 at one of the cube's vertices 0, 1, e_k, 1 - e_k and <= 0 at another.
 
     A vertex is the degenerate box {x}: one interval pass over the levels
     evaluates every hidden node there exactly, in ints.
     """
+    levels = _levels(layers)
     d = len(levels[0].rows[0])
     units = [tuple(int(i == k) for i in range(d)) for k in range(-1, d)]
     signs = [[0] * len(level.rows) for level in levels[:-1]]  # bit 1: > 0 seen, bit 2: <= 0 seen
@@ -210,20 +211,20 @@ def exact_extrema(
     """
     ref = NodeRef(net.depth, 1) if node == "output" else node
     _, _, act = node_local_map(net, ref)  # validates the reference
-    levels = scaled_levels(list(map(scaled_layer, net.layers[:ref.layer])))
-    lo, hi = (Fraction(n, d) for n, d in extrema(levels, ref, node_budget))
+    layers = list(map(scaled_layer, net.layers[:ref.layer]))
+    lo, hi = (Fraction(n, d) for n, d in extrema(layers, ref, node_budget))
     if activated and act != NONE:
         return Interval(apply_activation(act, lo), apply_activation(act, hi))
     return Interval(lo, hi)
 
 
-def extrema(levels: Sequence[_Level], ref: NodeRef, node_budget: int | None = None):
+def extrema(layers: Sequence[IntLayer], ref: NodeRef, node_budget: int | None = None):
     """The exact min and max of node ``ref``'s pre-activation over the cube
-    as int ratios (num, den), den > 0, on the levels of a network that reach
-    the node's; its budget is that of :func:`exact_extrema`."""
+    as int ratios (num, den), den > 0, on the integer layers of a network
+    that reach the node's; its budget is that of :func:`exact_extrema`."""
     if node_budget is not None and node_budget < 1:
         raise ValueError(f"node budget must be a positive integer, got {node_budget}")
-    levels = list(levels[:ref.layer])
+    levels = _levels(layers[:ref.layer])
     top = ref.index - 1
     # The node's own row is row 0 of the last level from here on.
     last = levels[-1]

@@ -87,8 +87,8 @@ def _node_budget(args) -> int | None:
 def _cmd_extract(args) -> int:
     net = network_from_json(_read(args.network))
     budget = _node_budget(args)
-    check_flavor(list(map(scaled_layer, net.layers)), args.flavor)
     if args.check_range:
+        check_flavor(list(map(scaled_layer, net.layers)), args.flavor)  # bad input before the range
         rng = exact_extrema(net, "output", node_budget=budget)
         if rng.lo < 0 or rng.hi > 1:
             print(f"realized range [{rng.lo}, {rng.hi}] leaves [0,1]", file=sys.stderr)

@@ -10,12 +10,11 @@ each input layer once and builds Fractions only for its result.
 from __future__ import annotations
 
 from . import formula as fm
-from .bounds import extrema, scaled_levels
+from .bounds import extrema
 from .extract import check_flavor, sigma_layers
-from .graph import FLAVOR_RATIONAL, SubstitutionGraph, normality_violation
+from .graph import FLAVOR_RATIONAL, SubstitutionGraph, certificate_rows, normality_violation
 from .network import (
-    CLIP, NONE, RELU, Degenerate, IntLayer, Layer, Network, NodeRef, box, degeneracy, scaled_layer,
-    unscaled_network,
+    CLIP, NONE, RELU, Degenerate, IntLayer, Network, NodeRef, box, degeneracy, scaled_layer, unscaled_network
 )
 
 
@@ -29,20 +28,18 @@ def graph_to_sigma(g: SubstitutionGraph) -> Network:
     Constant-0 nodes disappear with their edges; constant-1 nodes disappear
     with their outgoing weight folded into each successor's bias.  The
     normality check re-extracts the certificates in one pass; nodes are then
-    read off their certificates without a second extraction.
+    read off their rows (``graph.certificate_rows``) without a second extraction.
     """
     violation = normality_violation(g)
     if violation is not None:
         raise NotNormal(violation)
-    certs = [[node.certificate for node in level] for level in g.nodes]
-    levels = [scaled_layer(Layer([c.m for c in cs], [c.b for c in cs], ())) for cs in certs]
-    rational = [[c.flavor == FLAVOR_RATIONAL for c in cs] for cs in certs]
-    return unscaled_network(g.widths[0], _read_sigma(levels, rational))
+    levels = [certificate_rows([node.certificate for node in level]) for level in g.nodes]
+    return unscaled_network(g.widths[0], _read_sigma(levels))
 
 
-def _read_sigma(levels: list[IntLayer], rational) -> list[IntLayer]:
-    """The integer clip layers of normal certificates, given as integer layers
-    with a flag per row for the rational flavour.
+def _read_sigma(levels: list[list[tuple]]) -> list[IntLayer]:
+    """The integer clip layers of normal certificates, given level by level as
+    certificate rows (s, s.m, s.b, flavor) over their level's s.
 
     A row is the constant 1 when its box over the cube has lo >= 1 and 0 when
     hi <= 0, the test at the root of extraction's peel, unless it is a
@@ -52,15 +49,15 @@ def _read_sigma(levels: list[IntLayer], rational) -> list[IntLayer]:
     """
     layers: list[IntLayer] = []
     # Per previous-level position: "kept" column index or a constant formula.
-    prev_map: list[int | fm.Const] = list(range(len(levels[0][1][0])))
+    prev_map: list[int | fm.Const] = list(range(len(levels[0][0][1])))
     prev_kept = len(prev_map)
-    for (s, rows_s, biases_s, _), flags in zip(levels, rational):
+    for level in levels:
         rows: list[tuple[int, ...]] = []
         biases: list[int] = []
         cur_map: list[int | fm.Const] = []
-        for row_s, b_s, chain in zip(rows_s, biases_s, flags):
+        for s, row_s, b_s, flavor in level:
             lo, hi = box(row_s, b_s, [(0, 1)] * len(row_s))
-            chain = chain and any(v % s for v in (b_s, *row_s))
+            chain = flavor == FLAVOR_RATIONAL and any(v % s for v in (b_s, *row_s))
             if (lo >= s or hi <= 0) and not chain:
                 cur_map.append(fm.ONE if lo >= s else fm.ZERO)  # dropped from the network
                 continue
@@ -132,7 +129,7 @@ def rho_layers(layers: list[IntLayer], node_budget: int | None = None) -> list[I
         layers[j + 1] = (nxt_s, tuple(zip(*cols)), nxt_biases, nxt_acts)
 
     s, (row,), (b,), _ = layers[-1]
-    (lo, _), (hi, hi_den) = extrema(scaled_levels(layers), NodeRef(len(layers), 1), node_budget)
+    (lo, _), (hi, hi_den) = extrema(layers, NodeRef(len(layers), 1), node_budget)
     if lo >= 0 and hi <= hi_den:
         layers[-1] = (s, (row,), (b,), (NONE,))
     else:  # sigma(t) = rho(t) - rho(t-1) through a differencing node
@@ -174,6 +171,6 @@ def roundtrip(net: Network, flavor: str = "integer", node_budget: int | None = N
     if not ok:
         raise Degenerate(why)
     sigma = sigma_layers(layers)
-    rational = [(flavor == FLAVOR_RATIONAL,) * len(biases) for _, _, biases, _ in sigma]
-    back = rho_layers(_read_sigma(sigma, rational), node_budget=node_budget)
+    certs = [[(s, row, b, flavor) for row, b in zip(rows, biases)] for s, rows, biases, _ in sigma]
+    back = rho_layers(_read_sigma(certs), node_budget=node_budget)
     return unscaled_network(net.input_dim, back, zip(layers, net.layers))

@@ -5,23 +5,26 @@ a formula for every clip neuron from its affine row, and assemble the layered
 substitution graph whose represented formula realizes the network's map.  No
 search runs: non-degeneracy is a premise of the round trip only.
 
-The formulas of a graph are peeled in one pass over its certificates, where
-consecutive equal rows share one peeling memo; ``graph_to_sigma``'s normality
-check re-runs that pass, and the round trip runs none.  The memo is a local of
-the pass, so no state outlives a call.
+The formulas of a graph are peeled in one pass over its certificate rows
+(s, s.m, s.b, flavor), ints over their level's s, where consecutive equal
+rows share one peeling memo.  Extraction passes the clip network's int rows
+as they are, ``graph_to_sigma``'s normality check re-runs the pass on rows
+read off the certificates (``graph.certificate_rows``), and the round trip
+runs none.  The memo is a local of the pass, so no state outlives a call.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 
 from . import formula as fm
 from .formula import Formula
 from .graph import (
     FLAVOR_INTEGER, FLAVOR_RATIONAL, FLAVORS, GraphNode, MintermCertificate, SubstitutionGraph,
+    certificate_rows,
 )
 from .network import CLIP, IntLayer, Network, box, scaled_layer, unscaled_network
-from .numerics import _scale
 
 
 # ---------------------------------------------------------------------------
@@ -74,33 +77,34 @@ def sigma_layers(layers: list[IntLayer]) -> list[IntLayer]:
 # ---------------------------------------------------------------------------
 
 
-def _formulas(certs):
-    """The flavor's formula of clip(m.x + b) for each certificate (m, b, flavor).
+def _formulas(rows):
+    """The flavor's formula of clip(m.x + b) for each certificate row (s, s.m, s.b, flavor).
 
-    Each row is peeled on [b, *m] scaled once to ints by s, the lcm of its
-    denominators (:func:`_peel`).  A row whose box bound over the cube has
-    lo >= 1 or hi <= 0 is the constant 1 or 0.  Otherwise the first nonzero
-    coefficient decides the step: a negative one flips the whole row via
-    not EXTR(-m, 1 - b); a fractional part is stripped in one step as
-    (EXTR(f0) + scale(frac, x_k)) * EXTR(f0 + 1); an integer unit peels off
-    as (EXTR(f0) + x_k) * EXTR(f0 + 1), and a row that is exactly x_k is the
-    variable itself.  A leftover constant bias in (0,1) becomes scale(b, 1).
-    That is the real flavor.  On an integer row (s = 1, which an integer
-    certificate always has) the fractional and constant-bias steps never
-    fire, so the integer flavor is the same peel.  The rational flavor with
-    s > 1 splits the neuron into s integer neurons h_i = clip(s(m.x+b) - i),
-    each peeled on the one integer row s.m, and yields the left-associated
-    chain delta_s h_0 + ... + delta_s h_{s-1}.
+    Each row is divided by g = gcd(s, s.b, *s.m) and peeled on [b, *m] over
+    s/g, its own lcm whatever s it is read at (:func:`_peel`).  A row whose
+    box bound over the cube has lo >= 1 or hi <= 0 is the constant 1 or 0.
+    Otherwise the first nonzero coefficient decides the step: a negative one
+    flips the whole row via not EXTR(-m, 1 - b); a fractional part is
+    stripped in one step as (EXTR(f0) + scale(frac, x_k)) * EXTR(f0 + 1); an
+    integer unit peels off as (EXTR(f0) + x_k) * EXTR(f0 + 1), and a row that
+    is exactly x_k is the variable itself.  A leftover constant bias in (0,1)
+    becomes scale(b, 1).  That is the real flavor.  On an integer row (s = 1,
+    which an integer certificate always has) the fractional and constant-bias
+    steps never fire, so the integer flavor is the same peel.  The rational
+    flavor with s > 1 splits the neuron into s integer neurons
+    h_i = clip(s(m.x+b) - i), each peeled on the one integer row s.m, and
+    yields the left-associated chain delta_s h_0 + ... + delta_s h_{s-1}.
 
     Consecutive items on an equal scaled row share one _Row whatever their
     flavors, so the sigma copies ``rho_to_sigma`` places side by side, and
     the s terms of the rational chain, peel with one memo.
     """
     run = None
-    for m, b, flavor in certs:
-        (bs, *row), s = _scale([b, *m])
+    for s, row, bs, flavor in rows:
+        g = gcd(s, bs, *row)
+        s, bs, row = s // g, bs // g, tuple(v // g for v in row)
         chain = flavor == FLAVOR_RATIONAL and s > 1
-        key = (1 if chain else s, tuple(row))
+        key = (1 if chain else s, row)
         if run is None or run.key != key:
             run = _Row(key)
         if not chain:
@@ -220,7 +224,7 @@ def _peel(run: _Row, b: int) -> Formula:
 
 def formula_for_certificate(cert: MintermCertificate) -> Formula:
     """The flavor's formula of one certificate (m, b, flavor), with its own memo."""
-    return next(_formulas((cert,)))
+    return next(_formulas(certificate_rows([cert])))
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +249,11 @@ def extract_graph(net: Network, flavor: str = FLAVOR_INTEGER) -> SubstitutionGra
     """
     layers = list(map(scaled_layer, net.layers))
     check_flavor(layers, flavor)
-    sigma = unscaled_network(net.input_dim, sigma_layers(layers))
-    certs = [
-        MintermCertificate(tuple(m), b, flavor)
-        for layer in sigma.layers for m, b in zip(layer.weights, layer.biases)
-    ]
-    nodes = iter([GraphNode(f, cert) for f, cert in zip(_formulas(certs), certs)])
+    ints = sigma_layers(layers)
+    sigma = unscaled_network(net.input_dim, ints)
+    rows = [(s, row, b, flavor) for s, rows_s, biases, _ in ints for row, b in zip(rows_s, biases)]
+    certs = [MintermCertificate(m, b, flavor) for q in sigma.layers for m, b in zip(q.weights, q.biases)]
+    nodes = iter([GraphNode(f, cert) for f, cert in zip(_formulas(rows), certs)])
     node_layers = tuple(tuple(islice(nodes, layer.width)) for layer in sigma.layers)
     widths = (sigma.input_dim,) + tuple(layer.width for layer in sigma.layers)
     return SubstitutionGraph(widths=widths, nodes=node_layers)

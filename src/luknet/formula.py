@@ -33,7 +33,7 @@ from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from weakref import ref
 
-from .numerics import parse_rational
+from .numerics import parse_rational, scaled
 
 
 class FormulaSyntaxError(ValueError):
@@ -325,8 +325,7 @@ def evaluator(fs: Sequence[Formula]) -> Callable[..., list[Fraction]]:
                 raise ValueError(f"assignment value {v} outside [0,1]")
         if top > len(values):
             raise ValueError(f"formula uses x{top} but only {len(values)} values were given")
-        d = lcm(*(v.denominator for v in values))
-        xs = [v.numerator * (d // v.denominator) for v in values]
+        d, (xs,) = scaled([values])
         vals: list[int] = []
         push = vals.append
         for op, i, j, a, b, f in program:

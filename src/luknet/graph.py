@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from . import formula as fm
 from .formula import Formula, substitute
 from .numerics import (
-    format_rational, json_decode, json_field, json_int, json_list, parse_rational
+    format_rational, json_decode, json_field, json_int, json_list, parse_rational, scaled
 )
 
 
@@ -110,14 +110,16 @@ def normality_violation(g: SubstitutionGraph) -> str | None:
     """First reason the graph is not normal, in level order, as a message, or None.
 
     A graph is normal when every node holds a certificate whose re-extraction
-    reproduces the stored formula tree exactly.  The certificates are
-    re-extracted from their rows and biases alone, in one lazy pass of the
-    extraction's generator (consecutive copies of one row share a memo) that
-    reads a certificate only once every node before it has passed.
+    reproduces the stored formula tree exactly.  The certificates are read
+    into ints one level at a time (:func:`certificate_rows`) and re-extracted
+    from their rows and biases alone, in one lazy pass of the extraction's
+    generator (consecutive copies of one row share a memo) that peels a
+    certificate only once every node before it has passed.
     """
     from .extract import _formulas
 
-    formulas = _formulas(node.certificate for level in g.nodes for node in level)
+    certs = ([node.certificate for node in level if node.certificate is not None] for level in g.nodes)
+    formulas = _formulas(row for level in certs for row in certificate_rows(level))
     for j, level in enumerate(g.nodes, start=1):
         for i, node in enumerate(level, start=1):
             if node.certificate is None:
@@ -158,11 +160,16 @@ class MintermCertificate(_MintermCertificate):
     def __new__(cls, m: tuple[Fraction, ...], b: Fraction, flavor: str) -> "MintermCertificate":
         if flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {flavor!r}")
-        if flavor == FLAVOR_INTEGER and not (
-            all(q.denominator == 1 for q in m) and b.denominator == 1
-        ):
+        if flavor == FLAVOR_INTEGER and scaled([(b, *m)])[0] != 1:
             raise ValueError("integer certificate with non-integer entries")
         return super().__new__(cls, m, b, flavor)
+
+
+def certificate_rows(certs: Sequence[MintermCertificate]) -> list[tuple[int, tuple[int, ...], int, str]]:
+    """The one integer form of a level's certificates: the row (s, s.m, s.b,
+    flavor) of each, over s the lcm of all their denominators."""
+    s, rows = scaled([(cert.b, *cert.m) for cert in certs])
+    return [(s, row[1:], row[0], cert.flavor) for row, cert in zip(rows, certs)]
 
 
 def graph_to_dict(g: SubstitutionGraph) -> dict:

@@ -7,11 +7,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple, Sequence
 
 from .numerics import (
-    format_rational, json_decode, json_field, json_int, json_list, parse_rational
+    format_rational, json_decode, json_field, json_int, json_list, parse_rational, scaled
 )
 
 RELU = "relu"
@@ -74,10 +73,6 @@ class Network(_Network):
     def depth(self) -> int:
         return len(self.layers)
 
-    def width(self, j: int) -> int:
-        """Width d_j of level j, 0 being the input level."""
-        return self.input_dim if j == 0 else self.layers[j - 1].width
-
 
 def apply_activation(act: str, t: Fraction) -> Fraction:
     if act == RELU:
@@ -137,11 +132,9 @@ def box(row: Sequence[int], bias: int, boxes: Sequence[tuple[int, int]]) -> tupl
 
 def scaled_layer(layer: Layer) -> IntLayer:
     """The one integer form of a layer, (s, s.W, s.b, activations), for s the
-    lcm of its weights' and biases' denominators."""
-    s = lcm(*(w.denominator for row in layer.weights for w in row),
-            *(b.denominator for b in layer.biases))
-    rows = tuple(tuple(w.numerator * (s // w.denominator) for w in row) for row in layer.weights)
-    return s, rows, tuple(b.numerator * (s // b.denominator) for b in layer.biases), layer.activations
+    lcm of its weights' and biases' denominators (``numerics.scaled``)."""
+    s, (*rows, biases) = scaled((*layer.weights, layer.biases))
+    return s, tuple(rows), biases, layer.activations
 
 
 def unscaled_network(input_dim: int, layers: Sequence[IntLayer], known=()) -> Network:
@@ -172,7 +165,7 @@ def degeneracy(layers: Sequence[IntLayer], node_budget: int | None = None) -> tu
         are tried first (``bounds.vertex_witnessed``), and a node that no
         vertex shows with both signs is settled by its exact extrema
         (``bounds.extrema``, under ``node_budget``), in node order, all on
-        the same levels;
+        the same integer layers;
     (b) the output node has a nonzero incoming weight;
     (c) no two same-layer nodes share an identical local map (int row and bias).
     """
@@ -186,13 +179,12 @@ def degeneracy(layers: Sequence[IntLayer], node_budget: int | None = None) -> tu
             if key in seen:
                 return False, f"nodes ({j},{seen[key]}) and ({j},{i}) have identical local maps"
             seen[key] = i
-    levels = bounds.scaled_levels(layers)
-    witnessed = bounds.vertex_witnessed(levels)
+    witnessed = bounds.vertex_witnessed(layers)
     for j, layer_witnessed in enumerate(witnessed, start=1):  # hidden layers only
         for i, seen_both in enumerate(layer_witnessed, start=1):
             if seen_both:
                 continue
-            (lo, lo_den), (hi, hi_den) = bounds.extrema(levels, NodeRef(j, i), node_budget)
+            (lo, lo_den), (hi, hi_den) = bounds.extrema(layers, NodeRef(j, i), node_budget)
             if hi <= 0:
                 return False, f"hidden node ({j},{i}) is never active (max {Fraction(hi, hi_den)} <= 0)"
             if lo > 0:

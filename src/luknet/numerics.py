@@ -143,8 +143,8 @@ class Interval(_Interval):
 # tableau's.  The core exchanges only ints: a cut row is [bound, *coeffs],
 # the tableau's own row format, the objective is d ints, and the optimum is
 # the int ratio (num, det).  The wrappers lp_feasible and lp_extremum are the
-# Fraction entry points: each scales its rows and objective once to ints by
-# the lcm of their denominators, and builds the answer's Fraction.
+# Fraction entry points: each reads every row and the objective into ints on
+# its own (``scaled``), and builds the answer's Fraction.
 # ---------------------------------------------------------------------------
 
 Constraint = tuple[Sequence[Fraction], Fraction]  # the wrappers' coeffs . x <= bound
@@ -171,10 +171,11 @@ def cube(d: int) -> Tableau:
     return Tableau((), (), tuple(range(1, d + 1)), 1)
 
 
-def _scale(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
-    """A row of ints or Fractions times s, the lcm of its denominators, and s."""
-    s = lcm(*(v.denominator for v in values))
-    return [v.numerator * (s // v.denominator) for v in values], s
+def scaled(rows: Sequence[Sequence[int | Fraction]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The one reader of rationals into ints: rows of ints or Fractions as s,
+    the lcm of all their denominators, and each row times s."""
+    s = lcm(*(v.denominator for row in rows for v in row))
+    return s, tuple(tuple(v.numerator * (s // v.denominator) for v in row) for row in rows)
 
 
 def _row(state: Tableau, values: Sequence[int]) -> list[int]:
@@ -341,7 +342,7 @@ def lp_feasible(constraints: Iterable[Constraint], d: int) -> bool:
 
     The cube is implied: pass only the rows that cut it.
     """
-    return cut(cube(d), [_scale([bound, *coeffs])[0] for coeffs, bound in constraints]) is not None
+    return cut(cube(d), [scaled([(bound, *coeffs)])[1][0] for coeffs, bound in constraints]) is not None
 
 
 def lp_extremum(
@@ -357,10 +358,10 @@ def lp_extremum(
     """
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
-    state = cut(cube(len(objective)), [_scale([bound, *coeffs])[0] for coeffs, bound in constraints])
+    state = cut(cube(len(objective)), [scaled([(bound, *coeffs)])[1][0] for coeffs, bound in constraints])
     if state is None:
         raise Infeasible("empty feasible region")
     sign = 1 if sense == "min" else -1
-    obj, s = _scale([sign * c for c in objective])
+    s, (obj,) = scaled([[sign * c for c in objective]])
     num, det = minimum(state, obj)
     return constant + sign * Fraction(num, det * s)

@@ -48,6 +48,11 @@ def net(input_dim, *layers) -> Network:
     return Network(input_dim, tuple(layers))
 
 
+def width(network: Network, j: int) -> int:
+    """Width d_j of level j, 0 being the input level."""
+    return network.input_dim if j == 0 else network.layers[j - 1].width
+
+
 def box_forced_network(width: int) -> Network:
     """One hidden layer of ``width`` relu nodes x + 1, each forced active by
     its box bound, summed at the output: the range is [width, 2 * width]."""
@@ -390,7 +395,7 @@ def brute_extrema(network: Network, ref: NodeRef):
     cube = cube_constraints(d)
 
     upstream = [
-        (j, i) for j in range(1, ref.layer) for i in range(1, network.width(j) + 1)
+        (j, i) for j in range(1, ref.layer) for i in range(1, width(network, j) + 1)
     ]
     regime_options = []
     for j, i in upstream:
@@ -410,7 +415,7 @@ def brute_extrema(network: Network, ref: NodeRef):
             else:
                 coeffs = [F(0)] * d
                 const = bias
-                for t in range(network.width(j - 1)):
+                for t in range(width(network, j - 1)):
                     fc, fk = forms[(j - 1, t + 1)]
                     w = row[t]
                     const += w * fk
@@ -468,7 +473,7 @@ def brute_non_degenerate(network: Network) -> bool:
     nonzero incoming weight; (c) no two same-layer nodes share a local map.
     """
     for j in range(1, network.depth):
-        for i in range(1, network.width(j) + 1):
+        for i in range(1, width(network, j) + 1):
             lo, hi = brute_extrema(network, NodeRef(j, i))
             if not (hi > 0 and lo <= 0):
                 return False
@@ -494,7 +499,7 @@ def reference_non_degenerate(network: Network) -> tuple[bool, str | None]:
                 return False, f"nodes ({j},{seen[key]}) and ({j},{i}) have identical local maps"
             seen[key] = i
     for j in range(1, network.depth):
-        for i in range(1, network.width(j) + 1):
+        for i in range(1, width(network, j) + 1):
             iv = exact_extrema(network, NodeRef(j, i))
             if iv.hi <= 0:
                 return False, f"hidden node ({j},{i}) is never active (max {iv.hi} <= 0)"
@@ -525,7 +530,7 @@ def reference_is_non_degenerate(network: Network, node_budget: int | None = None
     units = [tuple(F(int(i == k)) for i in range(d)) for k in range(-1, d)]
     pres = [node_preactivations(network, x) for x in units + [tuple(1 - v for v in u) for u in units]]
     for j in range(1, network.depth):
-        for i in range(1, network.width(j) + 1):
+        for i in range(1, width(network, j) + 1):
             values = [pre[j - 1][i - 1] for pre in pres]
             if any(v > 0 for v in values) and any(v <= 0 for v in values):
                 continue

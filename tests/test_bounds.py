@@ -7,7 +7,8 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import (
-    box_forced_network, brute_extrema, encloses, interval_propagation, layer, net, random_network, rational_network
+    box_forced_network, brute_extrema, encloses, interval_propagation, layer, net, random_network, rational_network,
+    width,
 )
 from luknet import bounds, numerics
 from luknet.bounds import BudgetExceeded, exact_extrema
@@ -49,7 +50,7 @@ def test_clip_node_post_activation_in_unit_interval():
     rng = random.Random(21)
     for _ in range(20):
         n = random_network(rng, rng.randint(1, 2), [rng.randint(1, 3)], activation="clip")
-        for i in range(1, n.width(1) + 1):
+        for i in range(1, width(n, 1) + 1):
             iv = exact_extrema(n, NodeRef(1, i), activated=True)
             assert 0 <= iv.lo <= iv.hi <= 1
 
@@ -178,7 +179,7 @@ def test_rational_networks_match_brute_force(activation):
         hidden = [rng.randint(1, 2) for _ in range(rng.randint(1, 2))]
         n = rational_network(rng, rng.randint(1, 2), hidden, activation)
         for j in range(1, n.depth + 1):
-            for i in range(1, n.width(j) + 1):
+            for i in range(1, width(n, j) + 1):
                 ref = NodeRef(j, i)
                 lo, hi = brute_extrema(n, ref)
                 iv = exact_extrema(n, ref)

@@ -15,10 +15,10 @@ from luknet import bounds, extract
 from luknet import formula as fm
 from luknet.construct import graph_to_sigma, sigma_to_rho
 from luknet.equiv import FiniteGrid
-from luknet.extract import extract_graph, rho_to_sigma
+from luknet.extract import extract_graph, formula_for_certificate, rho_to_sigma
 from luknet.formula import to_text
 from luknet.graph import (
-    FLAVORS, MintermCertificate, graph_evaluator, normality_violation, represented_formula
+    FLAVORS, MintermCertificate, certificate_rows, graph_evaluator, normality_violation, represented_formula
 )
 from luknet.network import apply_activation, eval_network, network_from_dict, network_from_json
 
@@ -350,7 +350,8 @@ def test_extractors_build_the_oracle_objects(monkeypatch):
     # (|m| <= 2), through all three flavors, then half- and third-integer
     # rows d <= 2 (|m|, |b| <= 1 + 1/q) through extr_real and extr_rational.
     # The second pass peels each row once over all its biases through the
-    # shared-row generator, where the peel memo of a row serves them all.
+    # shared-row generator, the run's certificates read as one level, where
+    # the peel memo of a row serves them all.
     # The third mixes the three flavors in one run over each integer row
     # d <= 2: the memo key holds no flavor, so one _Row serves the run.
     cases = []
@@ -373,17 +374,47 @@ def test_extractors_build_the_oracle_objects(monkeypatch):
     for extractor, m, b, want in cases:
         runs.setdefault((flavors[extractor], m), []).append((b, want))
     for (flavor, m), run in runs.items():
-        got = extract._formulas([(m, b, flavor) for b, _ in run])
+        got = extract._formulas(certificate_rows([MintermCertificate(m, b, flavor) for b, _ in run]))
         for f, (b, want) in zip(got, run, strict=True):
             assert f is want, (flavor, m, b)
     built = count_rows(monkeypatch)
     for d in (1, 2):
         for m in itertools.product(range(-3, 4), repeat=d):
-            mixed = [(m, b, flavor) for b in range(-4, 5) for flavor in FLAVORS]
+            mixed = [MintermCertificate(m, b, flavor) for b in range(-4, 5) for flavor in FLAVORS]
             built.clear()
-            for f, (_, b, flavor) in zip(extract._formulas(mixed), mixed, strict=True):
+            for f, (_, b, flavor) in zip(extract._formulas(certificate_rows(mixed)), mixed, strict=True):
                 assert f is reference_extr_real(m, b), (flavor, m, b)
             assert built == [(1, m)]
+
+
+def test_formulas_do_not_depend_on_the_scale_a_row_is_read_at():
+    # A certificate row is read over its level's s, a multiple of its own
+    # scale.  Read at k times its scale, a row peels to the very formula of
+    # its own scale and of its Fraction certificate, in every flavor.  An
+    # integer row read beside a half-integer one, at its level's s = 2, stays
+    # a plain peel in the rational flavor, where a row over s = 2 would peel
+    # to a delta_2 chain.
+    rng = random.Random(39)
+    seen = {flavor: 0 for flavor in FLAVORS} | {"beside": 0}
+    for _ in range(200):
+        d = rng.randint(1, 3)
+        for flavor in FLAVORS:
+            q = 1 if flavor == "integer" else rng.choice((1, 2, 3))
+            cert = MintermCertificate(
+                tuple(F(rng.randint(-3 * q, 3 * q), q) for _ in range(d)), F(rng.randint(-3 * q, 3 * q), q), flavor
+            )
+            want = formula_for_certificate(cert)
+            ((s, row, b, _),) = certificate_rows([cert])
+            for k in (1, 2, 3, 6):
+                assert next(extract._formulas([(k * s, tuple(k * v for v in row), k * b, flavor)])) is want
+            seen[flavor] += 1
+            if q == 1 and flavor == "rational":
+                half = MintermCertificate((F(1, 2),) * d, F(0), flavor)
+                level = certificate_rows([half, cert])
+                assert level[1][0] == 2
+                assert list(extract._formulas(level))[1] is want
+                seen["beside"] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 def test_extr_real_constant_bias():

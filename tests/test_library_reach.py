@@ -37,7 +37,6 @@ PINNED = {
     "formula._tree_sizes": "the one fold that Formula.length and Formula.__repr__ read",
     "graph.formula_graph": "items 4 and 5: a formula as a depth-1 graph to construct and decide",
     "graph.represented_formula": "item 15 measures the represented formula",
-    "network.Network.width": "the tests' oracles and search pins read a level's width",
     "network.is_non_degenerate": "the Network form of network.degeneracy; perfbench/ calls it",
     "numerics.Infeasible": "item 1: raised by lp_extremum alone",
     "numerics.lp_extremum": "item 1: the optimising point and the decision query",

@@ -183,9 +183,9 @@ def count_searches(monkeypatch) -> list:
     searched = []
     search = bounds.extrema
 
-    def counting(levels, ref, *args, **kwargs):
+    def counting(layers, ref, *args, **kwargs):
         searched.append(ref)
-        return search(levels, ref, *args, **kwargs)
+        return search(layers, ref, *args, **kwargs)
 
     monkeypatch.setattr(bounds, "extrema", counting)
     return searched
@@ -200,8 +200,7 @@ def test_unwitnessed_node_is_searched(monkeypatch):
         layer([[-8, 4]], [-1], ["relu"]),
         layer([[1]], [0], ["none"]),
     )
-    levels = bounds.scaled_levels([scaled_layer(lay) for lay in network.layers])
-    assert bounds.vertex_witnessed(levels) == [[True, True], [False]]
+    assert bounds.vertex_witnessed([scaled_layer(lay) for lay in network.layers]) == [[True, True], [False]]
     searched = count_searches(monkeypatch)
     assert is_non_degenerate(network) == (True, None)
     assert searched == [NodeRef(2, 1)]

@@ -264,7 +264,7 @@ def test_incremental_cuts_match_vertex_enumeration():
             shift = F(rng.randint(1, 2), 2) if rng.random() < 0.25 else 0
             rows.append((row, sum(c * x for c, x in zip(row, p)) - shift))
         obj = [rng.randint(-4, 4) for _ in range(d)]
-        scaled = [numerics._scale([bound, *row])[0] for row, bound in rows]
+        scaled = [numerics.scaled([[bound, *row]])[1][0] for row, bound in rows]
         values = {}  # objective at each vertex of the cube cut by rows[:n]
         for n in range(1, len(rows) + 1):
             vertices = polytope_vertices(cube_constraints(d) + rows[:n], d)
@@ -374,8 +374,8 @@ def test_tableau_is_a_dictionary_over_one_determinant(d, batches, obj):
         assert_dictionary(state, d)
         for batch in batches:
             snapshot = copy.deepcopy(state)
-            minimum(state, numerics._scale(obj[:d])[0])
-            child = cut(state, [numerics._scale([bound, *coeffs[:d]])[0] for coeffs, bound in batch])
+            minimum(state, numerics.scaled([obj[:d]])[1][0])
+            child = cut(state, [numerics.scaled([[bound, *coeffs[:d]]])[1][0] for coeffs, bound in batch])
             assert state == snapshot
             if child is None:
                 break
